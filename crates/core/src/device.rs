@@ -5,9 +5,10 @@
 //! (Figure 3), and carries the driver bookkeeping — the in-flight
 //! transfer, statistics, completion log, and registered pollers.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use memif_hwsim::dma::TransferId;
+use memif_hwsim::hash::IdMap;
 use memif_hwsim::{PhaseBreakdown, PhysAddr, SimTime};
 use memif_lockfree::{MovReq, MoveKind, MoveStatus, Region};
 use memif_mm::{PageSize, Pte, VirtAddr};
@@ -310,12 +311,12 @@ pub struct MemifDevice {
     pub(crate) spans: memif_lockfree::InflightIndex,
     pub(crate) next_req_id: u64,
     pub(crate) next_token: u64,
-    pub(crate) submit_times: HashMap<u64, SimTime>,
+    pub(crate) submit_times: IdMap<u64, SimTime>,
     /// Source/destination node of each planned migration, keyed by
     /// request id; consumed at retirement to credit the per-node move
     /// counters (the plan knows the source node, the retire site no
     /// longer does).
-    pub(crate) routes: HashMap<u64, (u16, u16)>,
+    pub(crate) routes: IdMap<u64, (u16, u16)>,
     pub(crate) pollers: Vec<SimEvent>,
     /// Requests parked by admission control, FIFO per tenant. Only ever
     /// non-empty when `qos` is on.
@@ -358,8 +359,8 @@ impl MemifDevice {
             spans: memif_lockfree::InflightIndex::new(),
             next_req_id: 0,
             next_token: 0,
-            submit_times: HashMap::new(),
-            routes: HashMap::new(),
+            submit_times: IdMap::default(),
+            routes: IdMap::default(),
             pollers: Vec::new(),
             parked: BTreeMap::new(),
             park_cursor: 0,

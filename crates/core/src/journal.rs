@@ -28,9 +28,8 @@
 //! devices opened with [`crate::MemifConfig::journal`] set, so default
 //! runs pay nothing and stay byte-identical.
 
-use std::collections::HashMap;
-
 use memif_hwsim::dma::SgSegment;
+use memif_hwsim::hash::IdMap;
 use memif_lockfree::{MovReq, MoveStatus};
 use memif_mm::{PageSize, Pte, VirtAddr};
 
@@ -81,6 +80,10 @@ impl JournalPage {
 }
 
 /// One write-ahead record: a single issued move request.
+///
+/// A sealed record keeps the request's identity and terminal status
+/// and drops its plan (`pages`, `segments`), so a long run's journal
+/// grows by a fixed size per retired move, not by its page count.
 #[derive(Debug, Clone)]
 pub struct JournalRecord {
     /// Device the request was issued on.
@@ -100,9 +103,11 @@ pub struct JournalRecord {
     /// Page size of the covered region.
     pub page_size: PageSize,
     /// Per-page remap plans (empty for replications, which change no
-    /// mappings).
+    /// mappings). Released when the record is sealed: only recovery of
+    /// an unsealed record reads them.
     pub pages: Vec<JournalPage>,
-    /// The scatter-gather segments of this member's payload.
+    /// The scatter-gather segments of this member's payload. Released
+    /// when the record is sealed, like `pages`.
     pub segments: Vec<SgSegment>,
     /// Progress milestone last durably recorded.
     pub milestone: JournalMilestone,
@@ -119,7 +124,7 @@ pub struct MoveJournal {
     records: Vec<JournalRecord>,
     /// `(device, req_id) -> records index`. Requests are keyed by id,
     /// not token: a retried issue overwrites its own record.
-    index: HashMap<(usize, u64), usize>,
+    index: IdMap<(usize, u64), usize>,
 }
 
 impl MoveJournal {
@@ -189,9 +194,9 @@ impl MoveJournal {
         }
     }
 
-    /// Seals a record with its terminal status; returns whether a
-    /// record was sealed (so the caller can charge the persistent
-    /// write). No-op for requests that were never journaled (e.g.
+    /// Seals a record with its terminal status and releases its plan;
+    /// returns whether a record was sealed (so the caller can charge the
+    /// persistent write). No-op for requests that were never journaled (e.g.
     /// validation rejects); a second seal of the same record is a
     /// driver bug caught by the debug_assert — the five retire sites
     /// must each fire at most once per request.
@@ -204,6 +209,8 @@ impl MoveJournal {
             );
             if rec.sealed.is_none() {
                 rec.sealed = Some(status);
+                rec.pages = Vec::new();
+                rec.segments = Vec::new();
                 return true;
             }
         }
@@ -252,6 +259,47 @@ mod tests {
         assert!(
             !j.seal(DeviceId(0), 8, MoveStatus::Done),
             "never-journaled requests (validation rejects) seal nothing"
+        );
+    }
+
+    #[test]
+    fn seal_releases_the_plan() {
+        let mut j = MoveJournal::default();
+        let frame = memif_hwsim::PhysAddr::new(0x8000_0000);
+        let page = JournalPage {
+            vaddr: VirtAddr::new(0x4000_0000),
+            old_frame: frame,
+            new_frame: frame.offset(4096),
+            original: Pte::mapping(frame, PageSize::Small4K),
+            final_pte: Pte::mapping(frame.offset(4096), PageSize::Small4K),
+            remote: Vec::new(),
+        };
+        let segment = SgSegment {
+            src: frame,
+            dst: frame.offset(4096),
+            bytes: 4096,
+        };
+        j.append(JournalRecord {
+            pages: vec![page.clone()],
+            segments: vec![segment],
+            ..record(7, 1)
+        });
+        j.append(JournalRecord {
+            pages: vec![page],
+            segments: vec![segment],
+            ..record(8, 2)
+        });
+        assert!(j.seal(DeviceId(0), 7, MoveStatus::Done));
+        let sealed = &j.records()[0];
+        assert_eq!(sealed.sealed, Some(MoveStatus::Done));
+        assert_eq!((sealed.req.id, sealed.token), (7, 1), "identity kept");
+        assert!(sealed.pages.is_empty() && sealed.segments.is_empty());
+        assert_eq!(sealed.pages.capacity() + sealed.segments.capacity(), 0);
+        let open = &j.records()[1];
+        assert_eq!(
+            (open.pages.len(), open.segments.len()),
+            (1, 1),
+            "an unsealed record keeps what recovery needs"
         );
     }
 

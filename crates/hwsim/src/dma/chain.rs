@@ -10,7 +10,7 @@
 //! when the pool runs dry, and busy-marking so a chain serving an
 //! in-flight transfer is never reconfigured under the engine.
 
-use std::collections::HashMap;
+use crate::hash::IdMap;
 
 /// Identifier of a recorded chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -99,7 +99,7 @@ impl std::error::Error for ChainError {}
 pub struct ChainManager {
     free: Vec<u16>,
     pool_size: usize,
-    chains: HashMap<u64, ChainRecord>,
+    chains: IdMap<u64, ChainRecord>,
     next_chain: u64,
     clock: u64,
     reuse_enabled: bool,
@@ -120,7 +120,7 @@ impl ChainManager {
         ChainManager {
             free: (0..pool_size as u16).rev().collect(),
             pool_size,
-            chains: HashMap::new(),
+            chains: IdMap::default(),
             next_chain: 0,
             clock: 0,
             reuse_enabled: true,
@@ -270,7 +270,7 @@ impl ChainManager {
         self.clock += 1;
         if self.reuse_enabled {
             // Lowest chain id wins among exact matches: unique ids keep
-            // the choice deterministic across runs (HashMap order isn't).
+            // the choice independent of the map's iteration order.
             let candidate = self
                 .chains
                 .iter()

@@ -18,13 +18,12 @@
 //! implemented. The sim is single-threaded, so the "couple of locks for
 //! thread-safety" of §6.1 have no analogue here.
 
-use std::collections::HashMap;
-
 use crate::cost::CostModel;
 use crate::dma::chain::{ChainError, ChainId, ChainManager, ChainPlan};
 use crate::dma::param::{ParamSet, NULL_LINK, NUM_PARAM_SETS};
 use crate::fault::{FaultInjector, FaultStats, TransferFault};
 use crate::flow::FlowId;
+use crate::hash::IdMap;
 use crate::phys::PhysAddr;
 use crate::time::SimDuration;
 
@@ -171,7 +170,7 @@ pub struct DmaEngine {
     params: Vec<ParamSet>,
     chains: ChainManager,
     stats: DmaStats,
-    in_flight: HashMap<u64, InFlight>,
+    in_flight: IdMap<u64, InFlight>,
     next_transfer: u64,
     /// Installed fault injector; `None` (the default) means the engine
     /// is perfectly reliable and the hot path pays nothing.
@@ -222,7 +221,7 @@ impl DmaEngine {
             params: vec![ParamSet::default(); pool],
             chains: ChainManager::new(pool),
             stats: DmaStats::default(),
-            in_flight: HashMap::new(),
+            in_flight: IdMap::default(),
             next_transfer: 0,
             injector: None,
         }

@@ -14,8 +14,8 @@
 //! picture changes.
 
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 
+use crate::hash::IdMap;
 use crate::sim::{EventId, EventWorld, Sim};
 use crate::time::{SimDuration, SimTime};
 
@@ -277,7 +277,7 @@ impl FlowNet {
 /// direct calls would, and a logging dispatcher still sees them all).
 pub struct FlowSystem<W: EventWorld> {
     net: FlowNet,
-    payloads: HashMap<u64, W::Event>,
+    payloads: IdMap<u64, W::Event>,
     timer: Option<EventId>,
     tick: fn() -> W::Event,
 }
@@ -297,7 +297,7 @@ impl<W: EventWorld> FlowSystem<W> {
     pub fn new(tick: fn() -> W::Event) -> Self {
         FlowSystem {
             net: FlowNet::new(),
-            payloads: HashMap::new(),
+            payloads: IdMap::default(),
             timer: None,
             tick,
         }

@@ -18,6 +18,8 @@
 //! * [`dma`] — the EDMA3-model engine: 512 twelve-field transfer
 //!   descriptors in uncached PaRAM, scatter-gather chaining, and the
 //!   chain-reuse optimization of §5.3.
+//! * [`hash`] — the seedless integer-key hasher behind every per-page
+//!   and per-request map.
 //!
 //! Byte copies are real (backed by [`phys::PhysMem`]), so higher layers
 //! can verify data integrity and observe genuine race outcomes; only
@@ -30,6 +32,7 @@ pub mod cost;
 pub mod dma;
 pub mod fault;
 pub mod flow;
+pub mod hash;
 pub mod meter;
 pub mod phys;
 pub mod sim;

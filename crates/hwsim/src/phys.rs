@@ -6,10 +6,11 @@
 //! materialize on first write, and reads of untouched memory yield zeros
 //! (matching zero-initialized fresh pages).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+
+use crate::hash::IdMap;
 
 /// A physical byte address on the simulated SoC.
 #[derive(
@@ -55,7 +56,7 @@ const FRAME_SIZE: usize = 1 << FRAME_SHIFT;
 /// Sparse, byte-addressable physical memory.
 #[derive(Default)]
 pub struct PhysMem {
-    frames: HashMap<u64, Box<[u8; FRAME_SIZE]>>,
+    frames: IdMap<u64, Box<[u8; FRAME_SIZE]>>,
 }
 
 impl fmt::Debug for PhysMem {

@@ -118,6 +118,12 @@ impl ColorQueue {
             let t = self.tail.load();
             let tslot = &slots[t.index as usize];
             let tlink = tslot.link.load();
+            if self.tail.load() != t {
+                // `tlink` must be read while the slot is still our tail:
+                // a recycled slot (say, the free list's NULL-terminated
+                // bottom) would accept the connecting CAS below.
+                continue;
+            }
             if tlink.index != NULL_INDEX {
                 // Tail lags behind the last node: help swing it forward.
                 let _ = self.tail.compare_exchange(
@@ -191,6 +197,12 @@ impl ColorQueue {
                 continue;
             }
             let t = self.tail.load();
+            if self.head.load() != h {
+                // Head moved since `hlink` was read: the old dummy may
+                // have been recycled to the tail, and swinging tail to
+                // the stale `hlink` below would point it backwards.
+                continue;
+            }
             if t.index == h.index {
                 // Queue is non-empty but tail still points at the dummy:
                 // help swing it before advancing head past it.
@@ -253,11 +265,13 @@ impl ColorQueue {
             let h = self.head.load();
             let hslot = &slots[h.index as usize];
             let hlink = hslot.link.load();
-            if hlink.index != NULL_INDEX {
-                if self.head.load() == h {
-                    return Err(SetColorError::NotEmpty);
-                }
+            if self.head.load() != h {
+                // As in enqueue: recolor only a terminator read while its
+                // slot was still this queue's dummy.
                 continue;
+            }
+            if hlink.index != NULL_INDEX {
+                return Err(SetColorError::NotEmpty);
             }
             if hslot
                 .link

@@ -5,8 +5,9 @@
 //! free. A frame table records owner node and order for every live
 //! allocation so migration can free old pages without trusting callers.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
+use memif_hwsim::hash::IdMap;
 use memif_hwsim::{NodeId, PhysAddr, Topology};
 
 use crate::addr::PageSize;
@@ -129,8 +130,8 @@ pub struct FrameInfo {
 /// frame table.
 #[derive(Debug)]
 pub struct FrameAllocator {
-    buddies: HashMap<NodeId, Buddy>,
-    frames: HashMap<u64, FrameInfo>,
+    buddies: IdMap<NodeId, Buddy>,
+    frames: IdMap<u64, FrameInfo>,
     allocs: u64,
     frees: u64,
 }
@@ -143,8 +144,8 @@ impl FrameAllocator {
     #[must_use]
     pub fn new(topo: &Topology) -> Self {
         let mut a = FrameAllocator {
-            buddies: HashMap::new(),
-            frames: HashMap::new(),
+            buddies: IdMap::default(),
+            frames: IdMap::default(),
             allocs: 0,
             frees: 0,
         };

@@ -202,6 +202,28 @@ impl PageTable {
         }
     }
 
+    /// The leaf entry mapping `vaddr` at `size` granularity, for an
+    /// in-place read-modify-write in one descent. Never allocates table
+    /// nodes: `None` where [`peek`](Self::peek) finds no entry.
+    pub fn entry_mut(&mut self, vaddr: VirtAddr, size: PageSize) -> Option<&mut Pte> {
+        let [i1, i2, i3] = indices(vaddr);
+        let Slot::Table(l2) = &mut self.root.slots[i1] else {
+            return None;
+        };
+        let slot = if size == PageSize::Large2M {
+            &mut l2.slots[i2]
+        } else {
+            let Slot::Table(l3) = &mut l2.slots[i2] else {
+                return None;
+            };
+            &mut l3.slots[i3]
+        };
+        match slot {
+            Slot::Leaf(pte) => Some(pte),
+            _ => None,
+        }
+    }
+
     /// Gang lookup (§5.1): entries for `count` consecutive `size` pages
     /// starting at `start`. Returns one `Option<Pte>` per page plus the
     /// walk statistics (first page vertical, neighbors horizontal,
@@ -284,12 +306,20 @@ impl PageTable {
         new: Pte,
     ) -> Result<(), Pte> {
         let size = new.size();
-        let current = self.peek(vaddr, size).unwrap_or(Pte::EMPTY);
-        if current != expected {
-            return Err(current);
+        match self.entry_mut(vaddr, size) {
+            Some(pte) if *pte == expected && vaddr.is_aligned(size) => {
+                *pte = new;
+                Ok(())
+            }
+            Some(pte) => Err(*pte),
+            // An empty slot matches only an expected empty entry; the
+            // install may have to allocate the path to it.
+            None if expected == Pte::EMPTY => {
+                self.replace(vaddr, new).map_err(|_| Pte::EMPTY)?;
+                Ok(())
+            }
+            None => Err(Pte::EMPTY),
         }
-        self.replace(vaddr, new).map_err(|_| current)?;
-        Ok(())
     }
 
     fn leaf_slot_mut(&mut self, vaddr: VirtAddr, size: PageSize) -> Result<&mut Slot, TableError> {
@@ -462,6 +492,60 @@ mod tests {
         t.replace(va, semi_final.with_young(false)).unwrap(); // the "race"
         let err = t.compare_exchange(va, semi_final, final_pte).unwrap_err();
         assert_eq!(err, semi_final.with_young(false));
+    }
+
+    #[test]
+    fn entry_mut_miss_allocates_no_table_node() {
+        let mut t = PageTable::new();
+        let va = VirtAddr::new(0x4000_0000);
+        for size in PageSize::ALL {
+            assert!(t.entry_mut(va, size).is_none());
+        }
+        assert_eq!(t.mapped_entries(), 0);
+        let [i1, _, _] = indices(va);
+        assert!(matches!(t.root.slots[i1], Slot::Empty), "no L2 node");
+
+        // A hole next to a mapping: the L3 node exists, no entry appears.
+        t.map(va, pte(0x8000_0000, PageSize::Small4K)).unwrap();
+        assert!(t.entry_mut(va.offset(4096), PageSize::Small4K).is_none());
+        assert!(t.peek(va.offset(4096), PageSize::Small4K).is_none());
+        assert_eq!(t.mapped_entries(), 1);
+    }
+
+    #[test]
+    fn entry_mut_writes_in_place() {
+        let mut t = PageTable::new();
+        let va = VirtAddr::new(0x4000_0000);
+        let mapped = pte(0x8020_0000, PageSize::Large2M);
+        t.map(va, mapped).unwrap();
+        let entry = t.entry_mut(va, PageSize::Large2M).unwrap();
+        assert_eq!(*entry, mapped);
+        *entry = mapped.with_dirty(true);
+        assert!(t.peek(va, PageSize::Large2M).unwrap().is_dirty());
+        assert!(
+            t.entry_mut(va, PageSize::Small4K).is_none(),
+            "a block entry is not a 4 KiB leaf"
+        );
+    }
+
+    #[test]
+    fn compare_exchange_from_empty_installs() {
+        let mut t = PageTable::new();
+        let va = VirtAddr::new(0x5000_0000);
+        let new = pte(0x8000_0000, PageSize::Small4K);
+        t.compare_exchange(va, Pte::EMPTY, new).unwrap();
+        assert_eq!(t.peek(va, PageSize::Small4K), Some(new));
+        assert_eq!(t.mapped_entries(), 1);
+        // An empty slot fails any non-empty expectation, reporting EMPTY.
+        let other = va.offset(4096);
+        assert_eq!(t.compare_exchange(other, new, new), Err(Pte::EMPTY));
+        assert_eq!(t.mapped_entries(), 1);
+        // A misaligned target never installs.
+        let big = pte(0x8020_0000, PageSize::Large2M);
+        assert_eq!(
+            t.compare_exchange(va.offset(4096), Pte::EMPTY, big),
+            Err(Pte::EMPTY)
+        );
     }
 
     #[test]

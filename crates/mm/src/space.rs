@@ -211,12 +211,12 @@ pub struct AddressSpace {
     tlb: Tlb,
     next_addr: u64,
     /// Access sampling (off by default): when enabled, every CPU access
-    /// through [`AddressSpace::access`] bumps a per-frame counter. The
-    /// placement policy's sampling epochs read these alongside the PTE
-    /// reference-bit scan; with sampling off the space behaves (and
-    /// allocates) exactly as before.
+    /// through [`AddressSpace::access`] bumps one space-wide counter,
+    /// which scenario runs report as workload telemetry. The placement
+    /// policy's epochs do not read it: they scan PTE reference bits
+    /// ([`AddressSpace::scan_referenced`]).
     sampling: bool,
-    access_counts: BTreeMap<u64, u64>,
+    sampled_accesses: u64,
 }
 
 /// Result of one reference-bit sampling scan
@@ -247,7 +247,7 @@ impl AddressSpace {
             tlb: Tlb::new(),
             next_addr: 1 << 30,
             sampling: false,
-            access_counts: BTreeMap::new(),
+            sampled_accesses: 0,
         }
     }
 
@@ -486,7 +486,10 @@ impl AddressSpace {
         let vma = self.vma_at(vaddr).ok_or(Fault::Unmapped(vaddr))?;
         let size = vma.page_size;
         let page = vaddr.align_down(size);
-        let pte = self.table.peek(page, size).ok_or(Fault::DemandPage(page))?;
+        let pte = self
+            .table
+            .entry_mut(page, size)
+            .ok_or(Fault::DemandPage(page))?;
         if pte.is_migration() {
             return Err(Fault::BlockedByMigration(vaddr));
         }
@@ -496,46 +499,34 @@ impl AddressSpace {
         if kind == AccessKind::Write && pte.is_watched() {
             return Err(Fault::WriteProtected(vaddr));
         }
-        let mut updated = pte.with_young(false);
+        let frame = pte.frame();
+        *pte = pte.with_young(false);
         if kind == AccessKind::Write {
-            updated = updated.with_dirty(true);
-        }
-        if updated != pte {
-            self.table.replace(page, updated).expect("entry just seen");
+            *pte = pte.with_dirty(true);
         }
         self.tlb.access(page, size);
         if self.sampling {
-            *self.access_counts.entry(pte.frame().as_u64()).or_insert(0) += 1;
+            self.sampled_accesses += 1;
         }
-        Ok(pte.frame().offset(vaddr.as_u64() - page.as_u64()))
+        Ok(frame.offset(vaddr.as_u64() - page.as_u64()))
     }
 
-    /// Turns on per-frame access counting (see [`ScanOutcome`] for the
-    /// companion reference-bit scan). Idempotent; off by default.
+    /// Turns on access counting (see [`ScanOutcome`] for the companion
+    /// reference-bit scan). Idempotent; off by default.
     pub fn enable_sampling(&mut self) {
         self.sampling = true;
     }
 
-    /// True when per-frame access counting is on.
+    /// True when access counting is on.
     #[must_use]
     pub fn sampling_enabled(&self) -> bool {
         self.sampling
     }
 
-    /// Accesses counted against `frame` since sampling was enabled (or
-    /// since [`AddressSpace::take_access_counts`] last drained them).
-    #[must_use]
-    pub fn access_count(&self, frame: PhysAddr) -> u64 {
-        self.access_counts
-            .get(&frame.as_u64())
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Drains the per-frame access counters, returning them keyed by
-    /// frame base address (deterministic order).
-    pub fn take_access_counts(&mut self) -> BTreeMap<u64, u64> {
-        std::mem::take(&mut self.access_counts)
+    /// Accesses counted since sampling was enabled or since the last
+    /// call; resets the count.
+    pub fn take_sampled_accesses(&mut self) -> u64 {
+        std::mem::take(&mut self.sampled_accesses)
     }
 
     /// One sampling epoch's reference-bit scan over `[start, start +
@@ -560,7 +551,7 @@ impl AddressSpace {
         let mut out = ScanOutcome::default();
         for i in 0..u64::from(pages) {
             let va = start.offset(i * page_size.bytes());
-            let Some(pte) = self.table.peek(va, page_size) else {
+            let Some(pte) = self.table.entry_mut(va, page_size) else {
                 out.skipped += 1;
                 continue;
             };
@@ -571,9 +562,7 @@ impl AddressSpace {
             out.scanned += 1;
             if !pte.is_young() {
                 out.referenced += 1;
-                self.table
-                    .replace(va, pte.with_young(true))
-                    .expect("entry just seen");
+                *pte = pte.with_young(true);
             }
         }
         out
@@ -801,27 +790,79 @@ mod tests {
     }
 
     #[test]
-    fn sampling_counts_per_frame_accesses() {
+    fn sampling_counts_accesses() {
         let (mut space, mut alloc, _) = setup();
         let va = space
             .mmap_anonymous(&mut alloc, 2, PageSize::Small4K, NodeId(0))
             .unwrap();
-        let frame0 = space.translate(va).unwrap();
 
         // Off by default: accesses leave no trace.
         space.access(va, AccessKind::Read).unwrap();
         assert!(!space.sampling_enabled());
-        assert_eq!(space.access_count(frame0), 0);
+        assert_eq!(space.take_sampled_accesses(), 0);
 
         space.enable_sampling();
         space.access(va, AccessKind::Read).unwrap();
         space.access(va.offset(8), AccessKind::Write).unwrap();
         space.access(va.offset(4096), AccessKind::Read).unwrap();
-        assert_eq!(space.access_count(frame0), 2, "both page-0 accesses");
+        // Faulting accesses are not counted.
+        let _ = space.access(VirtAddr::new(0x99), AccessKind::Read);
+        assert_eq!(space.take_sampled_accesses(), 3);
+        assert_eq!(space.take_sampled_accesses(), 0, "drain resets");
+    }
 
-        let drained = space.take_access_counts();
-        assert_eq!(drained.values().sum::<u64>(), 3);
-        assert_eq!(space.access_count(frame0), 0, "drain resets");
+    #[test]
+    fn access_to_unmapped_lazy_page_allocates_no_table_node() {
+        let (mut space, mut alloc, _) = setup();
+        let va = space
+            .mmap_with(
+                &mut alloc,
+                4,
+                PageSize::Small4K,
+                AllocPolicy::Bind(NodeId(0)),
+                Populate::Lazy,
+            )
+            .unwrap();
+        assert_eq!(
+            space.access(va.offset(4096), AccessKind::Write),
+            Err(Fault::DemandPage(va.offset(4096)))
+        );
+        assert_eq!(space.table().mapped_entries(), 0);
+        assert!(
+            space.tlb().is_empty(),
+            "a faulting access fills no TLB entry"
+        );
+        space
+            .handle_demand_fault(&mut alloc, va.offset(4096))
+            .unwrap();
+        assert!(space.access(va.offset(4096), AccessKind::Write).is_ok());
+        assert_eq!(space.table().mapped_entries(), 1);
+    }
+
+    #[test]
+    fn fault_precedence_is_migration_then_not_present_then_watch() {
+        let (mut space, mut alloc, _) = setup();
+        let va = space
+            .mmap_anonymous(&mut alloc, 1, PageSize::Small4K, NodeId(0))
+            .unwrap();
+        let mapped = space.table().peek(va, PageSize::Small4K).unwrap();
+        let cases = [
+            (
+                Pte::migration_entry(PageSize::Small4K).with_watch(true),
+                Fault::BlockedByMigration(va),
+            ),
+            (Pte::EMPTY.with_watch(true), Fault::Unmapped(va)),
+            (mapped.with_watch(true), Fault::WriteProtected(va)),
+        ];
+        for (entry, fault) in cases {
+            space.table_mut().replace(va, entry).unwrap();
+            assert_eq!(space.access(va, AccessKind::Write), Err(fault));
+            assert_eq!(
+                space.table().peek(va, PageSize::Small4K),
+                Some(entry),
+                "a faulting access leaves the entry untouched"
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! verify that claim, and counts flush operations so the cost harness can
 //! charge them.
 
-use std::collections::HashSet;
+use memif_hwsim::hash::IdSet;
 
 use crate::addr::{PageSize, VirtAddr};
 
@@ -27,7 +27,7 @@ pub struct TlbStats {
 /// about *whether* an entry was cached, not replacement policy).
 #[derive(Debug, Default)]
 pub struct Tlb {
-    entries: HashSet<u64>,
+    entries: IdSet<u64>,
     stats: TlbStats,
 }
 
@@ -41,14 +41,12 @@ impl Tlb {
     /// Records a translation for the page containing `vaddr`. Returns
     /// `true` on a hit (already cached).
     pub fn access(&mut self, vaddr: VirtAddr, size: PageSize) -> bool {
-        let key = vaddr.align_down(size).as_u64();
-        if self.entries.contains(&key) {
+        if self.entries.insert(vaddr.align_down(size).as_u64()) {
+            self.stats.misses += 1;
+            false
+        } else {
             self.stats.hits += 1;
             true
-        } else {
-            self.stats.misses += 1;
-            self.entries.insert(key);
-            false
         }
     }
 

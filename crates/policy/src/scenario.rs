@@ -173,7 +173,7 @@ pub struct ScenarioResult {
     pub compress_busy: SimDuration,
     /// CPU time spent decompressing out of the cold floor.
     pub decompress_busy: SimDuration,
-    /// Per-frame access-counter total drained from the sampling layer.
+    /// CPU accesses counted by the address space's sampling layer.
     pub page_touches: u64,
     /// CPU busy fraction over the run (all contexts).
     pub cpu_usage: f64,
@@ -444,7 +444,7 @@ pub fn run_scenario(cost: &CostModel, cfg: &ScenarioConfig) -> ScenarioResult {
         }
         None => (memif::DriverStats::default(), Vec::new()),
     };
-    let page_touches: u64 = sys.space_mut(space).take_access_counts().values().sum();
+    let page_touches = sys.space_mut(space).take_sampled_accesses();
     ScenarioResult {
         mode: cfg.mode,
         wall,
