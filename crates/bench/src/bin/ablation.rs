@@ -12,7 +12,7 @@
 //! Run all with no argument, or pass one name.
 
 use memif::{MemifConfig, RaceMode};
-use memif_bench::{stream_memif, Table};
+use memif_bench::{stream, StreamSpec, Table};
 use memif_hwsim::CostModel;
 use memif_mm::PageSize;
 use memif_workloads::ShapeKind;
@@ -20,7 +20,17 @@ use memif_workloads::ShapeKind;
 fn throughput(config: MemifConfig, kind: ShapeKind, pages: u32) -> f64 {
     let cost = CostModel::keystone_ii();
     let count = ((32u64 << 20) / (u64::from(pages) * 4096)).clamp(16, 256) as usize;
-    stream_memif(&cost, config, kind, PageSize::Small4K, pages, count, 8).throughput_gbps
+    stream(StreamSpec {
+        cost: cost.clone(),
+        config,
+        kind,
+        page_size: PageSize::Small4K,
+        pages,
+        count,
+        window: 8,
+        ..StreamSpec::default()
+    })
+    .throughput_gbps
 }
 
 fn descriptor_reuse() {
@@ -143,15 +153,16 @@ fn poll_threshold() {
             poll_threshold_bytes: thr,
             ..MemifConfig::default()
         };
-        let run = stream_memif(
-            &cost,
-            config.clone(),
-            ShapeKind::Migrate,
-            PageSize::Small4K,
-            4,
-            128,
-            8,
-        );
+        let run = stream(StreamSpec {
+            cost: cost.clone(),
+            config: config.clone(),
+            kind: ShapeKind::Migrate,
+            page_size: PageSize::Small4K,
+            pages: 4,
+            count: 128,
+            window: 8,
+            ..StreamSpec::default()
+        });
         let mean = run
             .completion_times
             .iter()

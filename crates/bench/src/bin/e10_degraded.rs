@@ -14,7 +14,7 @@
 //! requests are lost or wedged.
 
 use memif::{FaultPlan, MemifConfig};
-use memif_bench::{stream_memif, stream_memif_with_faults, Table};
+use memif_bench::{stream, StreamSpec, Table};
 use memif_hwsim::CostModel;
 use memif_mm::PageSize;
 use memif_workloads::ShapeKind;
@@ -60,27 +60,27 @@ fn main() {
             ShapeKind::Migrate => "migrate",
         };
         // Fault-free baseline for the "retained" column.
-        let base = stream_memif(
-            &cost,
-            MemifConfig::default(),
+        let base = stream(StreamSpec {
+            cost: cost.clone(),
             kind,
-            PAGE,
-            PAGES,
+            page_size: PAGE,
+            pages: PAGES,
             count,
-            WINDOW,
-        );
+            window: WINDOW,
+            ..StreamSpec::default()
+        });
         for &rate in rates {
             let plan = (rate > 0.0).then(|| FaultPlan::dma_errors(SEED, rate));
-            let run = stream_memif_with_faults(
-                &cost,
-                MemifConfig::default(),
+            let run = stream(StreamSpec {
+                cost: cost.clone(),
                 kind,
-                PAGE,
-                PAGES,
+                page_size: PAGE,
+                pages: PAGES,
                 count,
-                WINDOW,
-                plan,
-            );
+                window: WINDOW,
+                faults: plan,
+                ..StreamSpec::default()
+            });
             assert_eq!(
                 run.requests, count,
                 "every submitted request must reach a terminal state"
@@ -104,15 +104,15 @@ fn main() {
     // replication workload. Dropped completions exercise the watchdog;
     // the no-retry configuration forces the CPU-copy fallback so its
     // costed degradation is visible in the throughput column.
-    let base = stream_memif(
-        &cost,
-        MemifConfig::default(),
-        ShapeKind::Replicate,
-        PAGE,
-        PAGES,
+    let base = stream(StreamSpec {
+        cost: cost.clone(),
+        kind: ShapeKind::Replicate,
+        page_size: PAGE,
+        pages: PAGES,
         count,
-        WINDOW,
-    );
+        window: WINDOW,
+        ..StreamSpec::default()
+    });
     let drops = FaultPlan {
         drop_rate: 1e-3,
         ..FaultPlan::new(SEED)
@@ -151,16 +151,17 @@ fn main() {
         ],
     );
     for (name, config, plan) in scenarios {
-        let run = stream_memif_with_faults(
-            &cost,
-            config.clone(),
-            ShapeKind::Replicate,
-            PAGE,
-            PAGES,
+        let run = stream(StreamSpec {
+            cost: cost.clone(),
+            config: config.clone(),
+            kind: ShapeKind::Replicate,
+            page_size: PAGE,
+            pages: PAGES,
             count,
-            WINDOW,
-            Some(plan.clone()),
-        );
+            window: WINDOW,
+            faults: Some(plan.clone()),
+            ..StreamSpec::default()
+        });
         assert_eq!(run.requests, count, "no request may be lost or wedged");
         assert_eq!(run.failed, 0, "CPU fallback must keep requests succeeding");
         modes.row(&[

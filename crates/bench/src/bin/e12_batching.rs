@@ -21,7 +21,7 @@
 //! state — including under an injected DMA error rate (E12b).
 
 use memif::{FaultPlan, MemifConfig, Phase, SimDuration};
-use memif_bench::{stream_memif_with_faults, Table};
+use memif_bench::{stream, StreamSpec, Table};
 use memif_hwsim::CostModel;
 use memif_mm::PageSize;
 use memif_workloads::ShapeKind;
@@ -92,16 +92,16 @@ fn main() {
         let mut base_bytes = 0u64;
         let mut best_issue = SimDuration::ZERO;
         for &(batch, coalesce) in sweep {
-            let run = stream_memif_with_faults(
-                &cost,
-                config(batch, coalesce),
+            let run = stream(StreamSpec {
+                cost: cost.clone(),
+                config: config(batch, coalesce),
                 kind,
-                PAGE,
-                PAGES,
+                page_size: PAGE,
+                pages: PAGES,
                 count,
-                WINDOW,
-                None,
-            );
+                window: WINDOW,
+                ..StreamSpec::default()
+            });
             assert_eq!(
                 run.requests, count,
                 "every request reaches a terminal state"
@@ -164,16 +164,17 @@ fn main() {
     );
     let rates: &[f64] = if quick { &[1e-3] } else { &[1e-4, 1e-3, 1e-2] };
     for &rate in rates {
-        let run = stream_memif_with_faults(
-            &cost,
-            config(16, true),
-            ShapeKind::Replicate,
-            PAGE,
-            PAGES,
+        let run = stream(StreamSpec {
+            cost: cost.clone(),
+            config: config(16, true),
+            kind: ShapeKind::Replicate,
+            page_size: PAGE,
+            pages: PAGES,
             count,
-            WINDOW,
-            Some(FaultPlan::dma_errors(SEED, rate)),
-        );
+            window: WINDOW,
+            faults: Some(FaultPlan::dma_errors(SEED, rate)),
+            ..StreamSpec::default()
+        });
         assert_eq!(run.requests, count, "no request may be lost or wedged");
         assert_eq!(run.failed, 0, "CPU fallback must keep requests succeeding");
         chaos.row(&[

@@ -25,7 +25,7 @@
 //! move rate stays flat and the idle shards stay idle).
 
 use memif::{MemifConfig, SimDuration};
-use memif_bench::{stream_memif_with_faults, Table};
+use memif_bench::{stream, StreamSpec, Table};
 use memif_hwsim::CostModel;
 use memif_mm::PageSize;
 use memif_workloads::ShapeKind;
@@ -87,16 +87,16 @@ fn main() {
     let mut base_bytes = 0u64;
     let mut rate_at_4 = 0.0f64;
     for &shards in sweep {
-        let run = stream_memif_with_faults(
-            &cost,
-            config(shards),
-            ShapeKind::Migrate,
-            PAGE,
-            PAGES,
+        let run = stream(StreamSpec {
+            cost: cost.clone(),
+            config: config(shards),
+            kind: ShapeKind::Migrate,
+            page_size: PAGE,
+            pages: PAGES,
             count,
-            WINDOW,
-            None,
-        );
+            window: WINDOW,
+            ..StreamSpec::default()
+        });
         assert_eq!(
             run.requests, count,
             "every request reaches a terminal state"
@@ -156,16 +156,16 @@ fn main() {
     } else {
         &[1usize, 4, 8][..]
     } {
-        let run = stream_memif_with_faults(
-            &cost,
-            config(shards),
-            ShapeKind::Migrate,
-            PAGE,
-            PAGES,
-            count_b,
-            1,
-            None,
-        );
+        let run = stream(StreamSpec {
+            cost: cost.clone(),
+            config: config(shards),
+            kind: ShapeKind::Migrate,
+            page_size: PAGE,
+            pages: PAGES,
+            count: count_b,
+            window: 1,
+            ..StreamSpec::default()
+        });
         assert_eq!(run.requests, count_b);
         assert_eq!(run.failed, 0);
         assert_eq!(

@@ -26,7 +26,7 @@
 //! NVM), post-retire crashes only re-report sealed statuses.
 
 use memif::{CrashPlan, CrashPoint, MemifConfig, MoveStatus};
-use memif_bench::{crash_migrate_nvm, stream_memif_nvm, CrashOutcome, Table};
+use memif_bench::{crash_migrate_nvm, nvm_topology, stream, CrashOutcome, StreamSpec, Table};
 use memif_hwsim::CostModel;
 use memif_mm::PageSize;
 use memif_workloads::ShapeKind;
@@ -58,15 +58,17 @@ fn main() {
     );
     let mut base_wall = 0u64;
     for journal in [false, true] {
-        let run = stream_memif_nvm(
-            &cost,
-            journal_config(journal),
-            ShapeKind::Migrate,
-            PAGE,
-            PAGES,
+        let run = stream(StreamSpec {
+            cost: cost.clone(),
+            config: journal_config(journal),
+            kind: ShapeKind::Migrate,
+            page_size: PAGE,
+            pages: PAGES,
             count,
-            WINDOW,
-        );
+            window: WINDOW,
+            topo: nvm_topology(),
+            ..StreamSpec::default()
+        });
         assert_eq!(run.requests, count, "every request terminates");
         assert_eq!(run.failed, 0, "fault-free runs must not fail requests");
         let wall = run.wall.as_ns();
@@ -96,7 +98,7 @@ fn main() {
     // compare against the uncrashed reference run.
     let crash_count = if quick { 8 } else { 16 };
     let config = journal_config(true);
-    let reference = crash_migrate_nvm(&cost, config.clone(), PAGE, PAGES, crash_count, None);
+    let reference = crash_migrate_nvm(&cost, config.clone(), PAGE, PAGES, crash_count, None, false);
     let mut crashes = Table::new(
         "E15b: crash -> recover -> re-drive, per crash point (nth=2)",
         &[
@@ -118,6 +120,7 @@ fn main() {
             PAGES,
             crash_count,
             Some(CrashPlan::at(point, 2)),
+            false,
         );
         assert_outcome_converged(&run, &reference, point);
         let (records, rolled_back, redriven, sealed_pre) =

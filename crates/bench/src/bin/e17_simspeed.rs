@@ -31,7 +31,7 @@
 use std::time::Instant;
 
 use memif::MemifConfig;
-use memif_bench::{stream_memif, Table};
+use memif_bench::{stream, StreamSpec, Table};
 use memif_hwsim::{CostModel, EventWorld, Sim, SimDuration, SimTime};
 use memif_mm::PageSize;
 use memif_workloads::ShapeKind;
@@ -318,15 +318,16 @@ fn main() {
     let mut dense_run = None;
     for (label, config, kind, pages, count, window) in shapes {
         let t0 = Instant::now();
-        let run = stream_memif(
-            &cost,
-            config.clone(),
-            *kind,
-            PageSize::Small4K,
-            *pages,
-            *count,
-            *window,
-        );
+        let run = stream(StreamSpec {
+            cost: cost.clone(),
+            config: config.clone(),
+            kind: *kind,
+            page_size: PageSize::Small4K,
+            pages: *pages,
+            count: *count,
+            window: *window,
+            ..StreamSpec::default()
+        });
         let host_secs = t0.elapsed().as_secs_f64();
         assert_eq!(run.requests, *count, "every request terminates");
         assert!(run.events_executed > 0, "macro run must execute events");
@@ -366,15 +367,15 @@ fn main() {
         );
         let count = 1_000_000usize;
         let t0 = Instant::now();
-        let run = stream_memif(
-            &cost,
-            MemifConfig::default(),
-            ShapeKind::Migrate,
-            PageSize::Small4K,
-            1,
+        let run = stream(StreamSpec {
+            cost: cost.clone(),
+            kind: ShapeKind::Migrate,
+            page_size: PageSize::Small4K,
+            pages: 1,
             count,
-            32,
-        );
+            window: 32,
+            ..StreamSpec::default()
+        });
         let host_secs = t0.elapsed().as_secs_f64();
         assert_eq!(run.requests, count, "every request terminates");
         huge_table.row(&[

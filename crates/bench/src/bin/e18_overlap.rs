@@ -14,7 +14,7 @@
 //!   into K independently filled sub-units — a unit is consumable after
 //!   1/K of the bytes, a fallback wastes only 1/K of the DMA, and the
 //!   deep configs batch their kthread wakes in sub-chunk pairs
-//!   (`batch_max = 2`, `batch_rearm = true`). The acceptance bar
+//!   (`batch_max = 2`). The acceptance bar
 //!   asserts depth 4 moves
 //!   input **≥ 1.3×** faster than depth 1 in simulated time, and that
 //!   the deep config's `timer_rearm_saved` counter actually fired.
@@ -62,8 +62,7 @@ struct OverlapRun {
 }
 
 /// One streaming run at overlap depth `depth`. Deep configs pair the
-/// finer fill units with paired issue batching and batched timer
-/// rearm, exactly as `memifctl stream --overlap-depth K` configures
+/// finer fill units with paired issue batching, exactly as `memifctl stream --overlap-depth K` configures
 /// the device.
 fn run_depth(depth: usize, total: u64) -> OverlapRun {
     // KeyStone II, except the input stream is resident on a cold,
@@ -84,13 +83,12 @@ fn run_depth(depth: usize, total: u64) -> OverlapRun {
         MemifConfig {
             // Configs deeper than 2 batch fills in pairs: pairs are
             // wide enough to fan completions out at the same instant
-            // (so batched timer rearm has duplicates to elide) yet — at
+            // (so wake deduplication has duplicates to elide) yet — at
             // depth ≥ 4 — still sub-chunk, keeping the readiness
             // stagger that pipelining is for. Batching a buffer's whole
             // complement of units would complete them as a single flow
             // and cancel the granularity win.
             batch_max: if depth > 2 { 2 } else { 1 },
-            batch_rearm: depth > 2,
             ..MemifConfig::default()
         },
     )
@@ -245,11 +243,11 @@ fn main() {
     );
     assert!(
         depth4.rearm_saved > 0,
-        "the deep config must save at least one timer rearm (batch_rearm on)"
+        "the deep config's paired batches must save at least one timer rearm"
     );
     assert_eq!(
         runs[0].1.rearm_saved, 0,
-        "depth 1 keeps batch_rearm off and saves nothing"
+        "depth 1 issues unbatched and saves nothing"
     );
 
     // E18b: real-thread stress rows against the DES oracle.
@@ -306,7 +304,7 @@ fn main() {
     println!(
         "Shape checks: on the DMA-bound profile depth-4 pipelining streams input \
          {speedup:.2}x faster than the classic one-fill-per-buffer mode (bar: 1.3x) \
-         while the deep config's batched timer rearm saved {} wheel inserts, and the \
+         while the deep config's paired batches saved {} duplicate wake inserts, and the \
          real-thread futures front-end reproduces the DES driver's terminal status \
          for every cookie at 1, 4, and 8 producer threads.",
         depth4.rearm_saved,

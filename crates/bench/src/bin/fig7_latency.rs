@@ -7,8 +7,7 @@
 //! batches pay crossing overhead per request; large batches delay every
 //! completion to the end of the long syscall.
 
-use memif::MemifConfig;
-use memif_bench::{stream_linux, stream_memif, Table};
+use memif_bench::{stream, stream_linux, StreamSpec, Table};
 use memif_hwsim::CostModel;
 use memif_mm::PageSize;
 use memif_workloads::ShapeKind;
@@ -17,15 +16,15 @@ fn main() {
     let cost = CostModel::keystone_ii();
     let (pages, count) = (16u32, 8usize);
 
-    let memif_run = stream_memif(
-        &cost,
-        MemifConfig::default(),
-        ShapeKind::Migrate,
-        PageSize::Small4K,
+    let memif_run = stream(StreamSpec {
+        cost: cost.clone(),
+        kind: ShapeKind::Migrate,
+        page_size: PageSize::Small4K,
         pages,
         count,
-        count, // all eight submitted up front, as in the paper
-    );
+        window: count, // all eight submitted up front, as in the paper
+        ..StreamSpec::default()
+    });
     let linux: Vec<(usize, _)> = [1usize, 4, 8]
         .iter()
         .map(|&b| (b, stream_linux(&cost, PageSize::Small4K, pages, count, b)))

@@ -7,8 +7,7 @@
 //! large ones; replication exceeds migration because it skips virtual
 //! memory management entirely.
 
-use memif::MemifConfig;
-use memif_bench::{hugefast_topology, stream_linux, stream_memif, stream_memif_pooled, Table};
+use memif_bench::{hugefast_topology, stream, stream_linux, StreamSpec, Table};
 use memif_hwsim::CostModel;
 use memif_mm::PageSize;
 use memif_workloads::ShapeKind;
@@ -26,17 +25,17 @@ fn huge_row(cost: &CostModel) {
             "page", "regions", "window", "GB/s", "wall ms", "events", "peak-q",
         ],
     );
-    let r = stream_memif_pooled(
-        hugefast_topology(),
-        cost,
-        MemifConfig::default(),
-        ShapeKind::Migrate,
-        PageSize::Small4K,
-        1,
-        REGIONS,
-        64,
-        REGIONS,
-    );
+    let r = stream(StreamSpec {
+        topo: hugefast_topology(),
+        cost: cost.clone(),
+        kind: ShapeKind::Migrate,
+        page_size: PageSize::Small4K,
+        pages: 1,
+        count: REGIONS,
+        window: 64,
+        pool: REGIONS,
+        ..StreamSpec::default()
+    });
     table.row(&[
         "4KB".to_owned(),
         REGIONS.to_string(),
@@ -89,24 +88,24 @@ fn main() {
             let count = ((64u64 << 20) / bytes_per_req).clamp(24, 512) as usize;
 
             let linux = stream_linux(&cost, *page_size, pages, count, 1);
-            let mig = stream_memif(
-                &cost,
-                MemifConfig::default(),
-                ShapeKind::Migrate,
-                *page_size,
+            let mig = stream(StreamSpec {
+                cost: cost.clone(),
+                kind: ShapeKind::Migrate,
+                page_size: *page_size,
                 pages,
                 count,
-                8,
-            );
-            let rep = stream_memif(
-                &cost,
-                MemifConfig::default(),
-                ShapeKind::Replicate,
-                *page_size,
+                window: 8,
+                ..StreamSpec::default()
+            });
+            let rep = stream(StreamSpec {
+                cost: cost.clone(),
+                kind: ShapeKind::Replicate,
+                page_size: *page_size,
                 pages,
                 count,
-                8,
-            );
+                window: 8,
+                ..StreamSpec::default()
+            });
             table.row(&[
                 page_size.to_string(),
                 pages.to_string(),

@@ -55,53 +55,70 @@ fn sloc(dir: &Path) -> (usize, usize) {
     (code, test)
 }
 
+/// The paper-row mapping: `(directory, role, paper KSLoC row)`. Crates
+/// not listed here still get a row, with "—" for both.
+const ROLES: &[(&str, &str, &str)] = &[
+    (
+        "crates/lockfree",
+        "library (lock-free interface)",
+        "0.8 (Library)",
+    ),
+    ("crates/core", "memif driver", "3.3 (Driver)"),
+    ("crates/hwsim", "DMA engine + simulated SoC", "0.8 (DMA)"),
+    ("crates/mm", "kernel mm substrate", "— (Linux provided)"),
+    (
+        "crates/baseline",
+        "Linux migration comparator",
+        "— (Linux provided)",
+    ),
+    ("crates/runtime", "mini streaming runtime", "0.4 (§6.6)"),
+    ("crates/workloads", "workloads", "— (ported benchmarks)"),
+    ("crates/bench", "evaluation harness", "1.7 (Test)"),
+    (
+        "crates/cli",
+        "memifctl command-line tool",
+        "— (numactl-analogue)",
+    ),
+    ("tests", "cross-crate integration tests", "1.7 (Test)"),
+    ("examples", "examples", "—"),
+];
+
 fn main() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .unwrap()
         .parent()
         .unwrap();
-    let rows: &[(&str, &str, &str)] = &[
-        (
-            "crates/lockfree",
-            "library (lock-free interface)",
-            "0.8 (Library)",
-        ),
-        ("crates/core", "memif driver", "3.3 (Driver)"),
-        ("crates/hwsim", "DMA engine + simulated SoC", "0.8 (DMA)"),
-        ("crates/mm", "kernel mm substrate", "— (Linux provided)"),
-        (
-            "crates/baseline",
-            "Linux migration comparator",
-            "— (Linux provided)",
-        ),
-        ("crates/runtime", "mini streaming runtime", "0.4 (§6.6)"),
-        ("crates/workloads", "workloads", "— (ported benchmarks)"),
-        ("crates/bench", "evaluation harness", "1.7 (Test)"),
-        (
-            "crates/cli",
-            "memifctl command-line tool",
-            "— (numactl-analogue)",
-        ),
-        ("tests", "cross-crate integration tests", "1.7 (Test)"),
-        ("examples", "examples", "—"),
-    ];
+    // Every crate in the workspace, then the top-level test and example
+    // trees.
+    let mut dirs: Vec<String> = fs::read_dir(root.join("crates"))
+        .expect("crates directory")
+        .flatten()
+        .filter(|e| e.path().is_dir())
+        .map(|e| format!("crates/{}", e.file_name().to_string_lossy()))
+        .collect();
+    dirs.sort();
+    dirs.extend(["tests".to_owned(), "examples".to_owned()]);
 
     let mut table = Table::new(
         "Table 3 analogue: source lines of this reproduction",
         &["component", "role", "code", "test", "paper KSLoC row"],
     );
     let (mut tot_code, mut tot_test) = (0, 0);
-    for (dir, role, paper) in rows {
+    for dir in &dirs {
+        let (role, paper) = ROLES
+            .iter()
+            .find(|(d, _, _)| d == dir)
+            .map_or(("—", "—"), |(_, role, paper)| (*role, *paper));
         let (code, test) = sloc(&root.join(dir));
         tot_code += code;
         tot_test += test;
         table.row(&[
-            (*dir).to_owned(),
-            (*role).to_owned(),
+            dir.clone(),
+            role.to_owned(),
             code.to_string(),
             test.to_string(),
-            (*paper).to_owned(),
+            paper.to_owned(),
         ]);
     }
     table.row(&[

@@ -4,7 +4,7 @@
 //!
 //! * **single-request probes** ([`probe_memif_once`], [`probe_linux_once`])
 //!   — Figure 6's per-request time breakdown and CPU usage;
-//! * **streaming drivers** ([`stream_memif`], [`stream_linux`]) — the
+//! * **streaming drivers** ([`stream`], [`stream_linux`]) — the
 //!   continuous-request workloads behind Figures 7 and 8 (completion
 //!   timelines and throughput).
 //!
@@ -216,7 +216,7 @@ pub fn probe_linux_once(cost: &CostModel, page_size: PageSize, pages: u32) -> Pr
     let start = sys.mmap(space, pages, page_size, NodeId(0)).unwrap();
     let mut meter = memif_hwsim::UsageMeter::new();
     let out = {
-        let (spaces, alloc, phys) = split_mm(&mut sys);
+        let (spaces, alloc, phys) = sys.split_for_baseline();
         mbind(
             &mut spaces[space.0],
             alloc,
@@ -238,19 +238,8 @@ pub fn probe_linux_once(cost: &CostModel, page_size: PageSize, pages: u32) -> Pr
     }
 }
 
-fn split_mm(
-    sys: &mut System,
-) -> (
-    &mut Vec<memif_mm::AddressSpace>,
-    &mut memif_mm::FrameAllocator,
-    &mut memif_hwsim::PhysMem,
-) {
-    // The baseline path runs outside the DES against the same machine.
-    sys.split_for_baseline()
-}
-
 /// Result of a streaming run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StreamResult {
     /// Requests completed.
     pub requests: usize,
@@ -306,282 +295,93 @@ pub struct StreamResult {
     /// the end of the run, ascending by id. Empty for single-tenant
     /// runs (nothing was ever registered).
     pub tenant_stats: Vec<(u16, u32, memif::TenantStats)>,
-}
-
-/// Streams `count` identical memif requests, keeping up to `window`
-/// outstanding, and measures throughput and the completion timeline.
-///
-/// Migrations ping-pong their regions between the nodes so the fast bank
-/// never overflows (only forward-direction bytes are counted — both
-/// directions cost the same, so throughput is unaffected).
-///
-/// # Panics
-///
-/// Panics if any request fails.
-#[must_use]
-pub fn stream_memif(
-    cost: &CostModel,
-    memif_config: MemifConfig,
-    kind: ShapeKind,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    window: usize,
-) -> StreamResult {
-    stream_memif_with_faults(
-        cost,
-        memif_config,
-        kind,
-        page_size,
-        pages,
-        count,
-        window,
-        None,
-    )
-}
-
-/// [`stream_memif`] with an optional fault plan installed before the
-/// first submission (the E10 chaos workloads). With a plan, failed
-/// completions are tolerated and counted instead of panicking; every
-/// request must still reach a terminal state or the run asserts.
-///
-/// # Panics
-///
-/// Panics if any request fails while no fault plan is installed, or if
-/// any request never completes.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn stream_memif_with_faults(
-    cost: &CostModel,
-    memif_config: MemifConfig,
-    kind: ShapeKind,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    window: usize,
-    faults: Option<memif::FaultPlan>,
-) -> StreamResult {
-    run_stream(
-        bigfast_topology(),
-        cost,
-        memif_config,
-        kind,
-        page_size,
-        pages,
-        count,
-        window,
-        window,
-        faults,
-        false,
-        &[],
-    )
-    .result
-}
-
-/// [`stream_memif`] with the region pool sized independently of the
-/// outstanding window, on a caller-chosen topology. The classic entry
-/// points reuse `window` regions round-robin — fine for throughput, but
-/// it means the *address-space footprint* never grows past the window.
-/// The huge sweeps (`fig8_throughput --huge`) stream one request over
-/// each of a million distinct regions; `pool` sets that footprint while
-/// `window` still caps concurrency.
-///
-/// # Panics
-///
-/// Panics if any request fails.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn stream_memif_pooled(
-    topo: Topology,
-    cost: &CostModel,
-    memif_config: MemifConfig,
-    kind: ShapeKind,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    window: usize,
-    pool: usize,
-) -> StreamResult {
-    run_stream(
-        topo, cost, memif_config, kind, page_size, pages, count, window, pool, None, false, &[],
-    )
-    .result
-}
-
-/// [`stream_memif`] on [`nvm_topology`] instead of the big fast bank:
-/// requests ping-pong between DDR and the persistent NVM node, so the
-/// run exercises the asymmetric-write tier (and, with
-/// `MemifConfig::journal` set, the write-ahead journal costs). The E15
-/// overhead bar compares this with journaling on and off.
-///
-/// # Panics
-///
-/// Panics if any request fails or never completes.
-#[must_use]
-pub fn stream_memif_nvm(
-    cost: &CostModel,
-    memif_config: MemifConfig,
-    kind: ShapeKind,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    window: usize,
-) -> StreamResult {
-    run_stream(
-        nvm_topology(),
-        cost,
-        memif_config,
-        kind,
-        page_size,
-        pages,
-        count,
-        window,
-        window,
-        None,
-        false,
-        &[],
-    )
-    .result
-}
-
-/// A streaming run captured in full: the [`StreamResult`], the typed
-/// event log (one JSON record per dispatched event, in execution order),
-/// and each request's terminal status in completion order. Two runs of
-/// the same scenario — same cost model, config, shape, and fault plan —
-/// produce byte-identical logs; `memifctl` builds its trace dump and
-/// replay check on this.
-#[derive(Debug, Clone)]
-pub struct LoggedStream {
-    /// The measurements, as from [`stream_memif_with_faults`].
-    pub result: StreamResult,
-    /// JSON-lines event log of the whole run.
+    /// JSON-lines event log of the whole run, in execution order. Empty
+    /// unless [`StreamSpec::log_events`].
     pub events: Vec<String>,
     /// `(req_id, terminal MoveStatus)` per request, completion order.
+    /// Empty unless [`StreamSpec::log_events`].
     pub statuses: Vec<(u64, String)>,
 }
 
-/// [`stream_memif_with_faults`] with the typed event log enabled.
+/// One streaming run's shape: `count` identical memif requests of
+/// `pages`×`page_size` (replication or migration), keeping up to
+/// `window` outstanding. Build it with struct-update syntax over
+/// [`StreamSpec::default`]: [`bigfast_topology`], the keystone cost
+/// model, [`MemifConfig::default`], a pool as large as the window, no
+/// faults, no tenants, and the event log off.
+#[derive(Debug, Clone)]
+pub struct StreamSpec {
+    /// The machine the run streams on.
+    pub topo: Topology,
+    /// The cost profile.
+    pub cost: CostModel,
+    /// The device configuration.
+    pub config: MemifConfig,
+    /// Replication or migration.
+    pub kind: ShapeKind,
+    /// Page granularity of every request.
+    pub page_size: PageSize,
+    /// Pages per request.
+    pub pages: u32,
+    /// Requests to stream.
+    pub count: usize,
+    /// Maximum requests outstanding at once.
+    pub window: usize,
+    /// Distinct regions the requests cycle over (the address-space
+    /// footprint). Anything up to `window`, the default 0 included,
+    /// means `window`: the classic ping-pong over exactly the window's
+    /// regions. The huge sweeps (`fig8_throughput --huge`) stream one
+    /// request over each of a million regions while `window` still caps
+    /// concurrency.
+    pub pool: usize,
+    /// A fault plan installed before the first submission (the E10
+    /// chaos workloads). With a plan, failed completions are counted
+    /// instead of panicking.
+    pub faults: Option<FaultPlan>,
+    /// `(id, weight)` tenant roster: requests are tagged round-robin
+    /// across it, and each tenant is registered in the QoS registry
+    /// before the first submission. Empty leaves every request on the
+    /// root tenant.
+    pub tenants: Vec<(u16, u32)>,
+    /// Record the typed event log and the terminal statuses
+    /// ([`StreamResult::events`], [`StreamResult::statuses`]).
+    pub log_events: bool,
+}
+
+impl Default for StreamSpec {
+    fn default() -> Self {
+        StreamSpec {
+            topo: bigfast_topology(),
+            cost: CostModel::keystone_ii(),
+            config: MemifConfig::default(),
+            kind: ShapeKind::Migrate,
+            page_size: PageSize::Small4K,
+            pages: 1,
+            count: 1,
+            window: 1,
+            pool: 0,
+            faults: None,
+            tenants: Vec::new(),
+            log_events: false,
+        }
+    }
+}
+
+/// Streams the requests `spec` describes and measures throughput and
+/// the completion timeline.
+///
+/// Migrations ping-pong their regions between nodes 0 and 1 so the
+/// destination bank never overflows (only forward-direction bytes are
+/// counted — both directions cost the same, so throughput is
+/// unaffected). Two runs of the same spec produce byte-identical event
+/// logs; `memifctl` builds its trace dump and replay check on this.
 ///
 /// # Panics
 ///
 /// Panics if any request fails while no fault plan is installed, or if
 /// any request never completes.
-#[allow(clippy::too_many_arguments)]
 #[must_use]
-pub fn stream_memif_logged(
-    cost: &CostModel,
-    memif_config: MemifConfig,
-    kind: ShapeKind,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    window: usize,
-    faults: Option<memif::FaultPlan>,
-) -> LoggedStream {
-    stream_memif_tenants_logged(
-        cost,
-        memif_config,
-        kind,
-        page_size,
-        pages,
-        count,
-        window,
-        faults,
-        &[],
-    )
-}
-
-/// [`stream_memif_with_faults`] with a tenant roster (see
-/// [`stream_memif_tenants_logged`]); the event log stays off.
-///
-/// # Panics
-///
-/// Panics if any request fails while no fault plan is installed, or if
-/// any request never completes.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn stream_memif_tenants(
-    cost: &CostModel,
-    memif_config: MemifConfig,
-    kind: ShapeKind,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    window: usize,
-    faults: Option<memif::FaultPlan>,
-    tenants: &[(u16, u32)],
-) -> StreamResult {
-    run_stream(
-        bigfast_topology(),
-        cost,
-        memif_config,
-        kind,
-        page_size,
-        pages,
-        count,
-        window,
-        window,
-        faults,
-        false,
-        tenants,
-    )
-    .result
-}
-
-/// [`stream_memif_logged`] with a tenant roster: requests are tagged
-/// round-robin across `tenants` (`(id, weight)` pairs, registered in
-/// the system's QoS registry before the first submission). An empty
-/// roster leaves every request on the root tenant — byte-identical to
-/// [`stream_memif_logged`]. `memifctl move --tenants N` builds on this.
-///
-/// # Panics
-///
-/// Panics if any request fails while no fault plan is installed, or if
-/// any request never completes.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn stream_memif_tenants_logged(
-    cost: &CostModel,
-    memif_config: MemifConfig,
-    kind: ShapeKind,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    window: usize,
-    faults: Option<memif::FaultPlan>,
-    tenants: &[(u16, u32)],
-) -> LoggedStream {
-    run_stream(
-        bigfast_topology(),
-        cost,
-        memif_config,
-        kind,
-        page_size,
-        pages,
-        count,
-        window,
-        window,
-        faults,
-        true,
-        tenants,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_stream(
-    topo: Topology,
-    cost: &CostModel,
-    memif_config: MemifConfig,
-    kind: ShapeKind,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    window: usize,
-    pool: usize,
-    faults: Option<memif::FaultPlan>,
-    log_events: bool,
-    tenants: &[(u16, u32)],
-) -> LoggedStream {
+pub fn stream(spec: StreamSpec) -> StreamResult {
     struct State {
         memif: Memif,
         kind: ShapeKind,
@@ -601,15 +401,29 @@ fn run_stream(
         tenants: Vec<memif::TenantId>,
     }
 
-    let mut sys = System::with_profile(topo, cost.clone());
+    let StreamSpec {
+        topo,
+        cost,
+        config,
+        kind,
+        page_size,
+        pages,
+        count,
+        window,
+        pool,
+        faults,
+        tenants,
+        log_events,
+    } = spec;
+    let mut sys = System::with_profile(topo, cost);
     if log_events {
         sys.enable_event_log();
     }
     let mut sim = Sim::new();
     let space = sys.new_space();
-    let memif = Memif::open(&mut sys, space, memif_config).unwrap();
+    let memif = Memif::open(&mut sys, space, config).unwrap();
     let chaos = faults.is_some();
-    for (id, weight) in tenants {
+    for (id, weight) in &tenants {
         sys.qos.register(
             memif::TenantId(*id),
             memif::TenantConfig {
@@ -623,8 +437,6 @@ fn run_stream(
     }
 
     let window = window.min(count).max(1);
-    // Callers that don't care pass `pool == window`, reproducing the
-    // classic ping-pong over exactly `window` regions.
     let pool = pool.min(count).max(window);
     let mut regions = Vec::with_capacity(pool);
     for _ in 0..pool {
@@ -653,7 +465,7 @@ fn run_stream(
     }));
 
     fn submit_next(state: &Rc<RefCell<State>>, sys: &mut System, sim: &mut Sim<System>) {
-        let (memif, spec, idx) = {
+        let (memif, spec) = {
             let mut st = state.borrow_mut();
             if st.submitted >= st.count {
                 return;
@@ -680,21 +492,9 @@ fn run_stream(
             } else {
                 spec.with_tenant(st.tenants[idx % st.tenants.len()])
             };
-            (st.memif, spec, idx)
+            (st.memif, spec)
         };
-        let _ = idx;
-        let (_, _cpu) = spec_submit(state, memif, sys, sim, spec);
-    }
-
-    fn spec_submit(
-        state: &Rc<RefCell<State>>,
-        memif: Memif,
-        sys: &mut System,
-        sim: &mut Sim<System>,
-        spec: MoveSpec,
-    ) -> (memif::ReqId, SimDuration) {
-        let _ = state;
-        memif.submit(sys, sim, spec).expect("stream submission")
+        memif.submit(sys, sim, spec).expect("stream submission");
     }
 
     fn pump(state: Rc<RefCell<State>>, sys: &mut System, sim: &mut Sim<System>) {
@@ -736,13 +536,17 @@ fn run_stream(
     let finished = st.finished_at.expect("all requests completed");
     let wall = finished.since(t0);
     let bytes = u64::from(pages) * page_size.bytes() * count as u64;
+    let events = sys.take_event_log();
     let dev = sys.device(st.memif.device()).unwrap();
-    let statuses = dev
-        .log
-        .iter()
-        .map(|r| (r.req_id, format!("{:?}", r.status)))
-        .collect();
-    let result = StreamResult {
+    let statuses = if log_events {
+        dev.log
+            .iter()
+            .map(|r| (r.req_id, format!("{:?}", r.status)))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    StreamResult {
         requests: count,
         bytes,
         wall,
@@ -768,11 +572,7 @@ fn run_stream(
             .tenants()
             .map(|(id, cfg, stats)| (id.0, cfg.weight, stats.clone()))
             .collect(),
-    };
-    drop(st);
-    LoggedStream {
-        result,
-        events: sys.take_event_log(),
+        events,
         statuses,
     }
 }
@@ -805,6 +605,9 @@ pub struct CrashOutcome {
     pub journal_records: u64,
     /// Simulated time when the run quiesced.
     pub wall: SimDuration,
+    /// JSON-lines event log of the whole run. Empty unless the run was
+    /// asked to log events.
+    pub events: Vec<String>,
 }
 
 /// Runs `count` journaled migrations on [`nvm_topology`] — even cookies
@@ -819,43 +622,17 @@ pub struct CrashOutcome {
 /// durability problem, the journal only makes the *move* exactly-once —
 /// and is re-submitted. `journal` is forced on.
 ///
+/// With `log_events` the outcome carries the JSON-lines event log
+/// spanning the crash, the recovery (one `"recover"` record), and the
+/// post-crash re-drive. Two runs of the same scenario produce
+/// byte-identical logs; `memifctl recover --trace-events` and its
+/// replay check build on this.
+///
 /// # Panics
 ///
 /// Panics if any request fails or the run does not quiesce.
 #[must_use]
 pub fn crash_migrate_nvm(
-    cost: &CostModel,
-    memif_config: MemifConfig,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    crash: Option<CrashPlan>,
-) -> CrashOutcome {
-    crash_migrate_nvm_inner(cost, memif_config, page_size, pages, count, crash, false).0
-}
-
-/// [`crash_migrate_nvm`] with the typed event log enabled: returns the
-/// outcome plus the JSON-lines event log spanning the crash, the
-/// recovery (one `"recover"` record), and the post-crash re-drive. Two
-/// runs of the same scenario produce byte-identical logs; `memifctl
-/// recover --trace-events` and its replay check build on this.
-///
-/// # Panics
-///
-/// As [`crash_migrate_nvm`].
-#[must_use]
-pub fn crash_migrate_nvm_logged(
-    cost: &CostModel,
-    memif_config: MemifConfig,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    crash: Option<CrashPlan>,
-) -> (CrashOutcome, Vec<String>) {
-    crash_migrate_nvm_inner(cost, memif_config, page_size, pages, count, crash, true)
-}
-
-fn crash_migrate_nvm_inner(
     cost: &CostModel,
     mut memif_config: MemifConfig,
     page_size: PageSize,
@@ -863,7 +640,7 @@ fn crash_migrate_nvm_inner(
     count: usize,
     crash: Option<CrashPlan>,
     log_events: bool,
-) -> (CrashOutcome, Vec<String>) {
+) -> CrashOutcome {
     memif_config.journal = true;
     let mut sys = System::with_profile(nvm_topology(), cost.clone());
     if log_events {
@@ -1007,7 +784,7 @@ fn crash_migrate_nvm_inner(
             rec.req.id
         );
     }
-    let outcome = CrashOutcome {
+    CrashOutcome {
         crashed,
         recovery,
         resubmitted,
@@ -1017,13 +794,8 @@ fn crash_migrate_nvm_inner(
         free_bytes,
         journal_records,
         wall: sim.now().since(SimTime::ZERO),
-    };
-    let events = if log_events {
-        sys.take_event_log()
-    } else {
-        Vec::new()
-    };
-    (outcome, events)
+        events: sys.take_event_log(),
+    }
 }
 
 /// Streams `count` migrations through Linux `mbind`, batching `batch`
@@ -1101,20 +873,7 @@ pub fn stream_linux(
         throughput_gbps: bytes as f64 / wall.as_ns().max(1) as f64,
         completion_times,
         ioctls: syscalls,
-        interrupts: 0,
-        polled: 0,
         cpu_usage: 1.0,
-        retries: 0,
-        fallbacks: 0,
-        timeouts: 0,
-        dma_errors: 0,
-        failed: 0,
-        stats: memif::DriverStats::default(),
-        worker_busy: Vec::new(),
-        tiers: Vec::new(),
-        events_executed: 0,
-        events_cancelled: 0,
-        peak_pending: 0,
-        tenant_stats: Vec::new(),
+        ..StreamResult::default()
     }
 }

@@ -31,10 +31,7 @@ pub mod harness;
 pub mod table;
 
 pub use harness::{
-    bigfast_topology, crash_migrate_nvm, crash_migrate_nvm_logged, hugefast_topology, nvm_topology,
-    probe_linux_once, probe_memif_once, stream_linux, stream_memif, stream_memif_logged,
-    stream_memif_nvm, stream_memif_pooled, stream_memif_tenants, stream_memif_tenants_logged,
-    stream_memif_with_faults, CrashOutcome, LoggedStream,
-    ProbeResult, StreamResult,
+    bigfast_topology, crash_migrate_nvm, hugefast_topology, nvm_topology, probe_linux_once,
+    probe_memif_once, stream, stream_linux, CrashOutcome, ProbeResult, StreamResult, StreamSpec,
 };
 pub use table::{mbs, results_dir, Table};

@@ -11,7 +11,7 @@
 //! conflicting request defers until the in-flight one retires.
 
 use memif::{FaultPlan, MemifConfig};
-use memif_bench::stream_memif_with_faults;
+use memif_bench::{stream, StreamSpec};
 use memif_hwsim::CostModel;
 use memif_mm::PageSize;
 use memif_workloads::ShapeKind;
@@ -31,16 +31,17 @@ fn lost_batch_completion_does_not_race_region_reuse() {
         drop_rate: 0.01,
         ..FaultPlan::new(9)
     };
-    let run = stream_memif_with_faults(
-        &cost,
+    let run = stream(StreamSpec {
+        cost: cost.clone(),
         config,
-        ShapeKind::Migrate,
-        PageSize::Small4K,
-        16,
-        256,
-        32,
-        Some(plan),
-    );
+        kind: ShapeKind::Migrate,
+        page_size: PageSize::Small4K,
+        pages: 16,
+        count: 256,
+        window: 32,
+        faults: Some(plan),
+        ..StreamSpec::default()
+    });
     assert_eq!(run.requests, 256, "every request reaches a terminal state");
     assert_eq!(
         run.failed, 0,
@@ -70,16 +71,16 @@ fn fault_free_streams_never_defer() {
             coalesce,
             ..MemifConfig::default()
         };
-        let run = stream_memif_with_faults(
-            &cost,
+        let run = stream(StreamSpec {
+            cost: cost.clone(),
             config,
-            ShapeKind::Migrate,
-            PageSize::Small4K,
-            16,
-            128,
-            32,
-            None,
-        );
+            kind: ShapeKind::Migrate,
+            page_size: PageSize::Small4K,
+            pages: 16,
+            count: 128,
+            window: 32,
+            ..StreamSpec::default()
+        });
         assert_eq!(run.failed, 0);
         assert_eq!(
             run.stats.requests_deferred, 0,

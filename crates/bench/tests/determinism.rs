@@ -6,8 +6,8 @@
 //! single-controller configuration must reproduce the pre-refactor
 //! figures exactly. These tests pin both properties.
 
-use memif::{FaultPlan, MemifConfig};
-use memif_bench::{stream_memif, stream_memif_logged};
+use memif::FaultPlan;
+use memif_bench::{stream, StreamSpec};
 use memif_hwsim::CostModel;
 use memif_mm::PageSize;
 use memif_policy::{run_scenario, Mode, PolicyStats, ScenarioConfig};
@@ -50,15 +50,11 @@ proptest! {
             f64::from(drop_ppm) * 1e-6,
             f64::from(delay_ppm) * 1e-6,
         );
-        let cost = CostModel::keystone_ii();
-        let a = stream_memif_logged(
-            &cost, MemifConfig::default(), kind, PAGE, PAGES, COUNT, WINDOW,
-            Some(plan.clone()),
-        );
-        let b = stream_memif_logged(
-            &cost, MemifConfig::default(), kind, PAGE, PAGES, COUNT, WINDOW,
-            Some(plan),
-        );
+        let run = || stream(StreamSpec {
+            kind, page_size: PAGE, pages: PAGES, count: COUNT, window: WINDOW,
+            faults: Some(plan.clone()), log_events: true, ..StreamSpec::default()
+        });
+        let (a, b) = (run(), run());
         prop_assert_eq!(&a.events, &b.events, "event logs diverged");
         prop_assert_eq!(&a.statuses, &b.statuses, "terminal statuses diverged");
         prop_assert!(!a.events.is_empty(), "event log must record the run");
@@ -133,30 +129,21 @@ fn policy_off_adds_no_driver_events() {
 /// more channels are configured.
 #[test]
 fn explicit_tc1_matches_default() {
-    let default_cost = CostModel::keystone_ii();
     let mut explicit = CostModel::keystone_ii();
     explicit.dma_tc_count = 1;
-    let plan = || Some(chaos_plan(7, 1e-2, 1e-3, 1e-3));
-    let a = stream_memif_logged(
-        &default_cost,
-        MemifConfig::default(),
-        ShapeKind::Migrate,
-        PAGE,
-        PAGES,
-        COUNT,
-        WINDOW,
-        plan(),
-    );
-    let b = stream_memif_logged(
-        &explicit,
-        MemifConfig::default(),
-        ShapeKind::Migrate,
-        PAGE,
-        PAGES,
-        COUNT,
-        WINDOW,
-        plan(),
-    );
+    let run = |cost| {
+        stream(StreamSpec {
+            cost,
+            page_size: PAGE,
+            pages: PAGES,
+            count: COUNT,
+            window: WINDOW,
+            faults: Some(chaos_plan(7, 1e-2, 1e-3, 1e-3)),
+            log_events: true,
+            ..StreamSpec::default()
+        })
+    };
+    let (a, b) = (run(CostModel::keystone_ii()), run(explicit));
     assert_eq!(a.events, b.events);
     assert_eq!(a.statuses, b.statuses);
 }
@@ -166,16 +153,14 @@ fn explicit_tc1_matches_default() {
 /// event core changed simulated behaviour, not just representation.
 #[test]
 fn golden_single_tc_figures() {
-    let cost = CostModel::keystone_ii();
-    let run = stream_memif(
-        &cost,
-        MemifConfig::default(),
-        ShapeKind::Replicate,
-        PAGE,
-        PAGES,
-        COUNT,
-        WINDOW,
-    );
+    let run = stream(StreamSpec {
+        kind: ShapeKind::Replicate,
+        page_size: PAGE,
+        pages: PAGES,
+        count: COUNT,
+        window: WINDOW,
+        ..StreamSpec::default()
+    });
     assert_eq!(run.requests, COUNT);
     assert_eq!(run.bytes, u64::from(PAGES) * PAGE.bytes() * COUNT as u64);
     assert_eq!(run.failed, 0);
@@ -189,16 +174,14 @@ const GOLDEN_WALL_NS: u64 = 3_493_595;
 #[test]
 #[ignore]
 fn print_golden_probe() {
-    let cost = CostModel::keystone_ii();
-    let run = stream_memif(
-        &cost,
-        MemifConfig::default(),
-        ShapeKind::Replicate,
-        PAGE,
-        PAGES,
-        COUNT,
-        WINDOW,
-    );
+    let run = stream(StreamSpec {
+        kind: ShapeKind::Replicate,
+        page_size: PAGE,
+        pages: PAGES,
+        count: COUNT,
+        window: WINDOW,
+        ..StreamSpec::default()
+    });
     println!(
         "wall_ns={} gbps={:.6}",
         run.wall.as_ns(),
@@ -211,28 +194,20 @@ fn print_golden_probe() {
 /// dispatch.
 #[test]
 fn four_tcs_outrun_one() {
-    let one = CostModel::keystone_ii();
     let mut four = CostModel::keystone_ii();
     four.dma_tc_count = 4;
-    let pages = 256;
-    let a = stream_memif(
-        &one,
-        MemifConfig::default(),
-        ShapeKind::Replicate,
-        PAGE,
-        pages,
-        COUNT,
-        WINDOW,
-    );
-    let b = stream_memif(
-        &four,
-        MemifConfig::default(),
-        ShapeKind::Replicate,
-        PAGE,
-        pages,
-        COUNT,
-        WINDOW,
-    );
+    let run = |cost| {
+        stream(StreamSpec {
+            cost,
+            kind: ShapeKind::Replicate,
+            page_size: PAGE,
+            pages: 256,
+            count: COUNT,
+            window: WINDOW,
+            ..StreamSpec::default()
+        })
+    };
+    let (a, b) = (run(CostModel::keystone_ii()), run(four));
     assert!(
         b.throughput_gbps > a.throughput_gbps * 1.05,
         "4 TCs ({:.3} GB/s) should clearly beat 1 TC ({:.3} GB/s)",

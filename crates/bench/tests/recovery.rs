@@ -94,11 +94,10 @@ proptest! {
             [(1, false, 1), (4, false, 1), (4, true, 1), (3, true, 2)][cfg_sel];
         let cost = CostModel::keystone_ii();
         let config = config_for(batch, coalesce, shards);
-        let reference = crash_migrate_nvm(&cost, config.clone(), PAGE, PAGES, count, None);
+        let reference = crash_migrate_nvm(&cost, config.clone(), PAGE, PAGES, count, None, false);
         prop_assert!(!reference.crashed);
         let crashed = crash_migrate_nvm(
-            &cost, config, PAGE, PAGES, count, Some(CrashPlan::at(point, nth)),
-        );
+            &cost, config, PAGE, PAGES, count, Some(CrashPlan::at(point, nth)), false);
         assert_matches_reference(
             &crashed,
             &reference,
@@ -126,7 +125,7 @@ proptest! {
 fn every_crash_point_recovers_under_batching_and_sharding() {
     let cost = CostModel::keystone_ii();
     let config = config_for(4, true, 2);
-    let reference = crash_migrate_nvm(&cost, config.clone(), PAGE, PAGES, 8, None);
+    let reference = crash_migrate_nvm(&cost, config.clone(), PAGE, PAGES, 8, None, false);
     let mut fired = 0;
     for point in CrashPoint::ALL {
         for nth in 1..=3 {
@@ -137,6 +136,7 @@ fn every_crash_point_recovers_under_batching_and_sharding() {
                 PAGES,
                 8,
                 Some(CrashPlan::at(point, nth)),
+                false,
             );
             fired += usize::from(crashed.crashed);
             assert_matches_reference(&crashed, &reference, &format!("{}#{nth}", point.as_str()));
@@ -155,7 +155,7 @@ fn unfired_crash_plan_is_invisible() {
     let cost = CostModel::keystone_ii();
     // batch_max=1: no chains, so mid-chain is never crossed.
     let config = config_for(1, false, 1);
-    let reference = crash_migrate_nvm(&cost, config.clone(), PAGE, PAGES, 6, None);
+    let reference = crash_migrate_nvm(&cost, config.clone(), PAGE, PAGES, 6, None, false);
     let unfired = crash_migrate_nvm(
         &cost,
         config,
@@ -163,6 +163,7 @@ fn unfired_crash_plan_is_invisible() {
         PAGES,
         6,
         Some(CrashPlan::at(CrashPoint::MidChain, 1)),
+        false,
     );
     assert!(!unfired.crashed);
     assert!(unfired.recovery.is_none());

@@ -21,7 +21,7 @@
 //!                   [--crash-nth N] [--pages 8] [--count 12] [--page-size 4k]
 //!                   [--batch-max 4] [--no-coalesce true] [--issue-shards S]
 //!                   [--trace-events PATH] [--json true]
-//! memifctl replay   --from PATH
+//! memifctl replay   --from PATH [--FLAG VALUE restating the trace header]
 //! memifctl stream   [--kernel triad|add|pgain|all] [--placement memif|linux|both]
 //!                   [--input-mib 64] [--overlap-depth K] [--threads M]
 //!                   [--trace-events PATH]
@@ -35,9 +35,7 @@ use memif::{
     Context, CrashPlan, CrashPoint, Memif, MemifConfig, MoveSpec, NodeId, PageSize, Sim, System,
 };
 use memif_baseline::{run_migspeed, MigspeedConfig};
-use memif_bench::{
-    crash_migrate_nvm_logged, stream_memif_tenants, stream_memif_tenants_logged, Table,
-};
+use memif_bench::{crash_migrate_nvm, stream, CrashOutcome, StreamSpec, Table};
 use memif_hwsim::{CostModel, Topology};
 use memif_policy::{run_scenario, Mode, PolicyConfig, ScenarioConfig};
 use memif_runtime::{KernelProfile, Placement, StreamConfig, StreamReport, StreamRuntime};
@@ -56,7 +54,7 @@ fn main() {
         Some("policy") => policy(&args),
         Some("recover") => recover(&args),
         Some("replay") => replay(&args),
-        Some("stream") => stream(&args),
+        Some("stream") => do_stream(&args),
         Some("timeline") => timeline(&args),
         Some("help") | None => {
             print!("{HELP}");
@@ -102,12 +100,9 @@ drain up to N compatible queued requests into one chained SG launch
 with a single completion interrupt (default 1 = classic per-request
 issue). Batched runs also coalesce physically contiguous segments into
 one descriptor; --no-coalesce true keeps one descriptor per page.
-`memifctl stats --batch-max 16` shows the issue-side savings.
---batch-rearm true additionally dedupes same-instant kernel-worker
-wake timers on the completion fan-out path (counted as
-timer_rearm_saved in `memifctl stats --json`); it shrinks the executed
-event stream, so it defaults off to keep recorded traces replayable
-event-for-event.
+`memifctl stats --batch-max 16` shows the issue-side savings; a
+batch's completion fan-out wakes the kernel worker once per instant
+(timer_rearm_saved in `memifctl stats --json` counts the wakes saved).
 
 pipelined streaming (stream): --overlap-depth K splits every prefetch
 buffer into K independently filled sub-units (K refills in flight per
@@ -115,7 +110,7 @@ buffer), so a unit is consumable after 1/K of the buffer's bytes and a
 slow-path fallback wastes only 1/K of the in-flight DMA. K must divide
 the 64-page buffer; depth 1 is the classic §6.6 one-fill-per-buffer
 mode. Deep runs (K > 2) pair the finer units with paired issue
-batching and batched timer rearm. --threads M appends a real-thread
+batching. --threads M appends a real-thread
 stress section: M OS producer threads drive the same lock-free
 red-blue submission protocol through the memif-rt futures front-end
 and report kick/syscall-free counts. --trace-events records a
@@ -175,19 +170,23 @@ for scripting and CI assertions. stats and policy objects also carry a
 `tiers` array — one {rank, kind, used_bytes, capacity_bytes, moves_in,
 moves_out} object per memory tier, rank 0 fastest.
 
-event traces (move/policy): --trace-events <path> records the run's
-typed event log as JSON lines (one `#!` header, one `#=`
-terminal-status line per request). `memifctl replay --from <path>`
-re-runs the scenario from the header and verifies every event and
-terminal status byte-for-byte:
+event traces (move/policy/recover/stream): --trace-events <path>
+records the run's typed event log as JSON lines (one `#!` header, one
+`#=` terminal-status line per request). The header lists every flag
+the scenario read as key=value, defaults included. `memifctl replay
+--from <path>` re-runs the scenario from the header and verifies every
+event and terminal status byte-for-byte:
   memifctl move --fault-seed 7 --dma-error-rate 1e-3 --trace-events t.jsonl
   memifctl replay --from t.jsonl
-Policy traces replay the same way, including the daemon's epoch hooks
-and every policy move's terminal status. Recover traces span the
-crash, the reboot ('recover' record), and the post-crash re-drive, and
-must also replay byte-for-byte.
+Any other replay flag must restate a recorded value (--issue-shards 1
+on a 1-shard trace); one that differs conflicts with the trace and
+nothing runs. Policy traces replay the same way, including the
+daemon's epoch hooks and every policy move's terminal status. Recover
+traces span the crash, the reboot ('recover' record), and the
+post-crash re-drive, and must also replay byte-for-byte.
 
-run `memifctl <command>` with defaults to see each report.
+A flag the command does not read is an error (exit 2). Run
+`memifctl <command>` with defaults to see each report.
 ";
 
 fn die(msg: &str) -> ! {
@@ -196,10 +195,10 @@ fn die(msg: &str) -> ! {
 }
 
 fn cost_profile(args: &Args) -> Result<CostModel, String> {
-    match args.get("profile") {
-        None | Some("keystone") => Ok(CostModel::keystone_ii()),
-        Some("xeon") => Ok(CostModel::xeon_e5()),
-        Some(other) => Err(format!(
+    match args.get_or("profile", "keystone".to_owned())?.as_str() {
+        "keystone" => Ok(CostModel::keystone_ii()),
+        "xeon" => Ok(CostModel::xeon_e5()),
+        other => Err(format!(
             "--profile: unknown profile '{other}' (keystone|xeon)"
         )),
     }
@@ -221,6 +220,7 @@ fn topology(args: &Args) -> Result<(), String> {
         ],
     );
     let booted = args.get_or("booted", true)?;
+    args.reject_unknown()?;
     if booted {
         topo.complete_boot();
     }
@@ -256,6 +256,7 @@ fn migspeed(args: &Args) -> Result<(), String> {
         from: NodeId(args.get_or("from", 0u16)?),
         to: NodeId(args.get_or("to", 1u16)?),
     };
+    args.reject_unknown()?;
     let r = run_migspeed(&topo, &cost, config);
     println!(
         "migrated {} pages ({} MiB) in {}: {:.3} GB/s, {:.1} us/page",
@@ -273,33 +274,27 @@ fn migspeed(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Everything a `move` run (or its replay) needs, resolved from flags
-/// or from a trace header.
-struct MoveScenario {
-    cost: memif_hwsim::CostModel,
-    config: MemifConfig,
-    kind: ShapeKind,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    window: usize,
-    plan: Option<memif::FaultPlan>,
-    /// `(id, weight)` tenant roster; empty = single root tenant.
-    tenants: Vec<(u16, u32)>,
+/// The chaos flags `move` and `policy` share: a fault plan, or `None`
+/// when every rate is zero.
+fn fault_plan(args: &Args) -> Result<Option<memif::FaultPlan>, String> {
+    let plan = memif::FaultPlan {
+        seed: args.get_or("fault-seed", 0u64)?,
+        dma_error_rate: args.get_or("dma-error-rate", 0.0f64)?,
+        drop_rate: args.get_or("drop-rate", 0.0f64)?,
+        delay_rate: args.get_or("delay-rate", 0.0f64)?,
+        desc_exhaust_rate: args.get_or("desc-exhaust-rate", 0.0f64)?,
+        ..memif::FaultPlan::default()
+    };
+    Ok((!plan.is_noop()).then_some(plan))
 }
 
-fn move_scenario(args: &Args) -> Result<MoveScenario, String> {
-    let mut cost = cost_profile(args)?;
-    cost.dma_tc_count = args.get_or("tc-count", cost.dma_tc_count)?;
-    let kind = match args.get("kind") {
-        None | Some("migrate") => ShapeKind::Migrate,
-        Some("replicate") => ShapeKind::Replicate,
-        Some(other) => return Err(format!("--kind: unknown kind '{other}'")),
-    };
-    let batch_max = args.get_or("batch-max", 1usize)?;
+/// The issue-path flags `move` and `recover` share, over a default
+/// device configuration.
+fn issue_config(args: &Args, default_batch_max: usize) -> Result<MemifConfig, String> {
+    let batch_max = args.get_or("batch-max", default_batch_max)?;
     // Coalescing rides batching: a batched run merges physically
-    // contiguous segments unless --no-coalesce true; the default
-    // (batch-max 1) keeps the classic one-descriptor-per-page path.
+    // contiguous segments unless --no-coalesce true; batch-max 1 keeps
+    // the classic one-descriptor-per-page path.
     let no_coalesce = args.get_or("no-coalesce", false)?;
     let issue_shards = args.get_or("issue-shards", 1usize)?;
     if issue_shards == 0 || issue_shards > 64 {
@@ -307,6 +302,25 @@ fn move_scenario(args: &Args) -> Result<MoveScenario, String> {
             "--issue-shards: {issue_shards} out of range (1..=64)"
         ));
     }
+    Ok(MemifConfig {
+        batch_max,
+        coalesce: batch_max > 1 && !no_coalesce,
+        issue_shards,
+        ..MemifConfig::default()
+    })
+}
+
+/// Resolves a `move`/`stats` command line (or a replayed `#! move`
+/// header) into the streaming run it names.
+fn move_scenario(args: &Args) -> Result<StreamSpec, String> {
+    let mut cost = cost_profile(args)?;
+    cost.dma_tc_count = args.get_or("tc-count", cost.dma_tc_count)?;
+    let kind = match args.get_or("kind", "migrate".to_owned())?.as_str() {
+        "migrate" => ShapeKind::Migrate,
+        "replicate" => ShapeKind::Replicate,
+        other => return Err(format!("--kind: unknown kind '{other}'")),
+    };
+    let issue = issue_config(args, 1)?;
     // Multi-tenant shape: --tenants N tags requests round-robin across
     // N tenants (ids 1..=N); --tenant-weights a,b,... sets their DRR
     // weights (default: all 1); --qos turns weighted-fair scheduling +
@@ -315,17 +329,16 @@ fn move_scenario(args: &Args) -> Result<MoveScenario, String> {
     if tenant_count == 0 || tenant_count > 4096 {
         return Err(format!("--tenants: {tenant_count} out of range (1..=4096)"));
     }
-    let weights_raw = args.get("tenant-weights").unwrap_or("");
+    let weights_raw = args.get_or("tenant-weights", String::new())?;
     let weights: Vec<u32> = if weights_raw.is_empty() {
         vec![1; tenant_count]
     } else {
         weights_raw
             .split(',')
             .map(|w| {
-                w.parse::<u32>()
-                    .ok()
-                    .filter(|w| *w >= 1)
-                    .ok_or_else(|| format!("--tenant-weights: bad weight '{w}' (need integers >= 1)"))
+                w.parse::<u32>().ok().filter(|w| *w >= 1).ok_or_else(|| {
+                    format!("--tenant-weights: bad weight '{w}' (need integers >= 1)")
+                })
             })
             .collect::<Result<_, _>>()?
     };
@@ -338,7 +351,9 @@ fn move_scenario(args: &Args) -> Result<MoveScenario, String> {
     let tenants: Vec<(u16, u32)> = if tenant_count == 1 && weights_raw.is_empty() {
         Vec::new() // classic single-tenant run, byte-identical
     } else {
-        (0..tenant_count).map(|i| (1 + i as u16, weights[i])).collect()
+        (0..tenant_count)
+            .map(|i| (1 + i as u16, weights[i]))
+            .collect()
     };
     let qos = args.get_or("qos", !tenants.is_empty())?;
     let config = MemifConfig {
@@ -347,22 +362,10 @@ fn move_scenario(args: &Args) -> Result<MoveScenario, String> {
         pipeline_depth: args.get_or("depth", 2usize)?,
         max_dma_retries: args.get_or("max-retries", 3u32)?,
         cpu_fallback: !args.get_or("no-fallback", false)?,
-        batch_max,
-        coalesce: batch_max > 1 && !no_coalesce,
-        issue_shards,
-        batch_rearm: args.get_or("batch-rearm", false)?,
         qos,
-        ..MemifConfig::default()
+        ..issue
     };
-    let plan = memif::FaultPlan {
-        seed: args.get_or("fault-seed", 0u64)?,
-        dma_error_rate: args.get_or("dma-error-rate", 0.0f64)?,
-        drop_rate: args.get_or("drop-rate", 0.0f64)?,
-        delay_rate: args.get_or("delay-rate", 0.0f64)?,
-        desc_exhaust_rate: args.get_or("desc-exhaust-rate", 0.0f64)?,
-        ..memif::FaultPlan::default()
-    };
-    let s = MoveScenario {
+    let s = StreamSpec {
         cost,
         config,
         kind,
@@ -370,8 +373,9 @@ fn move_scenario(args: &Args) -> Result<MoveScenario, String> {
         pages: args.get_or("pages", 16u32)?,
         count: args.get_or("count", 64usize)?,
         window: args.get_or("window", 8usize)?,
-        plan: (!plan.is_noop()).then_some(plan),
+        faults: fault_plan(args)?,
         tenants,
+        ..StreamSpec::default()
     };
     // Zeroes here would panic deep in the harness; catching them keeps
     // a corrupt or hand-edited trace header a clean error (replay
@@ -388,106 +392,50 @@ fn move_scenario(args: &Args) -> Result<MoveScenario, String> {
     Ok(s)
 }
 
-/// The `#!` trace header: every flag replay needs to rebuild the run.
-fn trace_header(args: &Args, s: &MoveScenario) -> String {
-    let plan = s.plan.clone().unwrap_or_default();
-    format!(
-        "#! move kind={} page-size={} pages={} count={} window={} depth={} max-retries={} \
-         no-fallback={} no-reuse={} no-gang={} profile={} tc-count={} fault-seed={} \
-         dma-error-rate={} drop-rate={} delay-rate={} desc-exhaust-rate={} \
-         batch-max={} no-coalesce={} issue-shards={} batch-rearm={} \
-         tenants={} tenant-weights={} qos={}",
-        match s.kind {
-            ShapeKind::Migrate => "migrate",
-            ShapeKind::Replicate => "replicate",
-        },
-        match s.page_size {
-            PageSize::Small4K => "4k",
-            PageSize::Medium64K => "64k",
-            PageSize::Large2M => "2m",
-        },
-        s.pages,
-        s.count,
-        s.window,
-        s.config.pipeline_depth,
-        s.config.max_dma_retries,
-        !s.config.cpu_fallback,
-        !s.config.descriptor_reuse,
-        !s.config.gang_lookup,
-        args.get("profile").unwrap_or("keystone"),
-        s.cost.dma_tc_count,
-        plan.seed,
-        plan.dma_error_rate,
-        plan.drop_rate,
-        plan.delay_rate,
-        plan.desc_exhaust_rate,
-        s.config.batch_max,
-        s.config.batch_max > 1 && !s.config.coalesce,
-        s.config.issue_shards,
-        s.config.batch_rearm,
-        s.tenants.len().max(1),
-        s.tenants
-            .iter()
-            .map(|(_, w)| w.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-        s.config.qos,
-    )
-}
-
-fn run_logged(s: &MoveScenario) -> memif_bench::LoggedStream {
-    stream_memif_tenants_logged(
-        &s.cost,
-        s.config.clone(),
-        s.kind,
-        s.page_size,
-        s.pages,
-        s.count,
-        s.window,
-        s.plan.clone(),
-        &s.tenants,
-    )
+/// Writes a `--trace-events` file: the `#!` header, one JSON line per
+/// event, and one `#=` terminal-status line per request.
+fn write_trace(
+    path: &str,
+    header: &str,
+    events: &[String],
+    statuses: &[(u64, String)],
+) -> Result<(), String> {
+    let mut out = String::new();
+    out.push_str(header);
+    out.push('\n');
+    for line in events {
+        out.push_str(line);
+        out.push('\n');
+    }
+    for (req, status) in statuses {
+        out.push_str(&format!("#= {req} {status}\n"));
+    }
+    std::fs::write(path, out).map_err(|e| format!("--trace-events: {path}: {e}"))?;
+    println!(
+        "trace: {} events + {} terminal statuses -> {path}",
+        events.len(),
+        statuses.len()
+    );
+    Ok(())
 }
 
 fn do_move(args: &Args) -> Result<(), String> {
     let s = move_scenario(args)?;
-    let chaos = s.plan.is_some();
+    let header = args.header();
+    let trace = args.get("trace-events");
+    args.reject_unknown()?;
+    let chaos = s.faults.is_some();
     let batch_max = s.config.batch_max;
     let (kind, pages, count) = (s.kind, s.pages, s.count);
     let page_size = s.page_size;
 
-    let r = if let Some(path) = args.get("trace-events") {
-        let logged = run_logged(&s);
-        let mut out = String::new();
-        out.push_str(&trace_header(args, &s));
-        out.push('\n');
-        for line in &logged.events {
-            out.push_str(line);
-            out.push('\n');
-        }
-        for (req, status) in &logged.statuses {
-            out.push_str(&format!("#= {req} {status}\n"));
-        }
-        std::fs::write(path, out).map_err(|e| format!("--trace-events: {path}: {e}"))?;
-        println!(
-            "trace: {} events + {} terminal statuses -> {path}",
-            logged.events.len(),
-            logged.statuses.len()
-        );
-        logged.result
-    } else {
-        stream_memif_tenants(
-            &s.cost,
-            s.config,
-            s.kind,
-            s.page_size,
-            s.pages,
-            s.count,
-            s.window,
-            s.plan,
-            &s.tenants,
-        )
-    };
+    let r = stream(StreamSpec {
+        log_events: trace.is_some(),
+        ..s
+    });
+    if let Some(path) = trace {
+        write_trace(path, &header, &r.events, &r.statuses)?;
+    }
     let mean_us = r
         .completion_times
         .iter()
@@ -615,6 +563,7 @@ fn print_tiers(tiers: &[memif::TierUsage]) {
 fn stats(args: &Args) -> Result<(), String> {
     let s = move_scenario(args)?;
     let json = args.get_or("json", false)?;
+    args.reject_unknown()?;
     let title = format!(
         "driver stats: {} x {} {} pages ({:?}), batch-max {}{}",
         s.count,
@@ -624,17 +573,7 @@ fn stats(args: &Args) -> Result<(), String> {
         s.config.batch_max,
         if s.config.coalesce { " + coalesce" } else { "" },
     );
-    let r = stream_memif_tenants(
-        &s.cost,
-        s.config,
-        s.kind,
-        s.page_size,
-        s.pages,
-        s.count,
-        s.window,
-        s.plan,
-        &s.tenants,
-    );
+    let r = stream(s);
     let st = &r.stats;
     let issue_cpu = {
         use memif::Phase;
@@ -697,24 +636,13 @@ fn stats(args: &Args) -> Result<(), String> {
 /// into a cost profile plus a [`ScenarioConfig`].
 fn policy_scenario(args: &Args) -> Result<(CostModel, ScenarioConfig), String> {
     let cost = cost_profile(args)?;
-    let mode = match args.get("mode") {
-        None => Mode::Async,
-        Some(m) => {
-            Mode::parse(m).ok_or_else(|| format!("--mode: unknown mode '{m}' (none|sync|async)"))?
-        }
-    };
+    let mode = args.get_or("mode", "async".to_owned())?;
+    let mode = Mode::parse(&mode)
+        .ok_or_else(|| format!("--mode: unknown mode '{mode}' (none|sync|async)"))?;
     let policy = PolicyConfig {
         epoch: memif::SimDuration::from_us(args.get_or("epoch-us", 1_000u64)?),
         max_inflight: args.get_or("max-inflight", 4usize)?,
         ..PolicyConfig::default()
-    };
-    let plan = memif::FaultPlan {
-        seed: args.get_or("fault-seed", 0u64)?,
-        dma_error_rate: args.get_or("dma-error-rate", 0.0f64)?,
-        drop_rate: args.get_or("drop-rate", 0.0f64)?,
-        delay_rate: args.get_or("delay-rate", 0.0f64)?,
-        desc_exhaust_rate: args.get_or("desc-exhaust-rate", 0.0f64)?,
-        ..memif::FaultPlan::default()
     };
     let cfg = ScenarioConfig {
         mode,
@@ -730,7 +658,7 @@ fn policy_scenario(args: &Args) -> Result<(CostModel, ScenarioConfig), String> {
         policy_tiers: args.get_or("policy-tiers", 0usize)?,
         warm: args.get_or("warm", 0usize)?,
         policy,
-        faults: (!plan.is_noop()).then_some(plan),
+        faults: fault_plan(args)?,
         ..ScenarioConfig::default()
     };
     for (flag, value) in [
@@ -761,70 +689,22 @@ fn policy_scenario(args: &Args) -> Result<(CostModel, ScenarioConfig), String> {
     Ok((cost, cfg))
 }
 
-/// The `#!` header of a policy trace: every flag replay needs to
-/// rebuild the run.
-fn policy_trace_header(args: &Args, cfg: &ScenarioConfig) -> String {
-    let plan = cfg.faults.clone().unwrap_or_default();
-    format!(
-        "#! policy mode={} seed={} regions={} pages={} page-size={} phases={} hot={} carry={} \
-         ticks={} epoch-us={} max-inflight={} profile={} fault-seed={} dma-error-rate={} \
-         drop-rate={} delay-rate={} desc-exhaust-rate={} tiers={} policy-tiers={} warm={}",
-        cfg.mode.as_str(),
-        cfg.seed,
-        cfg.regions,
-        cfg.pages_per_region,
-        match cfg.page_size {
-            PageSize::Small4K => "4k",
-            PageSize::Medium64K => "64k",
-            PageSize::Large2M => "2m",
-        },
-        cfg.phases,
-        cfg.hot,
-        cfg.carry,
-        cfg.ticks_per_phase,
-        cfg.policy.epoch.as_ns() / 1_000,
-        cfg.policy.max_inflight,
-        args.get("profile").unwrap_or("keystone"),
-        plan.seed,
-        plan.dma_error_rate,
-        plan.drop_rate,
-        plan.delay_rate,
-        plan.desc_exhaust_rate,
-        cfg.tiers,
-        cfg.policy_tiers,
-        cfg.warm,
-    )
-}
-
 /// Runs the hot/cold placement daemon over the phased hot-set workload
 /// and reports the application + daemon outcome.
 fn policy(args: &Args) -> Result<(), String> {
     let (cost, mut cfg) = policy_scenario(args)?;
-    let trace_path = args.get("trace-events");
-    cfg.log_events = trace_path.is_some();
+    let header = args.header();
+    let trace = args.get("trace-events");
+    let json = args.get_or("json", false)?;
+    args.reject_unknown()?;
+    cfg.log_events = trace.is_some();
     let r = run_scenario(&cost, &cfg);
-
-    if let Some(path) = trace_path {
-        let mut out = String::new();
-        out.push_str(&policy_trace_header(args, &cfg));
-        out.push('\n');
-        for line in &r.events {
-            out.push_str(line);
-            out.push('\n');
-        }
-        for (req, status) in &r.statuses {
-            out.push_str(&format!("#= {req} {status}\n"));
-        }
-        std::fs::write(path, out).map_err(|e| format!("--trace-events: {path}: {e}"))?;
-        println!(
-            "trace: {} events + {} terminal statuses -> {path}",
-            r.events.len(),
-            r.statuses.len()
-        );
+    if let Some(path) = trace {
+        write_trace(path, &header, &r.events, &r.statuses)?;
     }
 
     let p = &r.policy;
-    if args.get_or("json", false)? {
+    if json {
         println!(
             "{}",
             json_object_with_tiers(
@@ -908,24 +788,15 @@ struct RecoverScenario {
 
 fn recover_scenario(args: &Args) -> Result<RecoverScenario, String> {
     let cost = cost_profile(args)?;
-    let batch_max = args.get_or("batch-max", 4usize)?;
-    let no_coalesce = args.get_or("no-coalesce", false)?;
-    let issue_shards = args.get_or("issue-shards", 1usize)?;
-    if issue_shards == 0 || issue_shards > 64 {
-        return Err(format!(
-            "--issue-shards: {issue_shards} out of range (1..=64)"
-        ));
-    }
     let config = MemifConfig {
         journal: true,
-        batch_max,
-        coalesce: batch_max > 1 && !no_coalesce,
-        issue_shards,
-        ..MemifConfig::default()
+        ..issue_config(args, 4)?
     };
-    let crash = match args.get("crash-point") {
-        None | Some("none") => None,
-        Some(name) => {
+    let point = args.get_or("crash-point", "none".to_owned())?;
+    let nth = args.get_or("crash-nth", 1u64)?;
+    let crash = match point.as_str() {
+        "none" => None,
+        name => {
             let point = CrashPoint::parse(name).ok_or_else(|| {
                 let known: Vec<&str> = CrashPoint::ALL.iter().map(|p| p.as_str()).collect();
                 format!(
@@ -933,7 +804,7 @@ fn recover_scenario(args: &Args) -> Result<RecoverScenario, String> {
                     known.join("|")
                 )
             })?;
-            Some(CrashPlan::at(point, args.get_or("crash-nth", 1u64)?))
+            Some(CrashPlan::at(point, nth))
         }
     };
     let s = RecoverScenario {
@@ -947,7 +818,7 @@ fn recover_scenario(args: &Args) -> Result<RecoverScenario, String> {
     for (flag, value) in [
         ("pages", u64::from(s.pages)),
         ("count", s.count as u64),
-        ("batch-max", batch_max as u64),
+        ("batch-max", s.config.batch_max as u64),
     ] {
         if value == 0 {
             return Err(format!("--{flag}: must be at least 1"));
@@ -956,26 +827,12 @@ fn recover_scenario(args: &Args) -> Result<RecoverScenario, String> {
     Ok(s)
 }
 
-/// The `#!` header of a recover trace: every flag replay needs to
-/// rebuild the run.
-fn recover_trace_header(args: &Args, s: &RecoverScenario) -> String {
-    format!(
-        "#! recover crash-point={} crash-nth={} page-size={} pages={} count={} batch-max={} \
-         no-coalesce={} issue-shards={} profile={}",
-        s.crash.map_or("none", |c| c.point.as_str()),
-        s.crash.map_or(1, |c| c.nth),
-        match s.page_size {
-            PageSize::Small4K => "4k",
-            PageSize::Medium64K => "64k",
-            PageSize::Large2M => "2m",
-        },
-        s.pages,
-        s.count,
-        s.config.batch_max,
-        s.config.batch_max > 1 && !s.config.coalesce,
-        s.config.issue_shards,
-        args.get("profile").unwrap_or("keystone"),
-    )
+/// A recover run's terminal statuses in the trace's `#=` spelling.
+fn recover_statuses(r: &CrashOutcome) -> Vec<(u64, String)> {
+    r.statuses
+        .iter()
+        .map(|(cookie, st)| (*cookie, format!("{st:?}")))
+        .collect()
 }
 
 /// Crashes a journaled DDR<->NVM migration stream at a deterministic
@@ -984,36 +841,25 @@ fn recover_trace_header(args: &Args, s: &RecoverScenario) -> String {
 /// exactly one terminal status.
 fn recover(args: &Args) -> Result<(), String> {
     let s = recover_scenario(args)?;
-    let (r, events) = crash_migrate_nvm_logged(
+    let header = args.header();
+    let trace = args.get("trace-events");
+    let json = args.get_or("json", false)?;
+    args.reject_unknown()?;
+    let r = crash_migrate_nvm(
         &s.cost,
         s.config.clone(),
         s.page_size,
         s.pages,
         s.count,
         s.crash,
+        trace.is_some(),
     );
-
-    if let Some(path) = args.get("trace-events") {
-        let mut out = String::new();
-        out.push_str(&recover_trace_header(args, &s));
-        out.push('\n');
-        for line in &events {
-            out.push_str(line);
-            out.push('\n');
-        }
-        for (cookie, status) in &r.statuses {
-            out.push_str(&format!("#= {cookie} {status:?}\n"));
-        }
-        std::fs::write(path, out).map_err(|e| format!("--trace-events: {path}: {e}"))?;
-        println!(
-            "trace: {} events + {} terminal statuses -> {path}",
-            events.len(),
-            r.statuses.len()
-        );
+    if let Some(path) = trace {
+        write_trace(path, &header, &r.events, &recover_statuses(&r))?;
     }
 
     let rep = r.recovery.as_ref();
-    if args.get_or("json", false)? {
+    if json {
         println!(
             "{}",
             json_object(&[
@@ -1080,6 +926,70 @@ fn recover(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// A run's event log and terminal statuses, as a trace records them.
+type Trace = (Vec<String>, Vec<(u64, String)>);
+
+/// A traceable scenario, resolved from a command line or a `#!` header.
+enum Scenario {
+    Move(StreamSpec),
+    Policy(CostModel, ScenarioConfig),
+    Recover(RecoverScenario),
+    Stream(StreamScenario),
+}
+
+impl Scenario {
+    fn resolve(args: &Args) -> Result<Scenario, String> {
+        Ok(match args.command.as_deref().unwrap_or_default() {
+            "move" => Scenario::Move(move_scenario(args)?),
+            "policy" => {
+                let (cost, cfg) = policy_scenario(args)?;
+                Scenario::Policy(cost, cfg)
+            }
+            "recover" => Scenario::Recover(recover_scenario(args)?),
+            "stream" => Scenario::Stream(stream_scenario(args)?),
+            other => return Err(format!("cannot replay '{other}' traces")),
+        })
+    }
+
+    /// Runs the scenario with the event log on: its events and its
+    /// terminal statuses, as a trace records them.
+    fn run_traced(self) -> Result<Trace, String> {
+        Ok(match self {
+            Scenario::Move(spec) => {
+                let r = stream(StreamSpec {
+                    log_events: true,
+                    ..spec
+                });
+                (r.events, r.statuses)
+            }
+            Scenario::Policy(cost, cfg) => {
+                let r = run_scenario(
+                    &cost,
+                    &ScenarioConfig {
+                        log_events: true,
+                        ..cfg
+                    },
+                );
+                (r.events, r.statuses)
+            }
+            Scenario::Recover(s) => {
+                let r = crash_migrate_nvm(
+                    &s.cost,
+                    s.config,
+                    s.page_size,
+                    s.pages,
+                    s.count,
+                    s.crash,
+                    true,
+                );
+                let statuses = recover_statuses(&r);
+                (r.events, statuses)
+            }
+            Scenario::Stream(s) => run_stream_once(&s, true)?.1,
+        })
+    }
+}
+
 /// Re-runs a `--trace-events` recording and verifies the new run is
 /// byte-identical: same event log, same terminal status per request.
 fn replay(args: &Args) -> Result<(), String> {
@@ -1114,87 +1024,45 @@ fn replay(args: &Args) -> Result<(), String> {
                 .ok_or_else(|| format!("malformed header token '{kv}'"))
         })
         .collect::<Result<_, _>>()?;
-    // Flags that shape the event stream (shard-tagged worker events,
-    // the daemon's placement decisions) can never match when forced to
-    // a different value than recorded: reject the mismatch up front
-    // instead of reporting a divergence at record 0.
-    let reject_override = |flag: &str, default: &str| -> Result<(), String> {
-        if let Some(requested) = args.get(flag) {
-            let recorded = pairs
+    // Flags besides --from override the header, and go through the
+    // resolver with it.
+    let overrides: Vec<(&str, &str)> = args
+        .given()
+        .into_iter()
+        .filter(|(k, _)| *k != "from")
+        .collect();
+    let resolved = Args::from_pairs(
+        cmd,
+        pairs.iter().cloned().chain(
+            overrides
                 .iter()
-                .find(|(k, _)| k == flag)
-                .map_or(default, |(_, v)| v.as_str());
-            if requested != recorded {
-                return Err(format!(
-                    "--{flag} {requested} conflicts with the trace (recorded with \
-                     {flag}={recorded}); replay re-runs the recorded configuration"
-                ));
-            }
-        }
-        Ok(())
+                .map(|(k, v)| ((*k).to_owned(), (*v).to_owned())),
+        ),
+    );
+    let scenario = Scenario::resolve(&resolved)?;
+    // The one override check: each override must resolve to the value
+    // the header records (`--page-size 4K` restates `page-size=4k`).
+    // Any other value reshapes the run, which then can never match the
+    // trace; say so up front instead of reporting a divergence at
+    // record 0.
+    let record = resolved.record();
+    let find = |list: &[(String, String)], key: &str| {
+        list.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
     };
-    let (replayed_events, replayed_statuses) = match cmd {
-        "move" => {
-            reject_override("issue-shards", "1")?;
-            // Batched rearm skips (otherwise no-op) worker wake events,
-            // so a forced flip can never replay event-for-event.
-            reject_override("batch-rearm", "false")?;
-            // The tenant roster and QoS mode reshape the issue schedule
-            // (DRR interleaving, admission parks) event-for-event.
-            reject_override("tenants", "1")?;
-            reject_override("tenant-weights", "")?;
-            reject_override("qos", "false")?;
-            let scenario = move_scenario(&Args::from_pairs("move", pairs))?;
-            let logged = run_logged(&scenario);
-            (logged.events, logged.statuses)
-        }
-        "policy" => {
-            reject_override("mode", "async")?;
-            // The machine shape and working-set mix drive every
-            // placement decision in the trace; traces from before the
-            // ranked-tier refactor recorded the 2-tier defaults.
-            reject_override("tiers", "2")?;
-            reject_override("policy-tiers", "0")?;
-            reject_override("warm", "0")?;
-            let (cost, mut cfg) = policy_scenario(&Args::from_pairs("policy", pairs))?;
-            cfg.log_events = true;
-            let r = run_scenario(&cost, &cfg);
-            (r.events, r.statuses)
-        }
-        "stream" => {
-            // Overlap depth reshapes the fill stream (unit sizes, fill
-            // count, device batching), so a forced override can never
-            // replay; same for the kernel/placement/input shape.
-            reject_override("overlap-depth", "1")?;
-            reject_override("kernel", "triad")?;
-            reject_override("placement", "memif")?;
-            reject_override("input-mib", "64")?;
-            let a = Args::from_pairs("stream", pairs);
-            let s = stream_scenario(&a)?;
-            let (_, events, statuses) = run_stream_once(&s, true)?;
-            (events, statuses)
-        }
-        "recover" => {
-            reject_override("crash-point", "none")?;
-            reject_override("crash-nth", "1")?;
-            let s = recover_scenario(&Args::from_pairs("recover", pairs))?;
-            let (r, ev) = crash_migrate_nvm_logged(
-                &s.cost,
-                s.config.clone(),
-                s.page_size,
-                s.pages,
-                s.count,
-                s.crash,
+    for (key, value) in overrides {
+        let recorded = find(&pairs, key);
+        if recorded.is_none() || recorded != find(&record, key) {
+            let what = recorded.map_or_else(
+                || format!("{key} is not recorded"),
+                |v| format!("recorded with {key}={v}"),
             );
-            let statuses = r
-                .statuses
-                .iter()
-                .map(|(cookie, st)| (*cookie, format!("{st:?}")))
-                .collect();
-            (ev, statuses)
+            return Err(format!(
+                "--{key} {value} conflicts with the trace ({what}); replay re-runs the \
+                 recorded configuration"
+            ));
         }
-        other => return Err(format!("cannot replay '{other}' traces")),
-    };
+    }
+    let (replayed_events, replayed_statuses) = scenario.run_traced()?;
     if replayed_events != events {
         let n = replayed_events
             .iter()
@@ -1226,9 +1094,7 @@ fn replay(args: &Args) -> Result<(), String> {
 /// a given input size and overlap depth (what a stream trace records
 /// and replay rebuilds).
 struct StreamScenario {
-    kernel_token: String,
     kernel: KernelProfile,
-    placement_token: String,
     placement: Placement,
     total: u64,
     depth: usize,
@@ -1257,14 +1123,12 @@ fn stream_depth(args: &Args) -> Result<usize, String> {
 }
 
 /// The device configuration `--overlap-depth K` implies: runs deeper
-/// than 2 batch their fills in sub-chunk *pairs* and dedupe the paired
-/// completions' same-instant worker-wake timers. Batching a whole
+/// than 2 batch their fills in sub-chunk *pairs*. Batching a whole
 /// buffer's complement of units would complete them as one flow and
 /// cancel the readiness stagger the depth is for.
 fn stream_device_config(depth: usize) -> MemifConfig {
     MemifConfig {
         batch_max: if depth > 2 { 2 } else { 1 },
-        batch_rearm: depth > 2,
         ..MemifConfig::default()
     }
 }
@@ -1273,20 +1137,16 @@ fn stream_device_config(depth: usize) -> MemifConfig {
 /// tracing needs a single kernel and a single placement, so `all` and
 /// `both` are rejected here.
 fn stream_scenario(args: &Args) -> Result<StreamScenario, String> {
-    let kernel_token = match args.get("kernel") {
-        None | Some("all") => {
-            return Err(
-                "--trace-events needs a single --kernel (triad|add|pgain|wordcount)".to_owned(),
-            )
-        }
-        Some(k) => k.to_owned(),
-    };
-    let placement_token = match args.get("placement") {
-        None | Some("both") => {
-            return Err("--trace-events needs a single --placement (memif|linux)".to_owned())
-        }
-        Some(p) => p.to_owned(),
-    };
+    let kernel_token = args.get_or("kernel", "all".to_owned())?;
+    if kernel_token == "all" {
+        return Err(
+            "--trace-events needs a single --kernel (triad|add|pgain|wordcount)".to_owned(),
+        );
+    }
+    let placement_token = args.get_or("placement", "both".to_owned())?;
+    if placement_token == "both" {
+        return Err("--trace-events needs a single --placement (memif|linux)".to_owned());
+    }
     let placement = match placement_token.as_str() {
         "linux" => Placement::SlowOnly,
         "memif" => Placement::MemifPrefetch,
@@ -1294,33 +1154,16 @@ fn stream_scenario(args: &Args) -> Result<StreamScenario, String> {
     };
     Ok(StreamScenario {
         kernel: stream_kernel(&kernel_token)?,
-        kernel_token,
-        placement_token,
         placement,
         total: args.get_or("input-mib", 64u64)? << 20,
         depth: stream_depth(args)?,
     })
 }
 
-/// The `#!` header of a stream trace.
-fn stream_trace_header(s: &StreamScenario) -> String {
-    format!(
-        "#! stream kernel={} placement={} input-mib={} overlap-depth={}",
-        s.kernel_token,
-        s.placement_token,
-        s.total >> 20,
-        s.depth,
-    )
-}
-
-/// One streaming run. Returns the report, the typed event log (empty
-/// unless `log_events`), and the fill completions in retirement order —
+/// One streaming run. Returns the report plus the typed event log (empty
+/// unless `log_events`) and the fill completions in retirement order —
 /// the trace's `#=` lines.
-#[allow(clippy::type_complexity)]
-fn run_stream_once(
-    s: &StreamScenario,
-    log_events: bool,
-) -> Result<(StreamReport, Vec<String>, Vec<(u64, String)>), String> {
+fn run_stream_once(s: &StreamScenario, log_events: bool) -> Result<(StreamReport, Trace), String> {
     let mut sys = System::keystone_ii();
     if log_events {
         sys.enable_event_log();
@@ -1347,7 +1190,7 @@ fn run_stream_once(
     } else {
         Vec::new()
     };
-    Ok((rt.report(), events, rt.completions()))
+    Ok((rt.report(), (events, rt.completions())))
 }
 
 /// `--threads M`: M real producer threads drive a deterministic
@@ -1410,55 +1253,40 @@ fn stream_rt_stress(threads: u64) {
     );
 }
 
-fn stream(args: &Args) -> Result<(), String> {
-    let depth = stream_depth(args)?;
+fn do_stream(args: &Args) -> Result<(), String> {
+    let trace = args.get("trace-events");
+    let (runs, header) = if trace.is_some() {
+        (vec![stream_scenario(args)?], args.header())
+    } else {
+        let depth = stream_depth(args)?;
+        let kernels = match args.get("kernel") {
+            None | Some("all") => vec![streamcluster_pgain(), stream_triad(), stream_add()],
+            Some(token) => vec![stream_kernel(token)?],
+        };
+        let placements = match args.get("placement") {
+            None | Some("both") => vec![Placement::SlowOnly, Placement::MemifPrefetch],
+            Some("linux") => vec![Placement::SlowOnly],
+            Some("memif") => vec![Placement::MemifPrefetch],
+            Some(other) => return Err(format!("--placement: unknown placement '{other}'")),
+        };
+        let total = args.get_or("input-mib", 64u64)? << 20;
+        let runs = kernels
+            .iter()
+            .flat_map(|kernel| {
+                placements.iter().map(|&placement| StreamScenario {
+                    kernel: kernel.clone(),
+                    placement,
+                    total,
+                    depth,
+                })
+            })
+            .collect();
+        (runs, String::new())
+    };
     let threads = args.get_or("threads", 0u64)?;
+    args.reject_unknown()?;
 
-    if let Some(path) = args.get("trace-events") {
-        let s = stream_scenario(args)?;
-        let (r, events, statuses) = run_stream_once(&s, true)?;
-        let mut out = String::new();
-        out.push_str(&stream_trace_header(&s));
-        out.push('\n');
-        for line in &events {
-            out.push_str(line);
-            out.push('\n');
-        }
-        for (req, status) in &statuses {
-            out.push_str(&format!("#= {req} {status}\n"));
-        }
-        std::fs::write(path, out).map_err(|e| format!("--trace-events: {path}: {e}"))?;
-        println!(
-            "trace: {} events + {} terminal statuses -> {path}",
-            events.len(),
-            statuses.len()
-        );
-        println!(
-            "{} on {}: {:.1} MB/s, {} fills, {:.0}% fallback",
-            s.kernel.name,
-            s.placement_token,
-            r.traffic_gbps * 1000.0,
-            r.fills,
-            r.fallback_bytes as f64 / r.input_bytes.max(1) as f64 * 100.0,
-        );
-        if threads > 0 {
-            stream_rt_stress(threads);
-        }
-        return Ok(());
-    }
-
-    let kernels = match args.get("kernel") {
-        None | Some("all") => vec![streamcluster_pgain(), stream_triad(), stream_add()],
-        Some(token) => vec![stream_kernel(token)?],
-    };
-    let placements = match args.get("placement") {
-        None | Some("both") => vec![Placement::SlowOnly, Placement::MemifPrefetch],
-        Some("linux") => vec![Placement::SlowOnly],
-        Some("memif") => vec![Placement::MemifPrefetch],
-        Some(other) => return Err(format!("--placement: unknown placement '{other}'")),
-    };
-    let total = args.get_or("input-mib", 64u64)? << 20;
-
+    let depth = runs[0].depth;
     let mut table = Table::new(
         if depth > 1 {
             format!("streaming throughput (MB/s), overlap depth {depth}")
@@ -1467,28 +1295,21 @@ fn stream(args: &Args) -> Result<(), String> {
         },
         &["kernel", "placement", "MB/s", "fallback%", "fills"],
     );
-    for kernel in &kernels {
-        for placement in &placements {
-            let s = StreamScenario {
-                kernel_token: kernel.name.clone(),
-                kernel: kernel.clone(),
-                placement_token: format!("{placement:?}"),
-                placement: *placement,
-                total,
-                depth,
-            };
-            let (r, _, _) = run_stream_once(&s, false)?;
-            table.row(&[
-                kernel.name.clone(),
-                format!("{placement:?}"),
-                format!("{:.1}", r.traffic_gbps * 1000.0),
-                format!(
-                    "{:.0}%",
-                    r.fallback_bytes as f64 / r.input_bytes.max(1) as f64 * 100.0
-                ),
-                r.fills.to_string(),
-            ]);
+    for s in &runs {
+        let (r, (events, statuses)) = run_stream_once(s, trace.is_some())?;
+        if let Some(path) = trace {
+            write_trace(path, &header, &events, &statuses)?;
         }
+        table.row(&[
+            s.kernel.name.clone(),
+            format!("{:?}", s.placement),
+            format!("{:.1}", r.traffic_gbps * 1000.0),
+            format!(
+                "{:.0}%",
+                r.fallback_bytes as f64 / r.input_bytes.max(1) as f64 * 100.0
+            ),
+            r.fills.to_string(),
+        ]);
     }
     table.print();
     if threads > 0 {
@@ -1501,6 +1322,7 @@ fn timeline(args: &Args) -> Result<(), String> {
     let pages = args.get_or("pages", 16u32)?;
     let count = args.get_or("count", 2usize)?;
     let page_size = args.page_size(PageSize::Small4K)?;
+    args.reject_unknown()?;
 
     let mut sys = System::keystone_ii();
     sys.enable_tracing();

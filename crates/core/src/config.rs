@@ -75,9 +75,10 @@ pub struct MemifConfig {
     /// How many compatible queued requests (same kind, same page size)
     /// the kernel thread may drain into one chained scatter-gather
     /// launch per scheduling round. The batch completes with a single
-    /// interrupt whose handler fans status back out per request. 1
-    /// (default) reproduces the classic one-request-per-wake issue path
-    /// exactly.
+    /// interrupt whose handler fans status back out per request; the
+    /// fan-out's same-instant worker wakes share one timer (counted in
+    /// `timer_rearm_saved`). 1 (default) reproduces the classic
+    /// one-request-per-wake issue path exactly.
     pub batch_max: usize,
     /// Merge adjacent scatter-gather segments whose source and
     /// destination frames are both physically contiguous into one larger
@@ -99,15 +100,6 @@ pub struct MemifConfig {
     /// default: moves are volatile, exactly as the paper's prototype,
     /// and the hot path pays nothing.
     pub journal: bool,
-    /// Batch timer rearm on the issue path: when a retire fan-out (a
-    /// chained batch completing, or peer wakes after a release) would
-    /// schedule several worker wakes for the same shard at the same
-    /// instant, arm the timer once and skip the duplicate wheel inserts
-    /// (counted in `timer_rearm_saved`). The skipped wakes were no-ops —
-    /// a `wake_up()` on an already-woken thread — so driver behavior is
-    /// unchanged; only the *executed event stream* shrinks, which is why
-    /// the flag defaults off: recorded traces replay event-for-event.
-    pub batch_rearm: bool,
     /// Multi-tenant QoS: per-tenant admission control at submit time
     /// (over-quota requests park and re-admit at retire, like deferred
     /// hazards), deficit-round-robin weighted-fair dequeue at each issue
@@ -137,7 +129,6 @@ impl Default for MemifConfig {
             coalesce: false,
             issue_shards: 1,
             journal: false,
-            batch_rearm: false,
             qos: false,
         }
     }
@@ -196,15 +187,6 @@ mod tests {
         assert!(
             !c.qos,
             "single root tenant, plain FIFO issue order, as the seed"
-        );
-    }
-
-    #[test]
-    fn batch_rearm_default_preserves_seed_event_stream() {
-        let c = MemifConfig::default();
-        assert!(
-            !c.batch_rearm,
-            "every wake is a wheel insert by default, as the seed"
         );
     }
 }

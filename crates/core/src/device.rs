@@ -114,8 +114,8 @@ pub struct DriverStats {
     /// Recovered requests rolled forward to completion (sealed `Done`:
     /// the payload was already in place, only the release was lost).
     pub redriven: u64,
-    /// Duplicate same-instant worker-wake timer inserts skipped by the
-    /// batch-rearm optimization (0 unless `batch_rearm` is on).
+    /// Duplicate same-instant worker-wake timer inserts skipped on the
+    /// retire fan-out (see `driver::schedule_worker_wake`).
     pub timer_rearm_saved: u64,
     /// Requests parked at submit by QoS admission control (tenant over
     /// its inflight cap or descriptor quota). 0 unless `qos` is on.
@@ -247,10 +247,9 @@ pub(crate) struct IssueShard {
     /// the counter must record one wakeup per instant, not per event.
     pub last_counted_wakeup: Option<SimTime>,
     /// Instant of the most recently armed (still pending) `KthreadRun`
-    /// wake for this shard, cleared when that event dispatches. With
-    /// `batch_rearm` enabled, a retire path about to schedule a wake at
-    /// an instant that is already armed skips the duplicate wheel
-    /// insert — a batch fan-out of N same-instant releases rearms the
+    /// wake for this shard, cleared when that event dispatches. A retire
+    /// path about to schedule a wake at an instant that is already
+    /// armed skips the duplicate wheel insert — a batch fan-out of N same-instant releases rearms the
     /// worker's timer once instead of N times.
     pub armed_wake: Option<SimTime>,
     /// How many queued (Staging + Submission) requests each tenant has

@@ -33,9 +33,9 @@ use crate::system::System;
 /// round actually runs (the early-outs — pipeline full, CPU still busy —
 /// were never real wakeups and are not counted).
 pub(crate) fn run(sys: &mut System, sim: &mut Sim<System>, id: DeviceId, shard: usize) {
-    // This wake has now fired: clear the armed-wake marker so batch
-    // rearm (`driver::schedule_worker_wake`) never skips a wake on the
-    // strength of an event that already dispatched.
+    // This wake has now fired: clear the armed-wake marker so wake
+    // deduplication (`driver::schedule_worker_wake`) never skips a wake
+    // on the strength of an event that already dispatched.
     if sys.device(id).is_some() {
         let device = dev_mut(sys, id);
         if device.shards[shard].armed_wake == Some(sim.now()) {

@@ -77,17 +77,20 @@ pub(crate) fn region_fault(
 
 /// Arms a `KthreadRun` wake for shard `shard`, `delay` after now.
 ///
-/// All retire-path worker wakes funnel through here so the batch-rearm
-/// optimization has one choke point: with `batch_rearm` on, a wake
-/// aimed at an instant this shard already has a pending wake armed for
-/// is skipped (counted in `timer_rearm_saved`) instead of inserted into
-/// the timing wheel again. This is safe — the pending event runs at
-/// exactly that instant and same-instant duplicate rounds were always
-/// no-ops (the worker's own busy/pipeline early-outs) — and it is what
-/// collapses a chained batch's N same-instant release wakes into one
-/// timer rearm. `armed_wake` is cleared when the event dispatches
-/// (`kthread::run`), so a recorded instant always refers to a wake that
-/// is genuinely still pending.
+/// All retire-path worker wakes funnel through here, so same-instant
+/// wakes are deduplicated at one choke point: a wake aimed at an
+/// instant this shard already has a pending wake armed for is skipped
+/// (counted in `timer_rearm_saved`) instead of inserted into the timing
+/// wheel again. This collapses a chained batch's N same-instant release
+/// wakes into one timer rearm. The pending event runs at exactly that
+/// instant, and a duplicate round after it could issue nothing: either
+/// it hit the worker's busy/pipeline early-outs, or it found both queues
+/// drained, charged one `queue_op` of worker CPU for the empty dequeue
+/// probe, and slept again. Skipping it changes no terminal status and no
+/// final memory, but it does save that simulated CPU charge.
+/// `armed_wake` is cleared when the event dispatches (`kthread::run`),
+/// so a recorded instant always refers to a wake that is genuinely
+/// still pending.
 pub(crate) fn schedule_worker_wake(
     sys: &mut System,
     sim: &mut memif_hwsim::Sim<System>,
@@ -97,7 +100,7 @@ pub(crate) fn schedule_worker_wake(
 ) {
     let at = sim.now() + delay;
     let device = dev_mut(sys, id);
-    if device.config.batch_rearm && device.shards[shard].armed_wake == Some(at) {
+    if device.shards[shard].armed_wake == Some(at) {
         device.stats.timer_rearm_saved += 1;
         return;
     }

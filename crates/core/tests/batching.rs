@@ -232,38 +232,12 @@ fn explicit_defaults_are_event_identical() {
     );
 }
 
-/// Batch timer rearm is purely an event-count optimization: with the
-/// flag on, a batched workload reaches the same terminal statuses and
-/// final memory at the same simulated instant — only the duplicate
-/// same-instant worker wakes disappear (counted in
-/// `timer_rearm_saved`).
-#[test]
-fn batch_rearm_preserves_outcomes_and_saves_inserts() {
-    let ops: Vec<WorkOp> = (0..REGIONS)
-        .flat_map(|r| {
-            [
-                WorkOp::Migrate(r, true),
-                WorkOp::RunFor(400),
-                WorkOp::Migrate(r, false),
-            ]
-        })
-        .collect();
-    let base = run_workload(config_for(16, false), None, &ops);
-    let rearm_cfg = MemifConfig {
-        batch_rearm: true,
-        ..config_for(16, false)
-    };
-    let rearmed = run_workload(rearm_cfg, None, &ops);
-    assert_eq!(base.0, rearmed.0, "terminal statuses must not change");
-    assert_eq!(base.1, rearmed.1, "final memory must not change");
-}
-
-/// A chained batch's completion fans out N same-instant releases; with
-/// batch rearm on, the N worker wakes they schedule collapse to one
-/// wheel insert and the rest are counted as saved.
+/// A chained batch's completion fans out N same-instant releases; the
+/// N worker wakes they schedule collapse to one wheel insert and the
+/// rest are counted as saved. Unbatched issue never fans out.
 #[test]
 fn batch_rearm_counts_saved_inserts_on_fanout() {
-    let run = |batch_rearm: bool| {
+    let run = |batch_max: usize| {
         let mut sys = System::keystone_ii();
         let mut sim = Sim::new();
         let space = sys.new_space();
@@ -271,8 +245,7 @@ fn batch_rearm_counts_saved_inserts_on_fanout() {
             &mut sys,
             space,
             MemifConfig {
-                batch_max: 16,
-                batch_rearm,
+                batch_max,
                 ..MemifConfig::default()
             },
         )
@@ -292,9 +265,9 @@ fn batch_rearm_counts_saved_inserts_on_fanout() {
         assert_eq!(stats.completed, 8, "all moves retire");
         stats.timer_rearm_saved
     };
-    assert_eq!(run(false), 0, "counter stays zero while the flag is off");
+    assert_eq!(run(1), 0, "one request per wake schedules no duplicates");
     assert!(
-        run(true) > 0,
+        run(16) > 0,
         "a batch fan-out must save duplicate timer rearms"
     );
 }

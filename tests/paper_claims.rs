@@ -8,9 +8,10 @@
 
 use memif::{Memif, MemifConfig, MoveSpec, NodeId, PageSize, Sim, System};
 use memif_baseline::{run_migspeed, MigspeedConfig};
+use memif_bench::{probe_linux_once, probe_memif_once, stream, stream_linux, StreamSpec};
 use memif_hwsim::{CostModel, Topology};
 use memif_runtime::{Placement, StreamConfig, StreamRuntime};
-use memif_workloads::table4_kernels;
+use memif_workloads::{table4_kernels, ShapeKind};
 
 fn booted() -> Topology {
     let mut t = Topology::keystone_ii();
@@ -48,10 +49,16 @@ fn claim_linux_migration_is_slow() {
 /// by up to 38× for large pages."
 #[test]
 fn claim_cpu_usage_reductions() {
-    use memif_bench_shim::*;
     // Small pages: modest reduction (memif still does per-page VM work).
-    let linux4k = probe_linux(PageSize::Small4K, 64);
-    let memif4k = probe_memif(PageSize::Small4K, 64);
+    let linux4k = probe_linux_once(&CostModel::keystone_ii(), PageSize::Small4K, 64);
+    let memif4k = probe_memif_once(
+        &CostModel::keystone_ii(),
+        MemifConfig::default(),
+        ShapeKind::Migrate,
+        PageSize::Small4K,
+        64,
+        2,
+    );
     assert!(
         memif4k.cpu_usage < linux4k.cpu_usage,
         "memif uses less CPU at 4KB"
@@ -61,8 +68,15 @@ fn claim_cpu_usage_reductions() {
         "at 4KB the reduction is modest (paper: up to 15%)"
     );
     // Large pages: an order-of-magnitude-plus reduction.
-    let linux2m = probe_linux(PageSize::Large2M, 4);
-    let memif2m = probe_memif(PageSize::Large2M, 4);
+    let linux2m = probe_linux_once(&CostModel::keystone_ii(), PageSize::Large2M, 4);
+    let memif2m = probe_memif_once(
+        &CostModel::keystone_ii(),
+        MemifConfig::default(),
+        ShapeKind::Migrate,
+        PageSize::Large2M,
+        4,
+        2,
+    );
     let factor = linux2m.cpu_usage / memif2m.cpu_usage;
     assert!(factor > 20.0, "paper: up to 38x; got {factor:.0}x");
 }
@@ -73,8 +87,12 @@ fn claim_cpu_usage_reductions() {
 /// end.
 #[test]
 fn claim_latency_shape() {
-    use memif_bench_shim::*;
-    let memif_run = stream_memif_shim(16, 8, 8);
+    let memif_run = stream(StreamSpec {
+        pages: 16,
+        count: 8,
+        window: 8,
+        ..StreamSpec::default()
+    });
     assert_eq!(memif_run.ioctls, 1, "one kick-start for the whole burst");
     // Evenly spread completions: max gap below 2x min gap.
     let gaps: Vec<u64> = memif_run
@@ -88,8 +106,8 @@ fn claim_latency_shape() {
         "pipelined completions are evenly spaced: {gaps:?}"
     );
 
-    let linux1 = stream_linux_shim(16, 8, 1);
-    let linux8 = stream_linux_shim(16, 8, 8);
+    let linux1 = stream_linux(&CostModel::keystone_ii(), PageSize::Small4K, 16, 8, 1);
+    let linux8 = stream_linux(&CostModel::keystone_ii(), PageSize::Small4K, 16, 8, 8);
     let mean =
         |ts: &[memif::SimTime]| ts.iter().map(|t| t.as_ns()).sum::<u64>() as f64 / ts.len() as f64;
     let m = mean(&memif_run.completion_times);
@@ -111,15 +129,27 @@ fn claim_latency_shape() {
 /// still.
 #[test]
 fn claim_throughput_shape() {
-    use memif_bench_shim::*;
     for (page, pages, min_ratio, max_ratio) in [
         (PageSize::Small4K, 16u32, 1.4, 6.0),
         (PageSize::Medium64K, 16, 2.0, 5.0),
         (PageSize::Large2M, 4, 2.0, 3.5),
     ] {
-        let linux = stream_linux_page(page, pages, 24, 1);
-        let mig = stream_memif_page(page, pages, 24, false);
-        let rep = stream_memif_page(page, pages, 24, true);
+        let linux = stream_linux(&CostModel::keystone_ii(), page, pages, 24, 1);
+        let mig = stream(StreamSpec {
+            page_size: page,
+            pages,
+            count: 24,
+            window: 8,
+            ..StreamSpec::default()
+        });
+        let rep = stream(StreamSpec {
+            kind: ShapeKind::Replicate,
+            page_size: page,
+            pages,
+            count: 24,
+            window: 8,
+            ..StreamSpec::default()
+        });
         let ratio = mig.throughput_gbps / linux.throughput_gbps;
         assert!(
             (min_ratio..max_ratio).contains(&ratio),
@@ -189,81 +219,4 @@ fn claim_release_needs_no_flush() {
         .status
         .is_ok());
     assert_eq!(sys.space(space).tlb().stats().page_flushes - before, 32);
-}
-
-/// Thin wrappers over the bench crate's harness so claims reuse the
-/// exact experiment code paths.
-mod memif_bench_shim {
-    use super::*;
-    use memif_bench::{
-        probe_linux_once, probe_memif_once, stream_linux, stream_memif, ProbeResult, StreamResult,
-    };
-    use memif_workloads::ShapeKind;
-
-    pub fn probe_linux(page: PageSize, pages: u32) -> ProbeResult {
-        probe_linux_once(&CostModel::keystone_ii(), page, pages)
-    }
-
-    pub fn probe_memif(page: PageSize, pages: u32) -> ProbeResult {
-        probe_memif_once(
-            &CostModel::keystone_ii(),
-            MemifConfig::default(),
-            ShapeKind::Migrate,
-            page,
-            pages,
-            2,
-        )
-    }
-
-    pub fn stream_memif_shim(pages: u32, count: usize, window: usize) -> StreamResult {
-        stream_memif(
-            &CostModel::keystone_ii(),
-            MemifConfig::default(),
-            ShapeKind::Migrate,
-            PageSize::Small4K,
-            pages,
-            count,
-            window,
-        )
-    }
-
-    pub fn stream_linux_shim(pages: u32, count: usize, batch: usize) -> StreamResult {
-        stream_linux(
-            &CostModel::keystone_ii(),
-            PageSize::Small4K,
-            pages,
-            count,
-            batch,
-        )
-    }
-
-    pub fn stream_linux_page(
-        page: PageSize,
-        pages: u32,
-        count: usize,
-        batch: usize,
-    ) -> StreamResult {
-        stream_linux(&CostModel::keystone_ii(), page, pages, count, batch)
-    }
-
-    pub fn stream_memif_page(
-        page: PageSize,
-        pages: u32,
-        count: usize,
-        replicate: bool,
-    ) -> StreamResult {
-        stream_memif(
-            &CostModel::keystone_ii(),
-            MemifConfig::default(),
-            if replicate {
-                ShapeKind::Replicate
-            } else {
-                ShapeKind::Migrate
-            },
-            page,
-            pages,
-            count,
-            8,
-        )
-    }
 }
