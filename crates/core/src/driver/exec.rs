@@ -281,13 +281,15 @@ pub(crate) fn execute_attempt(
     );
     elapsed += journal_issue(sys, id, token, ctx);
 
-    sys.trace_emit(
-        sim.now(),
-        elapsed,
-        ctx,
-        format!("ops 1-3: prep+remap+cfg ({} pages)", req.nr_pages),
-        Some(req.id),
-    );
+    if sys.tracing() {
+        sys.trace_emit(
+            sim.now(),
+            elapsed,
+            ctx,
+            format!("ops 1-3: prep+remap+cfg ({} pages)", req.nr_pages),
+            Some(req.id),
+        );
+    }
     // The transfer begins once the CPU-side work above has elapsed.
     sim.schedule_after(elapsed, SimEvent::Launch { device: id, token });
     (elapsed, ExecOutcome::Launched)
@@ -560,17 +562,20 @@ pub(crate) fn execute_batch(
         .expect("registered above")
         .batch_members = member_tokens;
 
-    sys.trace_emit(
-        sim.now(),
-        elapsed,
-        ctx,
-        format!("ops 1-3: batched prep+remap+cfg ({n} reqs, {total_pages} pages)"),
-        dev(sys, id)
+    if sys.tracing() {
+        let leader = dev(sys, id)
             .inflight
             .iter()
             .find(|f| f.token == leader_token)
-            .map(|f| f.req.id),
-    );
+            .map(|f| f.req.id);
+        sys.trace_emit(
+            sim.now(),
+            elapsed,
+            ctx,
+            format!("ops 1-3: batched prep+remap+cfg ({n} reqs, {total_pages} pages)"),
+            leader,
+        );
+    }
     sim.schedule_after(
         elapsed,
         SimEvent::Launch {

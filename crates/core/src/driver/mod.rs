@@ -66,13 +66,15 @@ pub(crate) fn region_fault(
     ctx: memif_hwsim::Context,
     err: &memif_lockfree::RegionError,
 ) {
-    sys.trace_emit(
-        sim.now(),
-        memif_hwsim::SimDuration::ZERO,
-        ctx,
-        format!("shared region fault: {err}; device {} parks", id.0),
-        None,
-    );
+    if sys.tracing() {
+        sys.trace_emit(
+            sim.now(),
+            memif_hwsim::SimDuration::ZERO,
+            ctx,
+            format!("shared region fault: {err}; device {} parks", id.0),
+            None,
+        );
+    }
 }
 
 /// Arms a `KthreadRun` wake for shard `shard`, `delay` after now.

@@ -340,6 +340,12 @@ impl System {
         self.trace = Some(Vec::new());
     }
 
+    /// True when tracing is on. Callers whose label needs formatting
+    /// check this first, so an untraced run never builds one.
+    pub(crate) fn tracing(&self) -> bool {
+        self.trace.is_some()
+    }
+
     /// The recorded trace, if tracing is enabled.
     #[must_use]
     pub fn trace(&self) -> &[TraceEntry] {

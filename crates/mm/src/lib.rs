@@ -11,11 +11,12 @@
 //! * [`pagetable`] — a three-level radix table with the *gang page
 //!   lookup* of §5.1 (vertical descent once, horizontal neighbor steps
 //!   after) and the PTE compare-and-swap of §5.2;
-//! * [`alloc`] — per-node buddy frame allocation with a frame table
-//!   (refcounts, owner node);
+//! * [`alloc`] — per-node buddy frame allocation over bitmap free
+//!   lists, with a flat frame table (refcounts, order) per node;
 //! * [`tlb`] — a software TLB model for flush accounting;
-//! * [`space`] — address spaces: VMAs, eager anonymous mappings, CPU
-//!   access semantics (young clearing, dirty marking), and fault types.
+//! * [`space`] — address spaces: VMAs behind a 2 MiB radix directory,
+//!   eager and lazy anonymous mappings, CPU access semantics (young
+//!   clearing, dirty marking), and fault types.
 //!
 //! Cost charging is deliberately *not* done here: operations return step
 //! counts ([`pagetable::WalkStats`], [`tlb::TlbStats`]) and the drivers

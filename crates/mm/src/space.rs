@@ -1,9 +1,10 @@
 //! Address spaces: VMAs, demand access, and fault semantics.
 //!
-//! An [`AddressSpace`] owns a page table, a VMA list, and a TLB. The
+//! An [`AddressSpace`] owns a page table, its VMAs, and a TLB. The
 //! experiments only move *anonymous* memory (the prototype's own
 //! limitation, §6.7: "it can only move anonymous pages but not pages
-//! backed by files"), so regions are anonymous and eagerly populated.
+//! backed by files"), so regions are anonymous: populated eagerly by
+//! default, or lazily on first touch.
 //!
 //! CPU accesses go through [`AddressSpace::access`], which realizes the
 //! reference semantics the race-detection design builds on (§5.2): a
@@ -13,8 +14,13 @@
 //! Accesses also honor Linux migration entries (they block: the
 //! baseline's race prevention) and the write-watch bit used by
 //! proceed-and-recover mode.
-
-use std::collections::BTreeMap;
+//!
+//! VMAs live in a `Vec` in address order: the bump allocator only ever
+//! appends. A radix directory with one entry per 2 MiB of address space
+//! maps an address to its VMA's index in two loads. An entry names
+//! either the one VMA covering the whole chunk or, for a chunk shared by
+//! several VMAs or partly unmapped, one VMA index per 4 KiB granule.
+//! `munmap` is rare and rebuilds the directory.
 
 use memif_hwsim::{NodeId, PhysAddr, PhysMem};
 
@@ -184,6 +190,24 @@ impl std::fmt::Display for MmError {
 
 impl std::error::Error for MmError {}
 
+/// First address the bump allocator hands out (1 GiB).
+const SPACE_BASE: u64 = 1 << 30;
+/// log2 of the address span one directory entry covers (2 MiB).
+const CHUNK_SHIFT: u32 = 21;
+/// 4 KiB granules per directory chunk.
+const GRANULES: usize = 512;
+/// A directory slot no VMA covers: no `Vec` index reaches it.
+const NO_VMA: u32 = u32::MAX;
+
+/// One 2 MiB chunk of the VMA directory.
+#[derive(Debug, Clone)]
+enum Chunk {
+    /// One VMA index (or [`NO_VMA`]) for the whole chunk.
+    Whole(u32),
+    /// One VMA index per 4 KiB granule.
+    Split(Box<[u32; GRANULES]>),
+}
+
 /// An application's virtual address space.
 ///
 /// # Examples
@@ -207,7 +231,11 @@ impl std::error::Error for MmError {}
 #[derive(Debug)]
 pub struct AddressSpace {
     table: PageTable,
-    vmas: BTreeMap<u64, Vma>,
+    /// Regions in address order.
+    vmas: Vec<Vma>,
+    /// Chunk `c` covers `[SPACE_BASE + c * 2 MiB, ...)` (see the module
+    /// docs).
+    dir: Vec<Chunk>,
     tlb: Tlb,
     next_addr: u64,
     /// Access sampling (off by default): when enabled, every CPU access
@@ -243,9 +271,10 @@ impl AddressSpace {
     pub fn new() -> Self {
         AddressSpace {
             table: PageTable::new(),
-            vmas: BTreeMap::new(),
+            vmas: Vec::new(),
+            dir: Vec::new(),
             tlb: Tlb::new(),
-            next_addr: 1 << 30,
+            next_addr: SPACE_BASE,
             sampling: false,
             sampled_accesses: 0,
         }
@@ -319,16 +348,53 @@ impl AddressSpace {
                 }
             }
         }
-        let vma = Vma {
+        self.push_vma(Vma {
             start,
             pages,
             page_size,
             node: policy.home(),
             policy,
-        };
-        self.next_addr = vma.end().as_u64();
-        self.vmas.insert(start.as_u64(), vma);
+        });
         Ok(start)
+    }
+
+    /// Appends a region past every existing one and indexes it.
+    fn push_vma(&mut self, vma: Vma) {
+        self.next_addr = vma.end().as_u64();
+        self.vmas.push(vma);
+        self.index_vma(self.vmas.len() - 1);
+    }
+
+    /// Points every directory slot `vmas[k]` covers at `k`.
+    fn index_vma(&mut self, k: usize) {
+        let vma = &self.vmas[k];
+        let start = vma.start.as_u64() - SPACE_BASE;
+        let end = vma.end().as_u64() - SPACE_BASE;
+        let chunks = ((end - 1) >> CHUNK_SHIFT) as usize + 1;
+        if self.dir.len() < chunks {
+            self.dir.resize(chunks, Chunk::Whole(NO_VMA));
+        }
+        let k = k as u32;
+        let mut at = start;
+        while at < end {
+            let c = (at >> CHUNK_SHIFT) as usize;
+            let chunk_end = (c as u64 + 1) << CHUNK_SHIFT;
+            let stop = end.min(chunk_end);
+            if stop - at == 1 << CHUNK_SHIFT {
+                self.dir[c] = Chunk::Whole(k);
+            } else {
+                if let Chunk::Whole(w) = self.dir[c] {
+                    debug_assert_eq!(w, NO_VMA, "regions never overlap");
+                    self.dir[c] = Chunk::Split(Box::new([NO_VMA; GRANULES]));
+                }
+                let Chunk::Split(granules) = &mut self.dir[c] else {
+                    unreachable!("converted above")
+                };
+                let lo = (at >> 12) as usize % GRANULES;
+                granules[lo..lo + ((stop - at) >> 12) as usize].fill(k);
+            }
+            at = stop;
+        }
     }
 
     fn alloc_by_policy(
@@ -409,9 +475,9 @@ impl AddressSpace {
         let start = VirtAddr::new((self.next_addr + align - 1) & !(align - 1));
         for (i, frame) in frames.iter().enumerate() {
             if let Err(e) = alloc.get_ref(*frame) {
-                for done in &frames[..i] {
+                for (j, done) in frames[..i].iter().enumerate() {
+                    self.table.unmap(start.offset(j as u64 * align), page_size);
                     let _ = alloc.free(*done);
-                    self.table.unmap(start.offset(i as u64 * align), page_size);
                 }
                 return Err(e.into());
             }
@@ -420,15 +486,13 @@ impl AddressSpace {
                 .map(vaddr, Pte::mapping(*frame, page_size))
                 .expect("bump allocator never overlaps");
         }
-        let vma = Vma {
+        self.push_vma(Vma {
             start,
             pages: frames.len() as u32,
             page_size,
             node,
             policy: AllocPolicy::Bind(node),
-        };
-        self.next_addr = vma.end().as_u64();
-        self.vmas.insert(start.as_u64(), vma);
+        });
         Ok(start)
     }
 
@@ -438,10 +502,15 @@ impl AddressSpace {
     ///
     /// [`MmError::NoSuchRegion`] if `start` is not a region start.
     pub fn munmap(&mut self, alloc: &mut FrameAllocator, start: VirtAddr) -> Result<(), MmError> {
-        let vma = self
-            .vmas
-            .remove(&start.as_u64())
+        let k = self
+            .vma_index(start)
+            .filter(|&k| self.vmas[k].start == start)
             .ok_or(MmError::NoSuchRegion(start))?;
+        let vma = self.vmas.remove(k);
+        self.dir.clear();
+        for k in 0..self.vmas.len() {
+            self.index_vma(k);
+        }
         for i in 0..vma.pages {
             let vaddr = start.offset(u64::from(i) * vma.page_size.bytes());
             if let Some(pte) = self.table.unmap(vaddr, vma.page_size) {
@@ -457,11 +526,17 @@ impl AddressSpace {
     /// The VMA containing `vaddr`.
     #[must_use]
     pub fn vma_at(&self, vaddr: VirtAddr) -> Option<&Vma> {
-        self.vmas
-            .range(..=vaddr.as_u64())
-            .next_back()
-            .map(|(_, v)| v)
-            .filter(|v| v.contains(vaddr))
+        self.vma_index(vaddr).map(|k| &self.vmas[k])
+    }
+
+    /// Index into `vmas` of the region containing `vaddr`.
+    fn vma_index(&self, vaddr: VirtAddr) -> Option<usize> {
+        let off = vaddr.as_u64().checked_sub(SPACE_BASE)?;
+        let k = match self.dir.get((off >> CHUNK_SHIFT) as usize)? {
+            Chunk::Whole(k) => *k,
+            Chunk::Split(granules) => granules[(off >> 12) as usize % GRANULES],
+        };
+        (k != NO_VMA).then_some(k as usize)
     }
 
     /// The VMA covering the whole byte range, if one does.
@@ -472,7 +547,7 @@ impl AddressSpace {
 
     /// All regions, in address order.
     pub fn vmas(&self) -> impl Iterator<Item = &Vma> {
-        self.vmas.values()
+        self.vmas.iter()
     }
 
     /// Performs a CPU access to `vaddr`: translates, pulls the entry into
@@ -577,7 +652,7 @@ impl AddressSpace {
     #[must_use]
     pub fn scan_transient(&self) -> Vec<(VirtAddr, Pte)> {
         let mut out = Vec::new();
-        for vma in self.vmas.values() {
+        for vma in &self.vmas {
             for i in 0..u64::from(vma.pages) {
                 let va = vma.start.offset(i * vma.page_size.bytes());
                 if let Some(pte) = self.table.peek(va, vma.page_size) {
@@ -1005,6 +1080,57 @@ mod tests {
             space.vma_covering(a, 8193).is_none(),
             "range exceeds the VMA"
         );
+    }
+
+    #[test]
+    fn map_shared_failure_unmaps_every_earlier_page() {
+        let (mut space, mut alloc, _) = setup();
+        let frames: Vec<_> = (0..3)
+            .map(|_| alloc.alloc(NodeId(0), PageSize::Small4K).unwrap())
+            .collect();
+        alloc.free(frames[2]).unwrap();
+        assert_eq!(
+            space.map_shared(&mut alloc, &frames, PageSize::Small4K, NodeId(0)),
+            Err(MmError::Alloc(AllocError::BadFree(frames[2])))
+        );
+        assert_eq!(space.table().mapped_entries(), 0, "no PTE remains");
+        assert_eq!(space.vmas().count(), 0);
+        for &frame in &frames[..2] {
+            assert_eq!(alloc.frame_info(frame).unwrap().refcount, 1);
+        }
+        // The failed region's addresses are free for the next mapping.
+        let va = space
+            .mmap_anonymous(&mut alloc, 4, PageSize::Small4K, NodeId(0))
+            .unwrap();
+        assert!(space.translate(va.offset(3 * 4096)).is_some());
+    }
+
+    #[test]
+    fn directory_spans_chunks_and_survives_munmap() {
+        let (mut space, mut alloc, _) = setup();
+        // 600 pages straddle a 2 MiB chunk boundary; the 2 MiB region
+        // takes whole chunks; the 64 KiB region shares a chunk.
+        let a = space
+            .mmap_anonymous(&mut alloc, 600, PageSize::Small4K, NodeId(0))
+            .unwrap();
+        let b = space
+            .mmap_anonymous(&mut alloc, 2, PageSize::Large2M, NodeId(0))
+            .unwrap();
+        let c = space
+            .mmap_anonymous(&mut alloc, 3, PageSize::Medium64K, NodeId(0))
+            .unwrap();
+        assert_eq!(space.vma_at(a.offset(599 * 4096)).unwrap().start, a);
+        assert!(space.vma_at(a.offset(600 * 4096)).is_none(), "padding");
+        assert_eq!(space.vma_at(b.offset((4 << 20) - 1)).unwrap().start, b);
+        assert_eq!(space.vma_at(c.offset(3 * 65536 - 1)).unwrap().start, c);
+        assert!(space.vma_at(c.offset(3 * 65536)).is_none());
+        assert!(space.vma_at(VirtAddr::new(0x1000)).is_none(), "below 1 GiB");
+
+        space.munmap(&mut alloc, b).unwrap();
+        assert!(space.vma_at(b).is_none());
+        assert_eq!(space.vma_at(a).unwrap().start, a);
+        assert_eq!(space.vma_at(c).unwrap().start, c);
+        assert_eq!(space.vmas().count(), 2);
     }
 
     #[test]

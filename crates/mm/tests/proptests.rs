@@ -1,11 +1,14 @@
 //! Property-based tests for the memory-management substrate: the buddy
-//! allocator and the page table are checked against trivially-correct
-//! reference models under random operation sequences.
+//! allocator, the page table and the VMA directory are checked against
+//! trivially-correct reference models under random operation sequences.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use memif_hwsim::{NodeId, PhysAddr, Topology};
-use memif_mm::{FrameAllocator, PageSize, PageTable, Pte, VirtAddr};
+use memif_mm::{
+    AddressSpace, AllocPolicy, FrameAllocator, FrameInfo, MmError, PageSize, PageTable, Populate,
+    Pte, VirtAddr,
+};
 use proptest::prelude::*;
 
 fn booted() -> Topology {
@@ -209,6 +212,270 @@ proptest! {
         prop_assert!(gs.vertical <= ps.vertical);
         for (i, p) in present.iter().enumerate() {
             prop_assert_eq!(gang[i].is_some(), *p);
+        }
+    }
+}
+
+/// The buddy allocator over `BTreeSet` free lists and a frame map, as it
+/// was before the bitmap free lists and the flat frame table: the
+/// reference model the flat allocator must match address for address.
+struct RefBuddy {
+    node: NodeId,
+    base: u64,
+    free: Vec<BTreeSet<u64>>,
+    free_bytes: u64,
+    frames: BTreeMap<u64, FrameInfo>,
+}
+
+const GRANULE: u64 = 4096;
+const MAX_ORDER: u8 = 10;
+
+impl RefBuddy {
+    fn new(node: NodeId, base: PhysAddr, bytes: u64) -> Self {
+        let mut b = RefBuddy {
+            node,
+            base: base.as_u64(),
+            free: (0..=MAX_ORDER).map(|_| BTreeSet::new()).collect(),
+            free_bytes: 0,
+            frames: BTreeMap::new(),
+        };
+        let mut off = 0;
+        while off + GRANULE <= bytes {
+            let mut order = MAX_ORDER;
+            while off % (GRANULE << order) != 0 || off + (GRANULE << order) > bytes {
+                order -= 1;
+            }
+            b.free[order as usize].insert(off);
+            b.free_bytes += GRANULE << order;
+            off += GRANULE << order;
+        }
+        b
+    }
+
+    fn alloc(&mut self, size: PageSize) -> Option<PhysAddr> {
+        let order = size.order();
+        let (mut o, off) = (order..=MAX_ORDER)
+            .find_map(|o| self.free[o as usize].pop_first().map(|off| (o, off)))?;
+        while o > order {
+            o -= 1;
+            self.free[o as usize].insert(off + (GRANULE << o));
+        }
+        self.free_bytes -= GRANULE << order;
+        let info = FrameInfo {
+            node: self.node,
+            order,
+            refcount: 1,
+        };
+        self.frames.insert(self.base + off, info);
+        Some(PhysAddr::new(self.base + off))
+    }
+
+    fn free(&mut self, addr: PhysAddr) -> bool {
+        let Some(info) = self.frames.get_mut(&addr.as_u64()) else {
+            return false;
+        };
+        info.refcount -= 1;
+        if info.refcount > 0 {
+            return true;
+        }
+        let order = self.frames.remove(&addr.as_u64()).unwrap().order;
+        self.free_bytes += GRANULE << order;
+        let (mut off, mut o) = (addr.as_u64() - self.base, order);
+        while o < MAX_ORDER && self.free[o as usize].remove(&(off ^ (GRANULE << o))) {
+            off = off.min(off ^ (GRANULE << o));
+            o += 1;
+        }
+        self.free[o as usize].insert(off);
+        true
+    }
+
+    fn get_ref(&mut self, addr: PhysAddr) -> bool {
+        self.frames
+            .get_mut(&addr.as_u64())
+            .map(|info| info.refcount += 1)
+            .is_some()
+    }
+}
+
+#[derive(Debug, Clone)]
+enum DiffOp {
+    /// `n` allocations of one size in a row.
+    Alloc(PageSize, u32),
+    FreeNth(usize),
+    RefNth(usize),
+    /// Free or reference an address that is not a block base.
+    Stray(u64),
+}
+
+fn diff_op() -> impl Strategy<Value = DiffOp> {
+    prop_oneof![
+        (size_strategy(), 1u32..8).prop_map(|(z, n)| DiffOp::Alloc(z, n)),
+        (1u32..600).prop_map(|n| DiffOp::Alloc(PageSize::Small4K, n)),
+        (0usize..4096).prop_map(DiffOp::FreeNth),
+        (0usize..4096).prop_map(DiffOp::FreeNth),
+        (0usize..4096).prop_map(DiffOp::RefNth),
+        (0u64..1 << 24).prop_map(DiffOp::Stray),
+    ]
+}
+
+/// Runs `ops` on `node`'s allocator and on the reference model, checking
+/// every result, `free_bytes`, `live_frames` and `frame_info` of every
+/// address ever handed out.
+fn check_against_reference(node: NodeId, ops: Vec<DiffOp>) {
+    let topo = booted();
+    let bank = topo.node(node).unwrap();
+    let mut alloc = FrameAllocator::new(&topo);
+    let mut model = RefBuddy::new(node, bank.base, bank.bytes);
+    let mut live: Vec<PhysAddr> = Vec::new();
+    let mut seen: BTreeSet<PhysAddr> = BTreeSet::new();
+
+    for op in ops {
+        match op {
+            DiffOp::Alloc(size, n) => {
+                for _ in 0..n {
+                    let got = alloc.alloc(node, size).ok();
+                    assert_eq!(got, model.alloc(size), "alloc {size}");
+                    live.extend(got);
+                    seen.extend(got);
+                }
+            }
+            DiffOp::FreeNth(i) if !live.is_empty() => {
+                let addr = live.swap_remove(i % live.len());
+                assert_eq!(alloc.free(addr).is_ok(), model.free(addr));
+            }
+            DiffOp::RefNth(i) if !live.is_empty() => {
+                let addr = live[i % live.len()];
+                assert_eq!(alloc.get_ref(addr).is_ok(), model.get_ref(addr));
+                live.push(addr); // one more reference to drop
+            }
+            DiffOp::Stray(off) => {
+                let addr = bank.base.offset(off * 512 + 512);
+                assert_eq!(alloc.get_ref(addr).is_ok(), model.get_ref(addr));
+                assert_eq!(alloc.free(addr).is_ok(), model.free(addr));
+                seen.insert(addr);
+            }
+            DiffOp::FreeNth(_) | DiffOp::RefNth(_) => {}
+        }
+        assert_eq!(alloc.free_bytes(node), model.free_bytes);
+        assert_eq!(alloc.live_frames(), model.frames.len());
+    }
+    for &addr in &seen {
+        assert_eq!(
+            alloc.frame_info(addr),
+            model.frames.get(&addr.as_u64()).copied()
+        );
+    }
+    // Draining restores the seed state: the same blocks at every order.
+    for addr in live {
+        assert_eq!(alloc.free(addr).is_ok(), model.free(addr));
+    }
+    assert_eq!(alloc.free_bytes(node), model.free_bytes);
+    while let Some(addr) = model.alloc(PageSize::Large2M) {
+        assert_eq!(alloc.alloc(node, PageSize::Large2M).ok(), Some(addr));
+    }
+    assert!(alloc.alloc(node, PageSize::Large2M).is_err());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The 6 MiB SRAM bank: not a power of two, and small enough that
+    /// runs exhaust it.
+    #[test]
+    fn allocator_matches_reference_on_sram(ops in proptest::collection::vec(diff_op(), 1..60)) {
+        check_against_reference(NodeId(1), ops);
+    }
+
+    /// The 8 GiB DDR bank: bitmaps and the frame table grow from empty
+    /// as blocks are handed out.
+    #[test]
+    fn allocator_matches_reference_on_ddr(ops in proptest::collection::vec(diff_op(), 1..60)) {
+        check_against_reference(NodeId(0), ops);
+    }
+}
+
+#[derive(Debug, Clone)]
+enum VmaOp {
+    Map(PageSize, u32, bool),
+    Unmap(usize),
+    /// `munmap` at an address inside, not at the start of, a region.
+    UnmapInterior(usize),
+}
+
+fn vma_op() -> impl Strategy<Value = VmaOp> {
+    prop_oneof![
+        (1u32..40, any::<bool>()).prop_map(|(n, lazy)| VmaOp::Map(PageSize::Small4K, n, lazy)),
+        (1u32..1100, any::<bool>()).prop_map(|(n, lazy)| VmaOp::Map(PageSize::Small4K, n, lazy)),
+        (1u32..80, any::<bool>()).prop_map(|(n, lazy)| VmaOp::Map(PageSize::Medium64K, n, lazy)),
+        (1u32..4, any::<bool>()).prop_map(|(n, lazy)| VmaOp::Map(PageSize::Large2M, n, lazy)),
+        (0usize..64).prop_map(VmaOp::Unmap),
+        (0usize..64).prop_map(VmaOp::UnmapInterior),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `vma_at` agrees with a linear scan over the live regions under
+    /// random 4 KiB / 64 KiB / 2 MiB mappings (eager and lazy, many
+    /// straddling 2 MiB chunks) and unmaps, probed at every region's
+    /// edges, below 1 GiB and past the last region.
+    #[test]
+    fn vma_lookup_matches_linear_scan(
+        ops in proptest::collection::vec(vma_op(), 1..40),
+        probes in proptest::collection::vec(0u64..1 << 36, 16),
+    ) {
+        let topo = booted();
+        let mut alloc = FrameAllocator::new(&topo);
+        let mut space = AddressSpace::new();
+        // (start, end, page size) of every region, live or unmapped.
+        let mut model: Vec<(u64, u64, PageSize, bool)> = Vec::new();
+
+        for op in ops {
+            match op {
+                VmaOp::Map(size, pages, lazy) => {
+                    let populate = if lazy { Populate::Lazy } else { Populate::Eager };
+                    let policy = AllocPolicy::Bind(NodeId(0));
+                    let va = space.mmap_with(&mut alloc, pages, size, policy, populate).unwrap();
+                    let end = va.as_u64() + u64::from(pages) * size.bytes();
+                    model.push((va.as_u64(), end, size, true));
+                }
+                VmaOp::Unmap(i) if !model.is_empty() => {
+                    let i = i % model.len();
+                    let (start, _, _, was_live) = model[i];
+                    let got = space.munmap(&mut alloc, VirtAddr::new(start));
+                    prop_assert_eq!(got.is_ok(), was_live);
+                    model[i].3 = false;
+                }
+                VmaOp::UnmapInterior(i) if !model.is_empty() => {
+                    let (start, end, _, _) = model[i % model.len()];
+                    if end - start > 4096 {
+                        let at = VirtAddr::new(start + 4096);
+                        prop_assert_eq!(
+                            space.munmap(&mut alloc, at),
+                            Err(MmError::NoSuchRegion(at))
+                        );
+                    }
+                }
+                VmaOp::Unmap(_) | VmaOp::UnmapInterior(_) => {}
+            }
+            let last_end = model.iter().map(|r| r.1).max().unwrap_or(1 << 30);
+            let mut addrs: Vec<u64> = vec![0, (1 << 30) - 1, last_end, last_end + (4 << 20)];
+            for &(start, end, _, _) in &model {
+                addrs.extend([start, start - 1, end - 1, end, (start + end) / 2]);
+            }
+            addrs.extend(probes.iter().map(|p| p % (last_end + (8 << 20))));
+            for a in addrs {
+                let expect = model
+                    .iter()
+                    .find(|r| r.3 && (r.0..r.1).contains(&a))
+                    .map(|r| (r.0, r.2));
+                let got = space.vma_at(VirtAddr::new(a)).map(|v| (v.start.as_u64(), v.page_size));
+                prop_assert_eq!(got, expect, "lookup of {:#x}", a);
+            }
+            let live: Vec<u64> = model.iter().filter(|r| r.3).map(|r| r.0).collect();
+            let listed: Vec<u64> = space.vmas().map(|v| v.start.as_u64()).collect();
+            prop_assert_eq!(listed, live, "vmas() lists live regions in address order");
         }
     }
 }
