@@ -221,6 +221,8 @@ pub(crate) struct PlanScratch {
     /// Scatter-gather build area; coalescing runs in place here before
     /// the exact-size copy that rides the in-flight record.
     pub segments: Vec<memif_hwsim::dma::SgSegment>,
+    /// Destination frames a migration allocates before it remaps.
+    pub new_frames: Vec<memif_hwsim::PhysAddr>,
 }
 
 /// Per-shard kernel-worker state. Each issue shard owns one worker: its

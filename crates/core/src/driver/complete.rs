@@ -4,6 +4,7 @@
 use memif_hwsim::dma::{DmaOutcome, TransferId};
 use memif_hwsim::{Context, CrashPoint, Phase, Sim, SimDuration, SimTime};
 use memif_lockfree::{FailReason, MovReq, MoveStatus, QueueId, SlotIndex};
+use memif_mm::{Pte, VirtAddr};
 
 use crate::config::RaceMode;
 use crate::device::{CompletionRecord, DeviceId, Inflight};
@@ -71,7 +72,8 @@ pub(crate) fn on_dma_complete(
         // off this (single) error interrupt; the faulting request and
         // everything after it retry or degrade individually.
         for t in std::iter::once(token).chain(members) {
-            let Some(i) = dev_mut(sys, id).inflight.iter_mut().find(|i| i.token == t) else {
+            let device = sys.devices[id.0].as_mut().expect("device open");
+            let Some(i) = device.inflight.iter_mut().find(|i| i.token == t) else {
                 continue; // aborted mid-flight
             };
             i.batch_leader = None;
@@ -84,8 +86,7 @@ pub(crate) fn on_dma_complete(
                 if let Some(w) = i.watchdog.take() {
                     sim.cancel(w);
                 }
-                let segments = i.segments.clone();
-                for seg in &segments {
+                for seg in &i.segments {
                     sys.phys.copy(seg.src, seg.dst, seg.bytes);
                 }
                 sys.journal.copy_done(id, rid);
@@ -108,12 +109,11 @@ pub(crate) fn on_dma_complete(
     // found request's own segments plus, for a chained batch, each
     // surviving member's.
     let member_tokens = std::mem::take(&mut dev_mut(sys, id).inflight[index].batch_members);
-    let segments = dev(sys, id).inflight[index].segments.clone();
-    let leader_req = dev(sys, id).inflight[index].req.id;
-    for seg in &segments {
+    let leader = &sys.devices[id.0].as_ref().expect("device open").inflight[index];
+    for seg in &leader.segments {
         sys.phys.copy(seg.src, seg.dst, seg.bytes);
     }
-    sys.journal.copy_done(id, leader_req);
+    sys.journal.copy_done(id, leader.req.id);
     // Crash point: the leader's bytes are applied and journaled
     // CopyDone, the members' are not — the asymmetric mid-chain state
     // recovery must untangle (leader rolls forward, members roll back).
@@ -121,18 +121,14 @@ pub(crate) fn on_dma_complete(
         return;
     }
     for t in &member_tokens {
-        let Some((segs, member_req)) = dev(sys, id)
-            .inflight
-            .iter()
-            .find(|i| i.token == *t)
-            .map(|i| (i.segments.clone(), i.req.id))
-        else {
+        let device = sys.devices[id.0].as_ref().expect("device open");
+        let Some(member) = device.inflight.iter().find(|i| i.token == *t) else {
             continue; // aborted mid-flight; its remap was rolled back
         };
-        for seg in &segs {
+        for seg in &member.segments {
             sys.phys.copy(seg.src, seg.dst, seg.bytes);
         }
-        sys.journal.copy_done(id, member_req);
+        sys.journal.copy_done(id, member.req.id);
     }
     let held_tc = dev_mut(sys, id).inflight[index].tc.take();
     if sys.dma.complete(transfer, outcome) {
@@ -323,74 +319,81 @@ pub(crate) fn release_and_notify(
     let mut races = 0u64;
 
     // Op 4 — Release (migration only; replication needs no VM work).
-    for page in &pages {
-        match race_mode {
-            RaceMode::DetectFail => {
+    // The pages are the request's consecutive virtual pages, so one gang
+    // write visits their entries with one descent per leaf table; each
+    // page still pays its own CAS (or update and flush).
+    let start = pages.first().map_or(VirtAddr::new(0), |p| p.vaddr);
+    debug_assert!(pages
+        .iter()
+        .enumerate()
+        .all(|(i, p)| p.vaddr == start.offset(i as u64 * page_size.bytes())));
+    let space = &mut sys.spaces[owner.0];
+    debug_assert!(
+        race_mode != RaceMode::DetectFail
+            || pages.iter().all(|page| {
+                !space.tlb().contains(page.vaddr, page_size)
+                    || space.table().peek(page.vaddr, page_size) != Some(page.installed)
+            }),
+        "semi-final PTE must not be TLB-resident unless referenced"
+    );
+    let count = pages.len() as u32;
+    space
+        .table_mut()
+        .update_range(start, count, page_size, |i, entry| {
+            let page = &pages[i as usize];
+            match race_mode {
                 // Clear the young bit with a CAS; failure means the entry
                 // was disturbed during the transfer: a race. No TLB flush
                 // on success — the semi-final PTE never entered the TLB.
-                let space = &mut sys.spaces[owner.0];
-                debug_assert!(
-                    !space.tlb().contains(page.vaddr, page_size)
-                        || space.table().peek(page.vaddr, page_size) != Some(page.installed),
-                    "semi-final PTE must not be TLB-resident unless referenced"
-                );
-                if let Err(found) =
-                    space
-                        .table_mut()
-                        .compare_exchange(page.vaddr, page.installed, page.final_pte)
-                {
-                    if std::env::var_os("MEMIF_DEBUG_RACE").is_some() {
-                        eprintln!(
-                            "RACE at {}: installed={} found={} final={}",
-                            page.vaddr, page.installed, found, page.final_pte
-                        );
+                RaceMode::DetectFail => match entry {
+                    Ok(Some(pte)) if pte == page.installed => Some(page.final_pte),
+                    found => {
+                        if std::env::var_os("MEMIF_DEBUG_RACE").is_some() {
+                            eprintln!(
+                                "RACE at {}: installed={} found={} final={}",
+                                page.vaddr,
+                                page.installed,
+                                found.ok().flatten().unwrap_or(Pte::EMPTY),
+                                page.final_pte
+                            );
+                        }
+                        races += 1;
+                        None
                     }
-                    races += 1;
-                }
-                cost += sys.cost.pte_cas;
-            }
-            RaceMode::DetectRecover => {
+                },
                 // Writes during the transfer trapped and aborted the
                 // migration, so a surviving entry can differ from the
                 // semi-final only by a harmless *read* (the reference
                 // cleared young). Finalize either form; anything else is
                 // an anomaly — report it, but always remove the write
                 // trap so the page is not protected forever.
-                let space = &mut sys.spaces[owner.0];
-                let read_disturbed = page.installed.with_young(false);
-                let finalized = space
-                    .table_mut()
-                    .compare_exchange(page.vaddr, page.installed, page.final_pte)
-                    .is_ok()
-                    || space
-                        .table_mut()
-                        .compare_exchange(page.vaddr, read_disturbed, page.final_pte)
-                        .is_ok();
-                if !finalized {
-                    let found = space
-                        .table()
-                        .peek(page.vaddr, page_size)
-                        .unwrap_or(memif_mm::Pte::EMPTY);
-                    space
-                        .table_mut()
-                        .replace(page.vaddr, found.with_watch(false))
-                        .expect("entry exists");
-                    races += 1;
-                }
-                cost += sys.cost.pte_cas;
-            }
-            RaceMode::Prevent => {
+                RaceMode::DetectRecover => match entry.expect("entry exists") {
+                    Some(pte)
+                        if pte == page.installed || pte == page.installed.with_young(false) =>
+                    {
+                        Some(page.final_pte)
+                    }
+                    found => {
+                        races += 1;
+                        Some(found.unwrap_or(Pte::EMPTY).with_watch(false))
+                    }
+                },
                 // Linux-style: swap the migration entry for the final PTE
-                // and pay the second TLB flush.
-                let space = &mut sys.spaces[owner.0];
-                space
-                    .table_mut()
-                    .replace(page.vaddr, page.final_pte)
-                    .expect("entry exists");
-                space.tlb_mut().flush_page(page.vaddr, page_size);
-                cost += sys.cost.pte_update_with_flush();
+                // and pay the second TLB flush (below).
+                RaceMode::Prevent => {
+                    entry.expect("entry exists");
+                    Some(page.final_pte)
+                }
             }
+        });
+    for page in &pages {
+        if race_mode == RaceMode::Prevent {
+            sys.spaces[owner.0]
+                .tlb_mut()
+                .flush_page(page.vaddr, page_size);
+            cost += sys.cost.pte_update_with_flush();
+        } else {
+            cost += sys.cost.pte_cas;
         }
         // Remote mappers (shared pages): rewrite their migration
         // entries to the new frame; they were blocked for the window.

@@ -1159,24 +1159,18 @@ fn plan_migration(
             .lookup_range_into(src, req.nr_pages, page_size, gang, &mut scratch.ptes);
     let mut prep_cost = lookup_cost(sys, walk);
     prep_cost += sys.cost.gang_bookkeeping * u64::from(req.nr_pages);
-    let mut originals = Vec::with_capacity(req.nr_pages as usize);
-    for (i, pte) in scratch.ptes.iter().enumerate() {
-        match pte {
-            Some(p) if p.is_present() => {
-                originals.push((src.offset(i as u64 * page_size.bytes()), *p));
-            }
-            _ => return Err((MoveStatus::Invalid, prep_cost)),
-        }
+    if !scratch.ptes.iter().all(|p| p.is_some_and(Pte::is_present)) {
+        return Err((MoveStatus::Invalid, prep_cost));
     }
 
     // Op 2 (first half): allocate every destination page up front so a
     // mid-request exhaustion leaves the address space untouched.
-    let mut new_frames = Vec::with_capacity(originals.len());
-    for _ in &originals {
+    scratch.new_frames.clear();
+    for _ in 0..req.nr_pages {
         match sys.alloc.alloc(dst_node, page_size) {
-            Ok(f) => new_frames.push(f),
+            Ok(f) => scratch.new_frames.push(f),
             Err(_) => {
-                for f in new_frames {
+                for &f in &scratch.new_frames {
                     let _ = sys.alloc.free(f);
                 }
                 let cost = prep_cost + sys.cost.page_alloc * u64::from(req.nr_pages);
@@ -1189,9 +1183,11 @@ fn plan_migration(
     // (frames also mapped by other spaces) are discovered through the
     // reverse map; remote mappers get Linux-style migration entries for
     // the transfer window and are rewritten at Release (§6.7 extension).
-    let mut pages = Vec::with_capacity(originals.len());
-    let mut remap_cost = sys.cost.page_alloc * originals.len() as u64;
-    for ((vaddr, original), new_frame) in originals.into_iter().zip(new_frames) {
+    let mut pages = Vec::with_capacity(req.nr_pages as usize);
+    let mut remap_cost = sys.cost.page_alloc * u64::from(req.nr_pages);
+    for (i, (original, &new_frame)) in scratch.ptes.iter().zip(&scratch.new_frames).enumerate() {
+        let original = original.expect("checked present above");
+        let vaddr = src.offset(i as u64 * page_size.bytes());
         let shared = sys
             .alloc
             .frame_info(original.frame())
@@ -1217,25 +1213,6 @@ fn plan_migration(
             // Ablation: Linux-style migration entry blocks accessors.
             RaceMode::Prevent => Pte::migration_entry(page_size),
         };
-        let space = &mut sys.spaces[owner.0];
-        space
-            .table_mut()
-            .replace(vaddr, installed)
-            .expect("entry present above");
-        space.tlb_mut().flush_page(vaddr, page_size);
-        remap_cost += sys.cost.pte_update_with_flush();
-        for (sid, rva) in &remote {
-            // The new frame gains one reference per remote mapper up
-            // front, so an abort can roll back uniformly.
-            sys.alloc.get_ref(new_frame).expect("new frame live");
-            let rspace = &mut sys.spaces[sid.0];
-            rspace
-                .table_mut()
-                .replace(*rva, Pte::migration_entry(page_size))
-                .expect("remote mapping present");
-            rspace.tlb_mut().flush_page(*rva, page_size);
-            remap_cost += sys.cost.pte_update_with_flush();
-        }
         pages.push(PagePlan {
             vaddr,
             old_frame: original.frame(),
@@ -1245,6 +1222,32 @@ fn plan_migration(
             final_pte,
             remote,
         });
+    }
+    // One gang write installs every entry, one descent per leaf table;
+    // each page still pays its own PTE update and flush.
+    sys.spaces[owner.0]
+        .table_mut()
+        .update_range(src, req.nr_pages, page_size, |i, entry| {
+            entry.expect("entry present above");
+            Some(pages[i as usize].installed)
+        });
+    for page in &pages {
+        sys.spaces[owner.0]
+            .tlb_mut()
+            .flush_page(page.vaddr, page_size);
+        remap_cost += sys.cost.pte_update_with_flush();
+        for (sid, rva) in &page.remote {
+            // The new frame gains one reference per remote mapper up
+            // front, so an abort can roll back uniformly.
+            sys.alloc.get_ref(page.new_frame).expect("new frame live");
+            let rspace = &mut sys.spaces[sid.0];
+            rspace
+                .table_mut()
+                .replace(*rva, Pte::migration_entry(page_size))
+                .expect("remote mapping present");
+            rspace.tlb_mut().flush_page(*rva, page_size);
+            remap_cost += sys.cost.pte_update_with_flush();
+        }
     }
 
     scratch.segments.clear();

@@ -120,7 +120,9 @@ fn run_round(
             dev_mut(sys, id).shards[shard].busy_until = sim.now() + elapsed;
             sys.meter.attribute_worker(shard, elapsed);
             if dev(sys, id).config.qos {
-                dev_mut(sys, id).shards[shard].drr.charge(memif_qos::TenantId(tenant), bytes);
+                dev_mut(sys, id).shards[shard]
+                    .drr
+                    .charge(memif_qos::TenantId(tenant), bytes);
                 sys.meter.attribute_tenant(tenant, elapsed);
             }
             sim.schedule_after(elapsed, SimEvent::KthreadContinue { device: id, shard });
@@ -186,7 +188,9 @@ fn run_round(
                     // Weighted-fair accounting: the round's service bytes
                     // draw down the tenant's DRR deficit (a batch is one
                     // tenant — `assemble_batch` enforces it under QoS).
-                    dev_mut(sys, id).shards[shard].drr.charge(memif_qos::TenantId(tenant), served_bytes);
+                    dev_mut(sys, id).shards[shard]
+                        .drr
+                        .charge(memif_qos::TenantId(tenant), served_bytes);
                     sys.meter.attribute_tenant(tenant, elapsed);
                 }
                 sim.schedule_after(elapsed, SimEvent::KthreadContinue { device: id, shard });
@@ -304,10 +308,7 @@ fn dequeue_next(
             dev_mut(sys, id).shards[shard]
                 .drr
                 .pick(pairs.iter().map(|(t, _)| *t), |t| {
-                    pairs
-                        .iter()
-                        .find(|(x, _)| *x == t)
-                        .map_or(1, |(_, w)| *w)
+                    pairs.iter().find(|(x, _)| *x == t).map_or(1, |(_, w)| *w)
                 })
                 .expect("DRR pick on a non-empty active set")
                 .0
@@ -360,22 +361,23 @@ fn assemble_batch(
         let fits = |m: &MovReq| {
             m.kind == kind
                 && m.page_shift == shift
-                && same_tenant.map_or(true, |t| m.tenant == t)
+                && same_tenant.is_none_or(|t| m.tenant == t)
                 && total_pages + m.nr_pages as usize <= max_pages
                 && !overlaps_any(&spans, m)
                 && conflicting_token(device, m).is_none()
         };
-        let queue_hit = match device
-            .region
-            .dequeue_matching_sharded(QueueId::Submission, shard, fits)
-        {
-            Ok(Some(d)) => Some(d),
-            Ok(None) => device
+        let queue_hit =
+            match device
                 .region
-                .dequeue_matching_sharded(QueueId::Staging, shard, fits)
-                .unwrap_or_default(),
-            Err(_) => None,
-        };
+                .dequeue_matching_sharded(QueueId::Submission, shard, fits)
+            {
+                Ok(Some(d)) => Some(d),
+                Ok(None) => device
+                    .region
+                    .dequeue_matching_sharded(QueueId::Staging, shard, fits)
+                    .unwrap_or_default(),
+                Err(_) => None,
+            };
         let next = match (queue_hit, same_tenant) {
             (Some(d), _) => {
                 // Left the shared queues here: keep the count current.

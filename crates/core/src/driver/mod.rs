@@ -121,40 +121,27 @@ pub(crate) fn schedule_worker_wake(
 /// have, and kicks that shard's worker. Stops when no parked tenant
 /// admits or the slot pool is exhausted. A strict no-op when nothing is
 /// parked, so non-QoS devices (which never park) pay nothing.
-pub(crate) fn readmit_parked(
-    sys: &mut System,
-    sim: &mut memif_hwsim::Sim<System>,
-    id: DeviceId,
-) {
+pub(crate) fn readmit_parked(sys: &mut System, sim: &mut memif_hwsim::Sim<System>, id: DeviceId) {
     use memif_lockfree::QueueId;
     use memif_qos::TenantId;
     loop {
         if dev(sys, id).parked.is_empty() {
             return;
         }
-        if dev(sys, id).region.stats().free == 0 {
+        if !dev(sys, id).region.has_free_slot() {
             // Whole-pool exhaustion: the next slot-freeing retire (or
             // retrieve) re-enters here via its own notify.
             return;
         }
         // Tenant rotation: tenants after the cursor first, then wrap.
-        let candidates: Vec<u16> = {
-            let device = dev(sys, id);
-            let cursor = device.park_cursor;
-            device
-                .parked
-                .range(cursor.wrapping_add(1)..)
-                .map(|(t, _)| *t)
-                .chain(device.parked.range(..=cursor).map(|(t, _)| *t))
-                .collect()
-        };
-        let mut admitted = None;
-        for t in candidates {
-            if sys.qos.admit(TenantId(t)) {
-                admitted = Some(t);
-                break;
-            }
-        }
+        let device = sys.devices[id.0].as_ref().expect("device open");
+        let cursor = device.park_cursor;
+        let admitted = device
+            .parked
+            .range(cursor.wrapping_add(1)..)
+            .chain(device.parked.range(..=cursor))
+            .map(|(t, _)| *t)
+            .find(|&t| sys.qos.admit(TenantId(t)));
         let Some(t) = admitted else { return };
         let device = dev_mut(sys, id);
         device.park_cursor = t;

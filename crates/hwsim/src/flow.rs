@@ -190,20 +190,28 @@ impl FlowNet {
     /// Advances all flows to `now`, removes the finished ones, and
     /// returns their ids in creation order.
     pub fn take_finished(&mut self, now: SimTime) -> Vec<FlowId> {
+        let mut finished = Vec::new();
+        self.take_finished_into(now, &mut finished);
+        finished
+    }
+
+    /// [`take_finished`](Self::take_finished) appending into a
+    /// caller-owned buffer, so a hot loop reuses one allocation.
+    pub fn take_finished_into(&mut self, now: SimTime, finished: &mut Vec<FlowId>) {
         self.advance(now);
-        let finished: Vec<u64> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| f.remaining_bytes <= EPSILON_BYTES)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in &finished {
-            self.flows.remove(id);
+        let from = finished.len();
+        finished.extend(
+            self.flows
+                .iter()
+                .filter(|(_, f)| f.remaining_bytes <= EPSILON_BYTES)
+                .map(|(id, _)| FlowId(*id)),
+        );
+        for id in &finished[from..] {
+            self.flows.remove(&id.0);
         }
-        if !finished.is_empty() {
+        if finished.len() > from {
             self.recompute_rates();
         }
-        finished.into_iter().map(FlowId).collect()
     }
 
     /// The earliest instant at which some flow completes, if any flow is
@@ -280,6 +288,9 @@ pub struct FlowSystem<W: EventWorld> {
     payloads: IdMap<u64, W::Event>,
     timer: Option<EventId>,
     tick: fn() -> W::Event,
+    /// Reused by every tick: the flows that finished, then their payloads.
+    finished: Vec<FlowId>,
+    ready: Vec<W::Event>,
 }
 
 impl<W: EventWorld> std::fmt::Debug for FlowSystem<W> {
@@ -300,6 +311,8 @@ impl<W: EventWorld> FlowSystem<W> {
             payloads: IdMap::default(),
             timer: None,
             tick,
+            finished: Vec::new(),
+            ready: Vec::new(),
         }
     }
 
@@ -386,17 +399,21 @@ impl<W: EventWorld> FlowSystem<W> {
     pub fn on_tick(world: &mut W, sim: &mut Sim<W>, accessor: fn(&mut W) -> &mut FlowSystem<W>) {
         let this = accessor(world);
         this.timer = None;
-        let finished = this.net.take_finished(sim.now());
-        let payloads: Vec<W::Event> = finished
-            .iter()
-            .filter_map(|id| this.payloads.remove(&id.0))
-            .collect();
+        this.finished.clear();
+        this.net.take_finished_into(sim.now(), &mut this.finished);
+        let mut ready = std::mem::take(&mut this.ready);
+        ready.extend(
+            this.finished
+                .iter()
+                .filter_map(|id| this.payloads.remove(&id.0)),
+        );
         this.rearm(sim);
         // Borrow of `this` ends here; payloads are dispatched against the
         // full world.
-        for ev in payloads {
+        for ev in ready.drain(..) {
             world.dispatch(sim, ev);
         }
+        accessor(world).ready = ready;
     }
 }
 

@@ -5,12 +5,18 @@
 //! make an 8 GB DDR bank affordable, storage is sparse — 4 KiB frames
 //! materialize on first write, and reads of untouched memory yield zeros
 //! (matching zero-initialized fresh pages).
+//!
+//! Host time scales the way host RAM does: with backed frames, not with
+//! the bytes a range spans. Backed frames sit in an ordered index, so a
+//! frame-aligned [`PhysMem::copy`] or a [`PhysMem::discard`] finds the
+//! backed frames inside its range in O(log n) and visits only those. A
+//! 2 MiB move of untouched memory costs two index probes, not 512.
 
+use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
-
-use crate::hash::IdMap;
 
 /// A physical byte address on the simulated SoC.
 #[derive(
@@ -56,7 +62,8 @@ const FRAME_SIZE: usize = 1 << FRAME_SHIFT;
 /// Sparse, byte-addressable physical memory.
 #[derive(Default)]
 pub struct PhysMem {
-    frames: IdMap<u64, Box<[u8; FRAME_SIZE]>>,
+    /// Backed frames by frame number; absent frames read as zeros.
+    frames: BTreeMap<u64, Box<[u8; FRAME_SIZE]>>,
 }
 
 impl fmt::Debug for PhysMem {
@@ -133,20 +140,17 @@ impl PhysMem {
             let frames = len >> FRAME_SHIFT;
             let src_f = src.0 >> FRAME_SHIFT;
             let dst_f = dst.0 >> FRAME_SHIFT;
-            // Snapshot source frames first so overlapping ranges still
-            // behave like memmove.
-            let contents: Vec<Option<Box<[u8; FRAME_SIZE]>>> = (0..frames)
-                .map(|i| self.frames.get(&(src_f + i)).cloned())
+            // Snapshot the backed source frames first so overlapping
+            // ranges still behave like memmove. An all-unbacked source
+            // collects nothing and allocates nothing.
+            let backed: Vec<(u64, Box<[u8; FRAME_SIZE]>)> = self
+                .frames
+                .range(src_f..src_f + frames)
+                .map(|(&f, data)| (f - src_f, data.clone()))
                 .collect();
-            for (i, frame) in contents.into_iter().enumerate() {
-                match frame {
-                    Some(data) => {
-                        self.frames.insert(dst_f + i as u64, data);
-                    }
-                    None => {
-                        self.frames.remove(&(dst_f + i as u64));
-                    }
-                }
+            self.release(dst_f..dst_f + frames);
+            for (i, data) in backed {
+                self.frames.insert(dst_f + i, data);
             }
             return;
         }
@@ -185,11 +189,22 @@ impl PhysMem {
 
     /// Releases the backing of every frame fully covered by the range
     /// (models freeing physical pages; reads return zeros afterwards).
+    /// Partly covered frames at either end keep their bytes.
     pub fn discard(&mut self, addr: PhysAddr, len: u64) {
-        let first = addr.0 >> FRAME_SHIFT;
+        let first = addr.0.div_ceil(FRAME_SIZE as u64);
         let last = (addr.0 + len) >> FRAME_SHIFT;
-        for frame in first..last {
+        if first < last {
+            self.release(first..last);
+        }
+    }
+
+    /// Drops every backed frame whose number lies in `frames`, visiting
+    /// only those.
+    fn release(&mut self, frames: Range<u64>) {
+        let mut next = frames.start;
+        while let Some(&frame) = self.frames.range(next..frames.end).next().map(|(f, _)| f) {
             self.frames.remove(&frame);
+            next = frame + 1;
         }
     }
 }
@@ -197,6 +212,7 @@ impl PhysMem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn read_of_untouched_memory_is_zero() {
@@ -312,8 +328,230 @@ mod tests {
     }
 
     #[test]
+    fn discard_keeps_a_partly_covered_first_frame() {
+        let mut mem = PhysMem::new();
+        mem.fill(PhysAddr::new(0x1000), 4096, 0xAB);
+        mem.fill(PhysAddr::new(0x2000), 4096, 0xCD);
+        // Covers the upper half of 0x1000 and the lower half of 0x2000:
+        // no frame fully, so nothing is released.
+        mem.discard(PhysAddr::new(0x1800), 4096);
+        assert_eq!(mem.read_u8(PhysAddr::new(0x1000)), 0xAB);
+        assert_eq!(mem.read_u8(PhysAddr::new(0x2FFF)), 0xCD);
+        assert_eq!(mem.backed_frames(), 2);
+        // Covering 0x2000 whole releases exactly that frame.
+        mem.discard(PhysAddr::new(0x1800), 0x1800 + 4096);
+        assert_eq!(mem.read_u8(PhysAddr::new(0x1000)), 0xAB);
+        assert_eq!(mem.read_u8(PhysAddr::new(0x2000)), 0);
+        assert_eq!(mem.backed_frames(), 1);
+    }
+
+    #[test]
     fn display_formats_hex() {
         assert_eq!(PhysAddr::new(0xABC).to_string(), "0xabc");
         assert_eq!(format!("{:x}", PhysAddr::new(0xABC)), "abc");
+    }
+
+    /// The reference model: a hash map probed once per 4 KiB frame, as
+    /// `PhysMem` was before the ordered index, with `discard` releasing
+    /// fully covered frames only.
+    #[derive(Default)]
+    struct FrameHashMem {
+        frames: std::collections::HashMap<u64, Box<[u8; FRAME_SIZE]>>,
+    }
+
+    impl FrameHashMem {
+        fn read(&self, addr: u64, buf: &mut [u8]) {
+            let mut done = 0;
+            while done < buf.len() {
+                let pos = addr + done as u64;
+                let off = (pos as usize) & (FRAME_SIZE - 1);
+                let n = (FRAME_SIZE - off).min(buf.len() - done);
+                match self.frames.get(&(pos >> FRAME_SHIFT)) {
+                    Some(data) => buf[done..done + n].copy_from_slice(&data[off..off + n]),
+                    None => buf[done..done + n].fill(0),
+                }
+                done += n;
+            }
+        }
+
+        fn write(&mut self, addr: u64, buf: &[u8]) {
+            let mut done = 0;
+            while done < buf.len() {
+                let pos = addr + done as u64;
+                let off = (pos as usize) & (FRAME_SIZE - 1);
+                let n = (FRAME_SIZE - off).min(buf.len() - done);
+                let data = self
+                    .frames
+                    .entry(pos >> FRAME_SHIFT)
+                    .or_insert_with(|| Box::new([0u8; FRAME_SIZE]));
+                data[off..off + n].copy_from_slice(&buf[done..done + n]);
+                done += n;
+            }
+        }
+
+        fn copy(&mut self, src: u64, dst: u64, len: u64) {
+            if len == 0 || src == dst {
+                return;
+            }
+            let mask = FRAME_SIZE as u64 - 1;
+            if src & mask == 0 && dst & mask == 0 && len & mask == 0 {
+                let (src_f, dst_f) = (src >> FRAME_SHIFT, dst >> FRAME_SHIFT);
+                let contents: Vec<_> = (0..len >> FRAME_SHIFT)
+                    .map(|i| self.frames.get(&(src_f + i)).cloned())
+                    .collect();
+                for (i, frame) in contents.into_iter().enumerate() {
+                    match frame {
+                        Some(data) => self.frames.insert(dst_f + i as u64, data),
+                        None => self.frames.remove(&(dst_f + i as u64)),
+                    };
+                }
+                return;
+            }
+            let mut buf = vec![0u8; len as usize];
+            self.read(src, &mut buf);
+            self.write(dst, &buf);
+        }
+
+        fn discard(&mut self, addr: u64, len: u64) {
+            let first = addr.div_ceil(FRAME_SIZE as u64);
+            let last = (addr + len) >> FRAME_SHIFT;
+            for frame in first..last {
+                self.frames.remove(&frame);
+            }
+        }
+    }
+
+    /// Frames of the window the operations touch.
+    const WINDOW_FRAMES: u64 = 12;
+    /// A frame-aligned area no operation ever writes: an unbacked source.
+    const HOLE: u64 = 0x100 << FRAME_SHIFT;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Write {
+            addr: u64,
+            len: u64,
+            seed: u8,
+        },
+        Fill {
+            addr: u64,
+            len: u64,
+            value: u8,
+        },
+        /// Frame-aligned copy; source and destination may overlap.
+        CopyFrames {
+            src: u64,
+            dst: u64,
+            frames: u64,
+        },
+        /// An unbacked source copied over (possibly backed) frames.
+        CopyHole {
+            dst: u64,
+            frames: u64,
+        },
+        Copy {
+            src: u64,
+            dst: u64,
+            len: u64,
+        },
+        Discard {
+            addr: u64,
+            len: u64,
+        },
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let bytes = WINDOW_FRAMES << FRAME_SHIFT;
+        let frame = 0..WINDOW_FRAMES;
+        prop_oneof![
+            (0..bytes, 1u64..9000, any::<u8>()).prop_map(|(addr, len, seed)| Op::Write {
+                addr,
+                len,
+                seed
+            }),
+            (frame.clone(), 1u64..4, any::<u8>()).prop_map(|(f, n, value)| Op::Fill {
+                addr: f << FRAME_SHIFT,
+                len: n << FRAME_SHIFT,
+                value
+            }),
+            (frame.clone(), frame.clone(), 0u64..5).prop_map(|(s, d, n)| Op::CopyFrames {
+                src: s << FRAME_SHIFT,
+                dst: d << FRAME_SHIFT,
+                frames: n
+            }),
+            (frame.clone(), 1u64..5).prop_map(|(d, n)| Op::CopyHole {
+                dst: d << FRAME_SHIFT,
+                frames: n
+            }),
+            (0..bytes, 0..bytes, 0u64..10_000).prop_map(|(src, dst, len)| Op::Copy {
+                src,
+                dst,
+                len
+            }),
+            (0..bytes, 0u64..20_000).prop_map(|(addr, len)| Op::Discard { addr, len }),
+        ]
+    }
+
+    fn apply(mem: &mut PhysMem, model: &mut FrameHashMem, op: &Op) {
+        match *op {
+            Op::Write { addr, len, seed } => {
+                let data: Vec<u8> = (0..len).map(|i| seed.wrapping_add(i as u8)).collect();
+                mem.write(PhysAddr::new(addr), &data);
+                model.write(addr, &data);
+            }
+            Op::Fill { addr, len, value } => {
+                mem.fill(PhysAddr::new(addr), len, value);
+                model.write(addr, &vec![value; len as usize]);
+            }
+            Op::CopyFrames { src, dst, frames } => {
+                let len = frames << FRAME_SHIFT;
+                mem.copy(PhysAddr::new(src), PhysAddr::new(dst), len);
+                model.copy(src, dst, len);
+            }
+            Op::CopyHole { dst, frames } => {
+                let len = frames << FRAME_SHIFT;
+                mem.copy(PhysAddr::new(HOLE), PhysAddr::new(dst), len);
+                model.copy(HOLE, dst, len);
+            }
+            Op::Copy { src, dst, len } => {
+                mem.copy(PhysAddr::new(src), PhysAddr::new(dst), len);
+                model.copy(src, dst, len);
+            }
+            Op::Discard { addr, len } => {
+                mem.discard(PhysAddr::new(addr), len);
+                model.discard(addr, len);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The ordered index must be observationally identical to the
+        /// per-frame hash map on any stream of writes, fills, aligned,
+        /// unaligned and overlapping copies, and discards: the same
+        /// bytes everywhere the stream can reach, and the same frames
+        /// backed.
+        #[test]
+        fn indexed_frames_match_per_frame_model(
+            ops in proptest::collection::vec(op_strategy(), 1..40)
+        ) {
+            let mut mem = PhysMem::new();
+            let mut model = FrameHashMem::default();
+            for op in &ops {
+                apply(&mut mem, &mut model, op);
+                prop_assert_eq!(mem.backed_frames(), model.frames.len(), "after {:?}", op);
+            }
+            // Copies of up to 10,000 bytes can spill past the window.
+            let reach = ((WINDOW_FRAMES + 4) << FRAME_SHIFT) as usize;
+            let mut got = vec![0u8; reach];
+            let mut want = vec![0u8; reach];
+            mem.read(PhysAddr::new(0), &mut got);
+            model.read(0, &mut want);
+            prop_assert!(got == want, "bytes diverge after {:?}", ops);
+            let mut keys: Vec<u64> = model.frames.keys().copied().collect();
+            keys.sort_unstable();
+            prop_assert!(mem.frames.keys().copied().eq(keys));
+        }
     }
 }

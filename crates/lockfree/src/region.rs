@@ -234,6 +234,12 @@ impl Region {
         self.free.pop(&self.slots).ok_or(RegionError::Exhausted)
     }
 
+    /// True if the free list held a slot at the read instant: an O(1)
+    /// probe, where [`stats`](Self::stats) walks every list.
+    pub fn has_free_slot(&self) -> bool {
+        !self.free.is_empty()
+    }
+
     /// Returns a slot to the free list (`FreeRequest`).
     ///
     /// # Errors

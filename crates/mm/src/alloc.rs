@@ -96,6 +96,11 @@ impl BitTree {
         true
     }
 
+    /// True if no bit is set: the one-word top level is zero.
+    fn is_empty(&self) -> bool {
+        self.levels.last().is_some_and(|top| top[0] == 0)
+    }
+
     /// The lowest set index.
     fn first(&self) -> Option<u64> {
         let mut i = 0;
@@ -145,6 +150,9 @@ struct Bank {
     /// Free blocks per order: bit `i` of `free[o]` is the block at offset
     /// `i * (GRANULE << o)` from `base`.
     free: Vec<BitTree>,
+    /// Bit `o` is set iff `free[o]` holds a block, so allocation finds
+    /// its order with one `trailing_zeros` instead of probing each list.
+    nonempty: u16,
     /// One slot per granule from `base`: `refcount << ORDER_BITS | order`
     /// at a live block base, 0 elsewhere.
     frames: Vec<u64>,
@@ -160,6 +168,7 @@ impl Bank {
             base: node.base.as_u64(),
             end: node.base.as_u64() + bytes,
             free: (0..=MAX_ORDER).map(|_| BitTree::new()).collect(),
+            nonempty: 0,
             frames: Vec::new(),
             free_bytes: 0,
             total_bytes: 0,
@@ -176,7 +185,7 @@ impl Bank {
                 order -= 1;
             }
             let block = GRANULE << order;
-            b.free[order as usize].set(off / block);
+            b.put(order, off / block);
             b.free_bytes += block;
             b.total_bytes += block;
             off += block;
@@ -188,15 +197,21 @@ impl Bank {
     /// has one, splits it down to `order` and records it in the frame
     /// table with one reference. Returns its offset from `base`.
     fn alloc(&mut self, order: u8) -> Option<u64> {
-        let (mut o, index) =
-            (order..=MAX_ORDER).find_map(|o| self.free[o as usize].first().map(|i| (o, i)))?;
-        self.free[o as usize].take(index);
+        let fits = self.nonempty >> order << order;
+        if fits == 0 {
+            return None;
+        }
+        let mut o = fits.trailing_zeros() as u8;
+        let index = self.free[o as usize]
+            .first()
+            .expect("order marked non-empty");
+        self.take(o, index);
         let off = index * (GRANULE << o);
         // Split down to the requested order, returning upper halves.
         while o > order {
             o -= 1;
             let half = GRANULE << o;
-            self.free[o as usize].set(off / half + 1);
+            self.put(o, off / half + 1);
         }
         self.free_bytes -= GRANULE << order;
         let slot = (off / GRANULE) as usize;
@@ -214,13 +229,30 @@ impl Bank {
         let mut o = order;
         while o < MAX_ORDER {
             let block = GRANULE << o;
-            if !self.free[o as usize].take((off ^ block) / block) {
+            if !self.take(o, (off ^ block) / block) {
                 break;
             }
             off &= !block;
             o += 1;
         }
-        self.free[o as usize].set(off / (GRANULE << o));
+        self.put(o, off / (GRANULE << o));
+    }
+
+    /// Marks block `index` of order `o` free.
+    fn put(&mut self, o: u8, index: u64) {
+        self.free[o as usize].set(index);
+        self.nonempty |= 1 << o;
+    }
+
+    /// Claims block `index` of order `o` if it is free, returning
+    /// whether it was.
+    fn take(&mut self, o: u8, index: u64) -> bool {
+        let list = &mut self.free[o as usize];
+        let taken = list.take(index);
+        if taken && list.is_empty() {
+            self.nonempty &= !(1 << o);
+        }
+        taken
     }
 }
 

@@ -11,6 +11,13 @@
 //! neighboring entries, restarting the descent only when the walk crosses
 //! into a different leaf table. [`WalkStats`] counts both step kinds so
 //! callers can charge the corresponding costs.
+//!
+//! The host walks the same way, on both sides:
+//! [`PageTable::lookup_range_into`] reads and [`PageTable::update_range`]
+//! writes a run of consecutive leaves with one descent per leaf table,
+//! so Remap's PTE installs and Release's compare-and-swaps descend from
+//! the root once per leaf table rather than once per page. Each node
+//! keeps its 512 slots inline in one allocation.
 
 use crate::addr::{PageSize, VirtAddr};
 use crate::pte::Pte;
@@ -28,14 +35,6 @@ pub struct WalkStats {
 }
 
 impl WalkStats {
-    fn vertical_step(&mut self) {
-        self.vertical += 1;
-    }
-
-    fn horizontal_step(&mut self) {
-        self.horizontal += 1;
-    }
-
     /// Merges another stats record into this one.
     pub fn merge(&mut self, other: WalkStats) {
         self.vertical += other.vertical;
@@ -52,13 +51,29 @@ enum Slot {
 
 #[derive(Debug)]
 struct Node {
-    slots: Vec<Slot>,
+    slots: [Slot; FANOUT],
 }
 
 impl Node {
-    fn new() -> Self {
-        Node {
-            slots: (0..FANOUT).map(|_| Slot::Empty).collect(),
+    fn new() -> Box<Self> {
+        Box::new(Node {
+            slots: std::array::from_fn(|_| Slot::Empty),
+        })
+    }
+
+    /// The child table in `slots[i]`, created if the slot is empty.
+    ///
+    /// # Errors
+    ///
+    /// `Err(())` when a block mapping occupies the slot.
+    fn child_or_insert(&mut self, i: usize) -> Result<&mut Node, ()> {
+        let slot = &mut self.slots[i];
+        if matches!(slot, Slot::Empty) {
+            *slot = Slot::Table(Node::new());
+        }
+        match slot {
+            Slot::Table(n) => Ok(n),
+            _ => Err(()),
         }
     }
 }
@@ -101,10 +116,41 @@ fn leaf_key(vaddr: VirtAddr, size: PageSize) -> ([usize; 2], usize) {
     }
 }
 
+/// Leaf slots between two consecutive `size` pages of a leaf table.
+fn slot_stride(size: PageSize) -> usize {
+    match size {
+        PageSize::Large2M => 1,
+        _ => (size.bytes() >> 12) as usize,
+    }
+}
+
+/// Splits `count` consecutive `size` pages from `start` into runs whose
+/// leaves share one leaf table: `(first page, pages, leaf slot of the
+/// first page)`. Page `first + j` of a run sits at slot
+/// `slot + j * slot_stride(size)` of the table that holds `first`.
+fn leaf_runs(
+    start: VirtAddr,
+    count: u32,
+    size: PageSize,
+) -> impl Iterator<Item = (u32, u32, usize)> {
+    let stride = slot_stride(size);
+    let mut first = 0;
+    std::iter::from_fn(move || {
+        if first >= count {
+            return None;
+        }
+        let (_, slot) = leaf_key(start.offset(u64::from(first) * size.bytes()), size);
+        let room = ((FANOUT - 1 - slot) / stride + 1) as u32;
+        let run = (first, room.min(count - first), slot);
+        first += run.1;
+        Some(run)
+    })
+}
+
 /// The per-address-space page table.
 #[derive(Debug)]
 pub struct PageTable {
-    root: Node,
+    root: Box<Node>,
     mapped: usize,
 }
 
@@ -173,31 +219,35 @@ impl PageTable {
     /// full vertical walk.
     #[must_use]
     pub fn lookup(&self, vaddr: VirtAddr, size: PageSize) -> (Option<Pte>, WalkStats) {
-        let mut stats = WalkStats::default();
-        stats.vertical_step();
+        let stats = WalkStats {
+            vertical: 1,
+            horizontal: 0,
+        };
         (self.peek(vaddr, size), stats)
     }
 
     /// Entry value without any cost accounting (internal/diagnostics).
     #[must_use]
     pub fn peek(&self, vaddr: VirtAddr, size: PageSize) -> Option<Pte> {
-        let [i1, i2, i3] = indices(vaddr);
-        let l2 = match &self.root.slots[i1] {
-            Slot::Table(n) => n,
-            _ => return None,
+        let (_, slot) = leaf_key(vaddr, size);
+        match self.leaf_table(vaddr, size)?.slots[slot] {
+            Slot::Leaf(pte) => Some(pte),
+            _ => None,
+        }
+    }
+
+    /// The table holding the `size` leaf for `vaddr`: the level-2 node
+    /// for 2 MiB blocks, a level-3 table otherwise. Never allocates.
+    fn leaf_table(&self, vaddr: VirtAddr, size: PageSize) -> Option<&Node> {
+        let [i1, i2, _] = indices(vaddr);
+        let Slot::Table(l2) = &self.root.slots[i1] else {
+            return None;
         };
         if size == PageSize::Large2M {
-            return match &l2.slots[i2] {
-                Slot::Leaf(pte) => Some(*pte),
-                _ => None,
-            };
+            return Some(l2);
         }
-        let l3 = match &l2.slots[i2] {
-            Slot::Table(n) => n,
-            _ => return None,
-        };
-        match &l3.slots[i3] {
-            Slot::Leaf(pte) => Some(*pte),
+        match &l2.slots[i2] {
+            Slot::Table(l3) => Some(l3),
             _ => None,
         }
     }
@@ -257,20 +307,116 @@ impl PageTable {
     ) -> WalkStats {
         out.clear();
         out.reserve(count as usize);
+        let stride = slot_stride(size);
         let mut stats = WalkStats::default();
-        let mut prev_node: Option<[usize; 2]> = None;
-        for i in 0..count {
-            let vaddr = start.offset(u64::from(i) * size.bytes());
-            let (node, _) = leaf_key(vaddr, size);
-            if gang && prev_node == Some(node) {
-                stats.horizontal_step();
+        for (first, pages, slot) in leaf_runs(start, count, size) {
+            if gang {
+                stats.vertical += 1;
+                stats.horizontal += pages - 1;
             } else {
-                stats.vertical_step();
+                stats.vertical += pages;
             }
-            prev_node = Some(node);
-            out.push(self.peek(vaddr, size));
+            let table = self.leaf_table(start.offset(u64::from(first) * size.bytes()), size);
+            out.extend(
+                (0..pages as usize).map(|j| match table?.slots[slot + j * stride] {
+                    Slot::Leaf(pte) => Some(pte),
+                    _ => None,
+                }),
+            );
         }
         stats
+    }
+
+    /// Gang write: the write side of [`lookup_range`](Self::lookup_range).
+    /// Visits the `count` consecutive `size` leaves from `start` in
+    /// order, descending from the root once per leaf table instead of
+    /// once per page, and calls `update(i, entry)` for page `i`:
+    ///
+    /// - `entry` is `Ok(Some(pte))` for a leaf, `Ok(None)` for an empty
+    ///   slot, and `Err` where [`replace`](Self::replace) would fail (a
+    ///   misaligned page, or a mapping of the other granularity in the
+    ///   way);
+    /// - `update` returns the entry to store, or `None` to leave the
+    ///   slot as it is. A store into an empty slot creates the path to
+    ///   it and counts as a new mapping; the return value for an `Err`
+    ///   slot is ignored.
+    ///
+    /// Per-page [`replace`](Self::replace) is `update` returning
+    /// `Some(new)`; per-page
+    /// [`compare_exchange`](Self::compare_exchange) compares first.
+    pub fn update_range(
+        &mut self,
+        start: VirtAddr,
+        count: u32,
+        size: PageSize,
+        mut update: impl FnMut(u32, Result<Option<Pte>, TableError>) -> Option<Pte>,
+    ) {
+        let page = |i: u32| start.offset(u64::from(i) * size.bytes());
+        if !start.is_aligned(size) {
+            for i in 0..count {
+                update(i, Err(TableError::Unaligned(page(i), size)));
+            }
+            return;
+        }
+        let stride = slot_stride(size);
+        let PageTable { root, mapped } = self;
+        for (first, pages, slot) in leaf_runs(start, count, size) {
+            let [i1, i2, _] = indices(page(first));
+            // The run's leaf table: `Ok(None)` until a store needs it,
+            // `Err` when a block mapping stands in the path.
+            let mut table = match &mut root.slots[i1] {
+                Slot::Empty => Ok(None),
+                Slot::Leaf(_) => Err(()),
+                Slot::Table(l2) if size == PageSize::Large2M => Ok(Some(&mut **l2)),
+                Slot::Table(l2) => match &mut l2.slots[i2] {
+                    Slot::Empty => Ok(None),
+                    Slot::Leaf(_) => Err(()),
+                    Slot::Table(l3) => Ok(Some(&mut **l3)),
+                },
+            };
+            for j in 0..pages {
+                let i = first + j;
+                let index = slot + j as usize * stride;
+                let node = match &mut table {
+                    Err(()) => {
+                        update(i, Err(TableError::Occupied(page(i))));
+                        continue;
+                    }
+                    Ok(Some(node)) => node,
+                    Ok(None) => {
+                        if let Some(new) = update(i, Ok(None)) {
+                            let l2 = root.child_or_insert(i1).expect("empty above");
+                            let node = if size == PageSize::Large2M {
+                                l2
+                            } else {
+                                l2.child_or_insert(i2).expect("empty above")
+                            };
+                            node.slots[index] = Slot::Leaf(new);
+                            *mapped += 1;
+                            table = Ok(Some(node));
+                        }
+                        continue;
+                    }
+                };
+                let slot = &mut node.slots[index];
+                match slot {
+                    Slot::Table(_) => {
+                        update(i, Err(TableError::Occupied(page(i))));
+                    }
+                    Slot::Leaf(pte) => {
+                        if let Some(new) = update(i, Ok(Some(*pte))) {
+                            *pte = new;
+                        }
+                    }
+                    Slot::Empty => {
+                        if let Some(new) = update(i, Ok(None)) {
+                            *slot = Slot::Leaf(new);
+                            *mapped += 1;
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Replaces the entry at `vaddr`, returning the old one.
@@ -327,34 +473,15 @@ impl PageTable {
             return Err(TableError::Unaligned(vaddr, size));
         }
         let [i1, i2, i3] = indices(vaddr);
-        let l2 = match &mut self.root.slots[i1] {
-            slot @ Slot::Empty => {
-                *slot = Slot::Table(Box::new(Node::new()));
-                match slot {
-                    Slot::Table(n) => n,
-                    _ => unreachable!(),
-                }
-            }
-            Slot::Table(n) => n,
-            Slot::Leaf(_) => return Err(TableError::Occupied(vaddr)),
-        };
+        let occupied = |()| TableError::Occupied(vaddr);
+        let l2 = self.root.child_or_insert(i1).map_err(occupied)?;
         if size == PageSize::Large2M {
             return match &mut l2.slots[i2] {
                 Slot::Table(_) => Err(TableError::Occupied(vaddr)),
                 slot => Ok(slot),
             };
         }
-        let l3 = match &mut l2.slots[i2] {
-            slot @ Slot::Empty => {
-                *slot = Slot::Table(Box::new(Node::new()));
-                match slot {
-                    Slot::Table(n) => n,
-                    _ => unreachable!(),
-                }
-            }
-            Slot::Table(n) => n,
-            Slot::Leaf(_) => return Err(TableError::Occupied(vaddr)),
-        };
+        let l3 = l2.child_or_insert(i2).map_err(occupied)?;
         Ok(&mut l3.slots[i3])
     }
 }

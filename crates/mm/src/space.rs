@@ -45,15 +45,13 @@ pub enum AllocPolicy {
 
 impl AllocPolicy {
     /// Nodes to try for page `index`, in order.
-    fn candidates(&self, index: u32) -> Vec<NodeId> {
-        match self {
-            AllocPolicy::Bind(n) => vec![*n],
-            AllocPolicy::Preferred(n) => vec![*n],
-            AllocPolicy::Interleave(nodes) => {
-                let k = index as usize % nodes.len();
-                nodes[k..].iter().chain(&nodes[..k]).copied().collect()
-            }
-        }
+    fn candidates(&self, index: u32) -> impl Iterator<Item = NodeId> + '_ {
+        let nodes = match self {
+            AllocPolicy::Bind(n) | AllocPolicy::Preferred(n) => std::slice::from_ref(n),
+            AllocPolicy::Interleave(nodes) => nodes.as_slice(),
+        };
+        let k = index as usize % nodes.len();
+        nodes[k..].iter().chain(&nodes[..k]).copied()
     }
 
     /// Whether exhaustion of the candidates may fall back to any node.
@@ -328,7 +326,6 @@ impl AddressSpace {
         let align = page_size.bytes();
         let start = VirtAddr::new((self.next_addr + align - 1) & !(align - 1));
         if populate == Populate::Eager {
-            let mut mapped = Vec::new();
             for i in 0..pages {
                 let vaddr = start.offset(u64::from(i) * align);
                 match Self::alloc_by_policy(alloc, &policy, i, page_size) {
@@ -336,12 +333,15 @@ impl AddressSpace {
                         self.table
                             .map(vaddr, Pte::mapping(frame, page_size))
                             .expect("bump allocator never overlaps");
-                        mapped.push((vaddr, frame));
                     }
                     Err(e) => {
-                        for (va, frame) in mapped {
-                            self.table.unmap(va, page_size);
-                            let _ = alloc.free(frame);
+                        // Roll back: the earlier pages are the region's
+                        // first `i`, each at its own offset.
+                        for j in 0..i {
+                            let va = start.offset(u64::from(j) * align);
+                            if let Some(pte) = self.table.unmap(va, page_size) {
+                                let _ = alloc.free(pte.frame());
+                            }
                         }
                         return Err(e);
                     }

@@ -216,6 +216,218 @@ proptest! {
     }
 }
 
+/// Three 2 MiB chunks from 2 MiB below a 1 GiB boundary: runs through
+/// the window cross level-3 tables and, for 2 MiB pages, level-2 nodes.
+const GANG_BASE: u64 = 0x4000_0000 - (2 << 20);
+const GANG_GRANULES: u64 = 3 * 512;
+
+/// A 64-bit mixer for deriving layout choices from one drawn seed.
+fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Maps a random layout into `table`: per 2 MiB chunk a hole, a block,
+/// or 64 KiB sub-chunks that are each a hole, one 64 KiB page, or 4 KiB
+/// pages with holes.
+fn map_layout(table: &mut PageTable, chunks: &[(u8, u64)]) {
+    for (c, &(kind, seed)) in chunks.iter().enumerate() {
+        let chunk = VirtAddr::new(GANG_BASE + (c as u64) * (2 << 20));
+        match kind {
+            0 => {}
+            1 => table
+                .map(
+                    chunk,
+                    Pte::mapping(frame_addr(c as u32, PageSize::Large2M), PageSize::Large2M),
+                )
+                .unwrap(),
+            _ => {
+                for sub in 0..32u64 {
+                    let r = mix(seed ^ sub);
+                    let va = chunk.offset(sub << 16);
+                    match r % 3 {
+                        0 => {}
+                        1 => table
+                            .map(
+                                va,
+                                Pte::mapping(
+                                    frame_addr(r as u32 % 1024, PageSize::Medium64K),
+                                    PageSize::Medium64K,
+                                ),
+                            )
+                            .unwrap(),
+                        _ => {
+                            for g in 0..16u64 {
+                                if (r >> (8 + g)) & 1 == 1 {
+                                    let frame = frame_addr(
+                                        (r >> 32) as u32 % 4096 + g as u32,
+                                        PageSize::Small4K,
+                                    );
+                                    table
+                                        .map(
+                                            va.offset(g << 12),
+                                            Pte::mapping(frame, PageSize::Small4K),
+                                        )
+                                        .unwrap();
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Every entry of the window, at every granularity.
+fn window_entries(table: &PageTable) -> Vec<Option<Pte>> {
+    let mut out = Vec::new();
+    for g in 0..GANG_GRANULES {
+        let va = VirtAddr::new(GANG_BASE + (g << 12));
+        for size in PageSize::ALL {
+            if va.is_aligned(size) {
+                out.push(table.peek(va, size));
+            }
+        }
+    }
+    out
+}
+
+#[derive(Debug, Clone)]
+struct GangOp {
+    size: PageSize,
+    /// First page, in granules from the window base.
+    granule: u64,
+    /// Keep `granule` as drawn instead of aligning it to `size`
+    /// (replace only: the CAS range requires aligned pages).
+    unaligned: bool,
+    count: u32,
+    cas: bool,
+    seed: u64,
+}
+
+fn gang_op() -> impl Strategy<Value = GangOp> {
+    (
+        size_strategy(),
+        0..GANG_GRANULES,
+        0u8..8,
+        0u32..1200,
+        any::<bool>(),
+        any::<u64>(),
+    )
+        .prop_map(|(size, granule, unaligned, count, cas, seed)| {
+            let pages_per_window = (GANG_GRANULES << 12) / size.bytes();
+            GangOp {
+                size,
+                granule,
+                unaligned: unaligned == 0 && !cas,
+                count: count % (pages_per_window as u32 + 2),
+                cas,
+                seed,
+            }
+        })
+}
+
+/// Applies `op` page by page with `replace` / `compare_exchange`,
+/// returning each page's result.
+fn per_page(table: &mut PageTable, op: &GangOp, start: VirtAddr) -> Vec<Result<Pte, Pte>> {
+    (0..op.count)
+        .map(|i| {
+            let va = start.offset(u64::from(i) * op.size.bytes());
+            let new = gang_new(op, i);
+            if op.cas {
+                let expected = gang_expected(op, i, table.peek(va, op.size));
+                table.compare_exchange(va, expected, new).map(|()| new)
+            } else {
+                table.replace(va, new).map_err(|_| Pte::EMPTY)
+            }
+        })
+        .collect()
+}
+
+fn gang_new(op: &GangOp, i: u32) -> Pte {
+    let frame = (mix(op.seed ^ u64::from(i)) % 4096) as u32;
+    Pte::mapping(frame_addr(frame, op.size), op.size).with_young(i.is_multiple_of(2))
+}
+
+/// The CAS expectation for page `i`: the current entry, the empty
+/// entry, or a stale one.
+fn gang_expected(op: &GangOp, i: u32, current: Option<Pte>) -> Pte {
+    match mix(op.seed.rotate_left(17) ^ u64::from(i)) % 3 {
+        0 => current.unwrap_or(Pte::EMPTY),
+        1 => Pte::EMPTY,
+        _ => current.map_or(Pte::EMPTY, |p| p.with_young(!p.is_young())),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The gang write walk is per-page `replace` and `compare_exchange`
+    /// with fewer descents: over random layouts of 4 KiB, 64 KiB and
+    /// 2 MiB pages with holes, and runs that cross leaf tables, it gives
+    /// every page the same result and leaves the same entries and the
+    /// same `mapped_entries`. Gang lookup on the result reads what
+    /// per-page `peek` reads, with one vertical step per leaf table.
+    #[test]
+    fn gang_write_matches_per_page_writes(
+        chunks in proptest::collection::vec((0u8..4, any::<u64>()), 3),
+        ops in proptest::collection::vec(gang_op(), 1..10),
+    ) {
+        let mut gang = PageTable::new();
+        let mut pages = PageTable::new();
+        map_layout(&mut gang, &chunks);
+        map_layout(&mut pages, &chunks);
+        for op in &ops {
+            let mut start = VirtAddr::new(GANG_BASE + (op.granule << 12));
+            if !op.unaligned {
+                start = start.align_down(op.size);
+            }
+            let want = per_page(&mut pages, op, start);
+            let mut got = Vec::new();
+            gang.update_range(start, op.count, op.size, |i, current| {
+                let new = gang_new(op, i);
+                let (result, store) = if op.cas {
+                    let expected = gang_expected(op, i, current.ok().flatten());
+                    match current {
+                        Ok(Some(p)) if p == expected => (Ok(new), Some(new)),
+                        Ok(Some(p)) => (Err(p), None),
+                        Ok(None) if expected == Pte::EMPTY => (Ok(new), Some(new)),
+                        Ok(None) | Err(_) => (Err(Pte::EMPTY), None),
+                    }
+                } else {
+                    match current {
+                        Ok(old) => (Ok(old.unwrap_or(Pte::EMPTY)), Some(new)),
+                        Err(_) => (Err(Pte::EMPTY), None),
+                    }
+                };
+                got.push(result);
+                store
+            });
+            prop_assert_eq!(&got, &want, "results of {:?}", op);
+            prop_assert!(window_entries(&gang) == window_entries(&pages), "entries after {:?}", op);
+            prop_assert_eq!(gang.mapped_entries(), pages.mapped_entries());
+
+            let (entries, stats) = gang.lookup_range(start, op.count, op.size, true);
+            let mut tables = 0;
+            let mut prev = None;
+            for (i, entry) in entries.iter().enumerate() {
+                let va = start.offset(i as u64 * op.size.bytes());
+                prop_assert_eq!(*entry, gang.peek(va, op.size));
+                let shift = if op.size == PageSize::Large2M { 30 } else { 21 };
+                if prev != Some(va.as_u64() >> shift) {
+                    tables += 1;
+                }
+                prev = Some(va.as_u64() >> shift);
+            }
+            prop_assert_eq!(stats.vertical, tables);
+            prop_assert_eq!(stats.vertical + stats.horizontal, op.count);
+        }
+    }
+}
+
 /// The buddy allocator over `BTreeSet` free lists and a frame map, as it
 /// was before the bitmap free lists and the flat frame table: the
 /// reference model the flat allocator must match address for address.
