@@ -195,6 +195,37 @@ fn stats_json_carries_the_scheduler_counters() {
     assert!(field("\"peak_pending\":") > 0, "nothing ever pending?");
 }
 
+/// Replays the committed trace `tests/data/<name>` (plus `extra`
+/// flags) from a fresh directory.
+fn replay_fixture(name: &str, extra: &[&str]) -> Output {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/data")
+        .join(name)
+        .into_os_string()
+        .into_string()
+        .expect("utf-8 path");
+    let dir = tempdir(name);
+    let mut args = vec!["replay", "--from", &fixture];
+    args.extend_from_slice(extra);
+    memifctl(&dir, &args)
+}
+
+/// Asserts a committed trace replays bit-identically with the recorded
+/// event and terminal-status counts.
+fn assert_fixture_replays(name: &str, events: u32, statuses: u32) {
+    let out = replay_fixture(name, &[]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("replay OK"),
+        "{name} must replay bit-identically: {out:?}"
+    );
+    assert!(
+        stdout.contains(&format!("{events} events"))
+            && stdout.contains(&format!("{statuses} terminal statuses")),
+        "{name} shape drifted: {stdout}"
+    );
+}
+
 /// A committed 4-tier waterfall trace must replay bit-identically: the
 /// dispatch-order contract `(time, insertion)` is part of the trace
 /// format's ABI. The file was first captured on the BinaryHeap +
@@ -204,22 +235,43 @@ fn stats_json_carries_the_scheduler_counters() {
 /// else.
 #[test]
 fn committed_pr7_trace_replays_bit_identically() {
-    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/data/waterfall_pr7.jsonl")
-        .into_os_string()
-        .into_string()
-        .expect("utf-8 path");
-    let dir = tempdir("pr7-fixture");
-    let out = memifctl(&dir, &["replay", "--from", &fixture]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success() && stdout.contains("replay OK"),
-        "PR 7 fixture must replay bit-identically: {out:?}"
-    );
-    assert!(
-        stdout.contains("1314 events") && stdout.contains("185 terminal statuses"),
-        "fixture shape drifted: {stdout}"
-    );
+    assert_fixture_replays("waterfall_pr7.jsonl", 1314, 185);
+}
+
+/// A committed sharded, batched chaos migration (two issue shards,
+/// `batch_max` 8, DMA errors, lost interrupts and descriptor
+/// exhaustion) replays bit-identically. It drives all three release
+/// sites (interrupt, polling and degraded), `retry_launch` and the
+/// watchdog. Recorded with:
+///
+/// ```text
+/// memifctl move --kind migrate --pages 16 --count 96 --window 48 \
+///   --batch-max 8 --issue-shards 2 --fault-seed 5 --dma-error-rate 1e-1 \
+///   --drop-rate 1e-2 --desc-exhaust-rate 3e-1
+/// ```
+#[test]
+fn committed_sharded_chaos_trace_replays_bit_identically() {
+    assert_fixture_replays("sharded_chaos.jsonl", 202, 96);
+    // The shard count is part of the recorded scenario: replaying it on
+    // a different one is a conflict, not a new run.
+    let out = replay_fixture("sharded_chaos.jsonl", &["--issue-shards", "4"]);
+    assert_clean_failure(&out, "--issue-shards 4 conflicts with the trace");
+}
+
+/// A committed batched chaos replication (`batch_max` 16, DMA errors,
+/// lost interrupts and heavy descriptor exhaustion) replays
+/// bit-identically. It drives batch disband into per-member
+/// `exec_retry`, `degrade_or_fail` and the degraded release. Recorded
+/// with:
+///
+/// ```text
+/// memifctl move --kind replicate --pages 16 --count 64 --window 32 \
+///   --batch-max 16 --fault-seed 3 --dma-error-rate 2e-1 --drop-rate 2e-2 \
+///   --desc-exhaust-rate 3e-1
+/// ```
+#[test]
+fn committed_replicate_chaos_trace_replays_bit_identically() {
+    assert_fixture_replays("replicate_chaos.jsonl", 422, 64);
 }
 
 #[test]

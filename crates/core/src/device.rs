@@ -207,8 +207,8 @@ pub(crate) struct Inflight {
     pub shard: usize,
 }
 
-/// Reusable per-device working buffers for request planning. Taken out
-/// of the device for the duration of one plan (sidestepping borrow
+/// Reusable per-shard working buffers for request planning. Taken out
+/// of the device for the duration of one issue (sidestepping borrow
 /// conflicts with the address-space walks) and put back afterwards, so
 /// steady-state planning allocates nothing beyond the exact-size
 /// vectors that outlive the plan on the in-flight record.
@@ -223,6 +223,8 @@ pub(crate) struct PlanScratch {
     pub segments: Vec<memif_hwsim::dma::SgSegment>,
     /// Destination frames a migration allocates before it remaps.
     pub new_frames: Vec<memif_hwsim::PhysAddr>,
+    /// The members of the batch being issued that planned successfully.
+    pub planned: Vec<(memif_lockfree::Dequeued, crate::driver::exec::Plan)>,
 }
 
 /// Per-shard kernel-worker state. Each issue shard owns one worker: its
@@ -239,6 +241,8 @@ pub(crate) struct IssueShard {
     pub deferred: Vec<memif_lockfree::Dequeued>,
     /// Planning scratch buffers, reused across this shard's requests.
     pub scratch: PlanScratch,
+    /// The batch a worker round assembles, reused across rounds.
+    pub batch: Vec<memif_lockfree::Dequeued>,
     /// This shard's worker CPU is occupied until this instant (a worker
     /// prepares requests one at a time even when transfers overlap).
     pub busy_until: SimTime,

@@ -228,70 +228,72 @@ pub(crate) fn on_dma_complete(
     }
 }
 
-/// Release + Notify on the interrupt path, after the interrupt entry
-/// cost has been paid ([`SimEvent::IrqRelease`]).
-pub(crate) fn irq_release(sys: &mut System, sim: &mut Sim<System>, id: DeviceId, token: u64) {
-    if sys.device(id).is_none() {
-        return;
-    }
-    let Some(index) = dev(sys, id).inflight.iter().position(|i| i.token == token) else {
-        return; // aborted in the completion window
-    };
-    // Crash point: copy applied, release not yet run (retire site 1).
-    if sys.maybe_crash(sim, CrashPoint::PreRetire) {
-        return;
-    }
-    let inflight = dev_mut(sys, id).take_inflight(index);
-    let req_id = inflight.req.id;
-    let shard = inflight.shard;
-    let release_cost = release_and_notify(sys, sim, id, inflight, Context::Interrupt);
-    sys.trace_emit(
-        sim.now(),
-        release_cost,
-        Context::Interrupt,
-        "ops 4-5: release+notify",
-        Some(req_id),
-    );
-    let wakeup = sys.cost.kthread_wakeup;
-    sys.meter.charge(Context::KernelThread, wakeup);
-    sys.meter.attribute_worker(shard, wakeup);
-    crate::driver::schedule_worker_wake(sys, sim, id, shard, release_cost + wakeup);
-    crate::driver::wake_deferred_peers(sys, sim, id, shard, release_cost + wakeup);
-    // Crash point: the request retired (journal sealed) an instant ago.
-    sys.maybe_crash(sim, CrashPoint::PostRetire);
+/// Where a completed request retires: each site is one
+/// [`SimEvent`] variant dispatching to [`retire`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RetireSite {
+    /// In the completion interrupt handler, after the interrupt entry
+    /// has been paid ([`SimEvent::IrqRelease`]); the handler then wakes
+    /// the kernel thread, whose CPU pays the wakeup.
+    Interrupt,
+    /// On the kernel thread after its timed poll sleep, once the
+    /// worker's CPU frees up ([`SimEvent::PollRelease`]).
+    Poll,
+    /// On the kernel thread after the degraded CPU-copy fallback
+    /// ([`SimEvent::DegradedRelease`]).
+    Degraded,
 }
 
-/// Release + Notify on the polling path, once the worker's CPU frees
-/// up ([`SimEvent::PollRelease`]).
-pub(crate) fn poll_release(sys: &mut System, sim: &mut Sim<System>, id: DeviceId, token: u64) {
+/// Release + Notify for in-flight request `token` at `site`: the one
+/// retire funnel of the three completion paths.
+pub(crate) fn retire(
+    sys: &mut System,
+    sim: &mut Sim<System>,
+    id: DeviceId,
+    token: u64,
+    site: RetireSite,
+) {
     if sys.device(id).is_none() {
         return;
     }
     let Some(index) = dev(sys, id).inflight.iter().position(|i| i.token == token) else {
-        return; // aborted in the completion window
+        return; // aborted in the completion (or copy) window
     };
-    // Crash point: copy applied, release not yet run (retire site 2).
+    // Crash point: copy applied, release not yet run.
     if sys.maybe_crash(sim, CrashPoint::PreRetire) {
         return;
     }
     let inflight = dev_mut(sys, id).take_inflight(index);
     let req_id = inflight.req.id;
     let shard = inflight.shard;
-    let release_cost = release_and_notify(sys, sim, id, inflight, Context::KernelThread);
-    sys.meter.attribute_worker(shard, release_cost);
-    sys.trace_emit(
-        sim.now(),
-        release_cost,
-        Context::KernelThread,
-        "ops 4-5: release+notify",
-        Some(req_id),
-    );
-    // Release/Notify occupies the owning worker's CPU.
-    let busy_until = sim.now() + release_cost;
-    let device = dev_mut(sys, id);
-    device.shards[shard].busy_until = device.shards[shard].busy_until.max(busy_until);
-    crate::driver::schedule_worker_wake(sys, sim, id, shard, release_cost);
-    crate::driver::wake_deferred_peers(sys, sim, id, shard, release_cost);
+    let ctx = match site {
+        RetireSite::Interrupt => Context::Interrupt,
+        RetireSite::Poll | RetireSite::Degraded => Context::KernelThread,
+    };
+    let release_cost = release_and_notify(sys, sim, id, inflight, ctx);
+    let wake_delay = match site {
+        RetireSite::Interrupt => {
+            let wakeup = sys.cost.kthread_wakeup;
+            sys.meter.charge(Context::KernelThread, wakeup);
+            sys.meter.attribute_worker(shard, wakeup);
+            release_cost + wakeup
+        }
+        RetireSite::Poll | RetireSite::Degraded => {
+            // Release/Notify occupies the owning worker's CPU.
+            sys.meter.attribute_worker(shard, release_cost);
+            let busy_until = sim.now() + release_cost;
+            let device = dev_mut(sys, id);
+            device.shards[shard].busy_until = device.shards[shard].busy_until.max(busy_until);
+            release_cost
+        }
+    };
+    let label = match site {
+        RetireSite::Degraded => "ops 4-5: release+notify (degraded)",
+        RetireSite::Interrupt | RetireSite::Poll => "ops 4-5: release+notify",
+    };
+    sys.trace_emit(sim.now(), release_cost, ctx, label, Some(req_id));
+    crate::driver::schedule_worker_wake(sys, sim, id, shard, wake_delay);
+    crate::driver::wake_deferred_peers(sys, sim, id, shard, wake_delay);
     // Crash point: the request retired (journal sealed) an instant ago.
     sys.maybe_crash(sim, CrashPoint::PostRetire);
 }
@@ -347,16 +349,7 @@ pub(crate) fn release_and_notify(
                 // on success — the semi-final PTE never entered the TLB.
                 RaceMode::DetectFail => match entry {
                     Ok(Some(pte)) if pte == page.installed => Some(page.final_pte),
-                    found => {
-                        if std::env::var_os("MEMIF_DEBUG_RACE").is_some() {
-                            eprintln!(
-                                "RACE at {}: installed={} found={} final={}",
-                                page.vaddr,
-                                page.installed,
-                                found.ok().flatten().unwrap_or(Pte::EMPTY),
-                                page.final_pte
-                            );
-                        }
+                    _ => {
                         races += 1;
                         None
                     }

@@ -8,20 +8,14 @@ use memif_mm::{PageSize, Pte, VirtAddr};
 
 use crate::config::RaceMode;
 use crate::device::{DeviceId, Inflight, PagePlan, PlanScratch};
-use crate::driver::{complete, dev, dev_mut, fault};
+use crate::driver::{complete, dev, dev_mut, fault, kthread};
 use crate::event::SimEvent;
 use crate::system::System;
 
-/// What happened to a request handed to the driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ExecOutcome {
-    /// A DMA transfer was launched; completion continues asynchronously.
-    Launched,
-    /// The request was rejected and its failure notification delivered.
-    Rejected,
-}
-
-struct Plan {
+/// A planned request: its scatter-gather segments, its remap, and the
+/// CPU cost of planning it.
+#[derive(Debug)]
+pub(crate) struct Plan {
     segments: Vec<SgSegment>,
     pages: Vec<PagePlan>,
     page_size: PageSize,
@@ -120,126 +114,93 @@ fn codec_charge(sys: &mut System, segments: &[SgSegment], ctx: Context) -> SimDu
     cost
 }
 
-/// Runs operations 1–3 for `deq` in context `ctx`. Returns the kernel
-/// time consumed (the caller resumes after it) and the outcome.
-pub(crate) fn execute_request(
+/// Runs operations 1–3 for `batch` in context `ctx` and returns the
+/// kernel time consumed (the caller resumes after it). A solo request
+/// is a batch of one. Each member is planned (its remap installed) on
+/// its own; the survivors' segment lists are concatenated into **one**
+/// scatter-gather chain, programmed and launched once, completing with
+/// a single interrupt whose handler fans status back out per request.
+/// A plan rejection notifies that member alone. Descriptor exhaustion
+/// hands every member to the retry budget individually, at `attempt`:
+/// retry, degrade and fail operate per request, never per batch.
+pub(crate) fn issue(
     sys: &mut System,
     sim: &mut memif_hwsim::Sim<System>,
     id: DeviceId,
-    deq: Dequeued,
-    ctx: Context,
-    shard: usize,
-) -> (SimDuration, ExecOutcome) {
-    execute_attempt(sys, sim, id, deq, ctx, 0, shard)
-}
-
-/// [`execute_request`] with an attempt budget carried across descriptor-
-/// exhaustion retries. On the fault-free path the attempt counter stays
-/// zero and the retry loop is unbounded, exactly as before hardening.
-pub(crate) fn execute_attempt(
-    sys: &mut System,
-    sim: &mut memif_hwsim::Sim<System>,
-    id: DeviceId,
-    deq: Dequeued,
+    batch: &[Dequeued],
     ctx: Context,
     attempt: u32,
     shard: usize,
-) -> (SimDuration, ExecOutcome) {
-    let req = deq.req;
+) -> SimDuration {
     let mut elapsed = SimDuration::ZERO;
-
     let mut scratch = std::mem::take(&mut dev_mut(sys, id).shards[shard].scratch);
-    let planned = plan_request(sys, id, &req, &mut scratch);
-    dev_mut(sys, id).shards[shard].scratch = scratch;
-    let plan = match planned {
-        Ok(p) => p,
-        Err((status, cost)) => {
-            elapsed += cost;
-            sys.meter.charge(ctx, cost);
-            complete::notify(sys, sim, id, deq.slot, req, status, None, ctx);
-            return (elapsed, ExecOutcome::Rejected);
+    for deq in batch {
+        match plan_request(sys, id, &deq.req, &mut scratch) {
+            Ok(p) => scratch.planned.push((*deq, p)),
+            Err((status, cost)) => {
+                elapsed += cost;
+                sys.meter.charge(ctx, cost);
+                complete::notify(sys, sim, id, deq.slot, deq.req, status, None, ctx);
+            }
         }
-    };
-    record_coalescing(sys, id, &plan);
+    }
+    if !scratch.planned.is_empty() {
+        let planned = &mut scratch.planned;
+        elapsed = issue_planned(sys, sim, id, planned, ctx, attempt, shard, elapsed);
+    }
+    dev_mut(sys, id).shards[shard].scratch = scratch;
+    elapsed
+}
 
-    // Charge Prep and Remap.
-    sys.meter.charge(ctx, plan.prep_cost + plan.remap_cost);
+/// [`issue`] from the charge of Prep and Remap on: programs and launches
+/// the chain of every member in `planned` (draining it), `elapsed` into
+/// the issue. Returns the issue's total elapsed time.
+#[allow(clippy::too_many_arguments)]
+fn issue_planned(
+    sys: &mut System,
+    sim: &mut memif_hwsim::Sim<System>,
+    id: DeviceId,
+    planned: &mut Vec<(Dequeued, Plan)>,
+    ctx: Context,
+    attempt: u32,
+    shard: usize,
+    mut elapsed: SimDuration,
+) -> SimDuration {
+    let mut prep = SimDuration::ZERO;
+    let mut remap = SimDuration::ZERO;
+    let mut chain_len = 0;
+    for (_, p) in planned.iter() {
+        record_coalescing(sys, id, p);
+        prep += p.prep_cost;
+        remap += p.remap_cost;
+        chain_len += p.segments.len();
+    }
+    sys.meter.charge(ctx, prep + remap);
     {
         let stats = &mut dev_mut(sys, id).stats;
-        stats.phases.add(Phase::Prep, plan.prep_cost);
-        stats.phases.add(Phase::Remap, plan.remap_cost);
+        stats.phases.add(Phase::Prep, prep);
+        stats.phases.add(Phase::Remap, remap);
     }
-    elapsed += plan.prep_cost + plan.remap_cost;
+    elapsed += prep + remap;
 
-    // Op 3: program the scatter-gather chain. The engine-level reuse
+    // Op 3, once: program the concatenated chain. The engine-level reuse
     // switch follows the device's configuration (ablation A1).
+    let mut chain = Vec::with_capacity(chain_len);
+    for (_, p) in planned.iter() {
+        chain.extend_from_slice(&p.segments);
+    }
     sys.dma
         .set_reuse_enabled(dev(sys, id).config.descriptor_reuse);
-    let cfg = match sys.dma.configure_segments(plan.segments.clone(), &sys.cost) {
+    let cfg = match sys.dma.configure_segments(chain, &sys.cost) {
         Ok(cfg) => cfg,
         Err(memif_hwsim::dma::ChainError::AllBusy) => {
             // Every descriptor is tied up in other tenants' in-flight
             // transfers. A real driver waits for the PaRAM.
-            let chaos = sys.chaos_enabled();
-            let (max_retries, base_backoff, fallback) = {
-                let c = &dev(sys, id).config;
-                (c.max_dma_retries, c.retry_backoff, c.cpu_fallback)
-            };
-            if chaos && attempt >= max_retries {
-                // Retry budget exhausted under fault injection: serve the
-                // request degraded (the remap is still installed) or roll
-                // it back and fail it — never drop it silently.
-                if fallback {
-                    let token =
-                        register_inflight(sys, id, req, &deq, None, plan, false, attempt, shard);
-                    elapsed += journal_issue(sys, id, token, ctx);
-                    sim.schedule_after(
-                        elapsed,
-                        SimEvent::DegradeOrFail {
-                            device: id,
-                            token,
-                            reason: FailReason::Descriptors,
-                        },
-                    );
-                    return (elapsed, ExecOutcome::Launched);
-                }
-                undo_remap(sys, id, &plan);
-                complete::notify(
-                    sys,
-                    sim,
-                    id,
-                    deq.slot,
-                    req,
-                    MoveStatus::Failed(FailReason::Descriptors),
-                    None,
-                    ctx,
-                );
-                return (elapsed, ExecOutcome::Rejected);
+            for (deq, plan) in planned.drain(..) {
+                elapsed =
+                    descriptors_exhausted(sys, sim, id, deq, plan, ctx, attempt, shard, elapsed);
             }
-            // Undo the remap and retry the whole request shortly. The
-            // fault-free path keeps its historical unbounded fixed
-            // backoff; under chaos the backoff doubles per attempt and
-            // the budget above bounds it.
-            undo_remap(sys, id, &plan);
-            let (backoff, next_attempt) = if chaos {
-                dev_mut(sys, id).stats.retries += 1;
-                (base_backoff * (1u64 << attempt.min(16)), attempt + 1)
-            } else {
-                (base_backoff, 0)
-            };
-            sim.schedule_after(
-                backoff,
-                SimEvent::ExecRetry {
-                    device: id,
-                    slot: deq.slot,
-                    req,
-                    color: deq.color,
-                    ctx,
-                    attempt: next_attempt,
-                    shard,
-                },
-            );
-            return (elapsed, ExecOutcome::Launched);
+            return elapsed;
         }
         Err(
             memif_hwsim::dma::ChainError::TooLarge { .. }
@@ -247,96 +208,169 @@ pub(crate) fn execute_attempt(
             | memif_hwsim::dma::ChainError::MixedSizes,
         ) => {
             // Cannot ever fit or malformed scatter-gather geometry
-            // (validation bounds nr_pages by the pool size and plans use
-            // one uniform page size, so this is belt-and-braces).
-            undo_remap(sys, id, &plan);
-            complete::notify(sys, sim, id, deq.slot, req, MoveStatus::Invalid, None, ctx);
-            return (elapsed, ExecOutcome::Rejected);
+            // (validation and batch assembly bound the page count by the
+            // pool size and plans use one uniform page size, so this is
+            // belt-and-braces).
+            for (deq, plan) in planned.drain(..) {
+                restore_pages(sys, id, &plan.pages, plan.page_size, false);
+                let status = MoveStatus::Invalid;
+                complete::notify(sys, sim, id, deq.slot, deq.req, status, None, ctx);
+            }
+            return elapsed;
         }
     };
     sys.meter.charge(ctx, cfg.config_cost);
     elapsed += cfg.config_cost;
+    let n = planned.len();
     {
         let stats = &mut dev_mut(sys, id).stats;
         stats.phases.add(Phase::DmaConfig, cfg.config_cost);
         stats.descriptors_written += cfg.descriptors as u64;
+        if n >= 2 {
+            stats.requests_batched += n as u64;
+        }
     }
-    record_route(sys, id, &req, &plan);
-    // Compressed-tier moves pay their codec before the engine starts.
-    elapsed += codec_charge(sys, &plan.segments, ctx);
 
-    let bytes = cfg.bytes;
+    // One completion for the whole chain: the leader's mode is decided
+    // by the combined size. Members remember their own-size mode for
+    // the day they are split off into solo retries.
     let threshold = dev(sys, id).poll_threshold(sys.cost.poll_threshold_bytes);
-    let interrupt_mode = bytes >= threshold;
-    let token = register_inflight(
-        sys,
-        id,
-        req,
-        &deq,
-        Some(cfg),
-        plan,
-        interrupt_mode,
-        attempt,
-        shard,
-    );
-    elapsed += journal_issue(sys, id, token, ctx);
+    let batch_interrupt = cfg.bytes >= threshold;
+    let leader = planned[0].0.req;
+    let mut total_pages = 0;
+    let mut cfg = Some(cfg);
+    let mut offset = 0u64;
+    let mut leader_token = None;
+    let mut member_tokens = Vec::with_capacity(n - 1);
+    for (deq, plan) in planned.drain(..) {
+        record_route(sys, id, &deq.req, &plan);
+        // Compressed-tier moves pay their codec before the engine starts.
+        elapsed += codec_charge(sys, &plan.segments, ctx);
+        total_pages += deq.req.nr_pages;
+        let own_bytes: u64 = plan.segments.iter().map(|s| s.bytes).sum();
+        let interrupt_mode = match leader_token {
+            None => batch_interrupt,
+            Some(_) => own_bytes >= threshold,
+        };
+        let (token, journal_cost) = register_inflight(
+            sys,
+            id,
+            &deq,
+            cfg.take(),
+            plan,
+            interrupt_mode,
+            attempt,
+            shard,
+            (offset, leader_token),
+            ctx,
+        );
+        elapsed += journal_cost;
+        offset += own_bytes;
+        match leader_token {
+            None => leader_token = Some(token),
+            Some(_) => member_tokens.push(token),
+        }
+    }
+    let leader_token = leader_token.expect("a planned batch has a leader");
+    if !member_tokens.is_empty() {
+        // The leader was registered first of the `n` entries just pushed.
+        let device = dev_mut(sys, id);
+        let at = device.inflight.len() - n;
+        debug_assert_eq!(device.inflight[at].token, leader_token);
+        device.inflight[at].batch_members = member_tokens;
+    }
 
     if sys.tracing() {
-        sys.trace_emit(
-            sim.now(),
-            elapsed,
-            ctx,
-            format!("ops 1-3: prep+remap+cfg ({} pages)", req.nr_pages),
-            Some(req.id),
-        );
+        let label = if n == 1 {
+            format!("ops 1-3: prep+remap+cfg ({} pages)", leader.nr_pages)
+        } else {
+            format!("ops 1-3: batched prep+remap+cfg ({n} reqs, {total_pages} pages)")
+        };
+        sys.trace_emit(sim.now(), elapsed, ctx, label, Some(leader.id));
     }
     // The transfer begins once the CPU-side work above has elapsed.
-    sim.schedule_after(elapsed, SimEvent::Launch { device: id, token });
-    (elapsed, ExecOutcome::Launched)
-}
-
-/// Appends the issued request's write-ahead record. No-op (and free)
-/// unless the device was opened with `journal = true`; journaling
-/// devices pay one `journal_write` per issue, returned here so the
-/// caller folds it into the issue path's elapsed time. Called after the
-/// in-flight entry is fully linked (batch offsets and leader set), so
-/// the record captures the final chain linkage.
-fn journal_issue(sys: &mut System, id: DeviceId, token: u64, ctx: Context) -> SimDuration {
-    let record = {
-        let device = dev_mut(sys, id);
-        if !device.config.journal {
-            return SimDuration::ZERO;
-        }
-        let owner = device.owner;
-        let Some(i) = device.inflight.iter().find(|i| i.token == token) else {
-            return SimDuration::ZERO;
-        };
-        device.stats.journal_records += 1;
-        crate::journal::JournalRecord {
+    sim.schedule_after(
+        elapsed,
+        SimEvent::Launch {
             device: id,
-            space: owner,
-            token,
-            req: i.req,
-            shard: i.shard,
-            batch_leader: i.batch_leader,
-            page_size: i.page_size,
-            pages: i
-                .pages
-                .iter()
-                .map(crate::journal::JournalPage::of_plan)
-                .collect(),
-            segments: i.segments.clone(),
-            milestone: crate::journal::JournalMilestone::Issued,
-            sealed: None,
-        }
-    };
-    sys.journal.append(record);
-    let cost = sys.cost.journal_write;
-    sys.meter.charge(ctx, cost);
-    cost
+            token: leader_token,
+        },
+    );
+    elapsed
 }
 
-/// Registers a prepared request with the device and returns its token.
+/// The descriptor pool is exhausted for `deq`, planned `elapsed` into
+/// its issue at attempt `attempt`. Returns the issue's elapsed time.
+/// The fault-free path keeps its historical unbounded fixed backoff;
+/// under chaos the backoff doubles per attempt and `max_dma_retries`
+/// bounds it, after which the request is served degraded (the remap is
+/// still installed) or rolled back and failed — never dropped silently.
+#[allow(clippy::too_many_arguments)]
+fn descriptors_exhausted(
+    sys: &mut System,
+    sim: &mut memif_hwsim::Sim<System>,
+    id: DeviceId,
+    deq: Dequeued,
+    plan: Plan,
+    ctx: Context,
+    attempt: u32,
+    shard: usize,
+    elapsed: SimDuration,
+) -> SimDuration {
+    let chaos = sys.chaos_enabled();
+    let (max_retries, base_backoff, fallback) = {
+        let c = &dev(sys, id).config;
+        (c.max_dma_retries, c.retry_backoff, c.cpu_fallback)
+    };
+    let exhausted = chaos && attempt >= max_retries;
+    if exhausted && fallback {
+        let link = (0, None);
+        let (token, journal_cost) =
+            register_inflight(sys, id, &deq, None, plan, false, attempt, shard, link, ctx);
+        let elapsed = elapsed + journal_cost;
+        sim.schedule_after(
+            elapsed,
+            SimEvent::DegradeOrFail {
+                device: id,
+                token,
+                reason: FailReason::Descriptors,
+            },
+        );
+        return elapsed;
+    }
+    restore_pages(sys, id, &plan.pages, plan.page_size, false);
+    if exhausted {
+        let status = MoveStatus::Failed(FailReason::Descriptors);
+        complete::notify(sys, sim, id, deq.slot, deq.req, status, None, ctx);
+        return elapsed;
+    }
+    let (backoff, next_attempt) = if chaos {
+        dev_mut(sys, id).stats.retries += 1;
+        (base_backoff * (1u64 << attempt.min(16)), attempt + 1)
+    } else {
+        (base_backoff, 0)
+    };
+    sim.schedule_after(
+        backoff,
+        SimEvent::ExecRetry {
+            device: id,
+            slot: deq.slot,
+            req: deq.req,
+            color: deq.color,
+            ctx,
+            attempt: next_attempt,
+            shard,
+        },
+    );
+    elapsed
+}
+
+/// Registers a prepared request with the device, linked into its chain
+/// as `(chain_offset, batch_leader)`, and appends its write-ahead
+/// record. Returns its token and the journal's cost: journaling devices
+/// (`journal = true`) pay one `journal_write` per issue, folded into the
+/// issue path's elapsed time. The record is written once the entry is
+/// fully linked, so it captures the member's leader from the start.
 /// The request's virtual address spans enter the device-wide in-flight
 /// index here (and leave it in `MemifDevice::take_inflight`), so every
 /// shard's issue-time hazard guard sees it immediately.
@@ -344,25 +378,24 @@ fn journal_issue(sys: &mut System, id: DeviceId, token: u64, ctx: Context) -> Si
 fn register_inflight(
     sys: &mut System,
     id: DeviceId,
-    req: MovReq,
     deq: &Dequeued,
     cfg: Option<memif_hwsim::dma::ConfiguredTransfer>,
     plan: Plan,
     interrupt_mode: bool,
     attempt: u32,
     shard: usize,
-) -> u64 {
+    (chain_offset, batch_leader): (u64, Option<u64>),
+    ctx: Context,
+) -> (u64, SimDuration) {
     let device = dev_mut(sys, id);
     let token = device.next_token;
     device.next_token += 1;
-    let len = u64::from(req.nr_pages) << req.page_shift;
-    device.spans.insert(req.src_base, len, token);
-    if req.kind == MoveKind::Replicate {
-        device.spans.insert(req.dst_base, len, token);
+    for (base, len) in kthread::spans_of(&deq.req) {
+        device.spans.insert(base, len, token);
     }
     device.inflight.push(Inflight {
         token,
-        req,
+        req: deq.req,
         slot: deq.slot,
         transfer: None,
         tc: None,
@@ -376,214 +409,37 @@ fn register_inflight(
         attempt,
         watchdog: None,
         batch_members: Vec::new(),
-        batch_leader: None,
-        chain_offset: 0,
+        batch_leader,
+        chain_offset,
         shard,
     });
-    token
-}
-
-/// Runs operations 1–3 for a drained batch of compatible requests as
-/// **one** chained scatter-gather launch. Each member is planned (and
-/// its remap installed) individually; the per-request segment lists are
-/// concatenated into a single descriptor chain programmed and launched
-/// once, completing with a single interrupt whose handler fans status
-/// back out per request. Per-member plan rejections notify that member
-/// alone; descriptor exhaustion disbands the batch into per-member
-/// retries so no request is ever dropped.
-pub(crate) fn execute_batch(
-    sys: &mut System,
-    sim: &mut memif_hwsim::Sim<System>,
-    id: DeviceId,
-    batch: Vec<Dequeued>,
-    ctx: Context,
-    shard: usize,
-) -> (SimDuration, ExecOutcome) {
-    let mut elapsed = SimDuration::ZERO;
-
-    // Plan every member. Rejections drop out of the batch here with
-    // their failure notification; survivors have their remaps installed.
-    let mut scratch = std::mem::take(&mut dev_mut(sys, id).shards[shard].scratch);
-    let mut planned: Vec<(Dequeued, Plan)> = Vec::with_capacity(batch.len());
-    for deq in batch {
-        match plan_request(sys, id, &deq.req, &mut scratch) {
-            Ok(p) => planned.push((deq, p)),
-            Err((status, cost)) => {
-                elapsed += cost;
-                sys.meter.charge(ctx, cost);
-                complete::notify(sys, sim, id, deq.slot, deq.req, status, None, ctx);
-            }
-        }
+    if !device.config.journal {
+        return (token, SimDuration::ZERO);
     }
-    dev_mut(sys, id).shards[shard].scratch = scratch;
-    if planned.is_empty() {
-        return (elapsed, ExecOutcome::Rejected);
-    }
-
-    // Charge Prep and Remap for every member.
-    let mut prep = SimDuration::ZERO;
-    let mut remap = SimDuration::ZERO;
-    for (_, p) in &planned {
-        record_coalescing(sys, id, p);
-        prep += p.prep_cost;
-        remap += p.remap_cost;
-    }
-    sys.meter.charge(ctx, prep + remap);
-    {
-        let stats = &mut dev_mut(sys, id).stats;
-        stats.phases.add(Phase::Prep, prep);
-        stats.phases.add(Phase::Remap, remap);
-    }
-    elapsed += prep + remap;
-
-    // Op 3, once: program the concatenated chain.
-    sys.dma
-        .set_reuse_enabled(dev(sys, id).config.descriptor_reuse);
-    let combined: Vec<SgSegment> = planned
-        .iter()
-        .flat_map(|(_, p)| p.segments.iter().copied())
-        .collect();
-    let cfg = match sys.dma.configure_segments(combined, &sys.cost) {
-        Ok(cfg) => cfg,
-        Err(memif_hwsim::dma::ChainError::AllBusy) => {
-            // Descriptor exhaustion: disband. Each member's remap rolls
-            // back and the member re-enters execution solo after the
-            // backoff, exactly as a solo AllBusy would — retry operates
-            // per request, never per batch.
-            let chaos = sys.chaos_enabled();
-            let base_backoff = dev(sys, id).config.retry_backoff;
-            let next_attempt = u32::from(chaos);
-            for (deq, plan) in planned {
-                undo_remap(sys, id, &plan);
-                if chaos {
-                    dev_mut(sys, id).stats.retries += 1;
-                }
-                sim.schedule_after(
-                    base_backoff,
-                    SimEvent::ExecRetry {
-                        device: id,
-                        slot: deq.slot,
-                        req: deq.req,
-                        color: deq.color,
-                        ctx,
-                        attempt: next_attempt,
-                        shard,
-                    },
-                );
-            }
-            return (elapsed, ExecOutcome::Launched);
-        }
-        Err(_) => {
-            // Geometry errors (belt-and-braces: assembly bounds the
-            // total page count by the pool size).
-            for (deq, plan) in planned {
-                undo_remap(sys, id, &plan);
-                complete::notify(
-                    sys,
-                    sim,
-                    id,
-                    deq.slot,
-                    deq.req,
-                    MoveStatus::Invalid,
-                    None,
-                    ctx,
-                );
-            }
-            return (elapsed, ExecOutcome::Rejected);
-        }
-    };
-    sys.meter.charge(ctx, cfg.config_cost);
-    elapsed += cfg.config_cost;
-    {
-        let stats = &mut dev_mut(sys, id).stats;
-        stats.phases.add(Phase::DmaConfig, cfg.config_cost);
-        stats.descriptors_written += cfg.descriptors as u64;
-        if planned.len() >= 2 {
-            stats.requests_batched += planned.len() as u64;
-        }
-    }
-    for (deq, plan) in &planned {
-        record_route(sys, id, &deq.req, plan);
-        // Codec work for the whole chain, member by member.
-        elapsed += codec_charge(sys, &plan.segments, ctx);
-    }
-
-    let threshold = dev(sys, id).poll_threshold(sys.cost.poll_threshold_bytes);
-    // One completion for the whole chain: the leader's mode is decided
-    // by the combined size. Members remember their own-size mode for
-    // the day they are split off into solo retries.
-    let batch_interrupt = cfg.bytes >= threshold;
-    let n = planned.len();
-    let mut cfg_slot = Some(cfg);
-    let mut offset = 0u64;
-    let mut leader_token = 0u64;
-    let mut member_tokens = Vec::with_capacity(n.saturating_sub(1));
-    let mut total_pages = 0u32;
-    for (i, (deq, plan)) in planned.into_iter().enumerate() {
-        let own_bytes: u64 = plan.segments.iter().map(|s| s.bytes).sum();
-        let interrupt_mode = if i == 0 {
-            batch_interrupt
-        } else {
-            own_bytes >= threshold
-        };
-        total_pages += deq.req.nr_pages;
-        let token = register_inflight(
-            sys,
-            id,
-            deq.req,
-            &deq,
-            if i == 0 { cfg_slot.take() } else { None },
-            plan,
-            interrupt_mode,
-            0,
-            shard,
-        );
-        let entry = dev_mut(sys, id)
-            .inflight
-            .iter_mut()
-            .find(|f| f.token == token)
-            .expect("just registered");
-        entry.chain_offset = offset;
-        offset += own_bytes;
-        if i == 0 {
-            leader_token = token;
-        } else {
-            entry.batch_leader = Some(leader_token);
-            member_tokens.push(token);
-        }
-        // Journal after the chain linkage above is final, so the record
-        // carries the member's leader token from the start.
-        elapsed += journal_issue(sys, id, token, ctx);
-    }
-    dev_mut(sys, id)
-        .inflight
-        .iter_mut()
-        .find(|f| f.token == leader_token)
-        .expect("registered above")
-        .batch_members = member_tokens;
-
-    if sys.tracing() {
-        let leader = dev(sys, id)
-            .inflight
+    device.stats.journal_records += 1;
+    let owner = device.owner;
+    let i = device.inflight.last().expect("just pushed");
+    let record = crate::journal::JournalRecord {
+        device: id,
+        space: owner,
+        token,
+        req: i.req,
+        shard,
+        batch_leader,
+        page_size: i.page_size,
+        pages: i
+            .pages
             .iter()
-            .find(|f| f.token == leader_token)
-            .map(|f| f.req.id);
-        sys.trace_emit(
-            sim.now(),
-            elapsed,
-            ctx,
-            format!("ops 1-3: batched prep+remap+cfg ({n} reqs, {total_pages} pages)"),
-            leader,
-        );
-    }
-    sim.schedule_after(
-        elapsed,
-        SimEvent::Launch {
-            device: id,
-            token: leader_token,
-        },
-    );
-    (elapsed, ExecOutcome::Launched)
+            .map(crate::journal::JournalPage::of_plan)
+            .collect(),
+        segments: i.segments.clone(),
+        milestone: crate::journal::JournalMilestone::Issued,
+        sealed: None,
+    };
+    sys.journal.append(record);
+    let cost = sys.cost.journal_write;
+    sys.meter.charge(ctx, cost);
+    (token, cost)
 }
 
 pub(crate) fn launch(
@@ -797,25 +653,8 @@ fn fail_one(
         sim.cancel(w);
     }
     let attempt = inflight.attempt;
-    let held_tc = inflight.tc.take();
-    match inflight.transfer.take() {
-        Some(t) => {
-            // A lost transfer still owns its chain and controller slot
-            // (its completion never ran); abort reclaims both. A transfer
-            // already retired by its error interrupt aborts as a no-op.
-            if let Some(aborted) = sys.dma.abort(t) {
-                if let Some(flow) = aborted.flow {
-                    sys.flows.cancel_flow(sim, flow);
-                }
-                if let Some(tc) = held_tc {
-                    release_tc(sys, sim, tc);
-                }
-            }
-        }
-        None => {
-            sys.tc.cancel_waiting(|(d, t)| *d == id && *t == token);
-        }
-    }
+    let (transfer, tc) = (inflight.transfer.take(), inflight.tc.take());
+    reclaim_engine(sys, sim, id, token, transfer, tc);
     let (max_retries, base_backoff) = {
         let c = &dev(sys, id).config;
         (c.max_dma_retries, c.retry_backoff)
@@ -911,17 +750,8 @@ pub(crate) fn degrade_or_fail(
         if let Some(w) = inflight.watchdog.take() {
             sim.cancel(w);
         }
-        let held_tc = inflight.tc.take();
-        if let Some(t) = inflight.transfer.take() {
-            if let Some(aborted) = sys.dma.abort(t) {
-                if let Some(flow) = aborted.flow {
-                    sys.flows.cancel_flow(sim, flow);
-                }
-                if let Some(tc) = held_tc {
-                    release_tc(sys, sim, tc);
-                }
-            }
-        }
+        let (transfer, tc) = (inflight.transfer.take(), inflight.tc.take());
+        reclaim_engine(sys, sim, id, token, transfer, tc);
         fault::teardown_inflight(sys, sim, id, inflight, MoveStatus::Failed(reason));
         return;
     }
@@ -964,43 +794,33 @@ pub(crate) fn degrade_or_fail(
     sim.schedule_at(ready_at, SimEvent::DegradedRelease { device: id, token });
 }
 
-/// Release + Notify for a request served by the degraded CPU-copy path,
-/// once the worker's CPU frees up ([`SimEvent::DegradedRelease`]).
-pub(crate) fn degraded_release(
+/// Reclaims the engine side of request `token`'s dying attempt. A
+/// launched `transfer` still owns its chain and controller slot (its
+/// completion never ran): abort cancels its flow and frees the slot `tc`
+/// — a transfer already retired by its error interrupt aborts as a
+/// no-op. An unlaunched one may still be waiting for a controller and
+/// leaves that queue instead.
+pub(crate) fn reclaim_engine(
     sys: &mut System,
     sim: &mut memif_hwsim::Sim<System>,
     id: DeviceId,
     token: u64,
+    transfer: Option<memif_hwsim::dma::TransferId>,
+    tc: Option<usize>,
 ) {
-    if sys.device(id).is_none() {
-        return;
+    match transfer {
+        Some(t) => {
+            if let Some(aborted) = sys.dma.abort(t) {
+                if let Some(flow) = aborted.flow {
+                    sys.flows.cancel_flow(sim, flow);
+                }
+                if let Some(tc) = tc {
+                    release_tc(sys, sim, tc);
+                }
+            }
+        }
+        None => sys.tc.cancel_waiting(|(d, t)| *d == id && *t == token),
     }
-    let Some(index) = dev(sys, id).inflight.iter().position(|i| i.token == token) else {
-        return; // aborted in the copy window
-    };
-    // Crash point: copy applied, release not yet run (retire site 3).
-    if sys.maybe_crash(sim, memif_hwsim::CrashPoint::PreRetire) {
-        return;
-    }
-    let inflight = dev_mut(sys, id).take_inflight(index);
-    let req_id = inflight.req.id;
-    let shard = inflight.shard;
-    let release_cost = complete::release_and_notify(sys, sim, id, inflight, Context::KernelThread);
-    sys.meter.attribute_worker(shard, release_cost);
-    sys.trace_emit(
-        sim.now(),
-        release_cost,
-        Context::KernelThread,
-        "ops 4-5: release+notify (degraded)",
-        Some(req_id),
-    );
-    let busy_until = sim.now() + release_cost;
-    let device = dev_mut(sys, id);
-    device.shards[shard].busy_until = device.shards[shard].busy_until.max(busy_until);
-    crate::driver::schedule_worker_wake(sys, sim, id, shard, release_cost);
-    crate::driver::wake_deferred_peers(sys, sim, id, shard, release_cost);
-    // Crash point: the request retired (journal sealed) an instant ago.
-    sys.maybe_crash(sim, memif_hwsim::CrashPoint::PostRetire);
 }
 
 /// Frees the transfer-controller slot a retired transfer held on channel
@@ -1267,16 +1087,28 @@ fn plan_migration(
     })
 }
 
-/// Rolls Remap back after a post-remap failure (descriptor exhaustion).
-fn undo_remap(sys: &mut System, id: DeviceId, plan: &Plan) {
+/// Rolls Remap back for `pages`: restores the original PTEs (including
+/// remote mappers of shared pages) and frees the would-be destination
+/// frames, dropping their contents too if `discard`. Returns the CPU
+/// cost of the rollback; only a teardown after launch charges it (an
+/// issue-time rollback is folded into the failed issue).
+pub(crate) fn restore_pages(
+    sys: &mut System,
+    id: DeviceId,
+    pages: &[PagePlan],
+    page_size: PageSize,
+    discard: bool,
+) -> SimDuration {
     let owner = dev(sys, id).owner;
-    for page in &plan.pages {
+    let mut cost = SimDuration::ZERO;
+    for page in pages {
         let space = &mut sys.spaces[owner.0];
         space
             .table_mut()
             .replace(page.vaddr, page.original)
             .expect("entry exists");
-        space.tlb_mut().flush_page(page.vaddr, plan.page_size);
+        space.tlb_mut().flush_page(page.vaddr, page_size);
+        cost += sys.cost.pte_update_with_flush();
         for (sid, rva) in &page.remote {
             let restored = page.original.with_young(false);
             let rspace = &mut sys.spaces[sid.0];
@@ -1284,11 +1116,15 @@ fn undo_remap(sys: &mut System, id: DeviceId, plan: &Plan) {
                 .table_mut()
                 .replace(*rva, restored)
                 .expect("remote entry exists");
-            rspace.tlb_mut().flush_page(*rva, plan.page_size);
-            let _ = sys.alloc.free(page.new_frame); // drop remote's ref
+            rspace.tlb_mut().flush_page(*rva, page_size);
+            cost += sys.cost.pte_update_with_flush();
+            let _ = sys.alloc.free(page.new_frame); // remote's reference
         }
-    }
-    for page in &plan.pages {
         let _ = sys.alloc.free(page.new_frame);
+        if discard && sys.alloc.frame_info(page.new_frame).is_none() {
+            sys.phys.discard(page.new_frame, page_size.bytes());
+        }
+        cost += sys.cost.page_free;
     }
+    cost
 }

@@ -13,7 +13,7 @@ use memif_lockfree::MoveStatus;
 use memif_mm::VirtAddr;
 
 use crate::device::DeviceId;
-use crate::driver::{complete, dev, dev_mut};
+use crate::driver::{complete, dev, dev_mut, exec};
 use crate::event::SimEvent;
 use crate::system::{SpaceId, System};
 
@@ -135,20 +135,8 @@ pub(crate) fn abort_inflight(sys: &mut System, sim: &mut Sim<System>, id: Device
 
     // Drop the outstanding DMA transfer (it may not have launched yet,
     // or may still be waiting for a transfer controller).
-    let held_tc = inflight.tc.take();
-    if let Some(transfer) = inflight.transfer.take() {
-        if let Some(aborted) = sys.dma.abort(transfer) {
-            if let Some(flow) = aborted.flow {
-                sys.flows.cancel_flow(sim, flow);
-            }
-            if let Some(tc) = held_tc {
-                crate::driver::exec::release_tc(sys, sim, tc);
-            }
-        }
-    } else {
-        let token = inflight.token;
-        sys.tc.cancel_waiting(|(d, t)| *d == id && *t == token);
-    }
+    let (transfer, tc) = (inflight.transfer.take(), inflight.tc.take());
+    exec::reclaim_engine(sys, sim, id, token, transfer, tc);
 
     teardown_inflight(sys, sim, id, inflight, MoveStatus::Aborted);
 }
@@ -165,36 +153,9 @@ pub(crate) fn teardown_inflight(
     inflight: crate::device::Inflight,
     status: MoveStatus,
 ) {
-    let owner = dev(sys, id).owner;
-
     // Restore the original PTEs (including remote mappers of shared
     // pages) and release the would-be destination.
-    let mut cost = memif_hwsim::SimDuration::ZERO;
-    for page in &inflight.pages {
-        let space = &mut sys.spaces[owner.0];
-        space
-            .table_mut()
-            .replace(page.vaddr, page.original)
-            .expect("entry exists");
-        space.tlb_mut().flush_page(page.vaddr, inflight.page_size);
-        cost += sys.cost.pte_update_with_flush();
-        for (sid, rva) in &page.remote {
-            let restored = page.original.with_young(false);
-            let rspace = &mut sys.spaces[sid.0];
-            rspace
-                .table_mut()
-                .replace(*rva, restored)
-                .expect("remote entry exists");
-            rspace.tlb_mut().flush_page(*rva, inflight.page_size);
-            cost += sys.cost.pte_update_with_flush();
-            let _ = sys.alloc.free(page.new_frame); // remote's reference
-        }
-        let _ = sys.alloc.free(page.new_frame);
-        if sys.alloc.frame_info(page.new_frame).is_none() {
-            sys.phys.discard(page.new_frame, inflight.page_size.bytes());
-        }
-        cost += sys.cost.page_free;
-    }
+    let cost = exec::restore_pages(sys, id, &inflight.pages, inflight.page_size, true);
     sys.meter.charge(Context::Syscall, cost);
     {
         let stats = &mut dev_mut(sys, id).stats;

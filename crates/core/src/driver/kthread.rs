@@ -24,7 +24,7 @@ use memif_hwsim::{Context, Sim};
 use memif_lockfree::{Color, Dequeued, MovReq, QueueId};
 
 use crate::device::DeviceId;
-use crate::driver::exec::{execute_batch, execute_request};
+use crate::driver::exec::issue;
 use crate::driver::{dev, dev_mut, region_fault};
 use crate::event::SimEvent;
 use crate::system::System;
@@ -104,7 +104,8 @@ fn run_round(
         // Deferred requests first: one may have been waiting on a
         // conflict that has since retired. They were dequeued (and their
         // queue operation charged) in an earlier round, so re-examining
-        // them costs nothing. FIFO scan keeps same-region order.
+        // them costs nothing, and each issues alone. FIFO scan keeps
+        // same-region order.
         let parked = {
             let device = dev(sys, id);
             device.shards[shard]
@@ -112,99 +113,26 @@ fn run_round(
                 .iter()
                 .position(|d| conflicting_token(device, &d.req).is_none())
         };
-        if let Some(pos) = parked {
-            let deq = dev_mut(sys, id).shards[shard].deferred.remove(pos);
-            let (tenant, bytes) = (deq.req.tenant, deq.req.len_bytes());
-            let (elapsed, _outcome) =
-                execute_request(sys, sim, id, deq, Context::KernelThread, shard);
-            dev_mut(sys, id).shards[shard].busy_until = sim.now() + elapsed;
-            sys.meter.attribute_worker(shard, elapsed);
-            if dev(sys, id).config.qos {
-                dev_mut(sys, id).shards[shard]
-                    .drr
-                    .charge(memif_qos::TenantId(tenant), bytes);
-                sys.meter.attribute_tenant(tenant, elapsed);
-            }
-            sim.schedule_after(elapsed, SimEvent::KthreadContinue { device: id, shard });
-            return;
-        }
-
-        let queue_cost = sys.cost.queue_op;
-        sys.meter.charge_worker(shard, queue_cost);
-
-        let next = match dequeue_next(sys, sim, id, shard) {
-            Ok(next) => next,
-            Err(()) => return, // region fault already reported
-        };
-
-        match next {
-            Some(deq) => {
-                // Issue-time hazard guard: a request whose pages overlap
-                // a still-in-flight request must wait for it to retire.
-                // Planning it now would re-read (and overwrite) the
-                // in-flight remap's semi-final PTEs — with out-of-order
-                // completions (a lost interrupt riding out its watchdog
-                // while younger requests finish) the application can
-                // legally have both queued. FIFO within a region is
-                // preserved: a later same-region request conflicts with
-                // the same in-flight entry and parks behind this one.
-                // The span index is device-wide, so the guard also sees
-                // requests another shard put in flight.
-                if let Some(tok) = conflicting_token(dev(sys, id), &deq.req) {
-                    let cross = dev(sys, id)
-                        .inflight
-                        .iter()
-                        .find(|i| i.token == tok)
-                        .is_some_and(|i| i.shard != shard);
-                    let stats = &mut dev_mut(sys, id).stats;
-                    stats.requests_deferred += 1;
-                    if cross {
-                        stats.cross_shard_deferred += 1;
-                    }
-                    dev_mut(sys, id).shards[shard].deferred.push(deq);
-                    continue;
-                }
-                let batch_max = dev(sys, id).config.batch_max.max(1);
-                let tenant = deq.req.tenant;
-                let mut served_bytes = deq.req.len_bytes();
-                let (elapsed, _outcome) = if batch_max > 1 {
-                    let mut batch = assemble_batch(sys, id, shard, deq, batch_max);
-                    served_bytes = batch.iter().map(|d| d.req.len_bytes()).sum();
-                    if batch.len() == 1 {
-                        let deq = batch.pop().expect("one element");
-                        execute_request(sys, sim, id, deq, Context::KernelThread, shard)
-                    } else {
-                        execute_batch(sys, sim, id, batch, Context::KernelThread, shard)
-                    }
-                } else {
-                    execute_request(sys, sim, id, deq, Context::KernelThread, shard)
-                };
-                // Whether launched or rejected, the worker's CPU is busy
-                // for `elapsed`; it looks for more work afterwards (and
-                // issues it if the pipeline still has room).
-                dev_mut(sys, id).shards[shard].busy_until = sim.now() + elapsed;
-                sys.meter.attribute_worker(shard, elapsed);
-                if dev(sys, id).config.qos {
-                    // Weighted-fair accounting: the round's service bytes
-                    // draw down the tenant's DRR deficit (a batch is one
-                    // tenant — `assemble_batch` enforces it under QoS).
-                    dev_mut(sys, id).shards[shard]
-                        .drr
-                        .charge(memif_qos::TenantId(tenant), served_bytes);
-                    sys.meter.attribute_tenant(tenant, elapsed);
-                }
-                sim.schedule_after(elapsed, SimEvent::KthreadContinue { device: id, shard });
-                return;
-            }
+        let (first, assemble) = match parked {
+            Some(pos) => (dev_mut(sys, id).shards[shard].deferred.remove(pos), false),
             None => {
-                // Both queues drained: hand the flush duty back to the
-                // application. A failed recolor means new requests raced
-                // in — keep draining.
-                match dev(sys, id)
-                    .region
-                    .set_color_sharded(QueueId::Staging, shard, Color::Blue)
-                {
-                    Ok(_) => {
+                let queue_cost = sys.cost.queue_op;
+                sys.meter.charge_worker(shard, queue_cost);
+                match dequeue_next(sys, sim, id, shard) {
+                    Err(()) => return, // region fault already reported
+                    Ok(Some(deq)) if defer_if_conflicting(sys, id, shard, deq) => continue,
+                    Ok(Some(deq)) => (deq, true),
+                    Ok(None) => {
+                        // Both queues drained: hand the flush duty back
+                        // to the application. A failed recolor means new
+                        // requests raced in — keep draining.
+                        let region = &dev(sys, id).region;
+                        if region
+                            .set_color_sharded(QueueId::Staging, shard, Color::Blue)
+                            .is_err()
+                        {
+                            continue;
+                        }
                         sys.trace_emit(
                             sim.now(),
                             memif_hwsim::SimDuration::ZERO,
@@ -214,11 +142,70 @@ fn run_round(
                         );
                         return; // idle; apps flush + ioctl from now on
                     }
-                    Err(_) => continue,
                 }
             }
+        };
+        let mut batch = std::mem::take(&mut dev_mut(sys, id).shards[shard].batch);
+        batch.push(first);
+        if assemble {
+            assemble_batch(sys, id, shard, &mut batch);
         }
+        let elapsed = issue(sys, sim, id, &batch, Context::KernelThread, 0, shard);
+        // Whether launched or rejected, the worker's CPU is busy for
+        // `elapsed`; it looks for more work afterwards (and issues it if
+        // the pipeline still has room).
+        dev_mut(sys, id).shards[shard].busy_until = sim.now() + elapsed;
+        sys.meter.attribute_worker(shard, elapsed);
+        if dev(sys, id).config.qos {
+            // Weighted-fair accounting: the round's service bytes draw
+            // down the tenant's DRR deficit (a batch is one tenant —
+            // `assemble_batch` enforces it under QoS).
+            let tenant = first.req.tenant;
+            let served_bytes = batch.iter().map(|d| d.req.len_bytes()).sum();
+            dev_mut(sys, id).shards[shard]
+                .drr
+                .charge(memif_qos::TenantId(tenant), served_bytes);
+            sys.meter.attribute_tenant(tenant, elapsed);
+        }
+        batch.clear();
+        dev_mut(sys, id).shards[shard].batch = batch;
+        sim.schedule_after(elapsed, SimEvent::KthreadContinue { device: id, shard });
+        return;
     }
+}
+
+/// Issue-time hazard guard: a request whose pages overlap a
+/// still-in-flight request must wait for it to retire. Planning it now
+/// would re-read (and overwrite) the in-flight remap's semi-final PTEs —
+/// with out-of-order completions (a lost interrupt riding out its
+/// watchdog while younger requests finish) the application can legally
+/// have both queued. FIFO within a region is preserved: a later
+/// same-region request conflicts with the same in-flight entry and
+/// parks behind this one. The span index is device-wide, so the guard
+/// also sees requests another shard put in flight; the conflicting
+/// request's retire path wakes every shard with deferred work. Parks
+/// `deq` on shard `shard` and returns `true` if it conflicts.
+pub(crate) fn defer_if_conflicting(
+    sys: &mut System,
+    id: DeviceId,
+    shard: usize,
+    deq: Dequeued,
+) -> bool {
+    let Some(tok) = conflicting_token(dev(sys, id), &deq.req) else {
+        return false;
+    };
+    let cross = dev(sys, id)
+        .inflight
+        .iter()
+        .find(|i| i.token == tok)
+        .is_some_and(|i| i.shard != shard);
+    let device = dev_mut(sys, id);
+    device.stats.requests_deferred += 1;
+    if cross {
+        device.stats.cross_shard_deferred += 1;
+    }
+    device.shards[shard].deferred.push(deq);
+    true
 }
 
 /// Takes the next request off shard `shard`'s queues (Submission first,
@@ -326,44 +313,35 @@ fn dequeue_next(
     Ok(Some(d))
 }
 
-/// Drains up to `batch_max` compatible requests behind `first` into one
-/// issue batch: same kind and page size (one chain, one geometry), the
-/// combined page count bounded by the descriptor pool, and no address
-/// overlap with an earlier batch member (FIFO is the queues' only
-/// ordering guarantee — an overlapping request must stay behind the
-/// batch). Only this shard's queues are probed — a batch never crosses
-/// shards. Incompatible requests are left in place, in order. Each
-/// extra probe pays a queue operation like the solo path's; a region
-/// fault merely stops assembly — the already-drained requests must
-/// still be served.
-fn assemble_batch(
-    sys: &mut System,
-    id: DeviceId,
-    shard: usize,
-    first: Dequeued,
-    batch_max: usize,
-) -> Vec<Dequeued> {
+/// Drains up to `batch_max` compatible requests behind the batch's
+/// first member into it: same kind and page size (one chain, one
+/// geometry), the combined page count bounded by the descriptor pool,
+/// and no address overlap with an earlier batch member (FIFO is the
+/// queues' only ordering guarantee — an overlapping request must stay
+/// behind the batch). Only this shard's queues are probed — a batch
+/// never crosses shards — and none at all with `batch_max` 1.
+/// Incompatible requests are left in place, in order. Each extra probe
+/// pays a queue operation like the first dequeue; a region fault merely
+/// stops assembly — the already-drained requests must still be served.
+fn assemble_batch(sys: &mut System, id: DeviceId, shard: usize, batch: &mut Vec<Dequeued>) {
+    let batch_max = dev(sys, id).config.batch_max.max(1);
     let max_pages = sys.dma.max_segments();
-    let kind = first.req.kind;
-    let shift = first.req.page_shift;
+    let first = batch[0].req;
     // Under QoS a batch never mixes tenants: the weighted-fair dequeue
     // charged this round to `first`'s tenant, so only that tenant's
     // requests may ride the chain.
-    let same_tenant = dev(sys, id).config.qos.then_some(first.req.tenant);
-    let mut total_pages = first.req.nr_pages as usize;
-    let mut spans: Vec<(u64, u64)> = Vec::new();
-    push_spans(&mut spans, &first.req);
-    let mut batch = vec![first];
+    let same_tenant = dev(sys, id).config.qos.then_some(first.tenant);
+    let mut total_pages = first.nr_pages as usize;
     while batch.len() < batch_max && total_pages < max_pages {
         let queue_cost = sys.cost.queue_op;
         sys.meter.charge_worker(shard, queue_cost);
         let device = dev(sys, id);
         let fits = |m: &MovReq| {
-            m.kind == kind
-                && m.page_shift == shift
+            m.kind == first.kind
+                && m.page_shift == first.page_shift
                 && same_tenant.is_none_or(|t| m.tenant == t)
                 && total_pages + m.nr_pages as usize <= max_pages
-                && !overlaps_any(&spans, m)
+                && !overlaps_batch(batch, m)
                 && conflicting_token(device, m).is_none()
         };
         let queue_hit =
@@ -418,19 +396,16 @@ fn assemble_batch(
         };
         let Some(d) = next else { break };
         total_pages += d.req.nr_pages as usize;
-        push_spans(&mut spans, &d.req);
         batch.push(d);
     }
-    batch
 }
 
-/// Records the virtual address ranges `req` reads or writes.
-pub(crate) fn push_spans(spans: &mut Vec<(u64, u64)>, req: &MovReq) {
+/// The virtual address ranges `req` reads or writes: its source, and
+/// for a replication its destination too.
+pub(crate) fn spans_of(req: &MovReq) -> impl Iterator<Item = (u64, u64)> {
     let len = u64::from(req.nr_pages) << req.page_shift;
-    spans.push((req.src_base, len));
-    if req.kind == memif_lockfree::MoveKind::Replicate {
-        spans.push((req.dst_base, len));
-    }
+    let dst = (req.kind == memif_lockfree::MoveKind::Replicate).then_some((req.dst_base, len));
+    std::iter::once((req.src_base, len)).chain(dst)
 }
 
 /// The token of an in-flight request (any shard; including
@@ -441,23 +416,15 @@ pub(crate) fn push_spans(spans: &mut Vec<(u64, u64)>, req: &MovReq) {
 /// check runs against the device-wide span index, which mirrors
 /// `inflight` exactly (spans registered at issue, dropped at retire).
 pub(crate) fn conflicting_token(device: &crate::device::MemifDevice, req: &MovReq) -> Option<u64> {
-    let len = u64::from(req.nr_pages) << req.page_shift;
-    device.spans.first_overlap(req.src_base, len).or_else(|| {
-        if req.kind == memif_lockfree::MoveKind::Replicate {
-            device.spans.first_overlap(req.dst_base, len)
-        } else {
-            None
-        }
-    })
+    spans_of(req).find_map(|(base, len)| device.spans.first_overlap(base, len))
 }
 
-/// True if any of `req`'s address ranges intersects a recorded span.
-fn overlaps_any(spans: &[(u64, u64)], req: &MovReq) -> bool {
-    let mut own: Vec<(u64, u64)> = Vec::with_capacity(2);
-    push_spans(&mut own, req);
-    own.iter().any(|(base, len)| {
-        spans
-            .iter()
-            .any(|(sbase, slen)| *base < sbase + slen && *sbase < base + len)
+/// True if any of `req`'s address ranges intersects one of a batch
+/// member's.
+fn overlaps_batch(batch: &[Dequeued], req: &MovReq) -> bool {
+    batch.iter().any(|member| {
+        spans_of(&member.req).any(|(mbase, mlen)| {
+            spans_of(req).any(|(base, len)| base < mbase + mlen && mbase < base + len)
+        })
     })
 }

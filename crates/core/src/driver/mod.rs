@@ -14,6 +14,15 @@
 //!   interrupt-driven and polling completion at the 512 KB threshold,
 //!   and recolors the staging queue blue before going back to sleep.
 //!
+//! The three paths share one issue function and one retire funnel.
+//! [`exec::issue`] runs operations 1–3 for a batch of one or more
+//! requests — a solo request is a batch of one — whether the syscall,
+//! the kernel worker or a descriptor-exhaustion retry calls it.
+//! [`complete::retire`] runs Release and Notify for every completion,
+//! whether the interrupt handler, the polling worker or the degraded
+//! CPU-copy path reached it; the three differ only in execution context,
+//! in who pays the worker wake, and in their trace label.
+//!
 //! Every deferred step of these paths is a typed
 //! [`SimEvent`](crate::SimEvent) — launch, retry, watchdog, interrupt
 //! and polling release, kernel-thread continuation — dispatched by the

@@ -10,8 +10,8 @@ use memif_hwsim::{Context, Phase, Sim, SimDuration};
 use memif_lockfree::QueueId;
 
 use crate::device::DeviceId;
-use crate::driver::exec::execute_request;
-use crate::driver::{dev, dev_mut};
+use crate::driver::exec::issue;
+use crate::driver::{dev, dev_mut, kthread};
 use crate::event::SimEvent;
 use crate::system::System;
 
@@ -73,20 +73,8 @@ pub(crate) fn mov_one(
             // point (it lands on the Red staging queue and goes through
             // the worker), but with affinity routing the conflicting
             // requests can arrive on *different* shards, each finding
-            // its own queue idle. Park it; the conflicting request's
-            // retire path wakes every shard with deferred work.
-            if let Some(tok) = crate::driver::kthread::conflicting_token(dev(sys, id), &deq.req) {
-                let cross = dev(sys, id)
-                    .inflight
-                    .iter()
-                    .find(|i| i.token == tok)
-                    .is_some_and(|i| i.shard != shard);
-                let stats = &mut dev_mut(sys, id).stats;
-                stats.requests_deferred += 1;
-                if cross {
-                    stats.cross_shard_deferred += 1;
-                }
-                dev_mut(sys, id).shards[shard].deferred.push(deq);
+            // its own queue idle.
+            if kthread::defer_if_conflicting(sys, id, shard, deq) {
                 // Any burst-mates behind it still need the worker.
                 sim.schedule_after(
                     crossing + queue_cost,
@@ -95,7 +83,7 @@ pub(crate) fn mov_one(
                 return crossing + queue_cost;
             }
             let (tenant, bytes) = (deq.req.tenant, deq.req.len_bytes());
-            let (elapsed, _outcome) = execute_request(sys, sim, id, deq, Context::Syscall, shard);
+            let elapsed = issue(sys, sim, id, &[deq], Context::Syscall, 0, shard);
             if dev(sys, id).config.qos {
                 dev_mut(sys, id).shards[shard]
                     .drr

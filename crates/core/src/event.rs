@@ -19,7 +19,8 @@ use memif_hwsim::{
 use memif_lockfree::{Color, Dequeued, FailReason, MovReq, SlotIndex};
 
 use crate::device::DeviceId;
-use crate::driver::{complete, exec, kthread};
+use crate::driver::complete::{self, RetireSite};
+use crate::driver::{exec, kthread};
 use crate::system::System;
 
 /// A one-shot closure scheduled as an event (application/test escape
@@ -391,7 +392,7 @@ impl EventWorld for System {
             } => {
                 if self.device(device).is_some() {
                     let deq = Dequeued { slot, req, color };
-                    let _ = exec::execute_attempt(self, sim, device, deq, ctx, attempt, shard);
+                    exec::issue(self, sim, device, &[deq], ctx, attempt, shard);
                 }
             }
             SimEvent::WatchdogFire { device, token } => {
@@ -407,13 +408,13 @@ impl EventWorld for System {
                 }
             }
             SimEvent::DegradedRelease { device, token } => {
-                exec::degraded_release(self, sim, device, token);
+                complete::retire(self, sim, device, token, RetireSite::Degraded);
             }
             SimEvent::IrqRelease { device, token } => {
-                complete::irq_release(self, sim, device, token);
+                complete::retire(self, sim, device, token, RetireSite::Interrupt);
             }
             SimEvent::PollRelease { device, token } => {
-                complete::poll_release(self, sim, device, token);
+                complete::retire(self, sim, device, token, RetireSite::Poll);
             }
             SimEvent::KthreadRun { device, shard } => kthread::run(self, sim, device, shard),
             SimEvent::KthreadContinue { device, shard } => {

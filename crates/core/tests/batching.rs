@@ -271,3 +271,55 @@ fn batch_rearm_counts_saved_inserts_on_fanout() {
         "a batch fan-out must save duplicate timer rearms"
     );
 }
+
+/// `max_dma_retries = 0` forbids every retry, batched or not: with the
+/// descriptor pool always exhausted each request goes straight to the
+/// CPU-copy fallback. A batch is a group of solo requests sharing one
+/// chain, so the budget applies per member exactly as it does at
+/// `batch_max = 1`.
+#[test]
+fn zero_retry_budget_holds_for_batched_requests() {
+    let run = |batch_max: usize| {
+        let mut sys = System::keystone_ii();
+        let mut sim = Sim::new();
+        sys.install_faults(
+            &mut sim,
+            FaultPlan {
+                seed: 7,
+                desc_exhaust_rate: 1.0,
+                ..FaultPlan::default()
+            },
+        );
+        let space = sys.new_space();
+        let memif = Memif::open(
+            &mut sys,
+            space,
+            MemifConfig {
+                batch_max,
+                max_dma_retries: 0,
+                ..MemifConfig::default()
+            },
+        )
+        .unwrap();
+        for r in 0..8u64 {
+            let va = sys.mmap(space, 4, PAGE, NodeId(0)).unwrap();
+            memif
+                .submit(
+                    &mut sys,
+                    &mut sim,
+                    MoveSpec::migrate(va, 4, PAGE, NodeId(1)).with_user_data(r),
+                )
+                .unwrap();
+        }
+        sim.run(&mut sys);
+        let stats = &sys.device(memif.device()).unwrap().stats;
+        (stats.retries, stats.fallbacks, stats.completed)
+    };
+    for batch_max in [1, 4] {
+        assert_eq!(
+            run(batch_max),
+            (0, 8, 8),
+            "(retries, fallbacks, completed) at batch_max={batch_max}"
+        );
+    }
+}
