@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks of page-table lookup: gang walk (§5.1)
-//! vs per-page vertical walks, on the real radix table.
+//! vs per-page vertical walks, on the real page table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use memif_hwsim::PhysAddr;

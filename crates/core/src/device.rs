@@ -227,6 +227,15 @@ pub(crate) struct PlanScratch {
     pub planned: Vec<(memif_lockfree::Dequeued, crate::driver::exec::Plan)>,
 }
 
+/// Frame lists Release reuses across requests.
+#[derive(Debug, Default)]
+pub(crate) struct ReleaseScratch {
+    /// The old frame of each page, one reference to drop per entry.
+    pub old: Vec<memif_hwsim::PhysAddr>,
+    /// The blocks those drops freed, ascending.
+    pub freed: Vec<memif_hwsim::PhysAddr>,
+}
+
 /// Per-shard kernel-worker state. Each issue shard owns one worker: its
 /// own CPU-occupancy model, deferred FIFO, and planning scratch, so S
 /// shards prepare requests on S simulated CPUs concurrently while still
@@ -330,6 +339,8 @@ pub struct MemifDevice {
     /// starting *after* the last served tenant, so no parked tenant is
     /// structurally favored.
     pub(crate) park_cursor: u16,
+    /// Frame lists Release reuses across requests.
+    pub(crate) release_scratch: ReleaseScratch,
 }
 
 impl std::fmt::Debug for MemifDevice {
@@ -369,6 +380,7 @@ impl MemifDevice {
             pollers: Vec::new(),
             parked: BTreeMap::new(),
             park_cursor: 0,
+            release_scratch: ReleaseScratch::default(),
         })
     }
 

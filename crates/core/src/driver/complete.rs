@@ -379,6 +379,9 @@ pub(crate) fn release_and_notify(
                 }
             }
         });
+    let mut scratch = std::mem::take(&mut dev_mut(sys, id).release_scratch);
+    scratch.old.clear();
+    scratch.freed.clear();
     for page in &pages {
         if race_mode == RaceMode::Prevent {
             sys.spaces[owner.0]
@@ -401,12 +404,21 @@ pub(crate) fn release_and_notify(
             // Drop one old-frame reference per remote mapper.
             let _ = sys.alloc.free(page.old_frame);
         }
-        let freed = sys.alloc.free(page.old_frame).is_ok();
-        if freed && sys.alloc.frame_info(page.old_frame).is_none() {
-            sys.phys.discard(page.old_frame, page_size.bytes());
-        }
+        scratch.old.push(page.old_frame);
         cost += sys.cost.page_free;
     }
+    // The owner's old-frame references go in one batch: the buddy frees
+    // each run of adjacent frames at once, and each freed run's contents
+    // are dropped with one discard.
+    let _ = sys.alloc.free_many(&scratch.old, &mut scratch.freed);
+    let bytes = page_size.bytes();
+    for run in scratch
+        .freed
+        .chunk_by(|a, b| b.as_u64() == a.as_u64() + bytes)
+    {
+        sys.phys.discard(run[0], run.len() as u64 * bytes);
+    }
+    dev_mut(sys, id).release_scratch = scratch;
     if !pages.is_empty() {
         let stats = &mut dev_mut(sys, id).stats;
         stats.phases.add(Phase::Release, cost);

@@ -986,17 +986,13 @@ fn plan_migration(
     // Op 2 (first half): allocate every destination page up front so a
     // mid-request exhaustion leaves the address space untouched.
     scratch.new_frames.clear();
-    for _ in 0..req.nr_pages {
-        match sys.alloc.alloc(dst_node, page_size) {
-            Ok(f) => scratch.new_frames.push(f),
-            Err(_) => {
-                for &f in &scratch.new_frames {
-                    let _ = sys.alloc.free(f);
-                }
-                let cost = prep_cost + sys.cost.page_alloc * u64::from(req.nr_pages);
-                return Err((MoveStatus::OutOfMemory, cost));
-            }
-        }
+    if sys
+        .alloc
+        .alloc_run(dst_node, page_size, req.nr_pages, &mut scratch.new_frames)
+        .is_err()
+    {
+        let cost = prep_cost + sys.cost.page_alloc * u64::from(req.nr_pages);
+        return Err((MoveStatus::OutOfMemory, cost));
     }
 
     // Op 2 (second half): install the in-flight entries. Shared pages

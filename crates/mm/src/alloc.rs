@@ -15,6 +15,16 @@
 //! grow with the highest block handed out, never with the bank's size.
 //! Allocation returns the lowest offset at the lowest order that has
 //! room, splitting larger blocks and keeping their upper halves free.
+//!
+//! A move allocates and frees its pages as runs.
+//! [`FrameAllocator::alloc_run`] returns what as many single
+//! allocations would: those take consecutive sub-blocks of one split
+//! block until it is used up, so the run takes the block once and puts
+//! back only what it leaves. [`FrameAllocator::free_many`] frees each
+//! stretch of adjacent blocks as the aligned blocks that tile it. Both
+//! are exact because a buddy allocator's free lists depend only on
+//! which granules are free: no two free buddies coexist, so the free
+//! blocks are the largest aligned ones the free granules fill.
 
 use memif_hwsim::{NodeId, PhysAddr, Topology};
 
@@ -114,6 +124,15 @@ impl BitTree {
         Some(i as u64)
     }
 
+    /// Every set index, ascending.
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.levels[0].iter().enumerate().flat_map(|(w, &word)| {
+            (0..64)
+                .filter(move |b| word >> b & 1 == 1)
+                .map(move |b| (w * 64 + b) as u64)
+        })
+    }
+
     /// Extends the leaf level to `leaf_words` words and every summary
     /// level above it, adding levels until the top is one word again.
     fn grow(&mut self, leaf_words: usize) {
@@ -194,32 +213,69 @@ impl Bank {
     }
 
     /// Takes the lowest free block at the lowest order `>= order` that
-    /// has one, splits it down to `order` and records it in the frame
-    /// table with one reference. Returns its offset from `base`.
-    fn alloc(&mut self, order: u8) -> Option<u64> {
+    /// has one and hands out its first `want` (at least one) sub-blocks
+    /// of `order`, each recorded in the frame table with one reference.
+    /// The rest of the block goes back to the free lists as the aligned
+    /// blocks that cover it. Returns the first sub-block's offset from
+    /// `base` and how many were handed out.
+    ///
+    /// This is what consecutive single-block allocations do: once the
+    /// lowest fitting order is above `order`, each call splits off the
+    /// next sub-block of the same block, in ascending order, until the
+    /// block is used up. A call for `want` blocks leaves the free lists
+    /// exactly as `want` such calls would.
+    fn take_run(&mut self, order: u8, want: u64) -> Option<(u64, u64)> {
         let fits = self.nonempty >> order << order;
         if fits == 0 {
             return None;
         }
-        let mut o = fits.trailing_zeros() as u8;
+        let o = fits.trailing_zeros() as u8;
         let index = self.free[o as usize]
             .first()
             .expect("order marked non-empty");
         self.take(o, index);
+        let block = GRANULE << order;
         let off = index * (GRANULE << o);
-        // Split down to the requested order, returning upper halves.
-        while o > order {
-            o -= 1;
-            let half = GRANULE << o;
-            self.put(o, off / half + 1);
+        let span = 1u64 << (o - order);
+        let got = span.min(want);
+        for j in 0..got {
+            let slot = ((off + j * block) / GRANULE) as usize;
+            if self.frames.len() <= slot {
+                self.frames.resize(slot + 1, 0);
+            }
+            self.frames[slot] = 1 << ORDER_BITS | u64::from(order);
         }
-        self.free_bytes -= GRANULE << order;
-        let slot = (off / GRANULE) as usize;
-        if self.frames.len() <= slot {
-            self.frames.resize(slot + 1, 0);
+        // Sub-blocks `got..span` go back as aligned blocks: at position
+        // `pos` the largest one whose alignment `pos` has.
+        let mut pos = got;
+        while pos < span {
+            let up = pos.trailing_zeros() as u8;
+            self.put(order + up, (off + pos * block) / (block << up));
+            pos += 1 << up;
         }
-        self.frames[slot] = 1 << ORDER_BITS | u64::from(order);
-        Some(off)
+        self.free_bytes -= got * block;
+        Some((off, got))
+    }
+
+    /// Frees the `blocks` consecutive `order` blocks from `off`: the
+    /// range goes back as the largest aligned blocks that tile it, each
+    /// coalescing with its buddies. A buddy allocator's free lists
+    /// depend only on which granules are free, so this leaves them as
+    /// freeing each block in turn would.
+    fn release_stretch(&mut self, off: u64, order: u8, blocks: u64) {
+        let end = off + blocks * (GRANULE << order);
+        let mut at = off;
+        while at < end {
+            let mut o = order;
+            while o < MAX_ORDER
+                && at.is_multiple_of(GRANULE << (o + 1))
+                && at + (GRANULE << (o + 1)) <= end
+            {
+                o += 1;
+            }
+            self.release(at, o);
+            at += GRANULE << o;
+        }
     }
 
     /// Returns the block at `off` to the free lists, coalescing with its
@@ -306,18 +362,26 @@ impl FrameAllocator {
         self.banks.iter().find(|b| b.node == node)
     }
 
-    /// `(bank index, frame-table slot)` of the live block based at
-    /// `addr`.
-    fn live_slot(&self, addr: PhysAddr) -> Option<(usize, usize)> {
+    /// `(bank index, offset from its base)` of `addr`.
+    fn locate(&self, addr: PhysAddr) -> Option<(usize, u64)> {
         let a = addr.as_u64();
         let b = self
             .banks
             .iter()
             .position(|b| (b.base..b.end).contains(&a))?;
-        let off = a - self.banks[b].base;
+        Some((b, a - self.banks[b].base))
+    }
+
+    /// `(bank index, frame-table slot)` of the live block based at
+    /// `addr`.
+    fn live_slot(&self, addr: PhysAddr) -> Option<(usize, usize)> {
+        let (b, off) = self.locate(addr)?;
         let slot = (off / GRANULE) as usize;
-        let live =
-            off.is_multiple_of(GRANULE) && self.banks[b].frames.get(slot).is_some_and(|&s| s != 0);
+        let live = off.is_multiple_of(GRANULE)
+            && self.banks[b]
+                .frames
+                .get(slot)
+                .is_some_and(|&s| s >> ORDER_BITS != 0);
         live.then_some((b, slot))
     }
 
@@ -332,12 +396,64 @@ impl FrameAllocator {
             .iter_mut()
             .find(|b| b.node == node)
             .ok_or(AllocError::NoSuchNode(node))?;
-        let off = bank
-            .alloc(size.order())
+        let (off, _) = bank
+            .take_run(size.order(), 1)
             .ok_or(AllocError::OutOfMemory(node))?;
         self.live += 1;
         self.allocs += 1;
         Ok(PhysAddr::new(bank.base + off))
+    }
+
+    /// Allocates `n` `size` pages on `node`, appending to `out` exactly
+    /// the addresses `n` calls of [`alloc`](Self::alloc) would return.
+    /// A block split for the run is taken once, and only what the run
+    /// leaves of it goes back to the free lists.
+    ///
+    /// # Errors
+    ///
+    /// [`AllocError::NoSuchNode`], or [`AllocError::OutOfMemory`] when
+    /// the node runs out part-way. Then nothing stays allocated and
+    /// `out` is as it was; [`counters`](Self::counters) record the
+    /// allocations made and their rollback, as a loop of `alloc` calls
+    /// freeing its pages on failure would.
+    pub fn alloc_run(
+        &mut self,
+        node: NodeId,
+        size: PageSize,
+        n: u32,
+        out: &mut Vec<PhysAddr>,
+    ) -> Result<(), AllocError> {
+        if n == 0 {
+            return Ok(());
+        }
+        let bank = self
+            .banks
+            .iter_mut()
+            .find(|b| b.node == node)
+            .ok_or(AllocError::NoSuchNode(node))?;
+        let order = size.order();
+        let block = size.bytes();
+        let (mark, want) = (out.len(), u64::from(n));
+        let mut got = 0;
+        while got < want {
+            let Some((off, k)) = bank.take_run(order, want - got) else {
+                break;
+            };
+            out.extend((0..k).map(|j| PhysAddr::new(bank.base + off + j * block)));
+            got += k;
+        }
+        self.allocs += got;
+        if got < want {
+            for addr in out.drain(mark..) {
+                let off = addr.as_u64() - bank.base;
+                bank.frames[(off / GRANULE) as usize] = 0;
+                bank.release(off, order);
+            }
+            self.frees += got;
+            return Err(AllocError::OutOfMemory(node));
+        }
+        self.live += n as usize;
+        Ok(())
     }
 
     /// Drops one reference to the block at `addr`, freeing it when the
@@ -361,6 +477,68 @@ impl FrameAllocator {
         Ok(())
     }
 
+    /// [`free`](Self::free) on every address of `addrs` in turn, with
+    /// the buddy work done once per run: every reference is dropped
+    /// first, then each stretch of adjacent blocks of one order whose
+    /// count reached zero is freed as the aligned blocks that tile it.
+    /// The free lists end as per-address frees leave them. Appends the
+    /// blocks freed to `released`, ascending.
+    ///
+    /// # Errors
+    ///
+    /// [`AllocError::BadFree`] naming the first address that was not a
+    /// live block base when its turn came; every other address is still
+    /// freed.
+    pub fn free_many(
+        &mut self,
+        addrs: &[PhysAddr],
+        released: &mut Vec<PhysAddr>,
+    ) -> Result<(), AllocError> {
+        let mark = released.len();
+        let mut bad = None;
+        for &addr in addrs {
+            let Some((b, slot)) = self.live_slot(addr) else {
+                bad = bad.or(Some(AllocError::BadFree(addr)));
+                continue;
+            };
+            // A slot left at refcount 0 keeps its order for the pass
+            // below and is no longer live.
+            let entry = &mut self.banks[b].frames[slot];
+            *entry -= 1 << ORDER_BITS;
+            if *entry >> ORDER_BITS == 0 {
+                released.push(addr);
+            }
+        }
+        released[mark..].sort_unstable();
+        let mut rest = &released[mark..];
+        self.live -= rest.len();
+        self.frees += rest.len() as u64;
+        while let Some(&first) = rest.first() {
+            let (b, start) = self.locate(first).expect("a live block's bank");
+            let bank = &mut self.banks[b];
+            let order = bank.frames[(start / GRANULE) as usize] as u8;
+            let block = GRANULE << order;
+            // The stretch: each next block of the bank, if it is of the
+            // same order.
+            let mut n = 0;
+            while let Some(&addr) = rest.get(n) {
+                let off = start + n as u64 * block;
+                let slot = (off / GRANULE) as usize;
+                if addr.as_u64() != bank.base + off
+                    || addr.as_u64() >= bank.end
+                    || bank.frames[slot] as u8 != order
+                {
+                    break;
+                }
+                bank.frames[slot] = 0;
+                n += 1;
+            }
+            bank.release_stretch(start, order, n as u64);
+            rest = &rest[n..];
+        }
+        bad.map_or(Ok(()), Err)
+    }
+
     /// Adds a reference to a live block (shared mapping).
     ///
     /// # Errors
@@ -381,6 +559,18 @@ impl FrameAllocator {
             node: self.banks[b].node,
             order: entry as u8,
             refcount: (entry >> ORDER_BITS) as u32,
+        })
+    }
+
+    /// Every free block on `node` as `(base, order)`, by order and then
+    /// address (diagnostics).
+    pub fn free_blocks(&self, node: NodeId) -> impl Iterator<Item = (PhysAddr, u8)> + '_ {
+        self.bank(node).into_iter().flat_map(|b| {
+            (0..=MAX_ORDER).flat_map(move |o| {
+                b.free[o as usize]
+                    .iter()
+                    .map(move |i| (PhysAddr::new(b.base + i * (GRANULE << o)), o))
+            })
         })
     }
 

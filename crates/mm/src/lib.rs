@@ -8,12 +8,16 @@
 //! * [`pte`] — page-table entries with the *young* bit that carries
 //!   memif's lightweight race detection (§5.2), Linux migration entries,
 //!   and the write-watch bit of proceed-and-recover mode;
-//! * [`pagetable`] — a three-level radix table with the *gang page
-//!   lookup* of §5.1 (vertical descent once, horizontal neighbor steps
-//!   after) and the PTE compare-and-swap of §5.2;
+//! * [`pagetable`] — the page table with the *gang page lookup* of §5.1
+//!   (vertical descent once, horizontal neighbor steps after) and the
+//!   PTE compare-and-swap of §5.2. Walks are priced as a three-level
+//!   radix table's; in memory it is one flat array of 2 MiB chunks, so
+//!   every per-page step is one index and one bit test;
 //! * [`alloc`] — per-node buddy frame allocation over bitmap free
-//!   lists, with a flat frame table (refcounts, order) per node;
-//! * [`tlb`] — a software TLB model for flush accounting;
+//!   lists, with a flat frame table (refcounts, order) per node, and
+//!   run-granular allocation and freeing for multi-page moves;
+//! * [`tlb`] — a software TLB model for flush accounting, one presence
+//!   bit per 4 KiB granule;
 //! * [`space`] — address spaces: VMAs behind a 2 MiB radix directory,
 //!   eager and lazy anonymous mappings, CPU access semantics (young
 //!   clearing, dirty marking), and fault types.

@@ -1,4 +1,4 @@
-//! A three-level radix page table with gang lookup.
+//! The page table, with gang lookup.
 //!
 //! Geometry follows ARM LPAE-style long descriptors: three levels of
 //! 9-bit indices over a 39-bit virtual space, 4 KiB granules. 2 MiB pages
@@ -10,20 +10,31 @@
 //! descends vertically from the root; the rest walk horizontally across
 //! neighboring entries, restarting the descent only when the walk crosses
 //! into a different leaf table. [`WalkStats`] counts both step kinds so
-//! callers can charge the corresponding costs.
+//! callers can charge the corresponding costs: the simulated walk still
+//! charges all three levels per descent.
 //!
-//! The host walks the same way, on both sides:
-//! [`PageTable::lookup_range_into`] reads and [`PageTable::update_range`]
-//! writes a run of consecutive leaves with one descent per leaf table,
-//! so Remap's PTE installs and Release's compare-and-swaps descend from
-//! the root once per leaf table rather than once per page. Each node
-//! keeps its 512 slots inline in one allocation.
+//! In host memory the table is not a radix tree. It keeps one `Chunk`
+//! per 2 MiB of virtual space in a `Vec` indexed by `vaddr >> 21`, grown
+//! to the highest chunk written: exactly what a level-2 slot of the tree
+//! held. A chunk is empty, one 2 MiB block entry, or a boxed leaf table
+//! of 512 entries plus one `live` bit per entry, which keeps "no entry"
+//! apart from a stored non-present one. A 2 MiB block and a leaf table
+//! never share a chunk, so every lookup is one index and one bit test,
+//! and the gang walks ([`PageTable::lookup_range_into`],
+//! [`PageTable::update_range`]) resolve each leaf run's chunk once and
+//! then index its slots. Only a store allocates: a miss never builds a
+//! leaf table.
 
 use crate::addr::{PageSize, VirtAddr};
 use crate::pte::Pte;
 
 const LEVEL_BITS: u32 = 9;
 const FANOUT: usize = 1 << LEVEL_BITS;
+/// log2 of the span of one chunk, a level-2 slot: 2 MiB.
+const CHUNK_SHIFT: u32 = 12 + LEVEL_BITS;
+/// Chunks in the 39-bit space; addresses above it wrap, as the three
+/// 9-bit indices of a radix walk do.
+const CHUNKS: u64 = 1 << (2 * LEVEL_BITS);
 
 /// Counts of page-table walking work, for cost charging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -42,39 +53,62 @@ impl WalkStats {
     }
 }
 
-#[derive(Debug)]
-enum Slot {
+/// One 2 MiB chunk of virtual space.
+#[derive(Debug, Default)]
+enum Chunk {
+    #[default]
     Empty,
-    Table(Box<Node>),
-    Leaf(Pte),
+    /// A leaf table of 4 KiB and 64 KiB entries.
+    Table(Box<Leaf>),
+    /// A 2 MiB block entry.
+    Block(Pte),
 }
 
+/// A leaf table: entry `i` maps granule `i` of its chunk.
 #[derive(Debug)]
-struct Node {
-    slots: [Slot; FANOUT],
+struct Leaf {
+    ptes: [Pte; FANOUT],
+    /// Bit `i` is set iff `ptes[i]` holds an entry.
+    live: [u64; FANOUT / 64],
 }
 
-impl Node {
+impl Leaf {
     fn new() -> Box<Self> {
-        Box::new(Node {
-            slots: std::array::from_fn(|_| Slot::Empty),
+        Box::new(Leaf {
+            ptes: [Pte::EMPTY; FANOUT],
+            live: [0; FANOUT / 64],
         })
     }
 
-    /// The child table in `slots[i]`, created if the slot is empty.
-    ///
-    /// # Errors
-    ///
-    /// `Err(())` when a block mapping occupies the slot.
-    fn child_or_insert(&mut self, i: usize) -> Result<&mut Node, ()> {
-        let slot = &mut self.slots[i];
-        if matches!(slot, Slot::Empty) {
-            *slot = Slot::Table(Node::new());
+    fn is_live(&self, i: usize) -> bool {
+        self.live[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    fn get(&self, i: usize) -> Option<Pte> {
+        self.is_live(i).then(|| self.ptes[i])
+    }
+
+    fn get_mut(&mut self, i: usize) -> Option<&mut Pte> {
+        if self.is_live(i) {
+            Some(&mut self.ptes[i])
+        } else {
+            None
         }
-        match slot {
-            Slot::Table(n) => Ok(n),
-            _ => Err(()),
-        }
+    }
+
+    /// Stores `pte` in slot `i`, returning the entry it held.
+    fn set(&mut self, i: usize, pte: Pte) -> Option<Pte> {
+        let old = self.get(i);
+        self.live[i / 64] |= 1 << (i % 64);
+        self.ptes[i] = pte;
+        old
+    }
+
+    /// Empties slot `i`, returning the entry it held.
+    fn take(&mut self, i: usize) -> Option<Pte> {
+        let old = self.get(i);
+        self.live[i / 64] &= !(1 << (i % 64));
+        old
     }
 }
 
@@ -98,22 +132,14 @@ impl std::fmt::Display for TableError {
 
 impl std::error::Error for TableError {}
 
-fn indices(vaddr: VirtAddr) -> [usize; 3] {
-    let va = vaddr.as_u64();
-    [
-        ((va >> (12 + 2 * LEVEL_BITS)) & (FANOUT as u64 - 1)) as usize,
-        ((va >> (12 + LEVEL_BITS)) & (FANOUT as u64 - 1)) as usize,
-        ((va >> 12) & (FANOUT as u64 - 1)) as usize,
-    ]
+/// The chunk holding `vaddr`.
+fn chunk_index(vaddr: VirtAddr) -> usize {
+    ((vaddr.as_u64() >> CHUNK_SHIFT) % CHUNKS) as usize
 }
 
-/// Leaf coordinates of a mapping: which table node and which entry.
-fn leaf_key(vaddr: VirtAddr, size: PageSize) -> ([usize; 2], usize) {
-    let [i1, i2, i3] = indices(vaddr);
-    match size {
-        PageSize::Large2M => ([i1, usize::MAX], i2),
-        _ => ([i1, i2], i3),
-    }
+/// The leaf-table slot of `vaddr`'s 4 KiB granule.
+fn granule_index(vaddr: VirtAddr) -> usize {
+    (vaddr.as_u64() >> 12) as usize % FANOUT
 }
 
 /// Leaf slots between two consecutive `size` pages of a leaf table.
@@ -124,10 +150,34 @@ fn slot_stride(size: PageSize) -> usize {
     }
 }
 
-/// Splits `count` consecutive `size` pages from `start` into runs whose
-/// leaves share one leaf table: `(first page, pages, leaf slot of the
-/// first page)`. Page `first + j` of a run sits at slot
-/// `slot + j * slot_stride(size)` of the table that holds `first`.
+/// Walk steps for `count` consecutive `size` pages from `start`: with
+/// `gang`, one descent per leaf table the run touches (a level-3 table
+/// spans 2 MiB, the level-2 table of block entries 1 GiB) and a
+/// horizontal step for every other page; without, a descent per page.
+fn walk_stats(start: VirtAddr, count: u32, size: PageSize, gang: bool) -> WalkStats {
+    if !gang || count == 0 {
+        return WalkStats {
+            vertical: count,
+            horizontal: 0,
+        };
+    }
+    let span = if size == PageSize::Large2M {
+        CHUNK_SHIFT + LEVEL_BITS
+    } else {
+        CHUNK_SHIFT
+    };
+    let last = start.offset(u64::from(count - 1) * size.bytes());
+    let tables = ((last.as_u64() >> span) - (start.as_u64() >> span)) as u32 + 1;
+    WalkStats {
+        vertical: tables,
+        horizontal: count - tables,
+    }
+}
+
+/// Splits `count` consecutive 4 KiB or 64 KiB pages from `start` into
+/// runs whose entries share one leaf table: `(first page, pages, leaf
+/// slot of the first page)`. Page `first + j` of a run sits at slot
+/// `slot + j * slot_stride(size)` of the chunk that holds `first`.
 fn leaf_runs(
     start: VirtAddr,
     count: u32,
@@ -139,7 +189,7 @@ fn leaf_runs(
         if first >= count {
             return None;
         }
-        let (_, slot) = leaf_key(start.offset(u64::from(first) * size.bytes()), size);
+        let slot = granule_index(start.offset(u64::from(first) * size.bytes()));
         let room = ((FANOUT - 1 - slot) / stride + 1) as u32;
         let run = (first, room.min(count - first), slot);
         first += run.1;
@@ -148,26 +198,18 @@ fn leaf_runs(
 }
 
 /// The per-address-space page table.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PageTable {
-    root: Box<Node>,
+    /// Chunk `c` covers `[c * 2 MiB, (c + 1) * 2 MiB)`.
+    chunks: Vec<Chunk>,
     mapped: usize,
-}
-
-impl Default for PageTable {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl PageTable {
     /// An empty table.
     #[must_use]
     pub fn new() -> Self {
-        PageTable {
-            root: Node::new(),
-            mapped: 0,
-        }
+        Self::default()
     }
 
     /// Number of live leaf entries.
@@ -185,34 +227,30 @@ impl PageTable {
     /// vice versa. Overwriting an existing *leaf* of the same shape is
     /// allowed (it is a remap).
     pub fn map(&mut self, vaddr: VirtAddr, pte: Pte) -> Result<(), TableError> {
-        let size = pte.size();
-        if !vaddr.is_aligned(size) {
-            return Err(TableError::Unaligned(vaddr, size));
-        }
-        let slot = self.leaf_slot_mut(vaddr, size)?;
-        let was_empty = matches!(slot, Slot::Empty);
-        *slot = Slot::Leaf(pte);
-        if was_empty {
-            self.mapped += 1;
-        }
-        Ok(())
+        self.store(vaddr, pte).map(drop)
     }
 
-    /// Removes the mapping at `vaddr`, returning the old entry.
+    /// Removes the mapping at `vaddr`, returning the old entry. A miss
+    /// changes nothing.
     pub fn unmap(&mut self, vaddr: VirtAddr, size: PageSize) -> Option<Pte> {
-        match self.leaf_slot_mut(vaddr, size) {
-            Ok(slot) => match std::mem::replace(slot, Slot::Empty) {
-                Slot::Leaf(pte) => {
-                    self.mapped -= 1;
-                    Some(pte)
-                }
-                old => {
-                    *slot = old;
-                    None
-                }
-            },
-            Err(_) => None,
+        if !vaddr.is_aligned(size) {
+            return None;
         }
+        let chunk = self.chunks.get_mut(chunk_index(vaddr))?;
+        let old = match (chunk, size) {
+            (chunk @ Chunk::Block(_), PageSize::Large2M) => match std::mem::take(chunk) {
+                Chunk::Block(pte) => Some(pte),
+                _ => unreachable!("matched a block"),
+            },
+            (Chunk::Table(leaf), PageSize::Small4K | PageSize::Medium64K) => {
+                leaf.take(granule_index(vaddr))
+            }
+            _ => None,
+        };
+        if old.is_some() {
+            self.mapped -= 1;
+        }
+        old
     }
 
     /// Looks up the entry mapping `vaddr` at `size` granularity, with a
@@ -229,47 +267,24 @@ impl PageTable {
     /// Entry value without any cost accounting (internal/diagnostics).
     #[must_use]
     pub fn peek(&self, vaddr: VirtAddr, size: PageSize) -> Option<Pte> {
-        let (_, slot) = leaf_key(vaddr, size);
-        match self.leaf_table(vaddr, size)?.slots[slot] {
-            Slot::Leaf(pte) => Some(pte),
-            _ => None,
-        }
-    }
-
-    /// The table holding the `size` leaf for `vaddr`: the level-2 node
-    /// for 2 MiB blocks, a level-3 table otherwise. Never allocates.
-    fn leaf_table(&self, vaddr: VirtAddr, size: PageSize) -> Option<&Node> {
-        let [i1, i2, _] = indices(vaddr);
-        let Slot::Table(l2) = &self.root.slots[i1] else {
-            return None;
-        };
-        if size == PageSize::Large2M {
-            return Some(l2);
-        }
-        match &l2.slots[i2] {
-            Slot::Table(l3) => Some(l3),
+        match (self.chunks.get(chunk_index(vaddr))?, size) {
+            (Chunk::Block(pte), PageSize::Large2M) => Some(*pte),
+            (Chunk::Table(leaf), PageSize::Small4K | PageSize::Medium64K) => {
+                leaf.get(granule_index(vaddr))
+            }
             _ => None,
         }
     }
 
     /// The leaf entry mapping `vaddr` at `size` granularity, for an
-    /// in-place read-modify-write in one descent. Never allocates table
-    /// nodes: `None` where [`peek`](Self::peek) finds no entry.
+    /// in-place read-modify-write. Never allocates: `None` where
+    /// [`peek`](Self::peek) finds no entry.
     pub fn entry_mut(&mut self, vaddr: VirtAddr, size: PageSize) -> Option<&mut Pte> {
-        let [i1, i2, i3] = indices(vaddr);
-        let Slot::Table(l2) = &mut self.root.slots[i1] else {
-            return None;
-        };
-        let slot = if size == PageSize::Large2M {
-            &mut l2.slots[i2]
-        } else {
-            let Slot::Table(l3) = &mut l2.slots[i2] else {
-                return None;
-            };
-            &mut l3.slots[i3]
-        };
-        match slot {
-            Slot::Leaf(pte) => Some(pte),
+        match (self.chunks.get_mut(chunk_index(vaddr))?, size) {
+            (Chunk::Block(pte), PageSize::Large2M) => Some(pte),
+            (Chunk::Table(leaf), PageSize::Small4K | PageSize::Medium64K) => {
+                leaf.get_mut(granule_index(vaddr))
+            }
             _ => None,
         }
     }
@@ -307,39 +322,85 @@ impl PageTable {
     ) -> WalkStats {
         out.clear();
         out.reserve(count as usize);
-        let stride = slot_stride(size);
-        let mut stats = WalkStats::default();
-        for (first, pages, slot) in leaf_runs(start, count, size) {
-            if gang {
-                stats.vertical += 1;
-                stats.horizontal += pages - 1;
-            } else {
-                stats.vertical += pages;
+        self.read_range(start, count, size, |_, entry| out.push(entry));
+        walk_stats(start, count, size, gang)
+    }
+
+    /// Calls `f(i, entry)` for the `count` consecutive `size` pages from
+    /// `start` in order, resolving each leaf run's chunk once.
+    pub(crate) fn read_range(
+        &self,
+        start: VirtAddr,
+        count: u32,
+        size: PageSize,
+        mut f: impl FnMut(u32, Option<Pte>),
+    ) {
+        let page = |i: u32| start.offset(u64::from(i) * size.bytes());
+        if size == PageSize::Large2M {
+            for i in 0..count {
+                match self.chunks.get(chunk_index(page(i))) {
+                    Some(Chunk::Block(pte)) => f(i, Some(*pte)),
+                    _ => f(i, None),
+                }
             }
-            let table = self.leaf_table(start.offset(u64::from(first) * size.bytes()), size);
-            out.extend(
-                (0..pages as usize).map(|j| match table?.slots[slot + j * stride] {
-                    Slot::Leaf(pte) => Some(pte),
-                    _ => None,
-                }),
-            );
+            return;
         }
-        stats
+        let stride = slot_stride(size);
+        for (first, pages, slot) in leaf_runs(start, count, size) {
+            let Some(Chunk::Table(leaf)) = self.chunks.get(chunk_index(page(first))) else {
+                (first..first + pages).for_each(|i| f(i, None));
+                continue;
+            };
+            for j in 0..pages {
+                f(first + j, leaf.get(slot + j as usize * stride));
+            }
+        }
+    }
+
+    /// [`read_range`](Self::read_range) with each entry lent for an
+    /// in-place write: `f(i, None)` where there is no entry.
+    pub(crate) fn write_range(
+        &mut self,
+        start: VirtAddr,
+        count: u32,
+        size: PageSize,
+        mut f: impl FnMut(u32, Option<&mut Pte>),
+    ) {
+        let page = |i: u32| start.offset(u64::from(i) * size.bytes());
+        if size == PageSize::Large2M {
+            for i in 0..count {
+                match self.chunks.get_mut(chunk_index(page(i))) {
+                    Some(Chunk::Block(pte)) => f(i, Some(pte)),
+                    _ => f(i, None),
+                }
+            }
+            return;
+        }
+        let stride = slot_stride(size);
+        for (first, pages, slot) in leaf_runs(start, count, size) {
+            let Some(Chunk::Table(leaf)) = self.chunks.get_mut(chunk_index(page(first))) else {
+                (first..first + pages).for_each(|i| f(i, None));
+                continue;
+            };
+            for j in 0..pages {
+                f(first + j, leaf.get_mut(slot + j as usize * stride));
+            }
+        }
     }
 
     /// Gang write: the write side of [`lookup_range`](Self::lookup_range).
     /// Visits the `count` consecutive `size` leaves from `start` in
-    /// order, descending from the root once per leaf table instead of
-    /// once per page, and calls `update(i, entry)` for page `i`:
+    /// order, resolving each leaf table once instead of once per page,
+    /// and calls `update(i, entry)` for page `i`:
     ///
     /// - `entry` is `Ok(Some(pte))` for a leaf, `Ok(None)` for an empty
     ///   slot, and `Err` where [`replace`](Self::replace) would fail (a
     ///   misaligned page, or a mapping of the other granularity in the
     ///   way);
     /// - `update` returns the entry to store, or `None` to leave the
-    ///   slot as it is. A store into an empty slot creates the path to
-    ///   it and counts as a new mapping; the return value for an `Err`
-    ///   slot is ignored.
+    ///   slot as it is. A store into an empty slot creates its leaf
+    ///   table if needed and counts as a new mapping; the return value
+    ///   for an `Err` slot is ignored.
     ///
     /// Per-page [`replace`](Self::replace) is `update` returning
     /// `Some(new)`; per-page
@@ -358,59 +419,74 @@ impl PageTable {
             }
             return;
         }
-        let stride = slot_stride(size);
-        let PageTable { root, mapped } = self;
-        for (first, pages, slot) in leaf_runs(start, count, size) {
-            let [i1, i2, _] = indices(page(first));
-            // The run's leaf table: `Ok(None)` until a store needs it,
-            // `Err` when a block mapping stands in the path.
-            let mut table = match &mut root.slots[i1] {
-                Slot::Empty => Ok(None),
-                Slot::Leaf(_) => Err(()),
-                Slot::Table(l2) if size == PageSize::Large2M => Ok(Some(&mut **l2)),
-                Slot::Table(l2) => match &mut l2.slots[i2] {
-                    Slot::Empty => Ok(None),
-                    Slot::Leaf(_) => Err(()),
-                    Slot::Table(l3) => Ok(Some(&mut **l3)),
-                },
-            };
-            for j in 0..pages {
-                let i = first + j;
-                let index = slot + j as usize * stride;
-                let node = match &mut table {
-                    Err(()) => {
-                        update(i, Err(TableError::Occupied(page(i))));
-                        continue;
-                    }
-                    Ok(Some(node)) => node,
-                    Ok(None) => {
-                        if let Some(new) = update(i, Ok(None)) {
-                            let l2 = root.child_or_insert(i1).expect("empty above");
-                            let node = if size == PageSize::Large2M {
-                                l2
-                            } else {
-                                l2.child_or_insert(i2).expect("empty above")
-                            };
-                            node.slots[index] = Slot::Leaf(new);
-                            *mapped += 1;
-                            table = Ok(Some(node));
-                        }
-                        continue;
-                    }
-                };
-                let slot = &mut node.slots[index];
-                match slot {
-                    Slot::Table(_) => {
+        if size == PageSize::Large2M {
+            for i in 0..count {
+                let c = chunk_index(page(i));
+                match self.chunks.get_mut(c) {
+                    Some(Chunk::Table(_)) => {
                         update(i, Err(TableError::Occupied(page(i))));
                     }
-                    Slot::Leaf(pte) => {
+                    Some(Chunk::Block(pte)) => {
                         if let Some(new) = update(i, Ok(Some(*pte))) {
                             *pte = new;
                         }
                     }
-                    Slot::Empty => {
+                    _ => {
                         if let Some(new) = update(i, Ok(None)) {
-                            *slot = Slot::Leaf(new);
+                            *self.chunk_or_grow(c) = Chunk::Block(new);
+                            self.mapped += 1;
+                        }
+                    }
+                }
+            }
+            return;
+        }
+        let stride = slot_stride(size);
+        for (first, pages, slot) in leaf_runs(start, count, size) {
+            let c = chunk_index(page(first));
+            let mut j = 0;
+            match self.chunks.get(c) {
+                Some(Chunk::Block(_)) => {
+                    for i in first..first + pages {
+                        update(i, Err(TableError::Occupied(page(i))));
+                    }
+                    continue;
+                }
+                Some(Chunk::Table(_)) => {}
+                // No leaf table yet: offer empty slots until a store
+                // needs one.
+                _ => {
+                    while j < pages {
+                        let (i, index) = (first + j, slot + j as usize * stride);
+                        j += 1;
+                        if let Some(new) = update(i, Ok(None)) {
+                            let mut leaf = Leaf::new();
+                            leaf.set(index, new);
+                            *self.chunk_or_grow(c) = Chunk::Table(leaf);
+                            self.mapped += 1;
+                            break;
+                        }
+                    }
+                    if j == pages {
+                        continue;
+                    }
+                }
+            }
+            let PageTable { chunks, mapped } = self;
+            let Chunk::Table(leaf) = &mut chunks[c] else {
+                unreachable!("a leaf table holds the run");
+            };
+            for j in j..pages {
+                let index = slot + j as usize * stride;
+                match leaf.get_mut(index) {
+                    Some(pte) => {
+                        if let Some(new) = update(first + j, Ok(Some(*pte))) {
+                            *pte = new;
+                        }
+                    }
+                    None => {
+                        if let Some(new) = update(first + j, Ok(None)) {
+                            leaf.set(index, new);
                             *mapped += 1;
                         }
                     }
@@ -425,16 +501,7 @@ impl PageTable {
     ///
     /// Propagates [`TableError`] from slot resolution.
     pub fn replace(&mut self, vaddr: VirtAddr, new: Pte) -> Result<Pte, TableError> {
-        let slot = self.leaf_slot_mut(vaddr, new.size())?;
-        let old = match std::mem::replace(slot, Slot::Leaf(new)) {
-            Slot::Leaf(pte) => pte,
-            Slot::Empty => {
-                self.mapped += 1;
-                Pte::EMPTY
-            }
-            Slot::Table(_) => unreachable!("leaf_slot_mut never returns a table slot"),
-        };
-        Ok(old)
+        Ok(self.store(vaddr, new)?.unwrap_or(Pte::EMPTY))
     }
 
     /// The compare-and-swap of §5.2: installs `new` only if the current
@@ -459,7 +526,7 @@ impl PageTable {
             }
             Some(pte) => Err(*pte),
             // An empty slot matches only an expected empty entry; the
-            // install may have to allocate the path to it.
+            // install may have to create its leaf table.
             None if expected == Pte::EMPTY => {
                 self.replace(vaddr, new).map_err(|_| Pte::EMPTY)?;
                 Ok(())
@@ -468,21 +535,44 @@ impl PageTable {
         }
     }
 
-    fn leaf_slot_mut(&mut self, vaddr: VirtAddr, size: PageSize) -> Result<&mut Slot, TableError> {
+    /// Stores `pte` at `vaddr`, creating its leaf table if needed, and
+    /// returns the entry it replaced.
+    fn store(&mut self, vaddr: VirtAddr, pte: Pte) -> Result<Option<Pte>, TableError> {
+        let size = pte.size();
         if !vaddr.is_aligned(size) {
             return Err(TableError::Unaligned(vaddr, size));
         }
-        let [i1, i2, i3] = indices(vaddr);
-        let occupied = |()| TableError::Occupied(vaddr);
-        let l2 = self.root.child_or_insert(i1).map_err(occupied)?;
-        if size == PageSize::Large2M {
-            return match &mut l2.slots[i2] {
-                Slot::Table(_) => Err(TableError::Occupied(vaddr)),
-                slot => Ok(slot),
-            };
+        let chunk = self.chunk_or_grow(chunk_index(vaddr));
+        let old = match (size, &mut *chunk) {
+            (PageSize::Large2M, Chunk::Table(_))
+            | (PageSize::Small4K | PageSize::Medium64K, Chunk::Block(_)) => {
+                return Err(TableError::Occupied(vaddr));
+            }
+            (PageSize::Large2M, Chunk::Block(old)) => Some(std::mem::replace(old, pte)),
+            (PageSize::Large2M, Chunk::Empty) => {
+                *chunk = Chunk::Block(pte);
+                None
+            }
+            (_, Chunk::Table(leaf)) => leaf.set(granule_index(vaddr), pte),
+            (_, Chunk::Empty) => {
+                let mut leaf = Leaf::new();
+                leaf.set(granule_index(vaddr), pte);
+                *chunk = Chunk::Table(leaf);
+                None
+            }
+        };
+        if old.is_none() {
+            self.mapped += 1;
         }
-        let l3 = l2.child_or_insert(i2).map_err(occupied)?;
-        Ok(&mut l3.slots[i3])
+        Ok(old)
+    }
+
+    /// Chunk `c`, growing the table to hold it.
+    fn chunk_or_grow(&mut self, c: usize) -> &mut Chunk {
+        if self.chunks.len() <= c {
+            self.chunks.resize_with(c + 1, Chunk::default);
+        }
+        &mut self.chunks[c]
     }
 }
 
@@ -629,13 +719,26 @@ mod tests {
             assert!(t.entry_mut(va, size).is_none());
         }
         assert_eq!(t.mapped_entries(), 0);
-        let [i1, _, _] = indices(va);
-        assert!(matches!(t.root.slots[i1], Slot::Empty), "no L2 node");
+        assert!(t.chunks.is_empty(), "no chunk grown");
 
-        // A hole next to a mapping: the L3 node exists, no entry appears.
+        // A hole next to a mapping: the leaf table exists, no entry
+        // appears.
         t.map(va, pte(0x8000_0000, PageSize::Small4K)).unwrap();
         assert!(t.entry_mut(va.offset(4096), PageSize::Small4K).is_none());
         assert!(t.peek(va.offset(4096), PageSize::Small4K).is_none());
+        assert_eq!(t.mapped_entries(), 1);
+    }
+
+    #[test]
+    fn unmap_miss_builds_no_table() {
+        let mut t = PageTable::new();
+        let va = VirtAddr::new(0x4000_0000);
+        for size in PageSize::ALL {
+            assert_eq!(t.unmap(va, size), None);
+        }
+        assert_eq!(t.mapped_entries(), 0);
+        // A 2 MiB block still fits where the 4 KiB miss looked.
+        t.map(va, pte(0x8020_0000, PageSize::Large2M)).unwrap();
         assert_eq!(t.mapped_entries(), 1);
     }
 

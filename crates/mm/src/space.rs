@@ -624,22 +624,17 @@ impl AddressSpace {
         page_size: PageSize,
     ) -> ScanOutcome {
         let mut out = ScanOutcome::default();
-        for i in 0..u64::from(pages) {
-            let va = start.offset(i * page_size.bytes());
-            let Some(pte) = self.table.entry_mut(va, page_size) else {
-                out.skipped += 1;
-                continue;
-            };
-            if !pte.is_present() || pte.is_migration() || pte.is_watched() {
-                out.skipped += 1;
-                continue;
-            }
-            out.scanned += 1;
-            if !pte.is_young() {
-                out.referenced += 1;
-                *pte = pte.with_young(true);
-            }
-        }
+        self.table
+            .write_range(start, pages, page_size, |_, entry| match entry {
+                Some(pte) if pte.is_present() && !pte.is_migration() && !pte.is_watched() => {
+                    out.scanned += 1;
+                    if !pte.is_young() {
+                        out.referenced += 1;
+                        *pte = pte.with_young(true);
+                    }
+                }
+                _ => out.skipped += 1,
+            });
         out
     }
 
@@ -653,14 +648,13 @@ impl AddressSpace {
     pub fn scan_transient(&self) -> Vec<(VirtAddr, Pte)> {
         let mut out = Vec::new();
         for vma in &self.vmas {
-            for i in 0..u64::from(vma.pages) {
-                let va = vma.start.offset(i * vma.page_size.bytes());
-                if let Some(pte) = self.table.peek(va, vma.page_size) {
-                    if pte.is_migration() || pte.is_watched() {
-                        out.push((va, pte));
+            let size = vma.page_size;
+            self.table
+                .read_range(vma.start, vma.pages, size, |i, entry| {
+                    if let Some(pte) = entry.filter(|p| p.is_migration() || p.is_watched()) {
+                        out.push((vma.start.offset(u64::from(i) * size.bytes()), pte));
                     }
-                }
-            }
+                });
         }
         out
     }

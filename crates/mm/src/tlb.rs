@@ -5,10 +5,21 @@
 //! tracks which translations have been walked into the TLB so tests can
 //! verify that claim, and counts flush operations so the cost harness can
 //! charge them.
-
-use memif_hwsim::hash::IdSet;
+//!
+//! A translation is keyed by its page base, `vaddr.align_down(size)`,
+//! and cached as one presence bit per 4 KiB granule. The bits are
+//! chunked per 2 MiB like the page table's leaf tables, in a `Vec`
+//! indexed by `vaddr >> 21` and grown to the highest chunk filled, so a
+//! fill, probe or flush is one index and one bit operation. Keys wrap at
+//! the top of the 39-bit space, as page-table chunks do.
 
 use crate::addr::{PageSize, VirtAddr};
+
+/// Granules per chunk, and presence words per chunk.
+const GRANULES: u64 = 512;
+const WORDS: usize = GRANULES as usize / 64;
+/// Chunks in the 39-bit space.
+const CHUNKS: u64 = 1 << 18;
 
 /// Flush counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -27,8 +38,20 @@ pub struct TlbStats {
 /// about *whether* an entry was cached, not replacement policy).
 #[derive(Debug, Default)]
 pub struct Tlb {
-    entries: IdSet<u64>,
+    /// Chunk `c` holds the presence bits of `[c * 2 MiB, (c + 1) * 2 MiB)`,
+    /// bit `g % 64` of word `g / 64` for granule `g` of the chunk.
+    chunks: Vec<[u64; WORDS]>,
+    len: usize,
     stats: TlbStats,
+}
+
+/// `(chunk, word, bit mask)` of the translation for the `size` page
+/// holding `vaddr`.
+fn slot(vaddr: VirtAddr, size: PageSize) -> (usize, usize, u64) {
+    let granule = vaddr.align_down(size).as_u64() >> 12;
+    let chunk = (granule / GRANULES % CHUNKS) as usize;
+    let word = (granule % GRANULES) as usize / 64;
+    (chunk, word, 1 << (granule % 64))
 }
 
 impl Tlb {
@@ -41,30 +64,45 @@ impl Tlb {
     /// Records a translation for the page containing `vaddr`. Returns
     /// `true` on a hit (already cached).
     pub fn access(&mut self, vaddr: VirtAddr, size: PageSize) -> bool {
-        if self.entries.insert(vaddr.align_down(size).as_u64()) {
-            self.stats.misses += 1;
-            false
-        } else {
+        let (chunk, word, bit) = slot(vaddr, size);
+        if self.chunks.len() <= chunk {
+            self.chunks.resize(chunk + 1, [0; WORDS]);
+        }
+        let word = &mut self.chunks[chunk][word];
+        if *word & bit != 0 {
             self.stats.hits += 1;
             true
+        } else {
+            *word |= bit;
+            self.len += 1;
+            self.stats.misses += 1;
+            false
         }
     }
 
     /// True if the page's translation is currently cached.
     #[must_use]
     pub fn contains(&self, vaddr: VirtAddr, size: PageSize) -> bool {
-        self.entries.contains(&vaddr.align_down(size).as_u64())
+        let (chunk, word, bit) = slot(vaddr, size);
+        self.chunks.get(chunk).is_some_and(|c| c[word] & bit != 0)
     }
 
     /// Flushes the entry for one page.
     pub fn flush_page(&mut self, vaddr: VirtAddr, size: PageSize) {
-        self.entries.remove(&vaddr.align_down(size).as_u64());
+        let (chunk, word, bit) = slot(vaddr, size);
+        if let Some(word) = self.chunks.get_mut(chunk).map(|c| &mut c[word]) {
+            if *word & bit != 0 {
+                *word &= !bit;
+                self.len -= 1;
+            }
+        }
         self.stats.page_flushes += 1;
     }
 
     /// Flushes everything.
     pub fn flush_all(&mut self) {
-        self.entries.clear();
+        self.chunks.clear();
+        self.len = 0;
         self.stats.full_flushes += 1;
     }
 
@@ -77,13 +115,13 @@ impl Tlb {
     /// Cached entries (diagnostics).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True if no entries are cached.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 }
 

@@ -1,13 +1,17 @@
 //! Property-based tests for the memory-management substrate: the buddy
-//! allocator, the page table and the VMA directory are checked against
-//! trivially-correct reference models under random operation sequences.
+//! allocator, the page table, the TLB and the VMA directory are checked
+//! against trivially-correct reference models under random operation
+//! sequences. The reference models are the designs the flat structures
+//! replaced: `BTreeSet` buddy free lists, a three-level radix page table
+//! and a hashed-set TLB.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
+use memif_hwsim::hash::IdSet;
 use memif_hwsim::{NodeId, PhysAddr, Topology};
 use memif_mm::{
-    AddressSpace, AllocPolicy, FrameAllocator, FrameInfo, MmError, PageSize, PageTable, Populate,
-    Pte, VirtAddr,
+    AccessKind, AddressSpace, AllocPolicy, Fault, FrameAllocator, FrameInfo, MmError, PageSize,
+    PageTable, Populate, Pte, ScanOutcome, TableError, TlbStats, VirtAddr, WalkStats,
 };
 use proptest::prelude::*;
 
@@ -108,88 +112,471 @@ proptest! {
     }
 }
 
-#[derive(Debug, Clone)]
-enum TableOp {
-    Map(u8, PageSize, u32),
-    Unmap(u8),
-    Replace(u8, u32),
-    Cas(u8, u32),
-}
-
-fn table_op() -> impl Strategy<Value = TableOp> {
-    prop_oneof![
-        (any::<u8>(), size_strategy(), 0u32..1024).prop_map(|(s, z, f)| TableOp::Map(s, z, f)),
-        any::<u8>().prop_map(TableOp::Unmap),
-        (any::<u8>(), 0u32..1024).prop_map(|(s, f)| TableOp::Replace(s, f)),
-        (any::<u8>(), 0u32..1024).prop_map(|(s, f)| TableOp::Cas(s, f)),
-    ]
-}
-
-/// Slot index → (vaddr, size). Slots are spread 2 MiB apart so any page
-/// size fits without overlap; sizes are fixed per slot by the first map.
-fn slot_vaddr(slot: u8) -> VirtAddr {
-    VirtAddr::new(0x8000_0000 + u64::from(slot) * (2 << 20))
-}
-
 fn frame_addr(f: u32, size: PageSize) -> PhysAddr {
     PhysAddr::new(0x8_0000_0000 + u64::from(f) * size.bytes())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// One slot of the reference radix table.
+enum RefSlot {
+    Empty,
+    Table(Box<RefNode>),
+    Leaf(Pte),
+}
 
-    /// The page table agrees with a map-based reference model under
-    /// random map/unmap/replace/CAS sequences, and `mapped_entries`
-    /// stays exact.
-    #[test]
-    fn page_table_matches_model(ops in proptest::collection::vec(table_op(), 1..150)) {
-        let mut table = PageTable::new();
-        let mut model: BTreeMap<u8, Pte> = BTreeMap::new();
-        let mut sizes: HashMap<u8, PageSize> = HashMap::new();
+struct RefNode {
+    slots: Vec<RefSlot>,
+}
 
-        for op in ops {
-            match op {
-                TableOp::Map(slot, size, frame) => {
-                    let size = *sizes.entry(slot).or_insert(size);
-                    let pte = Pte::mapping(frame_addr(frame, size), size);
-                    table.map(slot_vaddr(slot), pte).unwrap();
-                    model.insert(slot, pte);
+impl RefNode {
+    fn new() -> Box<Self> {
+        Box::new(RefNode {
+            slots: (0..512).map(|_| RefSlot::Empty).collect(),
+        })
+    }
+}
+
+/// The three-level radix page table as it was before the flat chunks,
+/// with `unmap` fixed to build no node on a miss: the reference model
+/// the flat table must match.
+struct RefTable {
+    root: Box<RefNode>,
+    mapped: usize,
+}
+
+fn ref_indices(va: VirtAddr) -> [usize; 3] {
+    let va = va.as_u64();
+    [30, 21, 12].map(|shift| ((va >> shift) & 511) as usize)
+}
+
+impl RefTable {
+    fn new() -> Self {
+        RefTable {
+            root: RefNode::new(),
+            mapped: 0,
+        }
+    }
+
+    /// The leaf slot of `(va, size)`, creating the path to it if
+    /// `create` (`Ok(None)` for a missing path otherwise).
+    fn slot(
+        &mut self,
+        va: VirtAddr,
+        size: PageSize,
+        create: bool,
+    ) -> Result<Option<&mut RefSlot>, TableError> {
+        if !va.is_aligned(size) {
+            return Err(TableError::Unaligned(va, size));
+        }
+        let [i1, i2, i3] = ref_indices(va);
+        let (path, leaf) = if size == PageSize::Large2M {
+            (&[i1][..], i2)
+        } else {
+            (&[i1, i2][..], i3)
+        };
+        let mut node = &mut *self.root;
+        for &i in path {
+            let slot = &mut node.slots[i];
+            if matches!(slot, RefSlot::Empty) {
+                if !create {
+                    return Ok(None);
                 }
-                TableOp::Unmap(slot) => {
-                    let Some(&size) = sizes.get(&slot) else { continue };
-                    let got = table.unmap(slot_vaddr(slot), size);
-                    prop_assert_eq!(got, model.remove(&slot));
+                *slot = RefSlot::Table(RefNode::new());
+            }
+            node = match slot {
+                RefSlot::Table(next) => next,
+                _ => return Err(TableError::Occupied(va)),
+            };
+        }
+        match &mut node.slots[leaf] {
+            RefSlot::Table(_) => Err(TableError::Occupied(va)),
+            slot => Ok(Some(slot)),
+        }
+    }
+
+    /// The entry at `(va, size)`; no alignment check, as `peek` has none.
+    fn find_mut(&mut self, va: VirtAddr, size: PageSize) -> Option<&mut Pte> {
+        let [i1, i2, i3] = ref_indices(va);
+        let RefSlot::Table(l2) = &mut self.root.slots[i1] else {
+            return None;
+        };
+        let slot = match (&mut l2.slots[i2], size) {
+            (slot, PageSize::Large2M) => slot,
+            (RefSlot::Table(l3), _) => &mut l3.slots[i3],
+            _ => return None,
+        };
+        match slot {
+            RefSlot::Leaf(pte) => Some(pte),
+            _ => None,
+        }
+    }
+
+    fn peek(&mut self, va: VirtAddr, size: PageSize) -> Option<Pte> {
+        self.find_mut(va, size).copied()
+    }
+
+    fn store(&mut self, va: VirtAddr, pte: Pte) -> Result<Pte, TableError> {
+        let slot = self.slot(va, pte.size(), true)?.expect("created");
+        Ok(match std::mem::replace(slot, RefSlot::Leaf(pte)) {
+            RefSlot::Leaf(old) => old,
+            _ => {
+                self.mapped += 1;
+                Pte::EMPTY
+            }
+        })
+    }
+
+    fn unmap(&mut self, va: VirtAddr, size: PageSize) -> Option<Pte> {
+        let slot = self.slot(va, size, false).ok().flatten()?;
+        match std::mem::replace(slot, RefSlot::Empty) {
+            RefSlot::Leaf(pte) => {
+                self.mapped -= 1;
+                Some(pte)
+            }
+            old => {
+                *slot = old;
+                None
+            }
+        }
+    }
+
+    fn compare_exchange(&mut self, va: VirtAddr, expected: Pte, new: Pte) -> Result<(), Pte> {
+        let size = new.size();
+        match self.find_mut(va, size) {
+            Some(pte) if *pte == expected && va.is_aligned(size) => {
+                *pte = new;
+                Ok(())
+            }
+            Some(pte) => Err(*pte),
+            None if expected == Pte::EMPTY => {
+                self.store(va, new).map_err(|_| Pte::EMPTY)?;
+                Ok(())
+            }
+            None => Err(Pte::EMPTY),
+        }
+    }
+
+    /// Per-page lookup with the tree's walk accounting: one descent per
+    /// leaf table (gang) or per page.
+    fn lookup_range(
+        &mut self,
+        start: VirtAddr,
+        count: u32,
+        size: PageSize,
+        gang: bool,
+    ) -> (Vec<Option<Pte>>, WalkStats) {
+        let mut stats = WalkStats::default();
+        let mut prev = None;
+        let entries = (0..count)
+            .map(|i| {
+                let va = start.offset(u64::from(i) * size.bytes());
+                let [i1, i2, _] = ref_indices(va);
+                let table = if size == PageSize::Large2M {
+                    (i1, usize::MAX)
+                } else {
+                    (i1, i2)
+                };
+                if !gang || prev != Some(table) {
+                    stats.vertical += 1;
+                } else {
+                    stats.horizontal += 1;
                 }
-                TableOp::Replace(slot, frame) => {
-                    let Some(&size) = sizes.get(&slot) else { continue };
-                    let pte = Pte::mapping(frame_addr(frame, size), size);
-                    let old = table.replace(slot_vaddr(slot), pte).unwrap();
-                    prop_assert_eq!(old, model.insert(slot, pte).unwrap_or(Pte::EMPTY));
+                prev = Some(table);
+                self.peek(va, size)
+            })
+            .collect();
+        (entries, stats)
+    }
+}
+
+/// The hashed-set TLB the presence bits replaced.
+#[derive(Default)]
+struct RefTlb {
+    entries: IdSet<u64>,
+    stats: TlbStats,
+}
+
+impl RefTlb {
+    fn access(&mut self, va: VirtAddr, size: PageSize) {
+        if self.entries.insert(va.align_down(size).as_u64()) {
+            self.stats.misses += 1;
+        } else {
+            self.stats.hits += 1;
+        }
+    }
+
+    fn flush_page(&mut self, va: VirtAddr, size: PageSize) {
+        self.entries.remove(&va.align_down(size).as_u64());
+        self.stats.page_flushes += 1;
+    }
+
+    fn flush_all(&mut self) {
+        self.entries.clear();
+        self.stats.full_flushes += 1;
+    }
+}
+
+/// One address space and its reference twin, over a window of
+/// `granules` 4 KiB granules from `base`.
+struct Side {
+    space: AddressSpace,
+    table: RefTable,
+    tlb: RefTlb,
+    base: u64,
+    granules: u64,
+}
+
+impl Side {
+    /// `AddressSpace::access` as it reads on the reference table and TLB,
+    /// with the VMA from the space itself.
+    fn ref_access(&mut self, va: VirtAddr, kind: AccessKind) -> Result<PhysAddr, Fault> {
+        let size = self.space.vma_at(va).ok_or(Fault::Unmapped(va))?.page_size;
+        let page = va.align_down(size);
+        let pte = self
+            .table
+            .find_mut(page, size)
+            .ok_or(Fault::DemandPage(page))?;
+        if pte.is_migration() {
+            return Err(Fault::BlockedByMigration(va));
+        }
+        if !pte.is_present() {
+            return Err(Fault::Unmapped(va));
+        }
+        if kind == AccessKind::Write && pte.is_watched() {
+            return Err(Fault::WriteProtected(va));
+        }
+        let frame = pte.frame();
+        *pte = pte.with_young(false);
+        if kind == AccessKind::Write {
+            *pte = pte.with_dirty(true);
+        }
+        self.tlb.access(page, size);
+        Ok(frame.offset(va.as_u64() - page.as_u64()))
+    }
+
+    /// `scan_referenced` on the reference table, page by page.
+    fn ref_scan(&mut self, start: VirtAddr, pages: u32, size: PageSize) -> ScanOutcome {
+        let mut out = ScanOutcome::default();
+        for i in 0..pages {
+            let va = start.offset(u64::from(i) * size.bytes());
+            match self.table.find_mut(va, size) {
+                Some(pte) if pte.is_present() && !pte.is_migration() && !pte.is_watched() => {
+                    out.scanned += 1;
+                    if !pte.is_young() {
+                        out.referenced += 1;
+                        *pte = pte.with_young(true);
+                    }
                 }
-                TableOp::Cas(slot, frame) => {
-                    let Some(&size) = sizes.get(&slot) else { continue };
-                    let current = model.get(&slot).copied().unwrap_or(Pte::EMPTY);
-                    let new = Pte::mapping(frame_addr(frame, size), size).with_young(false);
-                    // Expected-correct CAS must succeed...
-                    table.compare_exchange(slot_vaddr(slot), current, new).unwrap();
-                    model.insert(slot, new);
-                    // ...and a stale CAS must fail and report the truth.
-                    if current != new {
-                        let err = table
-                            .compare_exchange(slot_vaddr(slot), current, new)
-                            .unwrap_err();
-                        prop_assert_eq!(err, new);
+                _ => out.skipped += 1,
+            }
+        }
+        out
+    }
+
+    /// `scan_transient` on the reference table.
+    fn ref_transient(&mut self) -> Vec<(VirtAddr, Pte)> {
+        let vmas: Vec<_> = self.space.vmas().cloned().collect();
+        let mut out = Vec::new();
+        for vma in vmas {
+            for i in 0..u64::from(vma.pages) {
+                let va = vma.start.offset(i * vma.page_size.bytes());
+                if let Some(pte) = self.table.peek(va, vma.page_size) {
+                    if pte.is_migration() || pte.is_watched() {
+                        out.push((va, pte));
                     }
                 }
             }
-            // Model agreement on every slot ever touched.
-            for (&slot, &size) in &sizes {
-                let got = table.peek(slot_vaddr(slot), size);
-                prop_assert_eq!(got, model.get(&slot).copied());
+        }
+        out
+    }
+
+    /// The window's every entry at every granularity, on both tables.
+    fn check_window(&mut self) {
+        for g in 0..self.granules {
+            let va = VirtAddr::new(self.base + (g << 12));
+            for size in PageSize::ALL {
+                if va.is_aligned(size) {
+                    prop_assert_eq!(self.space.table().peek(va, size), self.table.peek(va, size));
+                }
             }
-            prop_assert_eq!(table.mapped_entries(), model.len());
         }
     }
+}
+
+/// The two spaces of the model: space 0 holds a lazy 4 KiB, 64 KiB and
+/// 2 MiB region across the 2 GiB line (a level-2 table boundary) and a
+/// 16-page region of shared frames; space 1 maps the same frames.
+fn model_sides() -> [Side; 2] {
+    let topo = booted();
+    let mut alloc = FrameAllocator::new(&topo);
+    let node = NodeId(0);
+    let frames: Vec<PhysAddr> = (0..16)
+        .map(|_| alloc.alloc(node, PageSize::Small4K).unwrap())
+        .collect();
+    let lazy = |space: &mut AddressSpace, alloc: &mut FrameAllocator, pages, size| {
+        let policy = AllocPolicy::Bind(node);
+        space
+            .mmap_with(alloc, pages, size, policy, Populate::Lazy)
+            .unwrap()
+    };
+    let mut main = AddressSpace::new();
+    // A lazy filler moves the window up to the 2 GiB line.
+    lazy(
+        &mut main,
+        &mut alloc,
+        ((1 << 30) - (6 << 20)) >> 12,
+        PageSize::Small4K,
+    );
+    let base = lazy(&mut main, &mut alloc, 1024, PageSize::Small4K).as_u64();
+    lazy(&mut main, &mut alloc, 64, PageSize::Medium64K);
+    lazy(&mut main, &mut alloc, 2, PageSize::Large2M);
+    main.map_shared(&mut alloc, &frames, PageSize::Small4K, node)
+        .unwrap();
+    let mut remote = AddressSpace::new();
+    let remote_base = remote
+        .map_shared(&mut alloc, &frames, PageSize::Small4K, node)
+        .unwrap()
+        .as_u64();
+    [(main, base, 7 * 512), (remote, remote_base, 512)].map(|(space, base, granules)| {
+        let mut table = RefTable::new();
+        let shared = space.vmas().last().unwrap().start;
+        for (i, &frame) in frames.iter().enumerate() {
+            let va = shared.offset(i as u64 * 4096);
+            table
+                .store(va, Pte::mapping(frame, PageSize::Small4K))
+                .unwrap();
+        }
+        Side {
+            space,
+            table,
+            tlb: RefTlb::default(),
+            base,
+            granules,
+        }
+    })
+}
+
+/// One operation of the page-table model, decoded from a drawn seed.
+#[derive(Debug, Clone)]
+struct TableOp {
+    /// 0 map, 1 replace, 2 unmap, 3 CAS, 4 access, 5 gang and per-page
+    /// lookup, 6 reference scan, 7 flush.
+    kind: u8,
+    side: usize,
+    /// Granule of the side's window.
+    granule: u64,
+    size: PageSize,
+    /// Round the address down to `size` (else keep the granule).
+    aligned: bool,
+    /// The entry stored: a mapping, a referenced dirty mapping, a
+    /// migration entry, a watched mapping, empty, or empty and watched.
+    flavor: u8,
+    frame: u32,
+    count: u32,
+    flag: bool,
+}
+
+fn table_op() -> impl Strategy<Value = TableOp> {
+    (0u8..8, size_strategy(), any::<u64>()).prop_map(|(kind, size, bits)| TableOp {
+        kind,
+        side: usize::from(bits & 7 == 0),
+        granule: (bits >> 3) & 0xFFF,
+        size,
+        aligned: (bits >> 15) & 7 != 0,
+        flavor: ((bits >> 18) % 6) as u8,
+        frame: ((bits >> 24) & 0x3FF) as u32,
+        count: ((bits >> 34) % 600) as u32,
+        flag: (bits >> 44) & 1 == 1,
+    })
+}
+
+impl TableOp {
+    fn entry(&self) -> Pte {
+        let mapping = Pte::mapping(frame_addr(self.frame, self.size), self.size);
+        match self.flavor {
+            0 => mapping,
+            1 => mapping.with_young(false).with_dirty(true),
+            2 => Pte::migration_entry(self.size),
+            3 => mapping.with_watch(true),
+            4 => Pte::EMPTY,
+            _ => Pte::EMPTY.with_watch(true),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The flat page table and the presence-bit TLB match the radix tree
+    /// and the hashed-set TLB they replaced, under random stores,
+    /// unmaps, CASes and flushes of 4 KiB, 64 KiB and 2 MiB entries with
+    /// holes, block-versus-table conflicts and misaligned addresses, on
+    /// a space with lazy regions and shared frames and on a second space
+    /// mapping those frames: every result and `TableError`, every entry,
+    /// `mapped_entries`, gang-lookup `WalkStats`, the fault of every
+    /// `AddressSpace::access` (kind and precedence), reference scans,
+    /// transient-entry scans, and `TlbStats`.
+    #[test]
+    fn page_table_matches_model(ops in proptest::collection::vec(table_op(), 1..120)) {
+        let mut sides = model_sides();
+        for op in &ops {
+            let side = &mut sides[op.side];
+            let mut va = VirtAddr::new(side.base + ((op.granule % side.granules) << 12));
+            if op.aligned {
+                va = va.align_down(op.size);
+            }
+            let table = side.space.table_mut();
+            match op.kind {
+                0 => prop_assert_eq!(table.map(va, op.entry()), side.table.store(va, op.entry()).map(drop)),
+                1 => prop_assert_eq!(table.replace(va, op.entry()), side.table.store(va, op.entry())),
+                2 => prop_assert_eq!(table.unmap(va, op.size), side.table.unmap(va, op.size)),
+                3 => {
+                    let current = side.table.peek(va, op.entry().size()).unwrap_or(Pte::EMPTY);
+                    let expected = if op.flag { current.with_young(!current.is_young()) } else { current };
+                    prop_assert_eq!(
+                        table.compare_exchange(va, expected, op.entry()),
+                        side.table.compare_exchange(va, expected, op.entry())
+                    );
+                }
+                4 => {
+                    let at = va.offset(u64::from(op.frame) % op.size.bytes());
+                    let kind = if op.flag { AccessKind::Write } else { AccessKind::Read };
+                    prop_assert_eq!(side.space.access(at, kind), side.ref_access(at, kind));
+                    prop_assert_eq!(side.space.tlb().contains(at, op.size), side.tlb.entries.contains(&at.align_down(op.size).as_u64()));
+                }
+                5 => {
+                    prop_assert_eq!(
+                        table.lookup_range(va, op.count, op.size, op.flag),
+                        side.table.lookup_range(va, op.count, op.size, op.flag)
+                    );
+                }
+                6 => prop_assert_eq!(side.space.scan_referenced(va, op.count, op.size), side.ref_scan(va, op.count, op.size)),
+                _ => {
+                    if op.flag {
+                        side.space.tlb_mut().flush_all();
+                        side.tlb.flush_all();
+                    } else {
+                        side.space.tlb_mut().flush_page(va, op.size);
+                        side.tlb.flush_page(va, op.size);
+                    }
+                }
+            }
+            for size in PageSize::ALL {
+                let got = side.space.table().peek(va, size);
+                prop_assert_eq!(got, side.table.peek(va, size), "{} entry after {:?}", size, op);
+            }
+            prop_assert_eq!(side.space.table().mapped_entries(), side.table.mapped, "after {:?}", op);
+            prop_assert_eq!(side.space.tlb().stats(), side.tlb.stats, "after {:?}", op);
+            prop_assert_eq!(side.space.tlb().len(), side.tlb.entries.len(), "after {:?}", op);
+        }
+        for side in &mut sides {
+            side.check_window();
+            prop_assert_eq!(side.space.scan_transient(), side.ref_transient());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Gang lookup returns exactly the same entries as per-page lookup;
     /// only the walk statistics differ, and they account every page.
@@ -603,6 +990,161 @@ proptest! {
     #[test]
     fn allocator_matches_reference_on_ddr(ops in proptest::collection::vec(diff_op(), 1..60)) {
         check_against_reference(NodeId(0), ops);
+    }
+}
+
+#[derive(Debug, Clone)]
+enum RunOp {
+    /// `alloc_run` of `n` pages against `n` calls of `alloc`, freed again
+    /// if one fails.
+    Run(PageSize, u32),
+    /// `free_many` against `free` on each address in turn, of `take`
+    /// held references from a seeded position, kept in order (`order`
+    /// 0), reversed (1) or shuffled (2), with `strays` addresses that
+    /// are not block bases and, if `twice`, the first address repeated.
+    FreeMany {
+        order: u8,
+        take: usize,
+        strays: u8,
+        twice: bool,
+        seed: u64,
+    },
+    /// One more reference to a held block.
+    RefNth(usize),
+}
+
+fn run_op() -> impl Strategy<Value = RunOp> {
+    prop_oneof![
+        (size_strategy(), 1u32..8).prop_map(|(z, n)| RunOp::Run(z, n)),
+        (1u32..600).prop_map(|n| RunOp::Run(PageSize::Small4K, n)),
+        (1u32..40).prop_map(|n| RunOp::Run(PageSize::Medium64K, n)),
+        (0u8..3, 1usize..700, 0u8..3, any::<bool>(), any::<u64>()).prop_map(
+            |(order, take, strays, twice, seed)| RunOp::FreeMany {
+                order,
+                take,
+                strays,
+                twice,
+                seed,
+            }
+        ),
+        (0usize..4096).prop_map(RunOp::RefNth),
+    ]
+}
+
+/// Runs `ops` on two allocators for `node`, one through `alloc_run` and
+/// `free_many`, one through per-call `alloc` and `free`, checking every
+/// result and address, the `released` lists, `free_bytes`,
+/// `live_frames`, `counters` and the set of free blocks.
+fn check_runs_against_calls(node: NodeId, ops: Vec<RunOp>) {
+    let topo = booted();
+    let base = topo.node(node).unwrap().base;
+    let mut runs = FrameAllocator::new(&topo);
+    let mut calls = FrameAllocator::new(&topo);
+    // One entry per reference held.
+    let mut held: Vec<PhysAddr> = Vec::new();
+
+    for op in ops {
+        match op {
+            RunOp::Run(size, n) => {
+                let mut got = Vec::new();
+                let result = runs.alloc_run(node, size, n, &mut got);
+                let mut want = Vec::new();
+                let mut failed = None;
+                for _ in 0..n {
+                    match calls.alloc(node, size) {
+                        Ok(addr) => want.push(addr),
+                        Err(e) => {
+                            failed = Some(e);
+                            break;
+                        }
+                    }
+                }
+                if let Some(e) = failed {
+                    for addr in want.drain(..) {
+                        calls.free(addr).unwrap();
+                    }
+                    assert_eq!(result, Err(e));
+                } else {
+                    assert_eq!(result, Ok(()));
+                }
+                assert_eq!(got, want, "run of {n} {size}");
+                held.extend(got);
+            }
+            RunOp::FreeMany {
+                order,
+                take,
+                strays,
+                twice,
+                seed,
+            } => {
+                let from = mix(seed) as usize % (held.len() + 1);
+                let to = (from + take).min(held.len());
+                let mut batch: Vec<PhysAddr> = held.drain(from..to).collect();
+                match order {
+                    0 => {}
+                    1 => batch.reverse(),
+                    _ => {
+                        for i in (1..batch.len()).rev() {
+                            batch.swap(i, mix(seed ^ i as u64) as usize % (i + 1));
+                        }
+                    }
+                }
+                for s in 0..u64::from(strays) {
+                    let r = mix(seed.rotate_left(7) ^ s);
+                    let stray = base.offset((r % (1 << 20)) * 512 + 512);
+                    batch.insert(r as usize % (batch.len() + 1), stray);
+                }
+                if twice {
+                    batch.extend(batch.first().copied());
+                }
+                let mut released = Vec::new();
+                let result = runs.free_many(&batch, &mut released);
+                let mut want = Vec::new();
+                let mut first_bad = None;
+                for &addr in &batch {
+                    match calls.free(addr) {
+                        Ok(()) if calls.frame_info(addr).is_none() => want.push(addr),
+                        Ok(()) => {}
+                        Err(e) => {
+                            first_bad.get_or_insert(e);
+                        }
+                    }
+                }
+                want.sort_unstable();
+                assert_eq!(released, want, "released by {batch:?}");
+                assert_eq!(result, first_bad.map_or(Ok(()), Err));
+            }
+            RunOp::RefNth(i) if !held.is_empty() => {
+                let addr = held[i % held.len()];
+                assert_eq!(runs.get_ref(addr), calls.get_ref(addr));
+                held.push(addr);
+            }
+            RunOp::RefNth(_) => {}
+        }
+        assert_eq!(runs.free_bytes(node), calls.free_bytes(node));
+        assert_eq!(runs.live_frames(), calls.live_frames());
+        assert_eq!(runs.counters(), calls.counters());
+        assert!(
+            runs.free_blocks(node).eq(calls.free_blocks(node)),
+            "free blocks differ"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `alloc_run` and `free_many` on the 6 MiB SRAM bank, where runs
+    /// run out part-way.
+    #[test]
+    fn runs_match_per_call_on_sram(ops in proptest::collection::vec(run_op(), 1..60)) {
+        check_runs_against_calls(NodeId(1), ops);
+    }
+
+    /// `alloc_run` and `free_many` on the 8 GiB DDR bank.
+    #[test]
+    fn runs_match_per_call_on_ddr(ops in proptest::collection::vec(run_op(), 1..60)) {
+        check_runs_against_calls(NodeId(0), ops);
     }
 }
 
