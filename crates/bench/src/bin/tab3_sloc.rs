@@ -11,11 +11,8 @@ use std::path::Path;
 
 use memif_bench::Table;
 
+/// `(code lines, test lines)` under `dir`; see [`split`].
 fn sloc(dir: &Path) -> (usize, usize) {
-    // (code lines, test lines): a line counts as code when non-empty and
-    // not a pure comment; files under tests/ and #[cfg(test)] modules
-    // are attributed to tests by a coarse heuristic (the `mod tests`
-    // marker splits a file).
     let mut code = 0;
     let mut test = 0;
     let mut stack = vec![dir.to_path_buf()];
@@ -36,20 +33,46 @@ fn sloc(dir: &Path) -> (usize, usize) {
             continue;
         };
         let in_test_dir = p.components().any(|c| c.as_os_str() == "tests");
-        let mut in_tests_mod = false;
-        for line in content.lines() {
-            let t = line.trim();
-            if t.contains("mod tests") {
-                in_tests_mod = true;
-            }
-            if t.is_empty() || t.starts_with("//") {
-                continue;
-            }
-            if in_test_dir || in_tests_mod {
-                test += 1;
-            } else {
-                code += 1;
-            }
+        let (c, t) = split(&content, in_test_dir);
+        code += c;
+        test += t;
+    }
+    (code, test)
+}
+
+/// Splits one file into `(code lines, test lines)`. A line counts when
+/// it is non-empty and not a `//` comment. Every line of a file under
+/// `tests/` is a test line; elsewhere a `mod` gated by `#[cfg(test)]`
+/// is test code through its closing brace (found by indentation, as
+/// rustfmt lays it out). A `#[cfg(test)]` on any other item does not
+/// start a test region.
+fn split(content: &str, in_test_dir: bool) -> (usize, usize) {
+    let (mut code, mut test) = (0, 0);
+    // The previous line was `#[cfg(test)]`, or an attribute after it.
+    let mut cfg_test = false;
+    // Indentation of the open test module.
+    let mut test_mod: Option<usize> = None;
+    for line in content.lines() {
+        let t = line.trim();
+        if t.is_empty() || t.starts_with("//") {
+            continue;
+        }
+        let indent = line.len() - line.trim_start().len();
+        if cfg_test
+            && test_mod.is_none()
+            && t.ends_with('{')
+            && t.split_whitespace().any(|w| w == "mod")
+        {
+            test_mod = Some(indent);
+        }
+        cfg_test = t == "#[cfg(test)]" || (cfg_test && t.starts_with("#["));
+        if in_test_dir || test_mod.is_some() {
+            test += 1;
+        } else {
+            code += 1;
+        }
+        if test_mod == Some(indent) && t == "}" {
+            test_mod = None;
         }
     }
     (code, test)
@@ -130,4 +153,43 @@ fn main() {
     ]);
     table.print();
     table.write_csv("tab3_sloc");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::split;
+
+    #[test]
+    fn only_a_cfg_test_module_starts_test_attribution() {
+        let file = "\
+fn a() {}
+// a comment naming mod tests must not flip the rest of the file
+fn b() {}
+
+#[cfg(test)]
+mod reference {
+    fn oracle() {}
+}
+
+fn c() {}
+
+impl X {
+    #[cfg(test)]
+    pub fn as_array(&self) {}
+
+    fn production() {}
+}
+
+#[cfg(test)]
+mod negative_result {
+    #[test]
+    fn t() {}
+}
+";
+        // Code: `fn a`, `fn b`, `fn c`, the five lines of `impl X` with
+        // its `#[cfg(test)]` method, and the two attributes that gate a
+        // module. Test: each gated module through its closing brace.
+        assert_eq!(split(file, false), (10, 7));
+        assert_eq!(split(file, true), (0, 17));
+    }
 }

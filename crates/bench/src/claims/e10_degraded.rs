@@ -14,31 +14,30 @@
 //! requests are lost or wedged.
 
 use memif::{FaultPlan, MemifConfig};
-use memif_bench::{stream, StreamSpec, Table};
 use memif_hwsim::CostModel;
 use memif_mm::PageSize;
 use memif_workloads::ShapeKind;
+
+use super::Report;
+use crate::{stream, StreamSpec, Table};
 
 const SEED: u64 = 0xE10;
 const PAGE: PageSize = PageSize::Small4K;
 const PAGES: u32 = 64;
 const WINDOW: usize = 8;
 
-fn main() {
-    // `--quick` trims the sweep for CI smoke runs; the default run is
-    // untouched so published tables stay reproducible byte-for-byte.
-    let quick = std::env::args().any(|a| a == "--quick");
+pub(super) fn run() -> Report {
     let cost = CostModel::keystone_ii();
     let bytes_per_req = u64::from(PAGES) * PAGE.bytes();
-    let count = if quick {
-        24
-    } else {
-        ((64u64 << 20) / bytes_per_req).clamp(24, 512) as usize
-    };
-    let rates: &[f64] = if quick {
-        &[0.0, 1e-2]
-    } else {
-        &[0.0, 1e-4, 1e-3, 1e-2]
+    let count = ((64u64 << 20) / bytes_per_req).clamp(24, 512) as usize;
+    let spec = |kind| StreamSpec {
+        cost: cost.clone(),
+        kind,
+        page_size: PAGE,
+        pages: PAGES,
+        count,
+        window: WINDOW,
+        ..StreamSpec::default()
     };
 
     let mut table = Table::new(
@@ -53,41 +52,18 @@ fn main() {
             "failed",
         ],
     );
-
     for kind in [ShapeKind::Replicate, ShapeKind::Migrate] {
-        let shape = match kind {
-            ShapeKind::Replicate => "replicate",
-            ShapeKind::Migrate => "migrate",
-        };
+        let shape = format!("{kind:?}").to_lowercase();
         // Fault-free baseline for the "retained" column.
-        let base = stream(StreamSpec {
-            cost: cost.clone(),
-            kind,
-            page_size: PAGE,
-            pages: PAGES,
-            count,
-            window: WINDOW,
-            ..StreamSpec::default()
-        });
-        for &rate in rates {
-            let plan = (rate > 0.0).then(|| FaultPlan::dma_errors(SEED, rate));
+        let base = stream(spec(kind));
+        for rate in [0.0, 1e-4, 1e-3, 1e-2] {
             let run = stream(StreamSpec {
-                cost: cost.clone(),
-                kind,
-                page_size: PAGE,
-                pages: PAGES,
-                count,
-                window: WINDOW,
-                faults: plan,
-                ..StreamSpec::default()
+                faults: (rate > 0.0).then(|| FaultPlan::dma_errors(SEED, rate)),
+                ..spec(kind)
             });
-            assert_eq!(
-                run.requests, count,
-                "every submitted request must reach a terminal state"
-            );
             assert_eq!(run.failed, 0, "CPU fallback must keep requests succeeding");
             table.row(&[
-                shape.to_owned(),
+                shape.clone(),
                 format!("{rate:.0e}"),
                 format!("{:.2}", run.throughput_gbps),
                 format!("{:.1}%", 100.0 * run.throughput_gbps / base.throughput_gbps),
@@ -97,22 +73,12 @@ fn main() {
             ]);
         }
     }
-    table.print();
-    table.write_csv("e10_degraded");
 
     // Second study: fault modes beyond clean error interrupts, on the
     // replication workload. Dropped completions exercise the watchdog;
     // the no-retry configuration forces the CPU-copy fallback so its
     // costed degradation is visible in the throughput column.
-    let base = stream(StreamSpec {
-        cost: cost.clone(),
-        kind: ShapeKind::Replicate,
-        page_size: PAGE,
-        pages: PAGES,
-        count,
-        window: WINDOW,
-        ..StreamSpec::default()
-    });
+    let base = stream(spec(ShapeKind::Replicate));
     let drops = FaultPlan {
         drop_rate: 1e-3,
         ..FaultPlan::new(SEED)
@@ -128,7 +94,7 @@ fn main() {
         max_dma_retries: 0,
         ..MemifConfig::default()
     };
-    let scenarios: &[(&str, MemifConfig, FaultPlan)] = &[
+    let scenarios = [
         ("dropped-irqs 1e-3", MemifConfig::default(), drops),
         ("chaos mix", MemifConfig::default(), mix),
         (
@@ -152,20 +118,13 @@ fn main() {
     );
     for (name, config, plan) in scenarios {
         let run = stream(StreamSpec {
-            cost: cost.clone(),
-            config: config.clone(),
-            kind: ShapeKind::Replicate,
-            page_size: PAGE,
-            pages: PAGES,
-            count,
-            window: WINDOW,
-            faults: Some(plan.clone()),
-            ..StreamSpec::default()
+            config,
+            faults: Some(plan),
+            ..spec(ShapeKind::Replicate)
         });
-        assert_eq!(run.requests, count, "no request may be lost or wedged");
         assert_eq!(run.failed, 0, "CPU fallback must keep requests succeeding");
         modes.row(&[
-            (*name).to_owned(),
+            name.to_owned(),
             format!("{:.2}", run.throughput_gbps),
             format!("{:.1}%", 100.0 * run.throughput_gbps / base.throughput_gbps),
             run.retries.to_string(),
@@ -175,13 +134,13 @@ fn main() {
             run.failed.to_string(),
         ]);
     }
-    modes.print();
-    modes.write_csv("e10_degraded_modes");
 
-    println!(
-        "Shape checks: throughput retained decreases monotonically-ish with the error \
-         rate; rare faults (1e-4) cost almost nothing; all requests complete (failed=0) \
-         because exhausted retries degrade to the costed CPU copy instead of dropping \
-         the request."
-    );
+    Report {
+        tables: vec![("e10_degraded", table), ("e10_degraded_modes", modes)],
+        note: "Shape checks: throughput retained decreases monotonically-ish with the error \
+               rate; rare faults (1e-4) cost almost nothing; all requests complete (failed=0) \
+               because exhausted retries degrade to the costed CPU copy instead of dropping \
+               the request."
+            .to_owned(),
+    }
 }

@@ -21,10 +21,12 @@
 //! state — including under an injected DMA error rate (E12b).
 
 use memif::{FaultPlan, MemifConfig, Phase, SimDuration};
-use memif_bench::{stream, StreamSpec, Table};
 use memif_hwsim::CostModel;
 use memif_mm::PageSize;
 use memif_workloads::ShapeKind;
+
+use super::Report;
+use crate::{stream, StreamResult, StreamSpec, Table};
 
 const SEED: u64 = 0xE12;
 const PAGE: PageSize = PageSize::Small4K;
@@ -39,32 +41,23 @@ fn config(batch_max: usize, coalesce: bool) -> MemifConfig {
     }
 }
 
-fn issue_cpu(run: &memif_bench::StreamResult) -> SimDuration {
+fn issue_cpu(run: &StreamResult) -> SimDuration {
     run.stats.phases.get(Phase::DmaConfig) + run.stats.phases.get(Phase::Interface)
 }
 
-fn main() {
-    // `--quick` trims the sweep for CI smoke runs; the default run is
-    // untouched so published tables stay reproducible byte-for-byte.
-    let quick = std::env::args().any(|a| a == "--quick");
+pub(super) fn run() -> Report {
     let cost = CostModel::keystone_ii();
     let bytes_per_req = u64::from(PAGES) * PAGE.bytes();
-    let count = if quick {
-        64
-    } else {
-        ((64u64 << 20) / bytes_per_req).clamp(64, 1024) as usize
-    };
-    let sweep: &[(usize, bool)] = if quick {
-        &[(1, false), (16, true)]
-    } else {
-        &[
-            (1, false),
-            (1, true),
-            (4, false),
-            (4, true),
-            (16, false),
-            (16, true),
-        ]
+    let count = ((64u64 << 20) / bytes_per_req).clamp(64, 1024) as usize;
+    let spec = |kind, batch, coalesce| StreamSpec {
+        cost: cost.clone(),
+        config: config(batch, coalesce),
+        kind,
+        page_size: PAGE,
+        pages: PAGES,
+        count,
+        window: WINDOW,
+        ..StreamSpec::default()
     };
 
     let mut table = Table::new(
@@ -82,31 +75,13 @@ fn main() {
             "irqs+polls",
         ],
     );
-
     for kind in [ShapeKind::Replicate, ShapeKind::Migrate] {
-        let shape = match kind {
-            ShapeKind::Replicate => "replicate",
-            ShapeKind::Migrate => "migrate",
-        };
+        let shape = format!("{kind:?}").to_lowercase();
         let mut base_issue = SimDuration::ZERO;
         let mut base_bytes = 0u64;
         let mut best_issue = SimDuration::ZERO;
-        for &(batch, coalesce) in sweep {
-            let run = stream(StreamSpec {
-                cost: cost.clone(),
-                config: config(batch, coalesce),
-                kind,
-                page_size: PAGE,
-                pages: PAGES,
-                count,
-                window: WINDOW,
-                ..StreamSpec::default()
-            });
-            assert_eq!(
-                run.requests, count,
-                "every request reaches a terminal state"
-            );
-            assert_eq!(run.failed, 0, "fault-free runs must not fail requests");
+        for (batch, coalesce) in [1, 4, 16].into_iter().flat_map(|b| [(b, false), (b, true)]) {
+            let run = stream(spec(kind, batch, coalesce));
             let issue = issue_cpu(&run);
             if batch == 1 && !coalesce {
                 base_issue = issue;
@@ -121,7 +96,7 @@ fn main() {
                 best_issue = issue;
             }
             table.row(&[
-                shape.to_owned(),
+                shape.clone(),
                 batch.to_string(),
                 coalesce.to_string(),
                 format!("{:.2}", run.throughput_gbps),
@@ -144,8 +119,6 @@ fn main() {
              <= half of the sequential path's {base_issue}"
         );
     }
-    table.print();
-    table.write_csv("e12_batching");
 
     // E12b: the same batched configuration under injected DMA errors.
     // Mid-chain failures must be attributed per request — only requests
@@ -162,20 +135,11 @@ fn main() {
             "failed",
         ],
     );
-    let rates: &[f64] = if quick { &[1e-3] } else { &[1e-4, 1e-3, 1e-2] };
-    for &rate in rates {
+    for rate in [1e-4, 1e-3, 1e-2] {
         let run = stream(StreamSpec {
-            cost: cost.clone(),
-            config: config(16, true),
-            kind: ShapeKind::Replicate,
-            page_size: PAGE,
-            pages: PAGES,
-            count,
-            window: WINDOW,
             faults: Some(FaultPlan::dma_errors(SEED, rate)),
-            ..StreamSpec::default()
+            ..spec(ShapeKind::Replicate, 16, true)
         });
-        assert_eq!(run.requests, count, "no request may be lost or wedged");
         assert_eq!(run.failed, 0, "CPU fallback must keep requests succeeding");
         chaos.row(&[
             format!("{rate:.0e}"),
@@ -186,14 +150,14 @@ fn main() {
             run.failed.to_string(),
         ]);
     }
-    chaos.print();
-    chaos.write_csv("e12_batching_chaos");
 
-    println!(
-        "Shape checks: batch 1 without coalescing matches the seed driver; the \
-         issue-side CPU (descriptor programming + crossings) falls superlinearly as \
-         batching amortizes the ioctl/interrupt pair and coalescing collapses each \
-         16-page run into one PaRAM set; all configurations move identical bytes and \
-         lose zero requests, with or without injected DMA errors."
-    );
+    Report {
+        tables: vec![("e12_batching", table), ("e12_batching_chaos", chaos)],
+        note: "Shape checks: batch 1 without coalescing matches the seed driver; the \
+               issue-side CPU (descriptor programming + crossings) falls superlinearly as \
+               batching amortizes the ioctl/interrupt pair and coalescing collapses each \
+               16-page run into one PaRAM set; all configurations move identical bytes and \
+               lose zero requests, with or without injected DMA errors."
+            .to_owned(),
+    }
 }

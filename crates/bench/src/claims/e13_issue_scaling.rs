@@ -25,49 +25,51 @@
 //! move rate stays flat and the idle shards stay idle).
 
 use memif::{MemifConfig, SimDuration};
-use memif_bench::{stream, StreamSpec, Table};
 use memif_hwsim::CostModel;
 use memif_mm::PageSize;
 use memif_workloads::ShapeKind;
 
+use super::Report;
+use crate::{stream, StreamResult, StreamSpec, Table};
+
 const PAGE: PageSize = PageSize::Small4K;
 const PAGES: u32 = 4; // 16 KB per request: firmly in polling territory
 const WINDOW: usize = 32;
+const COUNT: usize = 512;
 
-fn config(issue_shards: usize) -> MemifConfig {
-    MemifConfig {
-        issue_shards,
-        ..MemifConfig::default()
-    }
-}
-
-fn moves_per_sec(run: &memif_bench::StreamResult) -> f64 {
+fn moves_per_sec(run: &StreamResult) -> f64 {
     run.requests as f64 / (run.wall.as_ns().max(1) as f64 / 1e9)
 }
 
 fn worker_spread(busy: &[SimDuration]) -> String {
-    if busy.is_empty() {
-        return "-".to_owned();
+    match (busy.iter().min(), busy.iter().max()) {
+        (Some(min), Some(max)) => format!(
+            "{:.0}/{:.0}us",
+            min.as_ns() as f64 / 1e3,
+            max.as_ns() as f64 / 1e3
+        ),
+        _ => "-".to_owned(),
     }
-    let max = busy.iter().max().copied().unwrap_or_default();
-    let min = busy.iter().min().copied().unwrap_or_default();
-    format!(
-        "{:.0}/{:.0}us",
-        min.as_ns() as f64 / 1e3,
-        max.as_ns() as f64 / 1e3
-    )
 }
 
-fn main() {
-    // `--quick` trims the sweep for CI smoke runs; the default run is
-    // untouched so published tables stay reproducible byte-for-byte.
-    let quick = std::env::args().any(|a| a == "--quick");
+pub(super) fn run() -> Report {
     let mut cost = CostModel::keystone_ii();
     // Four independent transfer-controller channels, so the engine is
     // never the reason issue-side scaling stalls (E11 studies TCs).
     cost.dma_tc_count = 4;
-    let count = if quick { 128 } else { 512 };
-    let sweep: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
+    let spec = |issue_shards, count, window| StreamSpec {
+        cost: cost.clone(),
+        config: MemifConfig {
+            issue_shards,
+            ..MemifConfig::default()
+        },
+        kind: ShapeKind::Migrate,
+        page_size: PAGE,
+        pages: PAGES,
+        count,
+        window,
+        ..StreamSpec::default()
+    };
 
     let mut table = Table::new(
         "E13: move rate vs issue_shards (disjoint regions, 4K x 4 pages/req)",
@@ -82,26 +84,11 @@ fn main() {
             "wakeups",
         ],
     );
-
     let mut base_rate = 0.0f64;
     let mut base_bytes = 0u64;
     let mut rate_at_4 = 0.0f64;
-    for &shards in sweep {
-        let run = stream(StreamSpec {
-            cost: cost.clone(),
-            config: config(shards),
-            kind: ShapeKind::Migrate,
-            page_size: PAGE,
-            pages: PAGES,
-            count,
-            window: WINDOW,
-            ..StreamSpec::default()
-        });
-        assert_eq!(
-            run.requests, count,
-            "every request reaches a terminal state"
-        );
-        assert_eq!(run.failed, 0, "fault-free runs must not fail requests");
+    for shards in [1, 2, 4, 8] {
+        let run = stream(spec(shards, COUNT, WINDOW));
         assert_eq!(
             run.stats.cross_shard_deferred, 0,
             "disjoint regions must never defer across shards"
@@ -137,8 +124,6 @@ fn main() {
         "shards=4 move rate {rate_at_4:.0}/s must be >= 2x the single-worker \
          rate {base_rate:.0}/s"
     );
-    table.print();
-    table.write_csv("e13_issue_scaling");
 
     // E13b: one region, every request serialized behind its
     // predecessor's in-flight spans. Affinity routing sends the whole
@@ -149,25 +134,9 @@ fn main() {
         "E13b: single-region stream (window=1) — sharding must not help",
         &["shards", "moves/s", "vs-1", "deferred", "cross-shard"],
     );
-    let count_b = count / 4;
     let mut base_b = 0.0f64;
-    for &shards in if quick {
-        &[1usize, 4][..]
-    } else {
-        &[1usize, 4, 8][..]
-    } {
-        let run = stream(StreamSpec {
-            cost: cost.clone(),
-            config: config(shards),
-            kind: ShapeKind::Migrate,
-            page_size: PAGE,
-            pages: PAGES,
-            count: count_b,
-            window: 1,
-            ..StreamSpec::default()
-        });
-        assert_eq!(run.requests, count_b);
-        assert_eq!(run.failed, 0);
+    for shards in [1, 4, 8] {
+        let run = stream(spec(shards, COUNT / 4, 1));
         assert_eq!(
             run.stats.cross_shard_deferred, 0,
             "a single region lives on a single shard"
@@ -193,14 +162,17 @@ fn main() {
             run.stats.cross_shard_deferred.to_string(),
         ]);
     }
-    single.print();
-    single.write_csv("e13_issue_scaling_single");
 
-    println!(
-        "Shape checks: the disjoint-region stream scales superlinearly in issue \
-         CPUs until the shared engine bounds it, per-shard worker busy stays \
-         balanced under region-affinity routing, and the single-region stream is \
-         shard-count invariant — same-region FIFO and the hazard guard never \
-         relax."
-    );
+    Report {
+        tables: vec![
+            ("e13_issue_scaling", table),
+            ("e13_issue_scaling_single", single),
+        ],
+        note: "Shape checks: the disjoint-region stream scales superlinearly in issue \
+               CPUs until the shared engine bounds it, per-shard worker busy stays \
+               balanced under region-affinity routing, and the single-region stream is \
+               shard-count invariant — same-region FIFO and the hazard guard never \
+               relax."
+            .to_owned(),
+    }
 }

@@ -19,25 +19,11 @@
 //! and must beat no-policy outright; policy runs must be fault-free
 //! deterministic (no failed moves without a fault plan).
 
-use memif_bench::Table;
 use memif_hwsim::CostModel;
 use memif_policy::{run_scenario, Mode, ScenarioConfig, ScenarioResult};
 
-fn scenario(quick: bool, mode: Mode) -> ScenarioConfig {
-    if quick {
-        ScenarioConfig {
-            mode,
-            phases: 3,
-            ticks_per_phase: 16,
-            ..ScenarioConfig::default()
-        }
-    } else {
-        ScenarioConfig {
-            mode,
-            ..ScenarioConfig::default()
-        }
-    }
-}
+use super::Report;
+use crate::Table;
 
 fn row(table: &mut Table, label: &str, r: &ScenarioResult, base: &ScenarioResult) {
     table.row(&[
@@ -52,13 +38,20 @@ fn row(table: &mut Table, label: &str, r: &ScenarioResult, base: &ScenarioResult
     ]);
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+pub(super) fn run() -> Report {
     let cost = CostModel::keystone_ii();
-
-    let none = run_scenario(&cost, &scenario(quick, Mode::None));
-    let sync = run_scenario(&cost, &scenario(quick, Mode::Sync));
-    let async_ = run_scenario(&cost, &scenario(quick, Mode::Async));
+    let scenario = |mode| {
+        run_scenario(
+            &cost,
+            &ScenarioConfig {
+                mode,
+                ..ScenarioConfig::default()
+            },
+        )
+    };
+    let none = scenario(Mode::None);
+    let sync = scenario(Mode::Sync);
+    let async_ = scenario(Mode::Async);
 
     let mut table = Table::new(
         "E14: phased hot-set runtime by placement regime (KeyStone II)",
@@ -76,8 +69,6 @@ fn main() {
     row(&mut table, "none", &none, &none);
     row(&mut table, "sync", &sync, &none);
     row(&mut table, "async", &async_, &none);
-    table.print();
-    table.write_csv("e14_policy");
 
     for (label, r) in [("none", &none), ("sync", &sync), ("async", &async_)] {
         assert_eq!(
@@ -109,13 +100,16 @@ fn main() {
         none.wall,
     );
 
-    println!(
-        "Shape checks: the daemon's background moves shift {} of {} ticks onto \
-         SRAM while the application never blocks, beating both the stalled \
-         synchronous comparator ({:.2}x) and static DDR placement ({:.2}x).",
-        async_.fast_ticks,
-        async_.ticks,
-        sync_ns / async_ns,
-        none.wall.as_ns() as f64 / async_ns,
-    );
+    Report {
+        tables: vec![("e14_policy", table)],
+        note: format!(
+            "Shape checks: the daemon's background moves shift {} of {} ticks onto \
+             SRAM while the application never blocks, beating both the stalled \
+             synchronous comparator ({:.2}x) and static DDR placement ({:.2}x).",
+            async_.fast_ticks,
+            async_.ticks,
+            sync_ns / async_ns,
+            none.wall.as_ns() as f64 / async_ns,
+        ),
+    }
 }

@@ -17,19 +17,21 @@
 //!   must converge to the uncrashed reference: every request `Done`
 //!   exactly once, identical final placement, byte-identical region
 //!   contents, balanced allocator. These are the same invariants the
-//!   `recovery` proptest sweeps; here they gate the experiment binary
-//!   so a regression fails CI's tier-2 smoke (`e15_recovery --quick`).
+//!   `recovery` proptest sweeps, through the same
+//!   [`CrashOutcome::assert_converged`](crate::CrashOutcome::assert_converged).
 //!
 //! Expected shape: journaling costs low-single-digit percent;
 //! submit/post-launch crashes roll everything back (nothing reached the
 //! destination), pre-retire crashes roll forward (bytes already on
 //! NVM), post-retire crashes only re-report sealed statuses.
 
-use memif::{CrashPlan, CrashPoint, MemifConfig, MoveStatus};
-use memif_bench::{crash_migrate_nvm, nvm_topology, stream, CrashOutcome, StreamSpec, Table};
+use memif::{CrashPlan, CrashPoint, MemifConfig};
 use memif_hwsim::CostModel;
 use memif_mm::PageSize;
 use memif_workloads::ShapeKind;
+
+use super::Report;
+use crate::{crash_migrate_nvm, nvm_topology, stream, StreamSpec, Table};
 
 const PAGE: PageSize = PageSize::Small4K;
 const PAGES: u32 = 16;
@@ -44,12 +46,8 @@ fn journal_config(journal: bool) -> MemifConfig {
     }
 }
 
-fn main() {
-    // `--quick` trims the workload for CI smoke runs; the default run
-    // is untouched so published tables stay reproducible byte-for-byte.
-    let quick = std::env::args().any(|a| a == "--quick");
+pub(super) fn run() -> Report {
     let cost = CostModel::keystone_ii();
-    let count = if quick { 48 } else { 256 };
 
     // E15a: journaling overhead on the fault-free hot path.
     let mut overhead = Table::new(
@@ -64,13 +62,11 @@ fn main() {
             kind: ShapeKind::Migrate,
             page_size: PAGE,
             pages: PAGES,
-            count,
+            count: 256,
             window: WINDOW,
             topo: nvm_topology(),
             ..StreamSpec::default()
         });
-        assert_eq!(run.requests, count, "every request terminates");
-        assert_eq!(run.failed, 0, "fault-free runs must not fail requests");
         let wall = run.wall.as_ns();
         if !journal {
             base_wall = wall;
@@ -91,12 +87,10 @@ fn main() {
             over * 100.0
         );
     }
-    overhead.print();
-    overhead.write_csv("e15_recovery_overhead");
 
     // E15b: crash at every lifecycle point, recover, re-drive, and
     // compare against the uncrashed reference run.
-    let crash_count = if quick { 8 } else { 16 };
+    let crash_count = 16;
     let config = journal_config(true);
     let reference = crash_migrate_nvm(&cost, config.clone(), PAGE, PAGES, crash_count, None, false);
     let mut crashes = Table::new(
@@ -122,7 +116,7 @@ fn main() {
             Some(CrashPlan::at(point, 2)),
             false,
         );
-        assert_outcome_converged(&run, &reference, point);
+        run.assert_converged(&reference, point.as_str());
         let (records, rolled_back, redriven, sealed_pre) =
             run.recovery.as_ref().map_or((0, 0, 0, 0), |r| {
                 (
@@ -143,39 +137,17 @@ fn main() {
             format!("{:.1}", run.wall.as_ns() as f64 / 1e3),
         ]);
     }
-    crashes.print();
-    crashes.write_csv("e15_recovery_crash");
 
-    println!(
-        "Shape checks: journaling stays under the 15% overhead bar while every \
-         crash point recovers to the uncrashed reference — each journaled move \
-         reaches exactly one terminal status, rolled-back work is re-driven \
-         once, roll-forward completes copies that already reached the NVM tier, \
-         and final placement, contents, and allocator balance are identical."
-    );
-}
-
-/// The exactly-once acceptance: a crashed-and-recovered run ends
-/// indistinguishable from the reference.
-fn assert_outcome_converged(run: &CrashOutcome, reference: &CrashOutcome, point: CrashPoint) {
-    let label = point.as_str();
-    for (cookie, status) in &run.statuses {
-        assert_eq!(
-            *status,
-            MoveStatus::Done,
-            "{label}: request {cookie} did not converge to Done"
-        );
+    Report {
+        tables: vec![
+            ("e15_recovery_overhead", overhead),
+            ("e15_recovery_crash", crashes),
+        ],
+        note: "Shape checks: journaling stays under the 15% overhead bar while every \
+               crash point recovers to the uncrashed reference — each journaled move \
+               reaches exactly one terminal status, rolled-back work is re-driven \
+               once, roll-forward completes copies that already reached the NVM tier, \
+               and final placement, contents, and allocator balance are identical."
+            .to_owned(),
     }
-    assert_eq!(
-        run.placement, reference.placement,
-        "{label}: final placement diverged from the uncrashed reference"
-    );
-    assert_eq!(
-        run.fingerprint, reference.fingerprint,
-        "{label}: final memory diverged from the uncrashed reference"
-    );
-    assert_eq!(
-        run.free_bytes, reference.free_bytes,
-        "{label}: allocator balance diverged (lost or doubled frames)"
-    );
 }

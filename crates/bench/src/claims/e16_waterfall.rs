@@ -30,15 +30,16 @@
 use std::collections::HashSet;
 
 use memif::{Brownout, FaultPlan, NodeId, SimDuration, SimTime};
-use memif_bench::Table;
 use memif_hwsim::CostModel;
-use memif_policy::{run_scenario, Mode, ScenarioConfig, ScenarioResult};
+use memif_policy::{run_scenario, Mode, PolicyConfig, ScenarioConfig, ScenarioResult};
+
+use super::Report;
+use crate::Table;
 
 /// The capacity-pressure workload: 12 MiB pool on NVM, 2 MiB hot set,
 /// 6 MiB warm halo — hot + warm exceed SRAM's 5.4 MiB watermark, so
 /// the warm class needs a middle tier to live on.
-fn scenario(quick: bool, policy_tiers: usize) -> ScenarioConfig {
-    let (phases, ticks_per_phase) = if quick { (3, 16) } else { (6, 32) };
+fn scenario(policy_tiers: usize) -> ScenarioConfig {
     ScenarioConfig {
         mode: if policy_tiers == 1 {
             Mode::None
@@ -51,14 +52,14 @@ fn scenario(quick: bool, policy_tiers: usize) -> ScenarioConfig {
         hot: 4,
         warm: 24,
         carry: 2,
-        phases,
-        ticks_per_phase,
-        policy: memif_policy::PolicyConfig {
+        phases: 6,
+        ticks_per_phase: 32,
+        policy: PolicyConfig {
             // Ticks here are ~25x slower than E14's while everything
             // still streams from NVM; the epoch must comfortably cover
             // one hot-set rotation or promoted regions alias cold.
-            epoch: memif::SimDuration::from_ns(4_000_000),
-            ..memif_policy::PolicyConfig::default()
+            epoch: SimDuration::from_ns(4_000_000),
+            ..PolicyConfig::default()
         },
         ..ScenarioConfig::default()
     }
@@ -81,37 +82,39 @@ fn row(table: &mut Table, label: &str, r: &ScenarioResult, base: &ScenarioResult
     ]);
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+pub(super) fn run() -> Report {
     let cost = CostModel::keystone_ii();
 
-    let none = run_scenario(&cost, &scenario(quick, 1));
-    let two = run_scenario(&cost, &scenario(quick, 2));
-    let four = run_scenario(&cost, &scenario(quick, 0));
-    let cxl = {
-        // The same waterfall on a CXL expander ladder: the NVM rank is
-        // swapped for DRAM-class reads behind an asymmetric serial link
-        // (reads ~11 GB/s, writes ~4 GB/s), so the *pool home* is fast
-        // to stream from but demotions into it pay the narrow write
-        // pipe.
-        let mut cfg = scenario(quick, 0);
-        cfg.cxl = true;
-        run_scenario(&cost, &cfg)
-    };
-    let browned = {
-        let mut cfg = scenario(quick, 0);
-        // DRAM (node 0, tier 1) browns out to quarter speed mid-run.
-        cfg.faults = Some(FaultPlan {
-            brownouts: vec![Brownout {
-                node: NodeId(0),
-                start: SimTime::from_ns(2_000_000),
-                duration: SimDuration::from_ns(4_000_000),
-                factor: 0.25,
-            }],
-            ..FaultPlan::default()
-        });
-        run_scenario(&cost, &cfg)
-    };
+    let none = run_scenario(&cost, &scenario(1));
+    let two = run_scenario(&cost, &scenario(2));
+    let four = run_scenario(&cost, &scenario(0));
+    // The same waterfall on a CXL expander ladder: the NVM rank is
+    // swapped for DRAM-class reads behind an asymmetric serial link
+    // (reads ~11 GB/s, writes ~4 GB/s), so the *pool home* is fast to
+    // stream from but demotions into it pay the narrow write pipe.
+    let cxl = run_scenario(
+        &cost,
+        &ScenarioConfig {
+            cxl: true,
+            ..scenario(0)
+        },
+    );
+    // DRAM (node 0, tier 1) browns out to quarter speed mid-run.
+    let browned = run_scenario(
+        &cost,
+        &ScenarioConfig {
+            faults: Some(FaultPlan {
+                brownouts: vec![Brownout {
+                    node: NodeId(0),
+                    start: SimTime::from_ns(2_000_000),
+                    duration: SimDuration::from_ns(4_000_000),
+                    factor: 0.25,
+                }],
+                ..FaultPlan::default()
+            }),
+            ..scenario(0)
+        },
+    );
 
     let mut table = Table::new(
         "E16: tiered phased hot-set by placement regime (4-tier ladder)",
@@ -131,8 +134,6 @@ fn main() {
     row(&mut table, "4-tier", &four, &none);
     row(&mut table, "4-tier-cxl", &cxl, &none);
     row(&mut table, "4-tier+brownout", &browned, &none);
-    table.print();
-    table.write_csv("e16_waterfall");
 
     for (label, r) in [("none", &none), ("2-tier", &two), ("4-tier", &four)] {
         assert_eq!(
@@ -201,15 +202,18 @@ fn main() {
         browned.driver
     );
 
-    println!(
-        "Shape checks: the waterfall serves {}/{} streams from SRAM+DRAM \
-         (vs {} under the 2-tier policy), sinks frozen regions to zram \
-         ({:.2} ms of codec time), and beats the 2-tier regime {:.2}x \
-         end-to-end.",
-        four.tier_ticks[0] + four.tier_ticks[1],
-        four.tier_ticks.iter().sum::<u64>(),
-        two.tier_ticks[0] + two.tier_ticks[1],
-        (four.compress_busy.as_ns() + four.decompress_busy.as_ns()) as f64 / 1e6,
-        two.wall.as_ns() as f64 / four.wall.as_ns() as f64,
-    );
+    Report {
+        tables: vec![("e16_waterfall", table)],
+        note: format!(
+            "Shape checks: the waterfall serves {}/{} streams from SRAM+DRAM \
+             (vs {} under the 2-tier policy), sinks frozen regions to zram \
+             ({:.2} ms of codec time), and beats the 2-tier regime {:.2}x \
+             end-to-end.",
+            four.tier_ticks[0] + four.tier_ticks[1],
+            four.tier_ticks.iter().sum::<u64>(),
+            two.tier_ticks[0] + two.tier_ticks[1],
+            (four.compress_busy.as_ns() + four.decompress_busy.as_ns()) as f64 / 1e6,
+            two.wall.as_ns() as f64 / four.wall.as_ns() as f64,
+        ),
+    }
 }

@@ -29,18 +29,17 @@
 //!   over unmapped/unregistered ranges land `Invalid` — i.e. the
 //!   threaded front-end preserves the DES path's completion semantics
 //!   under genuine preemptive contention.
-//!
-//! `--quick` trims input sizes and request counts for CI smoke runs but
-//! keeps both acceptance bars.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
 
 use memif::{Memif, MemifConfig, MoveSpec, MoveStatus, NodeId, PageSize, Sim, System, VirtAddr};
-use memif_bench::Table;
 use memif_hwsim::{CostModel, Topology};
 use memif_rt::{MemBackend, MoveDesc, Rt};
 use memif_runtime::{KernelProfile, Placement, StreamConfig, StreamReport, StreamRuntime};
+
+use super::Report;
+use crate::Table;
 
 /// The DMA-bound kernel: pure pass-through reads, perfectly sequential.
 /// Compute can drain fast memory at the full 8 GB/s CPU streaming rate,
@@ -56,15 +55,11 @@ fn dma_bound_kernel() -> KernelProfile {
     }
 }
 
-struct OverlapRun {
-    report: StreamReport,
-    rearm_saved: u64,
-}
-
-/// One streaming run at overlap depth `depth`. Deep configs pair the
+/// One streaming run at overlap depth `depth`: its report and the
+/// device's `timer_rearm_saved` count. Deep configs pair the
 /// finer fill units with paired issue batching, exactly as `memifctl stream --overlap-depth K` configures
 /// the device.
-fn run_depth(depth: usize, total: u64) -> OverlapRun {
+fn run_depth(depth: usize, total: u64) -> (StreamReport, u64) {
     // KeyStone II, except the input stream is resident on a cold,
     // CPU-hostile slow tier: direct CPU streaming runs at the
     // compressed-tier rate while the DMA engine still pulls at its full
@@ -111,10 +106,7 @@ fn run_depth(depth: usize, total: u64) -> OverlapRun {
     );
     sim.run(&mut sys);
     let rearm_saved = sys.device(memif.device()).unwrap().stats.timer_rearm_saved;
-    OverlapRun {
-        report: rt.report(),
-        rearm_saved,
-    }
+    (rt.report(), rearm_saved)
 }
 
 const PAGE: PageSize = PageSize::Small4K;
@@ -194,11 +186,9 @@ fn rt_statuses(
     (statuses.into_inner().unwrap(), stats)
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-
+pub(super) fn run() -> Report {
     // E18a: the overlap-depth sweep.
-    let total: u64 = if quick { 8 << 20 } else { 32 << 20 };
+    let total: u64 = 32 << 20;
     let mut table = Table::new(
         format!(
             "E18a: overlap-depth sweep, DMA-bound stream ({} MiB)",
@@ -213,45 +203,37 @@ fn main() {
             "rearm-saved",
         ],
     );
-    let mut runs = Vec::new();
-    for depth in [1usize, 2, 4, 8] {
-        let run = run_depth(depth, total);
-        runs.push((depth, run));
-    }
-    let base = runs[0].1.report.input_gbps;
-    for (depth, run) in &runs {
+    let depths = [1, 2, 4, 8];
+    let runs = depths.map(|depth| run_depth(depth, total));
+    let base = runs[0].0.input_gbps;
+    for (depth, (report, rearm_saved)) in depths.iter().zip(&runs) {
         table.row(&[
             depth.to_string(),
-            format!("{:.2}", run.report.input_gbps),
-            format!("{:.2}x", run.report.input_gbps / base),
+            format!("{:.2}", report.input_gbps),
+            format!("{:.2}x", report.input_gbps / base),
             format!(
                 "{:.0}%",
-                run.report.fallback_bytes as f64 / run.report.input_bytes.max(1) as f64 * 100.0
+                report.fallback_bytes as f64 / report.input_bytes.max(1) as f64 * 100.0
             ),
-            run.report.fills.to_string(),
-            run.rearm_saved.to_string(),
+            report.fills.to_string(),
+            rearm_saved.to_string(),
         ]);
     }
-    table.print();
-    table.write_csv("e18_overlap");
 
-    let depth4 = &runs.iter().find(|(d, _)| *d == 4).unwrap().1;
-    let speedup = depth4.report.input_gbps / base;
+    let (depth4, depth4_saved) = &runs[2];
+    let speedup = depth4.input_gbps / base;
     assert!(
         speedup >= 1.3,
         "overlap depth 4 is only {speedup:.2}x depth 1 on the DMA-bound stream (bar: >= 1.3x)"
     );
     assert!(
-        depth4.rearm_saved > 0,
+        *depth4_saved > 0,
         "the deep config's paired batches must save at least one timer rearm"
     );
-    assert_eq!(
-        runs[0].1.rearm_saved, 0,
-        "depth 1 issues unbatched and saves nothing"
-    );
+    assert_eq!(runs[0].1, 0, "depth 1 issues unbatched and saves nothing");
 
     // E18b: real-thread stress rows against the DES oracle.
-    let total_reqs: u64 = if quick { 200 } else { 1_000 };
+    let total_reqs: u64 = 1_000;
     let schedule = stress_schedule(total_reqs);
     let oracle = des_statuses(&schedule);
     assert_eq!(oracle.len() as u64, total_reqs, "DES retired every request");
@@ -298,15 +280,16 @@ fn main() {
             "yes".to_owned(),
         ]);
     }
-    stress.print();
-    stress.write_csv("e18_overlap_threads");
 
-    println!(
-        "Shape checks: on the DMA-bound profile depth-4 pipelining streams input \
-         {speedup:.2}x faster than the classic one-fill-per-buffer mode (bar: 1.3x) \
-         while the deep config's paired batches saved {} duplicate wake inserts, and the \
-         real-thread futures front-end reproduces the DES driver's terminal status \
-         for every cookie at 1, 4, and 8 producer threads.",
-        depth4.rearm_saved,
-    );
+    Report {
+        tables: vec![("e18_overlap", table), ("e18_overlap_threads", stress)],
+        note: format!(
+            "Shape checks: on the DMA-bound profile depth-4 pipelining streams input \
+             {speedup:.2}x faster than the classic one-fill-per-buffer mode (bar: 1.3x) \
+             while the deep config's paired batches saved {} duplicate wake inserts, and the \
+             real-thread futures front-end reproduces the DES driver's terminal status \
+             for every cookie at 1, 4, and 8 producer threads.",
+            depth4_saved,
+        ),
+    }
 }

@@ -18,8 +18,6 @@
 //! A fourth scenario pins the *weighted* half of weighted-fair: two
 //! saturating tenants at weights 2:1 must split the pipe at least
 //! 1.6:1 in bytes completed while both are active.
-//!
-//! `--quick` shrinks request counts for CI.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -28,8 +26,10 @@ use std::rc::Rc;
 use memif::{
     Memif, MemifConfig, MoveSpec, NodeId, PageSize, Sim, SimTime, System, TenantConfig, TenantId,
 };
-use memif_bench::{bigfast_topology, Table};
 use memif_hwsim::CostModel;
+
+use super::Report;
+use crate::{bigfast_topology, Table};
 
 /// One tenant's load shape.
 #[derive(Clone)]
@@ -145,7 +145,7 @@ fn run_mix(cost: &CostModel, qos: bool, plans: &[TenantPlan]) -> Vec<TenantOutco
         sys: &mut System,
         sim: &mut Sim<System>,
     ) {
-        let (memif, spec, cookie) = {
+        let (memif, spec) = {
             let mut st = state.borrow_mut();
             if !st.may_submit(idx) {
                 return;
@@ -166,9 +166,8 @@ fn run_mix(cost: &CostModel, qos: bool, plans: &[TenantPlan]) -> Vec<TenantOutco
                 .with_user_data(cookie)
                 .with_tenant(p.tenant);
             st.submit_times.insert(cookie, sim.now());
-            (st.memif, spec, cookie)
+            (st.memif, spec)
         };
-        let _ = cookie;
         memif.submit(sys, sim, spec).expect("e19 submission");
     }
 
@@ -270,9 +269,8 @@ fn good_p99_ms(outcomes: &[TenantOutcome]) -> f64 {
         / 1e6
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let target = if quick { 60 } else { 200 };
+pub(super) fn run() -> Report {
+    let target = 200;
     let cost = CostModel::keystone_ii();
 
     // Scenario 1–3: antagonist protection.
@@ -287,7 +285,7 @@ fn main() {
     let p99_qos = good_p99_ms(&qos);
 
     // Scenario 4: 2:1 weights on two saturating tenants.
-    let share_target = if quick { 120 } else { 400 };
+    let share_target = 400;
     let share_plans = vec![
         TenantPlan {
             tenant: TenantId(1),
@@ -360,10 +358,8 @@ fn main() {
         "-".to_owned(),
         "-".to_owned(),
     ]);
-    table.print();
-    table.write_csv("e19_qos");
 
-    // The acceptance bars (ISSUE 10).
+    // The acceptance bars.
     assert!(
         p99_fifo >= 4.0 * p99_base,
         "FIFO under the bully must inflate good p99 at least 4x: \
@@ -385,13 +381,16 @@ fn main() {
         );
     }
 
-    println!(
-        "Shape checks: the bully inflates unprotected good-tenant p99 \
-         {:.1}x; weighted-fair DRR plus a single-slot admission cap pulls it \
-         back to {:.2}x of baseline while the bully still moves {} GB; \
-         2:1 weights split the pipe {share_ratio:.2}:1.",
-        p99_fifo / p99_base,
-        p99_qos / p99_base,
-        bully_gb(&qos),
-    );
+    Report {
+        tables: vec![("e19_qos", table)],
+        note: format!(
+            "Shape checks: the bully inflates unprotected good-tenant p99 \
+             {:.1}x; weighted-fair DRR plus a single-slot admission cap pulls it \
+             back to {:.2}x of baseline while the bully still moves {} GB; \
+             2:1 weights split the pipe {share_ratio:.2}:1.",
+            p99_fifo / p99_base,
+            p99_qos / p99_base,
+            bully_gb(&qos),
+        ),
+    }
 }

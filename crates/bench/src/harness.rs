@@ -610,6 +610,49 @@ pub struct CrashOutcome {
     pub events: Vec<String>,
 }
 
+impl CrashOutcome {
+    /// The exactly-once acceptance: after recovery plus the WAL re-drive
+    /// protocol, this (crashed) run is indistinguishable from
+    /// `reference`, one that never crashed. Every request ends `Done`,
+    /// request count, placement, contents and allocator balance match,
+    /// and the recovery counters add up.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `label`, on the first difference.
+    pub fn assert_converged(&self, reference: &CrashOutcome, label: &str) {
+        let stray = self.statuses.iter().find(|(_, s)| *s != MoveStatus::Done);
+        assert!(
+            stray.is_none(),
+            "{label}: did not converge to Done: {stray:?}"
+        );
+        assert_eq!(
+            self.statuses.len(),
+            reference.statuses.len(),
+            "{label}: request count diverged"
+        );
+        assert_eq!(
+            self.placement, reference.placement,
+            "{label}: final placement diverged from the uncrashed reference"
+        );
+        assert_eq!(
+            self.fingerprint, reference.fingerprint,
+            "{label}: final memory diverged from the uncrashed reference"
+        );
+        assert_eq!(
+            self.free_bytes, reference.free_bytes,
+            "{label}: allocator balance diverged (lost or doubled frames)"
+        );
+        if let Some(report) = &self.recovery {
+            assert_eq!(
+                report.recovered_requests,
+                report.rolled_back + report.redriven,
+                "{label}: recovery counters inconsistent"
+            );
+        }
+    }
+}
+
 /// Runs `count` journaled migrations on [`nvm_topology`] — even cookies
 /// DDR→NVM, odd cookies NVM→DDR, one region each, alternating
 /// `submit`/`submit_background` — optionally crashing per `crash`, then

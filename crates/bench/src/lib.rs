@@ -5,17 +5,21 @@
 //! | target | experiment |
 //! |---|---|
 //! | `sec2_microbench` | §2.2 Linux page-migration throughput (ARM + Xeon) |
+//! | `fig5_timeline`   | Figure 5: example driver timeline across kernel contexts |
 //! | `fig6_breakdown`  | Figure 6: per-request time breakdown + CPU usage |
 //! | `fig7_latency`    | Figure 7: completion latency, memif vs batched mbind |
 //! | `fig8_throughput` | Figure 8: move throughput across page granularities |
 //! | `tab4_streaming`  | Table 4: streaming workloads on the mini runtime |
 //! | `tab3_sloc`       | Table 3 analogue: source-line inventory |
 //! | `ablation`        | A1–A4: descriptor reuse, gang lookup, race mode, poll threshold |
-//! | `e10_degraded`    | E10: throughput under injected DMA faults (degraded mode) |
-//! | `e12_batching`    | E12: request batching + segment coalescing on the issue path |
-//! | `e13_issue_scaling` | E13: aggregate move rate vs issue shards |
-//! | `e14_policy`      | E14: hot/cold placement — none vs sync vs async daemon |
-//! | `e15_recovery`    | E15: journal overhead + crash/recover exactly-once convergence |
+//! | `future_platform` | E9: §6.7's forward-looking prediction, tested |
+//! | `multi_tenant_scaling` | N concurrent applications on one device |
+//! | `claims [ID…]`    | the claims table: E10, E12–E19, each with its asserted gates |
+//!
+//! The claims table lives in [`claims`]: one entry per extension
+//! experiment, each returning its tables and asserting its gates.
+//! `claims` with no ID runs every entry; `tests/paper_claims.rs` runs
+//! every entry that does not read the host clock.
 //!
 //! Criterion micro-benches (`cargo bench`) cover the real data
 //! structures: the red–blue queue, gang lookup, DMA configuration, and
@@ -27,6 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod claims;
 pub mod harness;
 pub mod table;
 

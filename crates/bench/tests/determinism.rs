@@ -30,7 +30,7 @@ fn chaos_plan(seed: u64, error: f64, drop: f64, delay: f64) -> FaultPlan {
 
 proptest! {
     // Each case replays a faulted stream twice from scratch; keep the
-    // case count small so the suite stays in tier-2 smoke territory.
+    // case count small enough for a debug test run.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Same seed + same fault plan ⇒ byte-identical event logs and

@@ -9,7 +9,7 @@
 //! {batch, coalesce, shards} configurations; a second proptest drives
 //! the same crash points through the placement daemon's background
 //! traffic; deterministic tests pin a promoted-heir chain crash and the
-//! all-points smoke matrix that CI runs.
+//! all-points matrix.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -18,7 +18,7 @@ use memif::{
     CrashPlan, CrashPoint, FaultPlan, HookId, Memif, MemifConfig, MoveSpec, MoveStatus, NodeId,
     RaceMode, Sim, SimDuration, SimEvent, System, VirtAddr,
 };
-use memif_bench::{crash_migrate_nvm, nvm_topology, CrashOutcome};
+use memif_bench::{crash_migrate_nvm, nvm_topology};
 use memif_hwsim::CostModel;
 use memif_mm::{AccessKind, PageSize};
 use memif_policy::{PolicyConfig, PolicyDaemon};
@@ -37,46 +37,9 @@ fn config_for(batch_max: usize, coalesce: bool, issue_shards: usize) -> MemifCon
     }
 }
 
-/// The equality the tentpole promises: after recovery plus the WAL
-/// re-drive protocol, a crashed run is indistinguishable from one that
-/// never crashed.
-fn assert_matches_reference(crashed: &CrashOutcome, reference: &CrashOutcome, label: &str) {
-    for (cookie, status) in &crashed.statuses {
-        assert_eq!(
-            *status,
-            MoveStatus::Done,
-            "{label}: cookie {cookie} did not end Done: {status:?}"
-        );
-    }
-    assert_eq!(
-        crashed.statuses.len(),
-        reference.statuses.len(),
-        "{label}: request count diverged"
-    );
-    assert_eq!(
-        crashed.placement, reference.placement,
-        "{label}: final placement diverged"
-    );
-    assert_eq!(
-        crashed.fingerprint, reference.fingerprint,
-        "{label}: final memory diverged"
-    );
-    assert_eq!(
-        crashed.free_bytes, reference.free_bytes,
-        "{label}: allocator balance diverged (lost or doubled frames)"
-    );
-    if let Some(report) = &crashed.recovery {
-        assert_eq!(
-            report.recovered_requests,
-            report.rolled_back + report.redriven,
-            "{label}: recovery counters inconsistent"
-        );
-    }
-}
-
 proptest! {
     // Each case runs a reference and a crashed+recovered stream from
-    // scratch; keep the count in tier-2 smoke territory.
+    // scratch; keep the count small enough for a debug test run.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// For every crash point × firing index × issue-path configuration,
@@ -98,8 +61,7 @@ proptest! {
         prop_assert!(!reference.crashed);
         let crashed = crash_migrate_nvm(
             &cost, config, PAGE, PAGES, count, Some(CrashPlan::at(point, nth)), false);
-        assert_matches_reference(
-            &crashed,
+        crashed.assert_converged(
             &reference,
             &format!("{}#{nth} batch={batch} coalesce={coalesce} shards={shards}", point.as_str()),
         );
@@ -119,8 +81,8 @@ proptest! {
     }
 }
 
-/// Deterministic all-points matrix — the CI tier-2 smoke entry point
-/// (`cargo test -p memif-bench --release --test recovery`).
+/// Deterministic all-points matrix: every crash point at its first three
+/// crossings, under batching, coalescing and two issue shards.
 #[test]
 fn every_crash_point_recovers_under_batching_and_sharding() {
     let cost = CostModel::keystone_ii();
@@ -139,7 +101,7 @@ fn every_crash_point_recovers_under_batching_and_sharding() {
                 false,
             );
             fired += usize::from(crashed.crashed);
-            assert_matches_reference(&crashed, &reference, &format!("{}#{nth}", point.as_str()));
+            crashed.assert_converged(&reference, &format!("{}#{nth}", point.as_str()));
         }
     }
     assert!(
@@ -172,7 +134,7 @@ fn unfired_crash_plan_is_invisible() {
         unfired.wall, reference.wall,
         "unfired plan perturbed timing"
     );
-    assert_matches_reference(&unfired, &reference, "unfired mid-chain");
+    unfired.assert_converged(&reference, "unfired mid-chain");
 }
 
 /// Crash points inside a batched chain whose leader was aborted by a

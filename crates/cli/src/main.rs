@@ -135,7 +135,8 @@ background queue while the app keeps computing; `sync` parks the app
 whenever a move is outstanding (the mbind-style comparator); `none`
 disables moves entirely. The phased workload is shaped by --regions,
 --pages, --phases, --hot, --carry, --ticks, and --seed; chaos flags
-apply as in move. `cargo run --bin e14_policy` compares all three.
+apply as in move. `cargo run -p memif-bench --bin claims -- e14`
+compares all three.
 
 ranked tiers (policy): --tiers N (default 2) sizes the machine. 2 runs
 the classic KeyStone II fast/slow pair; 3 or 4 run the ranked ladder
@@ -150,7 +151,7 @@ home tier — the classic 2-tier comparator on a tall machine. Per-tier
 occupancy lands in `policy --json` under the stable `tiers` array.
 Quickstart:
   memifctl policy --tiers 4 --warm 12 --regions 32 --json true
-`cargo run --release -p memif-bench --bin e16_waterfall` compares the
+`cargo run --release -p memif-bench --bin claims -- e16` compares the
 regimes.
 
 crash recovery (recover): runs a journaled migration stream that

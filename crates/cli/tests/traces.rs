@@ -1,12 +1,13 @@
-//! End-to-end checks on `memifctl`'s trace surface: truncated and
-//! corrupt traces must die with a clear error and a nonzero exit (never
-//! a panic), and a crashed-then-recovered run's trace must replay
-//! bit-identically.
+//! End-to-end checks on `memifctl`'s trace surface: every recorded
+//! scenario must replay bit-identically and reject an override that
+//! conflicts with its header, and truncated and corrupt traces must die
+//! with a clear error and a nonzero exit (never a panic).
 
-use std::path::PathBuf;
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-fn memifctl(dir: &std::path::Path, args: &[&str]) -> Output {
+fn memifctl(dir: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_memifctl"))
         .current_dir(dir)
         .args(args)
@@ -14,10 +15,29 @@ fn memifctl(dir: &std::path::Path, args: &[&str]) -> Output {
         .expect("memifctl runs")
 }
 
-fn tempdir(tag: &str) -> PathBuf {
+/// A per-test scratch directory. It is removed when the test passes and
+/// kept for inspection when it fails.
+struct TempDir(PathBuf);
+
+impl Deref for TempDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}
+
+fn tempdir(tag: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("memifctl-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tempdir");
-    dir
+    TempDir(dir)
 }
 
 /// Asserts the invocation failed cleanly: exit code 2, a one-line
@@ -44,7 +64,7 @@ fn assert_clean_failure(out: &Output, needle: &str) {
     );
 }
 
-fn record_move_trace(dir: &std::path::Path) -> String {
+fn record_move_trace(dir: &Path) -> String {
     let out = memifctl(
         dir,
         &["move", "--count", "8", "--trace-events", "trace.jsonl"],
@@ -53,16 +73,79 @@ fn record_move_trace(dir: &std::path::Path) -> String {
     std::fs::read_to_string(dir.join("trace.jsonl")).expect("trace written")
 }
 
+/// Every recorded scenario round-trips: `(recording command, conflicting
+/// overrides)`, each split on whitespace. Each row's trace must replay
+/// bit-identically, reject each override with exit 2, and fail cleanly
+/// when cut in half.
+const ROUND_TRIPS: &[(&str, &[&str])] = &[
+    ("move --count 8", &["--count 999 --pages 2"]),
+    (
+        "move --kind migrate --pages 64 --count 48 \
+         --fault-seed 11 --dma-error-rate 1e-2 --drop-rate 1e-3",
+        &["--fault-seed 12"],
+    ),
+    (
+        "move --tenants 2 --tenant-weights 2,1 --count 32",
+        &["--tenant-weights 9,9", "--count 999"],
+    ),
+    (
+        "recover --crash-point mid-chain --crash-nth 2 --count 12",
+        &["--crash-nth 3"],
+    ),
+    ("policy --phases 2 --ticks 8", &["--seed 7"]),
+    (
+        "policy --phases 3 --ticks 16 \
+         --fault-seed 7 --dma-error-rate 2e-1 --drop-rate 1e-2",
+        &["--mode sync"],
+    ),
+    (
+        "policy --tiers 4 --warm 12 --regions 32 --phases 3 --ticks 16",
+        &["--tiers 2"],
+    ),
+    (
+        "stream --kernel triad --placement memif --input-mib 8 --overlap-depth 2",
+        &["--overlap-depth 4"],
+    ),
+];
+
 #[test]
-fn truncated_trace_is_a_clean_error() {
-    let dir = tempdir("truncated");
-    let text = record_move_trace(&dir);
-    // Cut the file mid-way: the tail events and every terminal-status
-    // line are gone, and the last surviving line is sliced mid-record.
-    let cut = &text[..text.len() / 2];
-    std::fs::write(dir.join("cut.jsonl"), cut).unwrap();
-    let out = memifctl(&dir, &["replay", "--from", "cut.jsonl"]);
-    assert_clean_failure(&out, "diverge");
+fn recorded_traces_replay_and_reject_conflicting_overrides() {
+    let dir = tempdir("round-trips");
+    for (record, overrides) in ROUND_TRIPS {
+        let mut args: Vec<&str> = record.split_whitespace().collect();
+        args.extend(["--trace-events", "trace.jsonl"]);
+        let out = memifctl(&dir, &args);
+        assert!(out.status.success(), "{record}: recording failed: {out:?}");
+        let replay = memifctl(&dir, &["replay", "--from", "trace.jsonl"]);
+        assert!(
+            replay.status.success()
+                && String::from_utf8_lossy(&replay.stdout).contains("replay OK"),
+            "{record}: trace must replay bit-identically: {replay:?}"
+        );
+        let text = std::fs::read_to_string(dir.join("trace.jsonl")).expect("trace written");
+        if args[0] == "recover" {
+            // The reboot marker sits between the crash and the
+            // re-driven tail.
+            assert!(
+                text.contains("\"type\":\"recover\""),
+                "{record}: trace should record the recovery itself"
+            );
+        }
+        for extra in *overrides {
+            let mut args = vec!["replay", "--from", "trace.jsonl"];
+            args.extend(extra.split_whitespace());
+            let conflict: Vec<&str> = extra.split_whitespace().take(2).collect();
+            assert_clean_failure(
+                &memifctl(&dir, &args),
+                &format!("{} conflicts with the trace", conflict.join(" ")),
+            );
+        }
+        // Cut mid-way: the tail events and every terminal-status line
+        // are gone, and the last surviving line is sliced mid-record.
+        std::fs::write(dir.join("cut.jsonl"), &text[..text.len() / 2]).unwrap();
+        let out = memifctl(&dir, &["replay", "--from", "cut.jsonl"]);
+        assert_clean_failure(&out, "diverge");
+    }
 }
 
 #[test]
@@ -101,40 +184,6 @@ fn binary_garbage_is_a_clean_error() {
     std::fs::write(dir.join("bin.jsonl"), [0x80u8, 0xff, 0x00, 0x41]).unwrap();
     let out = memifctl(&dir, &["replay", "--from", "bin.jsonl"]);
     assert_clean_failure(&out, "UTF-8");
-}
-
-#[test]
-fn recover_then_replay_round_trips_bit_identically() {
-    let dir = tempdir("recover-replay");
-    // A crash mid-chain plus recovery and re-drive, traced end to end.
-    let out = memifctl(
-        &dir,
-        &[
-            "recover",
-            "--crash-point",
-            "mid-chain",
-            "--crash-nth",
-            "2",
-            "--count",
-            "8",
-            "--trace-events",
-            "recover.jsonl",
-        ],
-    );
-    assert!(out.status.success(), "recover run failed: {out:?}");
-    let replay = memifctl(&dir, &["replay", "--from", "recover.jsonl"]);
-    let stdout = String::from_utf8_lossy(&replay.stdout);
-    assert!(
-        replay.status.success() && stdout.contains("replay OK"),
-        "recovered trace must replay bit-identically: {replay:?}"
-    );
-    // The trace carries the reboot marker between the crash and the
-    // re-driven tail.
-    let text = std::fs::read_to_string(dir.join("recover.jsonl")).unwrap();
-    assert!(
-        text.contains("\"type\":\"recover\""),
-        "trace should record the recovery itself"
-    );
 }
 
 #[test]
@@ -198,7 +247,7 @@ fn stats_json_carries_the_scheduler_counters() {
 /// Replays the committed trace `tests/data/<name>` (plus `extra`
 /// flags) from a fresh directory.
 fn replay_fixture(name: &str, extra: &[&str]) -> Output {
-    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/data")
         .join(name)
         .into_os_string()
@@ -297,41 +346,6 @@ fn unknown_flags_are_clean_errors() {
     assert_clean_failure(&out, "unknown flag --pagse for move");
     let out = memifctl(&dir, &["policy", "--tierz", "4"]);
     assert_clean_failure(&out, "unknown flag --tierz for policy");
-}
-
-#[test]
-fn replay_rejects_overrides_that_conflict_with_the_trace() {
-    let dir = tempdir("override");
-    record_move_trace(&dir);
-    let out = memifctl(
-        &dir,
-        &[
-            "replay",
-            "--from",
-            "trace.jsonl",
-            "--count",
-            "999",
-            "--pages",
-            "2",
-        ],
-    );
-    assert_clean_failure(&out, "conflicts with the trace");
-
-    let out = memifctl(
-        &dir,
-        &[
-            "policy",
-            "--phases",
-            "2",
-            "--ticks",
-            "8",
-            "--trace-events",
-            "policy.jsonl",
-        ],
-    );
-    assert!(out.status.success(), "policy recording failed: {out:?}");
-    let out = memifctl(&dir, &["replay", "--from", "policy.jsonl", "--seed", "7"]);
-    assert_clean_failure(&out, "--seed 7 conflicts with the trace");
 }
 
 #[test]

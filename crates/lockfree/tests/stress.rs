@@ -34,11 +34,11 @@ fn mpmc_staging_roundtrip() {
     let done_producing = Arc::new(AtomicBool::new(false));
 
     let mut seen: Vec<HashSet<u64>> = Vec::new();
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         let mut handles = Vec::new();
         for p in 0..producers {
             let region = Arc::clone(&region);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..per_producer {
                     let id = (p as u64) * per_producer + i;
                     // Spin until a slot is free: back-pressure, not failure.
@@ -56,7 +56,7 @@ fn mpmc_staging_roundtrip() {
             let region = Arc::clone(&region);
             let consumed = Arc::clone(&consumed);
             let done = Arc::clone(&done_producing);
-            handles.push(s.spawn(move |_| {
+            handles.push(s.spawn(move || {
                 let mut ids = HashSet::new();
                 loop {
                     match region.dequeue(QueueId::Staging).unwrap() {
@@ -83,7 +83,7 @@ fn mpmc_staging_roundtrip() {
         let region2 = Arc::clone(&region);
         let done = Arc::clone(&done_producing);
         let consumed2 = Arc::clone(&consumed);
-        s.spawn(move |_| {
+        s.spawn(move || {
             // Producers finish when all slots are home or all ids consumed.
             loop {
                 if consumed2.load(Ordering::Relaxed) + region2.stats().staging as u64
@@ -100,8 +100,7 @@ fn mpmc_staging_roundtrip() {
         for h in handles {
             seen.push(h.join().unwrap());
         }
-    })
-    .unwrap();
+    });
 
     assert_eq!(consumed.load(Ordering::Relaxed), produced_total);
     let mut all = HashSet::new();
@@ -129,14 +128,14 @@ fn submit_protocol_single_flusher() {
     let drained = Arc::new(AtomicU64::new(0));
     let stop_kernel = Arc::new(AtomicBool::new(false));
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         // Kernel thread: whenever kicked (or periodically), drain
         // submission AND staging; when both empty, recolor staging BLUE.
         {
             let region = Arc::clone(&region);
             let drained = Arc::clone(&drained);
             let stop = Arc::clone(&stop_kernel);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut ids = HashSet::new();
                 loop {
                     let mut moved = false;
@@ -170,7 +169,7 @@ fn submit_protocol_single_flusher() {
         for t in 0..app_threads {
             let region = Arc::clone(&region);
             let kicks = Arc::clone(&kicks);
-            producers.push(s.spawn(move |_| {
+            producers.push(s.spawn(move || {
                 for i in 0..per_thread {
                     let id = (t as u64) * per_thread + i;
                     let slot = loop {
@@ -204,8 +203,7 @@ fn submit_protocol_single_flusher() {
             p.join().unwrap();
         }
         stop_kernel.store(true, Ordering::Release);
-    })
-    .unwrap();
+    });
 
     assert_eq!(drained.load(Ordering::Relaxed), total);
     assert!(
@@ -226,10 +224,10 @@ fn aba_churn() {
     let region = Arc::new(Region::new(8).unwrap()); // tiny arena: maximal reuse
     let threads = 8;
     let iters = 20_000u64;
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..threads {
             let region = Arc::clone(&region);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..iters {
                     if let Ok(slot) = region.alloc_slot() {
                         let id = (t as u64) << 32 | i;
@@ -251,8 +249,7 @@ fn aba_churn() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     // Drain what's left and account for every slot.
     let mut in_queues = 0;
     for q in [QueueId::Staging, QueueId::Submission] {
@@ -282,10 +279,10 @@ fn mpsc_per_producer_fifo() {
     let per_producer = 10_000u64;
     let total = producers * per_producer;
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for p in 0..producers {
             let region = Arc::clone(&region);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for seq in 0..per_producer {
                     let slot = loop {
                         match region.alloc_slot() {
@@ -301,7 +298,7 @@ fn mpsc_per_producer_fifo() {
         }
         // The single dequeuer: checks per-producer order as it drains.
         let region = Arc::clone(&region);
-        s.spawn(move |_| {
+        s.spawn(move || {
             let mut next_seq = vec![0u64; producers as usize];
             let mut drained = 0u64;
             while drained < total {
@@ -325,8 +322,7 @@ fn mpsc_per_producer_fifo() {
                 assert_eq!(*n, per_producer, "producer {p} short-counted");
             }
         });
-    })
-    .unwrap();
+    });
     assert_eq!(
         region.stats().free,
         64,
@@ -346,10 +342,10 @@ fn sharded_mpsc_per_producer_fifo() {
     let per_producer = 5_000u64;
     let total = producers * per_producer;
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for p in 0..producers {
             let region = Arc::clone(&region);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let shard = p as usize % shards;
                 for seq in 0..per_producer {
                     let slot = loop {
@@ -365,7 +361,7 @@ fn sharded_mpsc_per_producer_fifo() {
             });
         }
         let region = Arc::clone(&region);
-        s.spawn(move |_| {
+        s.spawn(move || {
             let mut next_seq = vec![0u64; producers as usize];
             let mut drained = 0u64;
             let mut shard = 0usize;
@@ -386,8 +382,7 @@ fn sharded_mpsc_per_producer_fifo() {
                 }
             }
         });
-    })
-    .unwrap();
+    });
     assert_eq!(region.stats().free, 32);
 }
 
@@ -398,12 +393,12 @@ fn sharded_mpsc_per_producer_fifo() {
 fn color_entanglement_under_contention() {
     let region = Arc::new(Region::new(32).unwrap());
     let stop = Arc::new(AtomicBool::new(false));
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         // Flipper: toggles the color whenever the queue is empty.
         {
             let region = Arc::clone(&region);
             let stop = Arc::clone(&stop);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut color = Color::Red;
                 while !stop.load(Ordering::Acquire) {
                     if region.set_color(QueueId::Staging, color).is_ok() {
@@ -417,7 +412,7 @@ fn color_entanglement_under_contention() {
         {
             let region = Arc::clone(&region);
             let stop = Arc::clone(&stop);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..30_000u64 {
                     let slot = loop {
                         match region.alloc_slot() {
@@ -441,6 +436,5 @@ fn color_entanglement_under_contention() {
                 stop.store(true, Ordering::Release);
             });
         }
-    })
-    .unwrap();
+    });
 }

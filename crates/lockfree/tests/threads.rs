@@ -58,12 +58,12 @@ fn run_mpsc(producers: u64, per_producer: u64, seed: u64) -> (HashMap<u64, u64>,
     let stop = Arc::new(AtomicBool::new(false));
     let mut seen: HashMap<u64, u64> = HashMap::new();
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         // The consumer: the driver-thread analogue.
         let consumer = {
             let region = Arc::clone(&region);
             let stop = Arc::clone(&stop);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut seen: HashMap<u64, u64> = HashMap::new();
                 let mut drained = 0u64;
                 loop {
@@ -96,7 +96,7 @@ fn run_mpsc(producers: u64, per_producer: u64, seed: u64) -> (HashMap<u64, u64>,
         for p in 0..producers {
             let region = Arc::clone(&region);
             let kicks = Arc::clone(&kicks);
-            handles.push(s.spawn(move |_| {
+            handles.push(s.spawn(move || {
                 let mut rng = Lcg::new(seed ^ (p << 32) ^ p);
                 for i in 0..per_producer {
                     let cookie = p * per_producer + i;
@@ -138,8 +138,7 @@ fn run_mpsc(producers: u64, per_producer: u64, seed: u64) -> (HashMap<u64, u64>,
         }
         stop.store(true, Ordering::Release);
         seen = consumer.join().unwrap();
-    })
-    .unwrap();
+    });
 
     assert_eq!(region.stats().free, 64, "every slot returned home");
     (seen, kicks.load(Ordering::Relaxed))
@@ -188,10 +187,10 @@ fn sharded_cookies_exactly_once() {
     let total = producers * per_producer;
     let region = Arc::new(Region::new_sharded(64, shards).unwrap());
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for p in 0..producers {
             let region = Arc::clone(&region);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let shard = p as usize % shards;
                 let mut rng = Lcg::new(p + 1);
                 for i in 0..per_producer {
@@ -212,7 +211,7 @@ fn sharded_cookies_exactly_once() {
             });
         }
         let region = Arc::clone(&region);
-        s.spawn(move |_| {
+        s.spawn(move || {
             let mut seen: HashMap<u64, u64> = HashMap::new();
             let mut drained = 0u64;
             let mut shard = 0usize;
@@ -232,7 +231,6 @@ fn sharded_cookies_exactly_once() {
             assert_eq!(seen.len() as u64, total, "lost cookies across shards");
             assert!(seen.values().all(|&c| c == 1), "duplicated cookie");
         });
-    })
-    .unwrap();
+    });
     assert_eq!(region.stats().free, 64);
 }

@@ -641,10 +641,10 @@ mod tests {
         let dev = rt.open(16, backend); // fewer slots than requests: backpressure
         let producers = 8u64;
         let per_producer = 500u64;
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for p in 0..producers {
                 let dev = dev.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..per_producer {
                         let cookie = p * per_producer + i;
                         let c = dev.move_blocking(
@@ -655,8 +655,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let stats = dev.stats();
         assert_eq!(stats.submitted, producers * per_producer);
         assert_eq!(stats.completed, producers * per_producer);

@@ -8,6 +8,7 @@
 
 use memif::{Memif, MemifConfig, MoveSpec, NodeId, PageSize, Sim, System};
 use memif_baseline::{run_migspeed, MigspeedConfig};
+use memif_bench::claims::CLAIMS;
 use memif_bench::{probe_linux_once, probe_memif_once, stream, stream_linux, StreamSpec};
 use memif_hwsim::{CostModel, Topology};
 use memif_runtime::{Placement, StreamConfig, StreamRuntime};
@@ -219,4 +220,21 @@ fn claim_release_needs_no_flush() {
         .status
         .is_ok());
     assert_eq!(sys.space(space).tlb().stats().page_flushes - before, 32);
+}
+
+/// The extension experiments (E10, E12–E19): every claims-table entry
+/// whose gates read only the simulated clock runs its published sweep
+/// and asserts every gate at its exact bound. A failure names the
+/// entry. E17's wheel ≥ 5× heap gate reads the host clock, so it runs
+/// only in the optimized `claims` binary.
+#[test]
+fn claims_table_holds() {
+    for claim in CLAIMS.iter().filter(|c| !c.host_timed) {
+        let report = claim.check();
+        assert!(
+            !report.tables.is_empty() && report.note.starts_with("Shape checks:"),
+            "claim {} reported nothing",
+            claim.id
+        );
+    }
 }
