@@ -1,14 +1,25 @@
-//! Runs the claims table (E10, E12–E19): `claims [ID…] [--huge]`.
+//! Runs the claims table: `claims [ID…] [--huge]`.
 //!
-//! With no ID every entry runs; otherwise the named ones, in the order
-//! given. Each entry's tables are printed and written as CSVs, then its
-//! "Shape checks" note is printed. A failed gate panics naming the
-//! entry. `--huge` adds E17's million-request macro row. An unknown
-//! argument exits 2 and lists the valid IDs.
+//! With no ID every entry runs (§2.2, Figures 5–8, Table 4, A1–A5,
+//! E8–E10, E12–E19); otherwise the named ones, in the order given. Each
+//! entry's tables are printed and written as CSVs, then its note is
+//! printed. A failed gate panics naming the entry. `--huge` adds the
+//! million-request rows of the selected entries (Figure 8's and E17's).
+//! An unknown argument exits 2 and lists the valid IDs.
 
 use std::process::ExitCode;
 
-use memif_bench::claims::{self, Claim, CLAIMS};
+use memif_bench::claims::{Claim, Report, CLAIMS};
+
+fn print(report: &Report) {
+    for (csv, table) in &report.tables {
+        table.print();
+        table.write_csv(csv);
+    }
+    if !report.note.is_empty() {
+        println!("{}", report.note);
+    }
+}
 
 fn main() -> ExitCode {
     let mut huge = false;
@@ -31,17 +42,12 @@ fn main() -> ExitCode {
         selected = CLAIMS.iter().collect();
     }
     for claim in selected {
-        let report = claim.check();
-        for (csv, table) in &report.tables {
-            table.print();
-            table.write_csv(csv);
+        print(&claim.check());
+        if huge {
+            if let Some(row) = claim.check_huge() {
+                print(&row);
+            }
         }
-        println!("{}", report.note);
-    }
-    if huge {
-        let (csv, table) = claims::e17_huge();
-        table.print();
-        table.write_csv(csv);
     }
     ExitCode::SUCCESS
 }

@@ -37,8 +37,8 @@ const PAGES: u32 = 4; // 16 KB per request: firmly in polling territory
 const WINDOW: usize = 32;
 const COUNT: usize = 512;
 
-fn moves_per_sec(run: &StreamResult) -> f64 {
-    run.requests as f64 / (run.wall.as_ns().max(1) as f64 / 1e9)
+fn moves_per_sec(run: &StreamResult, count: usize) -> f64 {
+    count as f64 / (run.wall.as_ns().max(1) as f64 / 1e9)
 }
 
 fn worker_spread(busy: &[SimDuration]) -> String {
@@ -93,7 +93,7 @@ pub(super) fn run() -> Report {
             run.stats.cross_shard_deferred, 0,
             "disjoint regions must never defer across shards"
         );
-        let rate = moves_per_sec(&run);
+        let rate = moves_per_sec(&run, COUNT);
         if shards == 1 {
             base_rate = rate;
             base_bytes = run.stats.bytes_moved;
@@ -141,7 +141,7 @@ pub(super) fn run() -> Report {
             run.stats.cross_shard_deferred, 0,
             "a single region lives on a single shard"
         );
-        let rate = moves_per_sec(&run);
+        let rate = moves_per_sec(&run, COUNT / 4);
         if shards == 1 {
             base_b = rate;
         } else {

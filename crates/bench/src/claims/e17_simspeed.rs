@@ -276,10 +276,8 @@ pub(super) fn run() -> Report {
 /// through the full driver chain over a 32-deep submission window, the
 /// regime the timing-wheel event core was built for: a sustained
 /// million-event working set with real driver work attached to every
-/// event. It runs only on request (`claims e17 --huge`), and its CSV
-/// is committed once.
-#[must_use]
-pub fn huge() -> (&'static str, Table) {
+/// event. It runs only on request (`claims e17 --huge`).
+pub(super) fn huge() -> Report {
     let mut table = macro_table("E17c: million-request macro run, host-clocked");
     macro_row(
         &mut table,
@@ -290,7 +288,7 @@ pub fn huge() -> (&'static str, Table) {
         1_000_000,
         32,
     );
-    ("e17_simspeed_huge", table)
+    Report::table("e17_simspeed_huge", table)
 }
 
 fn macro_table(title: &str) -> Table {

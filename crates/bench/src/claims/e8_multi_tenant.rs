@@ -1,18 +1,24 @@
-//! Multi-application scaling — the evaluation the paper did not run.
+//! E8: multi-application scaling — the evaluation the paper did not run.
 //!
 //! §6.7: "although by design memif is capable of serving multiple
 //! concurrent applications, we have not evaluated the feature." This
-//! binary does: N tenants (each its own process, address space, and
+//! entry does: N tenants (each its own process, address space, and
 //! memif device) stream migrations concurrently; we report per-tenant
 //! and aggregate throughput, fairness, and how the shared engine
 //! saturates.
+//!
+//! Gates: every tenant request succeeds and every tenant finishes; the
+//! aggregate rises with each tenant added up to four, and every
+//! multi-tenant run beats one tenant alone.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use memif::{Memif, MemifConfig, MoveSpec, NodeId, PageSize, Sim, SimTime, System, VirtAddr};
-use memif_bench::{bigfast_topology, Table};
 use memif_hwsim::CostModel;
+
+use super::Report;
+use crate::{bigfast_topology, Table};
 
 const REQUESTS: usize = 64;
 const PAGES: u32 = 64; // 256 KiB per request
@@ -25,7 +31,7 @@ struct Tenant {
     finished_at: SimTime,
 }
 
-fn run(tenants: usize) -> (Vec<f64>, f64, f64) {
+fn run_tenants(tenants: usize) -> (Vec<f64>, f64, f64) {
     let mut sys = System::with_profile(bigfast_topology(), CostModel::keystone_ii());
     let mut sim = Sim::new();
 
@@ -68,12 +74,9 @@ fn run(tenants: usize) -> (Vec<f64>, f64, f64) {
                 return;
             }
             tt.submitted += 1;
+            // Ping-pong the region between nodes 0 and 1.
             let (va, node) = tt.regions[slot];
-            let target = if node == NodeId(0) {
-                NodeId(1)
-            } else {
-                NodeId(0)
-            };
+            let target = NodeId(1 - node.0);
             tt.regions[slot].1 = target;
             (
                 tt.memif,
@@ -129,7 +132,7 @@ fn run(tenants: usize) -> (Vec<f64>, f64, f64) {
     (per_tenant, aggregate, fairness)
 }
 
-fn main() {
+pub(super) fn run() -> Report {
     let mut table = Table::new(
         "Multi-tenant scaling: N apps x 64 migrations x 64 pages (4KB)",
         &[
@@ -139,8 +142,9 @@ fn main() {
             "Jain fairness",
         ],
     );
+    let mut aggregates = Vec::new();
     for n in [1usize, 2, 3, 4, 6, 8] {
-        let (per, agg, fair) = run(n);
+        let (per, agg, fair) = run_tenants(n);
         let min = per.iter().copied().fold(f64::INFINITY, f64::min);
         let max = per.iter().copied().fold(0.0f64, f64::max);
         table.row(&[
@@ -149,12 +153,21 @@ fn main() {
             format!("{min:.2}..{max:.2}"),
             format!("{fair:.3}"),
         ]);
+        aggregates.push(agg);
     }
-    table.print();
-    table.write_csv("multi_tenant_scaling");
-    println!(
-        "Expected shape: aggregate grows with tenants until the engine's 3 GB/s m2m\n\
-         rate (or the per-tenant kthread CPU) saturates; fairness stays near 1.0 —\n\
-         per-device queues isolate tenants while the flow network splits bandwidth."
+    assert!(
+        aggregates[..4].windows(2).all(|w| w[1] > w[0]),
+        "aggregate must rise from 1 to 4 tenants: {aggregates:?}"
     );
+    assert!(
+        aggregates[1..].iter().all(|&a| a > aggregates[0]),
+        "every multi-tenant run must beat one tenant alone: {aggregates:?}"
+    );
+    Report {
+        tables: vec![("multi_tenant_scaling", table)],
+        note: "Expected shape: aggregate grows with tenants until the engine's 3 GB/s m2m\n\
+               rate (or the per-tenant kthread CPU) saturates; fairness stays near 1.0 —\n\
+               per-device queues isolate tenants while the flow network splits bandwidth."
+            .to_owned(),
+    }
 }

@@ -7,10 +7,17 @@
 //! `ioctl(MOV_ONE)`; its completion is detected by the sleeping kernel
 //! thread, which performs Release+Notify and issues the second request —
 //! whose preparation overlapped the first transfer.
+//!
+//! The entry has no table: its note is the rendered timeline and event
+//! log.
+
+use std::fmt::Write as _;
 
 use memif::{Context, Memif, MemifConfig, MoveSpec, NodeId, PageSize, Sim, System};
 
-fn main() {
+use super::Report;
+
+pub(super) fn run() -> Report {
     let mut sys = System::keystone_ii();
     sys.enable_tracing();
     let mut sim = Sim::new();
@@ -41,9 +48,9 @@ fn main() {
     const WIDTH: usize = 72;
     let scale = |ns: u64| (ns as usize * WIDTH / end as usize).min(WIDTH);
 
-    println!("Figure 5 reconstruction: two 16-page migrations, polling mode");
-    println!(
-        "time: 0 .. {:.1} us; numbers are the driver ops of Table 1\n",
+    let mut out = format!(
+        "Figure 5 reconstruction: two 16-page migrations, polling mode\n\
+         time: 0 .. {:.1} us; numbers are the driver ops of Table 1\n\n",
         end as f64 / 1e3
     );
 
@@ -70,19 +77,22 @@ fn main() {
                 *c = glyph;
             }
         }
-        println!(
+        let _ = writeln!(
+            out,
             "{:>8} |{}|",
             ctx.to_string(),
             String::from_utf8_lossy(&lane[..WIDTH])
         );
     }
 
-    println!("\nlegend: S=ioctl crossing  1=ops1-3 (prep/remap/cfg)  #=DMA transfer");
-    println!("        w=kthread timed-sleep wake  4=ops4-5 (release/notify)  z=recolor blue\n");
-
-    println!("event log:");
+    out.push_str(
+        "\nlegend: S=ioctl crossing  1=ops1-3 (prep/remap/cfg)  #=DMA transfer\n        \
+         w=kthread timed-sleep wake  4=ops4-5 (release/notify)  z=recolor blue\n\n\
+         event log:\n",
+    );
     for e in &trace {
-        println!(
+        let _ = writeln!(
+            out,
             "  {:>9.1} us  {:>8}  {:<52} {}",
             e.at.as_ns() as f64 / 1e3,
             e.ctx.to_string(),
@@ -116,6 +126,13 @@ fn main() {
         ops13[1].at < dma[0].at + dma[0].duration,
         "request 2's CPU work overlaps request 1's transfer (pipelining)"
     );
-    println!("\nchecks: syscall path served request 0; the kernel thread prepared request 1");
-    println!("during request 0's transfer; completions were polled, not interrupt-driven.");
+    out.push_str(
+        "\nchecks: syscall path served request 0; the kernel thread prepared request 1\n\
+         during request 0's transfer; completions were polled, not interrupt-driven.",
+    );
+
+    Report {
+        tables: Vec::new(),
+        note: out,
+    }
 }

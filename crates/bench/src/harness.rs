@@ -60,7 +60,7 @@ pub fn bigfast_topology() -> Topology {
 }
 
 /// A topology with KeyStone II bandwidths but 8 GiB banks on *both*
-/// tiers, for the million-region sweeps (`fig8_throughput --huge`):
+/// tiers, for the million-region sweeps (`claims fig8 --huge`):
 /// the whole pool must fit each node, since a migration pass parks
 /// every region on the destination bank at once.
 #[must_use]
@@ -138,8 +138,9 @@ pub struct ProbeResult {
 }
 
 /// Probes one memif request of `pages`×`page_size` (replication or
-/// migration), after `warmup` identical requests that warm the
-/// descriptor chains. Runs on [`bigfast_topology`].
+/// migration) under the default configuration, after two identical
+/// requests that warm the descriptor chains. Runs on
+/// [`bigfast_topology`].
 ///
 /// # Panics
 ///
@@ -147,16 +148,14 @@ pub struct ProbeResult {
 #[must_use]
 pub fn probe_memif_once(
     cost: &CostModel,
-    memif_config: MemifConfig,
     kind: ShapeKind,
     page_size: PageSize,
     pages: u32,
-    warmup: u32,
 ) -> ProbeResult {
     let mut sys = System::with_profile(bigfast_topology(), cost.clone());
     let mut sim = Sim::new();
     let space = sys.new_space();
-    let memif = Memif::open(&mut sys, space, memif_config).unwrap();
+    let memif = Memif::open(&mut sys, space, MemifConfig::default()).unwrap();
 
     let run_one = |sys: &mut System, sim: &mut Sim<System>| {
         let src = sys.mmap(space, pages, page_size, NodeId(0)).unwrap();
@@ -173,7 +172,7 @@ pub fn probe_memif_once(
         assert!(c.status.is_ok(), "probe request failed: {:?}", c.status);
     };
 
-    for _ in 0..warmup {
+    for _ in 0..2 {
         run_one(&mut sys, &mut sim);
     }
 
@@ -186,13 +185,11 @@ pub fn probe_memif_once(
     // CPU usage is measured over the request's full footprint, including
     // the trailing kernel-thread work after the notification.
     let window = sim.now().max(record.completed_at).since(t0);
-    let mut phases = sys.device(memif.device()).unwrap().stats.phases.clone();
     // Per-request delta.
-    let mut delta = PhaseBreakdown::new();
-    for (phase, cost_after) in phases.iter() {
-        delta.add(phase, cost_after.saturating_sub(phases_before.get(phase)));
+    let mut phases = PhaseBreakdown::new();
+    for (phase, cost_after) in sys.device(memif.device()).unwrap().stats.phases.iter() {
+        phases.add(phase, cost_after.saturating_sub(phases_before.get(phase)));
     }
-    phases = delta;
     // Add the DMA transfer itself as the Copy column (memif offloads it).
     phases.add(
         memif_hwsim::Phase::Copy,
@@ -241,8 +238,6 @@ pub fn probe_linux_once(cost: &CostModel, page_size: PageSize, pages: u32) -> Pr
 /// Result of a streaming run.
 #[derive(Debug, Clone, Default)]
 pub struct StreamResult {
-    /// Requests completed.
-    pub requests: usize,
     /// Bytes moved.
     pub bytes: u64,
     /// Wall time from first submission to last completion.
@@ -303,6 +298,16 @@ pub struct StreamResult {
     pub statuses: Vec<(u64, String)>,
 }
 
+impl StreamResult {
+    /// Mean completion time since the first submission, in µs (the
+    /// Figure 7 latency).
+    #[must_use]
+    pub fn mean_latency_us(&self) -> f64 {
+        let sum: f64 = self.completion_times.iter().map(|t| t.as_ns() as f64).sum();
+        sum / self.completion_times.len() as f64 / 1_000.0
+    }
+}
+
 /// One streaming run's shape: `count` identical memif requests of
 /// `pages`×`page_size` (replication or migration), keeping up to
 /// `window` outstanding. Build it with struct-update syntax over
@@ -330,7 +335,7 @@ pub struct StreamSpec {
     /// Distinct regions the requests cycle over (the address-space
     /// footprint). Anything up to `window`, the default 0 included,
     /// means `window`: the classic ping-pong over exactly the window's
-    /// regions. The huge sweeps (`fig8_throughput --huge`) stream one
+    /// regions. The huge sweeps (`claims fig8 --huge`) stream one
     /// request over each of a million regions while `window` still caps
     /// concurrency.
     pub pool: usize,
@@ -547,7 +552,6 @@ pub fn stream(spec: StreamSpec) -> StreamResult {
         Vec::new()
     };
     StreamResult {
-        requests: count,
         bytes,
         wall,
         throughput_gbps: bytes as f64 / wall.as_ns().max(1) as f64,
@@ -910,7 +914,6 @@ pub fn stream_linux(
     let bytes = u64::from(pages) * page_size.bytes() * count as u64;
     let wall = now.since(SimTime::ZERO);
     StreamResult {
-        requests: count,
         bytes,
         wall,
         throughput_gbps: bytes as f64 / wall.as_ns().max(1) as f64,

@@ -42,7 +42,8 @@ fn lost_batch_completion_does_not_race_region_reuse() {
         faults: Some(plan),
         ..StreamSpec::default()
     });
-    assert_eq!(run.requests, 256, "every request reaches a terminal state");
+    // `stream` itself panics unless every request reaches a terminal
+    // state.
     assert_eq!(
         run.failed, 0,
         "a lost completion must never fail requests that only raced \

@@ -24,6 +24,22 @@ pub enum RaceMode {
     Prevent,
 }
 
+/// Base backoff before a DMA retry; attempt *k* waits
+/// `RETRY_BACKOFF * 2^k`. Also the (fixed) descriptor-exhaustion
+/// backoff on the fault-free path.
+pub(crate) const RETRY_BACKOFF: SimDuration = SimDuration::from_us(20);
+
+/// Watchdog deadline multiplier: a transfer is declared lost after
+/// `expected_time * WATCHDOG_FACTOR + WATCHDOG_SLACK`, where the
+/// expected time comes from the transfer's bytes at the engine's demand
+/// bandwidth plus the per-descriptor overhead. The watchdog is armed
+/// only when a fault plan is installed.
+pub(crate) const WATCHDOG_FACTOR: u64 = 8;
+
+/// Constant slack added to every watchdog deadline (absorbs queueing
+/// behind other tenants' transfers).
+pub(crate) const WATCHDOG_SLACK: SimDuration = SimDuration::from_us(100);
+
 /// Per-instance tunables.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemifConfig {
@@ -55,19 +71,6 @@ pub struct MemifConfig {
     /// under chaos) before degrading. Only consulted when a fault plan
     /// is installed; the fault-free hot path never retries this way.
     pub max_dma_retries: u32,
-    /// Base backoff before a retry; attempt *k* waits
-    /// `retry_backoff * 2^k`. Also the (fixed) descriptor-exhaustion
-    /// backoff on the fault-free path.
-    pub retry_backoff: SimDuration,
-    /// Watchdog deadline multiplier: a transfer is declared lost after
-    /// `expected_time * watchdog_factor + watchdog_slack`, where the
-    /// expected time comes from the transfer's bytes at the engine's
-    /// demand bandwidth plus the per-descriptor overhead. The watchdog
-    /// is armed only when a fault plan is installed.
-    pub watchdog_factor: u32,
-    /// Constant slack added to every watchdog deadline (absorbs queueing
-    /// behind other tenants' transfers).
-    pub watchdog_slack: SimDuration,
     /// When DMA retries are exhausted, fall back to a costed CPU copy
     /// (4 µs/page-class memcpy charged to the kernel thread) instead of
     /// failing the request. Off = deliver `MoveStatus::Failed`.
@@ -121,9 +124,6 @@ impl Default for MemifConfig {
             poll_threshold_bytes: None,
             pipeline_depth: 2,
             max_dma_retries: 3,
-            retry_backoff: SimDuration::from_us(20),
-            watchdog_factor: 8,
-            watchdog_slack: SimDuration::from_us(100),
             cpu_fallback: true,
             batch_max: 1,
             coalesce: false,
@@ -153,9 +153,9 @@ mod tests {
     fn hardening_defaults() {
         let c = MemifConfig::default();
         assert_eq!(c.max_dma_retries, 3);
-        assert_eq!(c.retry_backoff, SimDuration::from_us(20));
-        assert_eq!(c.watchdog_factor, 8);
-        assert_eq!(c.watchdog_slack, SimDuration::from_us(100));
+        assert_eq!(RETRY_BACKOFF, SimDuration::from_us(20));
+        assert_eq!(WATCHDOG_FACTOR, 8);
+        assert_eq!(WATCHDOG_SLACK, SimDuration::from_us(100));
         assert!(c.cpu_fallback);
     }
 

@@ -6,7 +6,7 @@ use memif_hwsim::{CompletionDelivery, Context, Phase, PhysAddr, SimDuration};
 use memif_lockfree::{Dequeued, FailReason, MovReq, MoveKind, MoveStatus};
 use memif_mm::{PageSize, Pte, VirtAddr};
 
-use crate::config::RaceMode;
+use crate::config::{RaceMode, RETRY_BACKOFF, WATCHDOG_FACTOR, WATCHDOG_SLACK};
 use crate::device::{DeviceId, Inflight, PagePlan, PlanScratch};
 use crate::driver::{complete, dev, dev_mut, fault, kthread};
 use crate::event::SimEvent;
@@ -318,9 +318,9 @@ fn descriptors_exhausted(
     elapsed: SimDuration,
 ) -> SimDuration {
     let chaos = sys.chaos_enabled();
-    let (max_retries, base_backoff, fallback) = {
+    let (max_retries, fallback) = {
         let c = &dev(sys, id).config;
-        (c.max_dma_retries, c.retry_backoff, c.cpu_fallback)
+        (c.max_dma_retries, c.cpu_fallback)
     };
     let exhausted = chaos && attempt >= max_retries;
     if exhausted && fallback {
@@ -346,9 +346,9 @@ fn descriptors_exhausted(
     }
     let (backoff, next_attempt) = if chaos {
         dev_mut(sys, id).stats.retries += 1;
-        (base_backoff * (1u64 << attempt.min(16)), attempt + 1)
+        (RETRY_BACKOFF * (1u64 << attempt.min(16)), attempt + 1)
     } else {
-        (base_backoff, 0)
+        (RETRY_BACKOFF, 0)
     };
     sim.schedule_after(
         backoff,
@@ -545,11 +545,7 @@ pub(crate) fn launch(
     // keeping the hot path and the event stream identical to pre-
     // hardening builds.
     if sys.chaos_enabled() {
-        let (factor, slack) = {
-            let c = &dev(sys, id).config;
-            (c.watchdog_factor, c.watchdog_slack)
-        };
-        let deadline = wall * u64::from(factor) + slack;
+        let deadline = wall * WATCHDOG_FACTOR + WATCHDOG_SLACK;
         let wd = sim.schedule_after(deadline, SimEvent::WatchdogFire { device: id, token });
         dev_mut(sys, id)
             .inflight
@@ -655,10 +651,7 @@ fn fail_one(
     let attempt = inflight.attempt;
     let (transfer, tc) = (inflight.transfer.take(), inflight.tc.take());
     reclaim_engine(sys, sim, id, token, transfer, tc);
-    let (max_retries, base_backoff) = {
-        let c = &dev(sys, id).config;
-        (c.max_dma_retries, c.retry_backoff)
-    };
+    let max_retries = dev(sys, id).config.max_dma_retries;
     if attempt < max_retries {
         {
             let device = dev_mut(sys, id);
@@ -667,7 +660,7 @@ fn fail_one(
                 i.attempt += 1;
             }
         }
-        let backoff = base_backoff * (1u64 << attempt.min(16));
+        let backoff = RETRY_BACKOFF * (1u64 << attempt.min(16));
         sim.schedule_after(backoff, SimEvent::RetryLaunch { device: id, token });
         return;
     }

@@ -17,151 +17,12 @@
 //!   device-wide span index, counted in `cross_shard_deferred`, and
 //!   still retired — the peer-wake path keeps the parked shard live.
 
-use memif::{
-    FaultPlan, Memif, MemifConfig, MoveSpec, MoveStatus, NodeId, PageSize, Sim, SimDuration, System,
-};
+mod common;
+
+use common::{assert_matches_sequential, config_for, event_log, op_strategy, plan_strategy};
+use common::{PAGE, PAGES};
+use memif::{Memif, MemifConfig, MoveSpec, MoveStatus, NodeId, Sim, SimDuration, System};
 use proptest::prelude::*;
-
-const REGIONS: usize = 4;
-const PAGES: u32 = 8;
-const PAGE: PageSize = PageSize::Small4K;
-
-#[derive(Debug, Clone)]
-enum WorkOp {
-    /// Migrate region `r` toward fast (`true`) or slow.
-    Migrate(usize, bool),
-    /// Replicate region `src` into region `dst` (no-op when equal).
-    Replicate(usize, usize),
-    /// Let the machine run for a bounded slice, so submissions land on
-    /// queues of varying depth across all shards.
-    RunFor(u32),
-}
-
-fn op_strategy() -> impl Strategy<Value = WorkOp> {
-    prop_oneof![
-        ((0..REGIONS), any::<bool>()).prop_map(|(r, f)| WorkOp::Migrate(r, f)),
-        ((0..REGIONS), (0..REGIONS)).prop_map(|(a, b)| WorkOp::Replicate(a, b)),
-        (1u32..1_500).prop_map(WorkOp::RunFor),
-    ]
-}
-
-fn rate() -> impl Strategy<Value = f64> {
-    prop_oneof![Just(0.0), Just(1e-3), Just(1e-2), Just(0.05)]
-}
-
-fn plan_strategy() -> impl Strategy<Value = Option<FaultPlan>> {
-    prop_oneof![
-        Just(None),
-        (any::<u64>(), rate(), rate(), rate()).prop_map(|(seed, err, drop, exhaust)| {
-            Some(FaultPlan {
-                seed,
-                dma_error_rate: err,
-                drop_rate: drop,
-                desc_exhaust_rate: exhaust,
-                ..FaultPlan::default()
-            })
-        }),
-    ]
-}
-
-/// Runs `ops` under `config` and returns (terminal status per cookie,
-/// per-page physical-memory checksums). Same runner discipline as the
-/// batching equivalence suite: quiesce before any op that touches a
-/// region with an outstanding move, so the op stream is identical for
-/// every configuration and no timing-dependent races are created.
-fn run_workload(
-    config: MemifConfig,
-    plan: Option<&FaultPlan>,
-    ops: &[WorkOp],
-) -> (Vec<(u64, MoveStatus)>, Vec<u64>) {
-    let mut sys = System::keystone_ii();
-    let mut sim = Sim::new();
-    if let Some(p) = plan {
-        sys.install_faults(&mut sim, p.clone());
-    }
-    let space = sys.new_space();
-    let memif = Memif::open(&mut sys, space, config).unwrap();
-    let regions: Vec<_> = (0..REGIONS)
-        .map(|_| sys.mmap(space, PAGES, PAGE, NodeId(0)).unwrap())
-        .collect();
-    for (r, va) in regions.iter().enumerate() {
-        for i in 0..PAGES {
-            let page = va.offset(u64::from(i) * PAGE.bytes());
-            let pa = sys.space(space).translate(page).unwrap();
-            let pattern = 1 + (r as u8) * 31 + (i as u8) * 7;
-            sys.phys.fill(pa, PAGE.bytes(), pattern);
-        }
-    }
-
-    let mut cookie = 0u64;
-    let mut outcomes = Vec::new();
-    let mut outstanding = [false; REGIONS];
-    for op in ops {
-        let conflicts = |outstanding: &[bool; REGIONS]| match op {
-            WorkOp::Migrate(r, _) => outstanding[*r],
-            WorkOp::Replicate(a, b) => outstanding[*a] || outstanding[*b],
-            WorkOp::RunFor(_) => false,
-        };
-        if conflicts(&outstanding) {
-            sim.run(&mut sys);
-            while let Some(c) = memif.retrieve_completed(&mut sys).unwrap() {
-                outcomes.push((c.user_data, c.status.0));
-            }
-            outstanding = [false; REGIONS];
-        }
-        match op {
-            WorkOp::Migrate(r, to_fast) => {
-                let node = if *to_fast { NodeId(1) } else { NodeId(0) };
-                let spec = MoveSpec::migrate(regions[*r], PAGES, PAGE, node).with_user_data(cookie);
-                memif.submit(&mut sys, &mut sim, spec).unwrap();
-                cookie += 1;
-                outstanding[*r] = true;
-            }
-            WorkOp::Replicate(a, b) => {
-                if a != b {
-                    let spec = MoveSpec::replicate(regions[*a], regions[*b], PAGES, PAGE)
-                        .with_user_data(cookie);
-                    memif.submit(&mut sys, &mut sim, spec).unwrap();
-                    cookie += 1;
-                    outstanding[*a] = true;
-                    outstanding[*b] = true;
-                }
-            }
-            WorkOp::RunFor(us) => {
-                let until = sim.now() + SimDuration::from_us(u64::from(*us));
-                sim.run_until(&mut sys, until);
-            }
-        }
-        while let Some(c) = memif.retrieve_completed(&mut sys).unwrap() {
-            outcomes.push((c.user_data, c.status.0));
-        }
-    }
-    sim.run(&mut sys);
-    while let Some(c) = memif.retrieve_completed(&mut sys).unwrap() {
-        outcomes.push((c.user_data, c.status.0));
-    }
-    outcomes.sort_unstable_by_key(|(cookie, _)| *cookie);
-
-    let mut fingerprint = Vec::with_capacity(REGIONS * PAGES as usize);
-    for va in &regions {
-        for i in 0..PAGES {
-            let page = va.offset(u64::from(i) * PAGE.bytes());
-            let pa = sys.space(space).translate(page).expect("page still mapped");
-            fingerprint.push(sys.phys.checksum(pa, PAGE.bytes()));
-        }
-    }
-    memif.close(&mut sys).unwrap();
-    (outcomes, fingerprint)
-}
-
-fn config_for(issue_shards: usize, batch_max: usize, coalesce: bool) -> MemifConfig {
-    MemifConfig {
-        issue_shards,
-        batch_max,
-        coalesce,
-        ..MemifConfig::default()
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -174,31 +35,11 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..32),
         plan in plan_strategy(),
     ) {
-        let (base_status, base_mem) =
-            run_workload(config_for(1, 1, false), plan.as_ref(), &ops);
-        for (shards, batch_max, coalesce) in [
-            (2, 1, false),
-            (2, 16, true),
-            (4, 1, false),
-            (4, 16, false),
-            (4, 16, true),
-        ] {
-            let (status, mem) = run_workload(
-                config_for(shards, batch_max, coalesce),
-                plan.as_ref(),
-                &ops,
-            );
-            prop_assert_eq!(
-                &status, &base_status,
-                "terminal statuses diverged at shards={} batch_max={} coalesce={}",
-                shards, batch_max, coalesce
-            );
-            prop_assert_eq!(
-                &mem, &base_mem,
-                "final memory diverged at shards={} batch_max={} coalesce={}",
-                shards, batch_max, coalesce
-            );
-        }
+        assert_matches_sequential(
+            &ops,
+            plan.as_ref(),
+            &[(2, 1, false), (2, 16, true), (4, 1, false), (4, 16, false), (4, 16, true)],
+        );
     }
 }
 
@@ -207,32 +48,11 @@ proptest! {
 /// verbatim (queue layout, wakeup accounting, event JSON — everything).
 #[test]
 fn explicit_single_shard_is_event_identical() {
-    let run = |config: MemifConfig| {
-        let mut sys = System::keystone_ii();
-        sys.enable_event_log();
-        let mut sim = Sim::new();
-        let space = sys.new_space();
-        let memif = Memif::open(&mut sys, space, config).unwrap();
-        for r in 0..REGIONS {
-            let va = sys.mmap(space, PAGES, PAGE, NodeId(0)).unwrap();
-            memif
-                .submit(
-                    &mut sys,
-                    &mut sim,
-                    MoveSpec::migrate(va, PAGES, PAGE, NodeId(1)).with_user_data(r as u64),
-                )
-                .unwrap();
-        }
-        sim.run(&mut sys);
-        while memif.retrieve_completed(&mut sys).unwrap().is_some() {}
-        memif.close(&mut sys).unwrap();
-        sys.take_event_log()
-    };
-    let default_log = run(MemifConfig::default());
-    let explicit_log = run(config_for(1, 1, false));
+    let default_log = event_log(MemifConfig::default());
     assert!(!default_log.is_empty(), "event log must capture the run");
     assert_eq!(
-        default_log, explicit_log,
+        default_log,
+        event_log(config_for(1, 1, false)),
         "issue_shards=1 must be byte-identical to the default path"
     );
 }

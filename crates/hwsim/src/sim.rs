@@ -20,7 +20,7 @@
 //! # Scheduler internals: hierarchical timing wheel over a slab arena
 //!
 //! The queue is a hierarchical timing wheel (a calendar queue), not a
-//! binary heap: [`LEVELS`] levels of [`SLOTS`] buckets each, where a
+//! binary heap: `LEVELS` levels of `SLOTS` buckets each, where a
 //! level-`l` bucket spans `64^l` nanoseconds. Level 0 buckets are 1 ns
 //! wide, so every event in a level-0 bucket shares the exact same
 //! timestamp and a bucket's FIFO order *is* insertion order — the

@@ -21,8 +21,7 @@
 //! The crate is deliberately free of driver types: the driver calls
 //! [`QosRegistry::admit`] at submit time (parking over-quota requests),
 //! [`DrrState::pick`]/[`DrrState::charge`] at each worker dequeue, and
-//! [`QosRegistry::release`] + [`QosRegistry::record_latency`] at the
-//! retire sites.
+//! [`QosRegistry::release`] (charges and latency) at the retire sites.
 
 use std::collections::BTreeMap;
 
