@@ -5,9 +5,18 @@
 //! the hardware and the kernel substrates the paper got "for free", so
 //! the totals are larger; this binary maps our crates onto the paper's
 //! rows where a correspondence exists.
+//!
+//! ```text
+//! tab3_sloc [WORKSPACE]
+//! ```
+//!
+//! It counts the workspace named by `WORKSPACE` or, without one, the
+//! workspace it is run in: the nearest directory at or above the current
+//! one whose `Cargo.toml` declares `[workspace]`.
 
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
 use memif_bench::Table;
 
@@ -106,38 +115,66 @@ const ROLES: &[(&str, &str, &str)] = &[
     ("examples", "examples", "—"),
 ];
 
-fn main() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .unwrap()
-        .parent()
-        .unwrap();
-    // Every crate in the workspace, then the top-level test and example
-    // trees.
+/// The nearest directory at or above `dir` whose `Cargo.toml` declares
+/// `[workspace]`.
+fn workspace_of(dir: &Path) -> Option<PathBuf> {
+    dir.ancestors()
+        .find(|d| {
+            fs::read_to_string(d.join("Cargo.toml"))
+                .is_ok_and(|t| t.lines().any(|l| l.trim() == "[workspace]"))
+        })
+        .map(Path::to_path_buf)
+}
+
+/// `(directory, code lines, test lines)` for every crate under
+/// `root/crates`, in name order, then the top-level `tests` and
+/// `examples` trees.
+fn inventory(root: &Path) -> Vec<(String, usize, usize)> {
     let mut dirs: Vec<String> = fs::read_dir(root.join("crates"))
-        .expect("crates directory")
+        .into_iter()
+        .flatten()
         .flatten()
         .filter(|e| e.path().is_dir())
         .map(|e| format!("crates/{}", e.file_name().to_string_lossy()))
         .collect();
     dirs.sort();
     dirs.extend(["tests".to_owned(), "examples".to_owned()]);
+    dirs.into_iter()
+        .map(|dir| {
+            let (code, test) = sloc(&root.join(&dir));
+            (dir, code, test)
+        })
+        .collect()
+}
+
+fn main() -> ExitCode {
+    let root = match std::env::args_os().nth(1) {
+        Some(path) => Some(PathBuf::from(path)),
+        None => std::env::current_dir()
+            .ok()
+            .and_then(|cwd| workspace_of(&cwd)),
+    };
+    let Some(root) = root.filter(|r| r.join("crates").is_dir()) else {
+        eprintln!(
+            "tab3_sloc: no workspace with a crates/ directory here; name one as the argument"
+        );
+        return ExitCode::from(2);
+    };
 
     let mut table = Table::new(
         "Table 3 analogue: source lines of this reproduction",
         &["component", "role", "code", "test", "paper KSLoC row"],
     );
     let (mut tot_code, mut tot_test) = (0, 0);
-    for dir in &dirs {
+    for (dir, code, test) in inventory(&root) {
         let (role, paper) = ROLES
             .iter()
-            .find(|(d, _, _)| d == dir)
+            .find(|(d, _, _)| *d == dir)
             .map_or(("—", "—"), |(_, role, paper)| (*role, *paper));
-        let (code, test) = sloc(&root.join(dir));
         tot_code += code;
         tot_test += test;
         table.row(&[
-            dir.clone(),
+            dir,
             role.to_owned(),
             code.to_string(),
             test.to_string(),
@@ -153,11 +190,46 @@ fn main() {
     ]);
     table.print();
     table.write_csv("tab3_sloc");
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
 mod tests {
-    use super::split;
+    use super::{inventory, split, workspace_of};
+    use std::fs;
+
+    #[test]
+    fn counts_the_workspace_it_is_run_in() {
+        let root = std::env::temp_dir().join(format!("tab3-sloc-{}", std::process::id()));
+        let write = |path: &str, text: &str| {
+            let path = root.join(path);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, text).unwrap();
+        };
+        write("Cargo.toml", "[workspace]\nmembers = [\"crates/a\"]\n");
+        write("crates/a/Cargo.toml", "[package]\nname = \"a\"\n");
+        write(
+            "crates/a/src/lib.rs",
+            "// comment\nfn a() {}\n\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n",
+        );
+        write("crates/a/tests/t.rs", "fn t() {}\nfn u() {}\n");
+        write("tests/top.rs", "fn top() {}\n");
+        write("notes.txt", "not rust\n");
+
+        let nested = root.join("crates/a/src");
+        assert_eq!(workspace_of(&nested), Some(root.clone()));
+        assert_eq!(workspace_of(&root.join("crates/a")), Some(root.clone()));
+        let rows = inventory(&root);
+        fs::remove_dir_all(&root).unwrap();
+        assert_eq!(
+            rows,
+            [
+                ("crates/a".to_owned(), 2, 5),
+                ("tests".to_owned(), 0, 1),
+                ("examples".to_owned(), 0, 0),
+            ]
+        );
+    }
 
     #[test]
     fn only_a_cfg_test_module_starts_test_attribution() {

@@ -399,7 +399,7 @@ impl Memif {
             device
                 .parked
                 .entry(spec.tenant.0)
-                .or_default()
+                .or_insert_with(|| device.spare_parked.pop().unwrap_or_default())
                 .push_back(crate::device::ParkedReq { req, shard });
             sys.qos.note_parked(spec.tenant);
             return Ok((id, shard, None));
@@ -447,6 +447,13 @@ impl Memif {
     /// the driver posts the next notification. The application sleeps in
     /// between, burning no CPU.
     ///
+    /// A closure of any type must be stored on the event queue, so this
+    /// form boxes `waker` — one heap allocation per call. A loop that
+    /// polls once per request should register its continuation once
+    /// with [`System::register_hook`] and re-arm it through
+    /// [`poll_event`](Self::poll_event) with a [`SimEvent::Hook`]: that
+    /// form allocates nothing.
+    ///
     /// # Errors
     ///
     /// [`MemifError::NoSuchDevice`] if the instance has been closed.
@@ -462,7 +469,9 @@ impl Memif {
     /// Event-valued `poll()`: schedules `event` when a completion is (or
     /// becomes) available. This is the typed form [`poll`](Self::poll)
     /// wraps; use it directly to keep the event log free of opaque
-    /// thunks.
+    /// thunks. It is also the allocation-free form: the device keeps its
+    /// sleeping pollers in two buffers it swaps on every notification,
+    /// so once warm, arming a typed event never touches the heap.
     ///
     /// # Errors
     ///

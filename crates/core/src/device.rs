@@ -7,7 +7,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use memif_hwsim::dma::TransferId;
+use memif_hwsim::dma::{SgSegment, TransferId};
 use memif_hwsim::hash::IdMap;
 use memif_hwsim::{PhaseBreakdown, PhysAddr, SimTime};
 use memif_lockfree::{MovReq, MoveKind, MoveStatus, Region};
@@ -173,7 +173,7 @@ pub(crate) struct Inflight {
     pub tc: Option<usize>,
     /// The programmed transfer, consumed at launch time.
     pub cfg: Option<memif_hwsim::dma::ConfiguredTransfer>,
-    pub segments: Vec<memif_hwsim::dma::SgSegment>,
+    pub segments: Vec<SgSegment>,
     pub pages: Vec<PagePlan>,
     pub page_size: PageSize,
     pub interrupt_mode: bool,
@@ -210,21 +210,51 @@ pub(crate) struct Inflight {
 /// Reusable per-shard working buffers for request planning. Taken out
 /// of the device for the duration of one issue (sidestepping borrow
 /// conflicts with the address-space walks) and put back afterwards, so
-/// steady-state planning allocates nothing beyond the exact-size
-/// vectors that outlive the plan on the in-flight record.
+/// steady-state planning allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct PlanScratch {
     /// Gang-lookup results (migration source / replication source).
     pub ptes: Vec<Option<Pte>>,
     /// Gang-lookup results for replication's destination region.
     pub dst_ptes: Vec<Option<Pte>>,
-    /// Scatter-gather build area; coalescing runs in place here before
-    /// the exact-size copy that rides the in-flight record.
-    pub segments: Vec<memif_hwsim::dma::SgSegment>,
     /// Destination frames a migration allocates before it remaps.
     pub new_frames: Vec<memif_hwsim::PhysAddr>,
     /// The members of the batch being issued that planned successfully.
     pub planned: Vec<(memif_lockfree::Dequeued, crate::driver::exec::Plan)>,
+    /// A batch's members' segments, concatenated into its one chain.
+    pub chain: Vec<SgSegment>,
+}
+
+/// Emptied per-request lists of retired in-flight records. A plan takes
+/// its lists from here and a retired record gives them back, so the
+/// steady-state request path allocates none. At most one set per
+/// request ever in flight at once is kept.
+#[derive(Debug, Default)]
+pub(crate) struct SpareLists {
+    pub segments: Vec<Vec<SgSegment>>,
+    pub pages: Vec<Vec<PagePlan>>,
+    pub members: Vec<Vec<u64>>,
+}
+
+impl SpareLists {
+    /// Keeps a retired plan's lists for reuse.
+    pub fn put(&mut self, segments: Vec<SgSegment>, pages: Vec<PagePlan>) {
+        keep(&mut self.segments, segments);
+        keep(&mut self.pages, pages);
+    }
+
+    /// Keeps a disbanded batch's member list for reuse.
+    pub fn put_members(&mut self, members: Vec<u64>) {
+        keep(&mut self.members, members);
+    }
+}
+
+/// Empties `list` and keeps it in `spares`, unless it never allocated.
+pub(crate) fn keep<T>(spares: &mut Vec<Vec<T>>, mut list: Vec<T>) {
+    if list.capacity() > 0 {
+        list.clear();
+        spares.push(list);
+    }
 }
 
 /// Frame lists Release reuses across requests.
@@ -287,6 +317,8 @@ pub(crate) struct IssueShard {
     /// the plain FIFO prefix drain never touches it, keeping
     /// single-tenant event logs byte-identical.
     pub pending: BTreeMap<u16, VecDeque<memif_lockfree::Dequeued>>,
+    /// Emptied `pending` queues, reused when a tenant is listed again.
+    pub spare_pending: Vec<VecDeque<memif_lockfree::Dequeued>>,
 }
 
 /// A request held back at submit time by QoS admission control. It has
@@ -332,15 +364,22 @@ pub struct MemifDevice {
     /// longer does).
     pub(crate) routes: IdMap<u64, (u16, u16)>,
     pub(crate) pollers: Vec<SimEvent>,
+    /// The pollers a notification is waking; swapped with `pollers` so
+    /// both buffers are reused.
+    pub(crate) waking: Vec<SimEvent>,
     /// Requests parked by admission control, FIFO per tenant. Only ever
     /// non-empty when `qos` is on.
     pub(crate) parked: BTreeMap<u16, VecDeque<ParkedReq>>,
+    /// Emptied `parked` queues, reused when a tenant parks again.
+    pub(crate) spare_parked: Vec<VecDeque<ParkedReq>>,
     /// Round-robin cursor over `parked` tenants: each retire re-admits
     /// starting *after* the last served tenant, so no parked tenant is
     /// structurally favored.
     pub(crate) park_cursor: u16,
     /// Frame lists Release reuses across requests.
     pub(crate) release_scratch: ReleaseScratch,
+    /// Lists of retired in-flight records, reused by the next plans.
+    pub(crate) spare: SpareLists,
 }
 
 impl std::fmt::Debug for MemifDevice {
@@ -378,9 +417,12 @@ impl MemifDevice {
             submit_times: IdMap::default(),
             routes: IdMap::default(),
             pollers: Vec::new(),
+            waking: Vec::new(),
             parked: BTreeMap::new(),
+            spare_parked: Vec::new(),
             park_cursor: 0,
             release_scratch: ReleaseScratch::default(),
+            spare: SpareLists::default(),
         })
     }
 

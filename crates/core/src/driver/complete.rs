@@ -71,7 +71,7 @@ pub(crate) fn on_dma_complete(
         // within the chain — fully-finished requests complete normally
         // off this (single) error interrupt; the faulting request and
         // everything after it retry or degrade individually.
-        for t in std::iter::once(token).chain(members) {
+        for t in std::iter::once(token).chain(members.iter().copied()) {
             let device = sys.devices[id.0].as_mut().expect("device open");
             let Some(i) = device.inflight.iter_mut().find(|i| i.token == t) else {
                 continue; // aborted mid-flight
@@ -102,6 +102,7 @@ pub(crate) fn on_dma_complete(
             }
             sys.journal.set_leader(id, rid, None);
         }
+        dev_mut(sys, id).spare.put_members(members);
         return;
     }
 
@@ -118,6 +119,7 @@ pub(crate) fn on_dma_complete(
     // CopyDone, the members' are not — the asymmetric mid-chain state
     // recovery must untangle (leader rolls forward, members roll back).
     if !member_tokens.is_empty() && sys.maybe_crash(sim, CrashPoint::MidChain) {
+        dev_mut(sys, id).spare.put_members(member_tokens);
         return;
     }
     for t in &member_tokens {
@@ -226,6 +228,7 @@ pub(crate) fn on_dma_complete(
             );
         }
     }
+    dev_mut(sys, id).spare.put_members(member_tokens);
 }
 
 /// Where a completed request retires: each site is one
@@ -309,6 +312,7 @@ pub(crate) fn release_and_notify(
     let Inflight {
         req,
         slot,
+        segments,
         pages,
         page_size,
         dma_started_at,
@@ -418,12 +422,13 @@ pub(crate) fn release_and_notify(
     {
         sys.phys.discard(run[0], run.len() as u64 * bytes);
     }
-    dev_mut(sys, id).release_scratch = scratch;
+    let device = dev_mut(sys, id);
+    device.release_scratch = scratch;
     if !pages.is_empty() {
-        let stats = &mut dev_mut(sys, id).stats;
-        stats.phases.add(Phase::Release, cost);
-        stats.races_detected += races;
+        device.stats.phases.add(Phase::Release, cost);
+        device.stats.races_detected += races;
     }
+    device.spare.put(segments, pages);
     sys.meter.charge(ctx, cost);
 
     // Races are program errors under proceed-and-fail: the application
@@ -532,16 +537,20 @@ pub(crate) fn notify(
     }
 
     // Wake anyone sleeping in poll() — the notification itself needed no
-    // syscall, unlike epoll/kqueue (§7).
+    // syscall, unlike epoll/kqueue (§7). The two poller buffers swap, so
+    // neither is ever reallocated.
     let device = dev_mut(sys, id);
-    let wakers = std::mem::take(&mut device.pollers);
-    for waker in wakers {
+    std::mem::swap(&mut device.pollers, &mut device.waking);
+    for waker in device.waking.drain(..) {
         sim.schedule_after(SimDuration::ZERO, waker);
     }
     cost
 }
 
+/// Retire-site idempotence audits. They trip `debug_assert!` guards, so
+/// they exist only in builds that have them.
 #[cfg(test)]
+#[cfg(debug_assertions)]
 mod tests {
     use super::*;
     use crate::api::{Memif, MoveSpec};
@@ -591,7 +600,6 @@ mod tests {
     /// Retire-site idempotence audit, journaled flavor: re-driving the
     /// retire tail after the record sealed trips the journal guard
     /// before anything else mutates.
-    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "re-sealed request")]
     fn double_driving_a_retire_site_trips_the_seal_guard() {
@@ -610,7 +618,6 @@ mod tests {
 
     /// Same audit without a journal: the consumed submit timestamp is
     /// the remaining witness that a retire path ran twice.
-    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "notified twice (retire-site re-entry)")]
     fn double_notify_without_journal_trips_the_submit_time_guard() {

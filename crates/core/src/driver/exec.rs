@@ -145,35 +145,33 @@ pub(crate) fn issue(
         }
     }
     if !scratch.planned.is_empty() {
-        let planned = &mut scratch.planned;
-        elapsed = issue_planned(sys, sim, id, planned, ctx, attempt, shard, elapsed);
+        elapsed = issue_planned(sys, sim, id, &mut scratch, ctx, attempt, shard, elapsed);
     }
     dev_mut(sys, id).shards[shard].scratch = scratch;
     elapsed
 }
 
 /// [`issue`] from the charge of Prep and Remap on: programs and launches
-/// the chain of every member in `planned` (draining it), `elapsed` into
-/// the issue. Returns the issue's total elapsed time.
+/// the chain of every member in `scratch.planned` (draining it),
+/// `elapsed` into the issue. Returns the issue's total elapsed time.
 #[allow(clippy::too_many_arguments)]
 fn issue_planned(
     sys: &mut System,
     sim: &mut memif_hwsim::Sim<System>,
     id: DeviceId,
-    planned: &mut Vec<(Dequeued, Plan)>,
+    scratch: &mut PlanScratch,
     ctx: Context,
     attempt: u32,
     shard: usize,
     mut elapsed: SimDuration,
 ) -> SimDuration {
+    let planned = &mut scratch.planned;
     let mut prep = SimDuration::ZERO;
     let mut remap = SimDuration::ZERO;
-    let mut chain_len = 0;
     for (_, p) in planned.iter() {
         record_coalescing(sys, id, p);
         prep += p.prep_cost;
         remap += p.remap_cost;
-        chain_len += p.segments.len();
     }
     sys.meter.charge(ctx, prep + remap);
     {
@@ -185,13 +183,13 @@ fn issue_planned(
 
     // Op 3, once: program the concatenated chain. The engine-level reuse
     // switch follows the device's configuration (ablation A1).
-    let mut chain = Vec::with_capacity(chain_len);
+    scratch.chain.clear();
     for (_, p) in planned.iter() {
-        chain.extend_from_slice(&p.segments);
+        scratch.chain.extend_from_slice(&p.segments);
     }
     sys.dma
         .set_reuse_enabled(dev(sys, id).config.descriptor_reuse);
-    let cfg = match sys.dma.configure_segments(chain, &sys.cost) {
+    let cfg = match sys.dma.configure_segments(&scratch.chain, &sys.cost) {
         Ok(cfg) => cfg,
         Err(memif_hwsim::dma::ChainError::AllBusy) => {
             // Every descriptor is tied up in other tenants' in-flight
@@ -213,6 +211,7 @@ fn issue_planned(
             // belt-and-braces).
             for (deq, plan) in planned.drain(..) {
                 restore_pages(sys, id, &plan.pages, plan.page_size, false);
+                dev_mut(sys, id).spare.put(plan.segments, plan.pages);
                 let status = MoveStatus::Invalid;
                 complete::notify(sys, sim, id, deq.slot, deq.req, status, None, ctx);
             }
@@ -241,7 +240,11 @@ fn issue_planned(
     let mut cfg = Some(cfg);
     let mut offset = 0u64;
     let mut leader_token = None;
-    let mut member_tokens = Vec::with_capacity(n - 1);
+    let mut member_tokens = if n >= 2 {
+        dev_mut(sys, id).spare.members.pop().unwrap_or_default()
+    } else {
+        Vec::new()
+    };
     for (deq, plan) in planned.drain(..) {
         record_route(sys, id, &deq.req, &plan);
         // Compressed-tier moves pay their codec before the engine starts.
@@ -339,6 +342,7 @@ fn descriptors_exhausted(
         return elapsed;
     }
     restore_pages(sys, id, &plan.pages, plan.page_size, false);
+    dev_mut(sys, id).spare.put(plan.segments, plan.pages);
     if exhausted {
         let status = MoveStatus::Failed(FailReason::Descriptors);
         complete::notify(sys, sim, id, deq.slot, deq.req, status, None, ctx);
@@ -387,7 +391,7 @@ fn register_inflight(
     (chain_offset, batch_leader): (u64, Option<u64>),
     ctx: Context,
 ) -> (u64, SimDuration) {
-    let device = dev_mut(sys, id);
+    let device = sys.devices[id.0].as_mut().expect("device open");
     let token = device.next_token;
     device.next_token += 1;
     for (base, len) in kthread::spans_of(&deq.req) {
@@ -419,6 +423,9 @@ fn register_inflight(
     device.stats.journal_records += 1;
     let owner = device.owner;
     let i = device.inflight.last().expect("just pushed");
+    let (mut pages, mut segments) = sys.journal.spare_lists();
+    pages.extend(i.pages.iter().map(crate::journal::JournalPage::of_plan));
+    segments.extend_from_slice(&i.segments);
     let record = crate::journal::JournalRecord {
         device: id,
         space: owner,
@@ -427,12 +434,8 @@ fn register_inflight(
         shard,
         batch_leader,
         page_size: i.page_size,
-        pages: i
-            .pages
-            .iter()
-            .map(crate::journal::JournalPage::of_plan)
-            .collect(),
-        segments: i.segments.clone(),
+        pages,
+        segments,
         milestone: crate::journal::JournalMilestone::Issued,
         sealed: None,
     };
@@ -449,12 +452,18 @@ pub(crate) fn launch(
     token: u64,
 ) {
     let now = sim.now();
-    if sys.device(id).is_none() || dev(sys, id).inflight.iter().all(|i| i.token != token) {
+    let Some(at) = sys
+        .device(id)
+        .and_then(|d| d.inflight.iter().position(|i| i.token == token))
+    else {
         // Aborted before launch (recover mode): free the slot this
         // launch would have taken for whoever is waiting.
         launch_next_waiting(sys, sim);
         return;
-    }
+    };
+    // Nothing below adds or removes in-flight records, so `at` stays
+    // this request's index throughout.
+    let req_id = dev(sys, id).inflight[at].req.id;
     // Table 2: the engine has a fixed number of transfer controllers;
     // a launch with all of them busy queues until one frees. Admission
     // routes onto the least-loaded controller channel.
@@ -464,21 +473,11 @@ pub(crate) fn launch(
             memif_hwsim::SimDuration::ZERO,
             Context::DmaEngine,
             "transfer queued: all transfer controllers busy",
-            dev(sys, id)
-                .inflight
-                .iter()
-                .find(|i| i.token == token)
-                .map(|i| i.req.id),
+            Some(req_id),
         );
         return;
     };
-    let Some(inflight) = dev_mut(sys, id)
-        .inflight
-        .iter_mut()
-        .find(|i| i.token == token)
-    else {
-        unreachable!("checked above");
-    };
+    let inflight = &mut dev_mut(sys, id).inflight[at];
     let cfg = inflight
         .cfg
         .take()
@@ -487,18 +486,21 @@ pub(crate) fn launch(
     if inflight.dma_started_at.is_none() {
         inflight.dma_started_at = Some(now);
     }
+    // The chain's first segment is this request's own: a batch leader
+    // heads its chain.
+    let first = inflight.segments[0];
     // Batch members ride this launch: stamp their DMA start too.
-    let member_tokens = inflight.batch_members.clone();
-    for m in &member_tokens {
+    let members = std::mem::take(&mut inflight.batch_members);
+    for m in &members {
         if let Some(i) = dev_mut(sys, id).inflight.iter_mut().find(|i| i.token == *m) {
             if i.dma_started_at.is_none() {
                 i.dma_started_at = Some(now);
             }
         }
     }
-    let (src, dst) = (cfg.segments[0].src, cfg.segments[0].dst);
-    let src_node = sys.node_of(src).expect("segment in a known bank");
-    let dst_node = sys.node_of(dst).expect("segment in a known bank");
+    dev_mut(sys, id).inflight[at].batch_members = members;
+    let src_node = sys.node_of(first.src).expect("segment in a known bank");
+    let dst_node = sys.node_of(first.dst).expect("segment in a known bank");
     let route = sys.dma_route_on(tc, src_node, dst_node);
     let demand = sys.cost.dma_engine_bw_gbps;
     let ticket = sys.dma.launch(&cfg, demand);
@@ -521,23 +523,13 @@ pub(crate) fn launch(
     };
     let flow = sys
         .flows
-        .start_flow(sim, &route, ticket.flow_bytes, demand, payload);
+        .start_flow(sim, route, ticket.flow_bytes, demand, payload);
     sys.dma.attach_flow(ticket.id, flow);
-    let req_id = dev(sys, id)
-        .inflight
-        .iter()
-        .find(|i| i.token == token)
-        .map(|i| i.req.id);
-    dev_mut(sys, id)
-        .inflight
-        .iter_mut()
-        .find(|i| i.token == token)
-        .expect("still inflight")
-        .transfer = Some(ticket.id);
+    dev_mut(sys, id).inflight[at].transfer = Some(ticket.id);
     // Account the engine's busy time for utilization plots.
     let wall = SimDuration::for_bytes(cfg.bytes, demand) + cfg.engine_overhead;
     sys.meter.charge(Context::DmaEngine, wall);
-    sys.trace_emit(now, wall, Context::DmaEngine, "DMA transfer", req_id);
+    sys.trace_emit(now, wall, Context::DmaEngine, "DMA transfer", Some(req_id));
 
     // Chaos-only watchdog: arm a deadline generous enough for queueing
     // and brownouts; if the completion interrupt never arrives the timer
@@ -547,12 +539,7 @@ pub(crate) fn launch(
     if sys.chaos_enabled() {
         let deadline = wall * WATCHDOG_FACTOR + WATCHDOG_SLACK;
         let wd = sim.schedule_after(deadline, SimEvent::WatchdogFire { device: id, token });
-        dev_mut(sys, id)
-            .inflight
-            .iter_mut()
-            .find(|i| i.token == token)
-            .expect("still inflight")
-            .watchdog = Some(wd);
+        dev_mut(sys, id).inflight[at].watchdog = Some(wd);
     }
 
     // Crash point: the transfer is on the engine and the journal record
@@ -625,9 +612,10 @@ pub(crate) fn handle_dma_failure(
         }
     }
     fail_one(sys, sim, id, token, reason);
-    for m in members {
+    for &m in &members {
         fail_one(sys, sim, id, m, reason);
     }
+    dev_mut(sys, id).spare.put_members(members);
 }
 
 /// [`handle_dma_failure`] for a single (already unlinked) request.
@@ -675,25 +663,15 @@ pub(crate) fn retry_launch(
     id: DeviceId,
     token: u64,
 ) {
-    if sys.device(id).is_none() {
+    let Some(device) = sys.devices.get(id.0).and_then(Option::as_ref) else {
         return;
-    }
-    let Some(segments) = dev(sys, id)
-        .inflight
-        .iter()
-        .find(|i| i.token == token)
-        .map(|i| i.segments.clone())
-    else {
+    };
+    let Some(inflight) = device.inflight.iter().find(|i| i.token == token) else {
         return; // aborted while backing off
     };
-    let req_id = dev(sys, id)
-        .inflight
-        .iter()
-        .find(|i| i.token == token)
-        .map(|i| i.req.id);
-    sys.dma
-        .set_reuse_enabled(dev(sys, id).config.descriptor_reuse);
-    match sys.dma.configure_segments(segments, &sys.cost) {
+    let req_id = Some(inflight.req.id);
+    sys.dma.set_reuse_enabled(device.config.descriptor_reuse);
+    match sys.dma.configure_segments(&inflight.segments, &sys.cost) {
         Ok(cfg) => {
             let cost = cfg.config_cost;
             sys.meter.charge(Context::KernelThread, cost);
@@ -756,8 +734,8 @@ pub(crate) fn degrade_or_fail(
         sys.cost.cpu_copy(bytes)
     };
     sys.meter.charge(Context::KernelThread, copy_cost);
-    let segments = dev(sys, id).inflight[index].segments.clone();
-    for seg in &segments {
+    let device = sys.devices[id.0].as_ref().expect("device open");
+    for seg in &device.inflight[index].segments {
         sys.phys.copy(seg.src, seg.dst, seg.bytes);
     }
     let (req_id, shard) = {
@@ -859,33 +837,21 @@ fn plan_request(
         return Err((MoveStatus::Invalid, validate_cost));
     }
 
-    let space = sys.space(owner);
-    let Some(vma) = space.vma_covering(src, len) else {
-        return Err((MoveStatus::Invalid, validate_cost));
-    };
-    if vma.page_size != page_size {
+    if sys.space(owner).covering_page_size(src, len) != Some(page_size) {
         return Err((MoveStatus::Invalid, validate_cost));
     }
 
     match req.kind {
-        MoveKind::Replicate => {
-            plan_replication(sys, owner, req, page_size, gang, coalesce, scratch)
+        MoveKind::Replicate => plan_replication(sys, id, req, page_size, gang, coalesce, scratch),
+        MoveKind::Migrate => {
+            plan_migration(sys, id, req, page_size, gang, race_mode, coalesce, scratch)
         }
-        MoveKind::Migrate => plan_migration(
-            sys, owner, req, page_size, gang, race_mode, coalesce, scratch,
-        ),
     }
 }
 
-/// Finalizes a plan's segment list from the scratch build area:
-/// coalesces in place when enabled, then copies out at exact size.
-fn finish_segments(coalesce: bool, scratch: &mut PlanScratch) -> (Vec<SgSegment>, u64) {
-    let coalesced_away = if coalesce {
-        coalesce_in_place(&mut scratch.segments)
-    } else {
-        0
-    };
-    (scratch.segments.clone(), coalesced_away)
+/// A recycled (empty) segment list for a new plan.
+fn spare_segments(sys: &mut System, id: DeviceId) -> Vec<SgSegment> {
+    dev_mut(sys, id).spare.segments.pop().unwrap_or_default()
 }
 
 fn lookup_cost(sys: &System, stats: memif_mm::WalkStats) -> SimDuration {
@@ -895,7 +861,7 @@ fn lookup_cost(sys: &System, stats: memif_mm::WalkStats) -> SimDuration {
 
 fn plan_replication(
     sys: &mut System,
-    owner: crate::system::SpaceId,
+    id: DeviceId,
     req: &MovReq,
     page_size: PageSize,
     gang: bool,
@@ -913,8 +879,8 @@ fn plan_replication(
     if src.as_u64() < dst.offset(len).as_u64() && dst.as_u64() < src.offset(len).as_u64() {
         return Err((MoveStatus::Invalid, validate_cost));
     }
-    let space = sys.space(owner);
-    if space.vma_covering(dst, len).map(|v| v.page_size) != Some(page_size) {
+    let space = sys.space(dev(sys, id).owner);
+    if space.covering_page_size(dst, len) != Some(page_size) {
         return Err((MoveStatus::Invalid, validate_cost));
     }
 
@@ -925,20 +891,31 @@ fn plan_replication(
     let mut prep_cost = lookup_cost(sys, s1) + lookup_cost(sys, s2);
     prep_cost += sys.cost.gang_bookkeeping * u64::from(req.nr_pages);
 
-    scratch.segments.clear();
-    for (s, d) in scratch.ptes.iter().zip(&scratch.dst_ptes) {
-        match (s, d) {
-            (Some(sp), Some(dp)) if sp.is_present() && dp.is_present() => {
-                scratch.segments.push(SgSegment {
-                    src: sp.frame(),
-                    dst: dp.frame(),
-                    bytes: page_size.bytes(),
-                });
-            }
-            _ => return Err((MoveStatus::Invalid, prep_cost)),
-        }
+    let all_present = scratch
+        .ptes
+        .iter()
+        .zip(&scratch.dst_ptes)
+        .all(|(s, d)| s.is_some_and(Pte::is_present) && d.is_some_and(Pte::is_present));
+    if !all_present {
+        return Err((MoveStatus::Invalid, prep_cost));
     }
-    let (segments, coalesced_away) = finish_segments(coalesce, scratch);
+    let mut segments = spare_segments(sys, id);
+    segments.extend(
+        scratch
+            .ptes
+            .iter()
+            .zip(&scratch.dst_ptes)
+            .map(|(s, d)| SgSegment {
+                src: s.expect("checked present").frame(),
+                dst: d.expect("checked present").frame(),
+                bytes: page_size.bytes(),
+            }),
+    );
+    let coalesced_away = if coalesce {
+        coalesce_in_place(&mut segments)
+    } else {
+        0
+    };
     Ok(Plan {
         segments,
         pages: Vec::new(),
@@ -952,7 +929,7 @@ fn plan_replication(
 #[allow(clippy::too_many_arguments)]
 fn plan_migration(
     sys: &mut System,
-    owner: crate::system::SpaceId,
+    id: DeviceId,
     req: &MovReq,
     page_size: PageSize,
     gang: bool,
@@ -960,6 +937,7 @@ fn plan_migration(
     coalesce: bool,
     scratch: &mut PlanScratch,
 ) -> Result<Plan, (MoveStatus, SimDuration)> {
+    let owner = dev(sys, id).owner;
     let src = VirtAddr::new(req.src_base);
     let dst_node = memif_hwsim::NodeId(req.dst_node);
     if sys.topo.node(dst_node).is_none() {
@@ -992,7 +970,7 @@ fn plan_migration(
     // (frames also mapped by other spaces) are discovered through the
     // reverse map; remote mappers get Linux-style migration entries for
     // the transfer window and are rewritten at Release (§6.7 extension).
-    let mut pages = Vec::with_capacity(req.nr_pages as usize);
+    let mut pages = dev_mut(sys, id).spare.pages.pop().unwrap_or_default();
     let mut remap_cost = sys.cost.page_alloc * u64::from(req.nr_pages);
     for (i, (original, &new_frame)) in scratch.ptes.iter().zip(&scratch.new_frames).enumerate() {
         let original = original.expect("checked present above");
@@ -1059,13 +1037,17 @@ fn plan_migration(
         }
     }
 
-    scratch.segments.clear();
-    scratch.segments.extend(pages.iter().map(|p| SgSegment {
+    let mut segments = spare_segments(sys, id);
+    segments.extend(pages.iter().map(|p| SgSegment {
         src: p.old_frame,
         dst: p.new_frame,
         bytes: page_size.bytes(),
     }));
-    let (segments, coalesced_away) = finish_segments(coalesce, scratch);
+    let coalesced_away = if coalesce {
+        coalesce_in_place(&mut segments)
+    } else {
+        0
+    };
     Ok(Plan {
         segments,
         pages,

@@ -182,4 +182,7 @@ pub(crate) fn teardown_inflight(
     sys.meter.attribute_worker(inflight.shard, wakeup);
     crate::driver::schedule_worker_wake(sys, sim, id, inflight.shard, cost + wakeup);
     crate::driver::wake_deferred_peers(sys, sim, id, inflight.shard, cost + wakeup);
+    dev_mut(sys, id)
+        .spare
+        .put(inflight.segments, inflight.pages);
 }

@@ -273,44 +273,41 @@ fn dequeue_next(
         let tenant = d.req.tenant;
         let device = dev_mut(sys, id);
         device.note_dequeued(shard, tenant);
-        device.shards[shard]
-            .pending
+        let s = &mut device.shards[shard];
+        s.pending
             .entry(tenant)
-            .or_default()
+            .or_insert_with(|| s.spare_pending.pop().unwrap_or_default())
             .push_back(d);
     }
 
     // Serve the software queues weighted-fair. A single listed tenant
     // needs no arbitration; with several, DRR picks — `pick` always
     // returns a tenant for a non-empty active set.
-    let tenants: Vec<u16> = dev(sys, id).shards[shard].pending.keys().copied().collect();
-    let choice = match tenants.len() {
+    let qos = &sys.qos;
+    let s = &mut sys.devices[id.0].as_mut().expect("device open").shards[shard];
+    let choice = match s.pending.len() {
         0 => return Ok(None),
-        1 => tenants[0],
+        1 => *s.pending.keys().next().expect("one tenant listed"),
         _ => {
-            let pairs: Vec<(TenantId, u32)> = tenants
-                .iter()
-                .map(|t| (TenantId(*t), sys.qos.weight(TenantId(*t))))
-                .collect();
-            dev_mut(sys, id).shards[shard]
-                .drr
-                .pick(pairs.iter().map(|(t, _)| *t), |t| {
-                    pairs.iter().find(|(x, _)| *x == t).map_or(1, |(_, w)| *w)
-                })
+            s.drr
+                .pick(s.pending.keys().map(|t| TenantId(*t)), |t| qos.weight(t))
                 .expect("DRR pick on a non-empty active set")
                 .0
         }
     };
-    let device = dev_mut(sys, id);
-    let queue = device.shards[shard]
-        .pending
-        .get_mut(&choice)
-        .expect("picked tenant is listed");
+    Ok(Some(pop_pending(s, choice)))
+}
+
+/// Takes tenant `tenant`'s oldest request off shard `s`'s software
+/// queues, unlisting the tenant (its queue kept for reuse) once empty.
+fn pop_pending(s: &mut crate::device::IssueShard, tenant: u16) -> Dequeued {
+    let queue = s.pending.get_mut(&tenant).expect("tenant is listed");
     let d = queue.pop_front().expect("listed tenants have requests");
     if queue.is_empty() {
-        device.shards[shard].pending.remove(&choice);
+        let queue = s.pending.remove(&tenant).expect("tenant is listed");
+        s.spare_pending.push(queue);
     }
-    Ok(Some(d))
+    d
 }
 
 /// Drains up to `batch_max` compatible requests behind the batch's
@@ -377,20 +374,7 @@ fn assemble_batch(sys: &mut System, id: DeviceId, shard: usize, batch: &mut Vec<
                         .and_then(VecDeque::front)
                         .is_some_and(|d| fits(&d.req))
                 };
-                if front_fits {
-                    let device = dev_mut(sys, id);
-                    let list = device.shards[shard]
-                        .pending
-                        .get_mut(&t)
-                        .expect("front just matched");
-                    let d = list.pop_front();
-                    if list.is_empty() {
-                        device.shards[shard].pending.remove(&t);
-                    }
-                    d
-                } else {
-                    None
-                }
+                front_fits.then(|| pop_pending(&mut dev_mut(sys, id).shards[shard], t))
             }
             (None, None) => None,
         };

@@ -157,7 +157,8 @@ pub(crate) fn readmit_parked(sys: &mut System, sim: &mut memif_hwsim::Sim<System
         let queue = device.parked.get_mut(&t).expect("candidate from the map");
         let parked = queue.pop_front().expect("parked queues never left empty");
         if queue.is_empty() {
-            device.parked.remove(&t);
+            let queue = device.parked.remove(&t).expect("candidate from the map");
+            device.spare_parked.push(queue);
         }
         let shard = parked.shard;
         let req = parked.req;

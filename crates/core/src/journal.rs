@@ -29,7 +29,6 @@
 //! runs pay nothing and stay byte-identical.
 
 use memif_hwsim::dma::SgSegment;
-use memif_hwsim::hash::IdMap;
 use memif_lockfree::{MovReq, MoveStatus};
 use memif_mm::{PageSize, Pte, VirtAddr};
 
@@ -122,9 +121,16 @@ pub struct MoveJournal {
     /// Journaling devices, in open order: recovery re-opens these.
     opens: Vec<(DeviceId, SpaceId, MemifConfig)>,
     records: Vec<JournalRecord>,
-    /// `(device, req_id) -> records index`. Requests are keyed by id,
-    /// not token: a retried issue overwrites its own record.
-    index: IdMap<(usize, u64), usize>,
+    /// `index[device][req_id]` is 1 + the request's position in
+    /// `records`, or 0 if it has none. Requests are keyed by id, not
+    /// token: a retried issue overwrites its own record. Request ids are
+    /// dense per device, so each table grows by doubling, like
+    /// `records`.
+    index: Vec<Vec<u32>>,
+    /// Plan lists released by sealed records, reused by the next
+    /// appends.
+    spare_pages: Vec<Vec<JournalPage>>,
+    spare_segments: Vec<Vec<SgSegment>>,
 }
 
 impl MoveJournal {
@@ -157,25 +163,56 @@ impl MoveJournal {
         self.records.is_empty()
     }
 
+    /// Empty plan lists for the next record, recycled from sealed ones.
+    pub(crate) fn spare_lists(&mut self) -> (Vec<JournalPage>, Vec<SgSegment>) {
+        (
+            self.spare_pages.pop().unwrap_or_default(),
+            self.spare_segments.pop().unwrap_or_default(),
+        )
+    }
+
+    /// Keeps a released record's plan lists for reuse.
+    fn recycle(&mut self, pages: Vec<JournalPage>, segments: Vec<SgSegment>) {
+        crate::device::keep(&mut self.spare_pages, pages);
+        crate::device::keep(&mut self.spare_segments, segments);
+    }
+
     /// Appends (or, for a re-issued retry of the same request,
     /// overwrites) the record for an issued move.
     pub(crate) fn append(&mut self, record: JournalRecord) {
-        let key = (record.device.0, record.req.id);
-        match self.index.get(&key) {
-            Some(&i) if self.records[i].sealed.is_none() => {
+        match self.position(record.device, record.req.id) {
+            Some(i) if self.records[i].sealed.is_none() => {
                 // A retry re-planned and re-issued the same request; the
                 // prior attempt was rolled back, so its plan is stale.
-                self.records[i] = record;
+                let stale = std::mem::replace(&mut self.records[i], record);
+                self.recycle(stale.pages, stale.segments);
             }
             _ => {
-                self.index.insert(key, self.records.len());
+                let (device, id) = (record.device.0, record.req.id as usize);
+                if self.index.len() <= device {
+                    self.index.resize_with(device + 1, Vec::new);
+                }
+                let table = &mut self.index[device];
+                if table.len() <= id {
+                    table.resize(id + 1, 0);
+                }
+                table[id] = u32::try_from(self.records.len() + 1).expect("under 2^32 records");
                 self.records.push(record);
             }
         }
     }
 
+    /// Position in `records` of request `req_id`'s record, if any.
+    fn position(&self, device: DeviceId, req_id: u64) -> Option<usize> {
+        let slot = *self
+            .index
+            .get(device.0)?
+            .get(usize::try_from(req_id).ok()?)?;
+        (slot > 0).then(|| slot as usize - 1)
+    }
+
     fn get_mut(&mut self, device: DeviceId, req_id: u64) -> Option<&mut JournalRecord> {
-        let i = *self.index.get(&(device.0, req_id))?;
+        let i = self.position(device, req_id)?;
         self.records.get_mut(i)
     }
 
@@ -201,20 +238,22 @@ impl MoveJournal {
     /// driver bug caught by the debug_assert — the five retire sites
     /// must each fire at most once per request.
     pub(crate) fn seal(&mut self, device: DeviceId, req_id: u64, status: MoveStatus) -> bool {
-        if let Some(rec) = self.get_mut(device, req_id) {
-            debug_assert!(
-                rec.sealed.is_none(),
-                "retire site re-sealed request {req_id} ({:?} -> {status:?})",
-                rec.sealed
-            );
-            if rec.sealed.is_none() {
-                rec.sealed = Some(status);
-                rec.pages = Vec::new();
-                rec.segments = Vec::new();
-                return true;
-            }
+        let Some(rec) = self.get_mut(device, req_id) else {
+            return false;
+        };
+        debug_assert!(
+            rec.sealed.is_none(),
+            "retire site re-sealed request {req_id} ({:?} -> {status:?})",
+            rec.sealed
+        );
+        if rec.sealed.is_some() {
+            return false;
         }
-        false
+        rec.sealed = Some(status);
+        let pages = std::mem::take(&mut rec.pages);
+        let segments = std::mem::take(&mut rec.segments);
+        self.recycle(pages, segments);
+        true
     }
 }
 

@@ -8,7 +8,7 @@
 
 use memif_hwsim::dma::DmaEngine;
 use memif_hwsim::{
-    Context, CostModel, FlowSystem, NodeId, PhysAddr, PhysMem, ResourceId, Sim, SimDuration,
+    Context, CostModel, FlowSystem, NodeId, PhysAddr, PhysMem, ResourceId, Route, Sim, SimDuration,
     SimTime, TcScheduler, Topology, UsageMeter,
 };
 use memif_mm::{AddressSpace, FrameAllocator};
@@ -558,19 +558,21 @@ impl System {
     /// engine (transfer-controller channel 0) plus each distinct node
     /// bus.
     #[must_use]
-    pub fn dma_route(&self, src: NodeId, dst: NodeId) -> Vec<ResourceId> {
+    pub fn dma_route(&self, src: NodeId, dst: NodeId) -> Route {
         self.dma_route_on(0, src, dst)
     }
 
     /// The flow route of a transfer dispatched onto transfer-controller
     /// channel `tc`: that channel's pipe plus each distinct node bus.
+    /// Held inline: building a route allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics on an out-of-range channel index.
     #[must_use]
-    pub fn dma_route_on(&self, tc: usize, src: NodeId, dst: NodeId) -> Vec<ResourceId> {
-        let mut route = vec![self.resources.tc(tc), self.resources.node(src)];
+    pub fn dma_route_on(&self, tc: usize, src: NodeId, dst: NodeId) -> Route {
+        let mut route = Route::new(self.resources.tc(tc));
+        route.push(self.resources.node(src));
         if let Some(wr) = self.resources.node_write(dst) {
             // Writes into an NVM node go through its slower write pipe.
             route.push(wr);

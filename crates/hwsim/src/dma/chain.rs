@@ -16,34 +16,31 @@ use crate::hash::IdMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChainId(u64);
 
-/// How a planned transfer maps onto descriptors.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// How a planned transfer maps onto descriptors. The descriptors
+/// themselves, in chain order, are [`ChainManager::descriptors`] of
+/// `chain`: the reused prefix first, then the fresh ones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChainPlan {
     /// The chain the transfer will run on.
     pub chain: ChainId,
-    /// Descriptors reused from a previous configuration (src/dst rewrite
-    /// only).
-    pub reused: Vec<u16>,
-    /// Descriptors needing a full 12-field configuration.
-    pub fresh: Vec<u16>,
+    /// Leading descriptors reused from a previous configuration (src/dst
+    /// rewrite only).
+    pub reused: usize,
+    /// Trailing descriptors needing a full 12-field configuration.
+    pub fresh: usize,
 }
 
 impl ChainPlan {
     /// Total descriptors in the plan.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.reused.len() + self.fresh.len()
+        self.reused + self.fresh
     }
 
     /// True if the plan holds no descriptors.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// All descriptor indices in chain order (reused prefix, then fresh).
-    pub fn descriptors(&self) -> impl Iterator<Item = u16> + '_ {
-        self.reused.iter().chain(self.fresh.iter()).copied()
     }
 }
 
@@ -95,6 +92,10 @@ impl std::fmt::Display for ChainError {
 impl std::error::Error for ChainError {}
 
 /// The descriptor pool and chain-reuse knowledge base.
+///
+/// Planning allocates nothing once warm: a forgotten chain's descriptor
+/// and size lists return to spare lists that the next recorded chain
+/// takes over.
 #[derive(Debug)]
 pub struct ChainManager {
     free: Vec<u16>,
@@ -103,6 +104,10 @@ pub struct ChainManager {
     next_chain: u64,
     clock: u64,
     reuse_enabled: bool,
+    /// Emptied descriptor lists of forgotten chains.
+    spare_descs: Vec<Vec<u16>>,
+    /// Emptied size lists of forgotten mixed chains.
+    spare_sizes: Vec<Vec<u64>>,
 }
 
 impl ChainManager {
@@ -124,6 +129,8 @@ impl ChainManager {
             next_chain: 0,
             clock: 0,
             reuse_enabled: true,
+            spare_descs: Vec::new(),
+            spare_sizes: Vec::new(),
         }
     }
 
@@ -165,13 +172,7 @@ impl ChainManager {
         self.clock += 1;
 
         if !self.reuse_enabled {
-            let fresh = self.take_free(n)?;
-            let id = self.record(fresh.clone(), bytes_per_desc, None);
-            return Ok(ChainPlan {
-                chain: id,
-                reused: Vec::new(),
-                fresh,
-            });
+            return self.record_fresh(n, bytes_per_desc, None);
         }
 
         // Best candidate: an idle chain with the same per-descriptor size,
@@ -192,52 +193,34 @@ impl ChainManager {
             })
             .map(|(id, _)| *id);
 
-        match candidate {
-            Some(id) => {
-                // Mark the candidate busy *before* drawing fresh
-                // descriptors so the eviction path cannot steal it, and
-                // return any tail beyond the reused prefix to the pool
-                // (a longer chain shrinks rather than leaking).
-                let (reused, need) = {
-                    let c = self.chains.get_mut(&id).expect("candidate exists");
-                    c.busy = true;
-                    c.last_use = self.clock;
-                    let take = c.descs.len().min(n);
-                    let tail = c.descs.split_off(take);
-                    let reused = c.descs.clone();
-                    (reused, (n - take, tail))
-                };
-                let (need, tail) = (need.0, need.1);
-                self.free.extend(tail);
-                match self.take_free(need) {
-                    Ok(fresh) => {
-                        let c = self.chains.get_mut(&id).expect("candidate exists");
-                        c.descs.extend_from_slice(&fresh);
-                        Ok(ChainPlan {
-                            chain: ChainId(id),
-                            reused,
-                            fresh,
-                        })
-                    }
-                    Err(e) => {
-                        // Roll back the busy mark; the (shrunk) chain
-                        // stays usable for smaller requests.
-                        let c = self.chains.get_mut(&id).expect("candidate exists");
-                        c.busy = false;
-                        Err(e)
-                    }
-                }
-            }
-            None => {
-                let fresh = self.take_free(n)?;
-                let id = self.record(fresh.clone(), bytes_per_desc, None);
-                Ok(ChainPlan {
-                    chain: id,
-                    reused: Vec::new(),
-                    fresh,
-                })
-            }
+        let Some(id) = candidate else {
+            return self.record_fresh(n, bytes_per_desc, None);
+        };
+        // Mark the candidate busy *before* drawing fresh descriptors so
+        // the eviction path cannot steal it, and return any tail beyond
+        // the reused prefix to the pool (a longer chain shrinks rather
+        // than leaking).
+        let c = self.chains.get_mut(&id).expect("candidate exists");
+        c.busy = true;
+        c.last_use = self.clock;
+        let reused = c.descs.len().min(n);
+        self.free.extend(c.descs.drain(reused..));
+        // The fresh descriptors extend the chain's own list, held out of
+        // the map while the pool is drawn on.
+        let mut descs = std::mem::take(&mut c.descs);
+        let taken = self.take_free(n - reused, &mut descs);
+        let c = self.chains.get_mut(&id).expect("candidate exists");
+        c.descs = descs;
+        if taken.is_err() {
+            // Roll back the busy mark; the (shrunk) chain stays usable
+            // for smaller requests.
+            c.busy = false;
         }
+        taken.map(|()| ChainPlan {
+            chain: ChainId(id),
+            reused,
+            fresh: n - reused,
+        })
     }
 
     /// Plans a transfer over explicitly sized segments — the coalesced
@@ -283,18 +266,12 @@ impl ChainManager {
                 c.last_use = self.clock;
                 return Ok(ChainPlan {
                     chain: ChainId(id),
-                    reused: c.descs.clone(),
-                    fresh: Vec::new(),
+                    reused: n,
+                    fresh: 0,
                 });
             }
         }
-        let fresh = self.take_free(n)?;
-        let id = self.record(fresh.clone(), 0, Some(sizes.to_vec()));
-        Ok(ChainPlan {
-            chain: id,
-            reused: Vec::new(),
-            fresh,
-        })
+        self.record_fresh(n, 0, Some(sizes))
     }
 
     /// Marks a chain idle again after its transfer completes or aborts.
@@ -304,9 +281,16 @@ impl ChainManager {
             if let Some(c) = self.chains.get_mut(&chain.0) {
                 c.busy = false;
             }
-        } else if let Some(c) = self.chains.remove(&chain.0) {
-            self.free.extend(c.descs);
+        } else {
+            self.forget(chain.0);
         }
+    }
+
+    /// The descriptors of `chain`, in chain order (empty for a chain
+    /// no longer remembered).
+    #[must_use]
+    pub fn descriptors(&self, chain: ChainId) -> &[u16] {
+        self.chains.get(&chain.0).map_or(&[], |c| &c.descs)
     }
 
     /// Number of chains currently remembered.
@@ -332,7 +316,24 @@ impl ChainManager {
             .sum()
     }
 
-    fn record(&mut self, descs: Vec<u16>, bytes_per_desc: u64, sizes: Option<Vec<u64>>) -> ChainId {
+    /// Records a busy chain of `n` descriptors drawn from the pool (with
+    /// `sizes` for a mixed-geometry chain).
+    fn record_fresh(
+        &mut self,
+        n: usize,
+        bytes_per_desc: u64,
+        sizes: Option<&[u64]>,
+    ) -> Result<ChainPlan, ChainError> {
+        let mut descs = self.spare_descs.pop().unwrap_or_default();
+        if let Err(e) = self.take_free(n, &mut descs) {
+            self.spare_descs.push(descs);
+            return Err(e);
+        }
+        let sizes = sizes.map(|sizes| {
+            let mut v = self.spare_sizes.pop().unwrap_or_default();
+            v.extend_from_slice(sizes);
+            v
+        });
         let id = self.next_chain;
         self.next_chain += 1;
         self.chains.insert(
@@ -345,12 +346,32 @@ impl ChainManager {
                 busy: true,
             },
         );
-        ChainId(id)
+        Ok(ChainPlan {
+            chain: ChainId(id),
+            reused: 0,
+            fresh: n,
+        })
     }
 
-    fn take_free(&mut self, n: usize) -> Result<Vec<u16>, ChainError> {
+    /// Drops chain `id`'s record: its descriptors return to the pool and
+    /// its lists to the spares.
+    fn forget(&mut self, id: u64) {
+        if let Some(c) = self.chains.remove(&id) {
+            let mut descs = c.descs;
+            self.free.extend_from_slice(&descs);
+            descs.clear();
+            self.spare_descs.push(descs);
+            if let Some(mut sizes) = c.sizes {
+                sizes.clear();
+                self.spare_sizes.push(sizes);
+            }
+        }
+    }
+
+    /// Moves `n` descriptors from the pool onto the end of `out`,
+    /// evicting least-recently-used idle chains while the pool is short.
+    fn take_free(&mut self, n: usize, out: &mut Vec<u16>) -> Result<(), ChainError> {
         while self.free.len() < n {
-            // Evict the least-recently-used idle chain.
             let victim = self
                 .chains
                 .iter()
@@ -358,15 +379,13 @@ impl ChainManager {
                 .min_by_key(|(id, c)| (c.last_use, **id))
                 .map(|(id, _)| *id);
             match victim {
-                Some(id) => {
-                    let c = self.chains.remove(&id).expect("victim exists");
-                    self.free.extend(c.descs);
-                }
+                Some(id) => self.forget(id),
                 None => return Err(ChainError::AllBusy),
             }
         }
         let at = self.free.len() - n;
-        Ok(self.free.split_off(at))
+        out.extend(self.free.drain(at..));
+        Ok(())
     }
 }
 
@@ -378,8 +397,8 @@ mod tests {
     fn first_plan_is_all_fresh() {
         let mut m = ChainManager::new(16);
         let p = m.plan(4, 4096).unwrap();
-        assert_eq!(p.reused.len(), 0);
-        assert_eq!(p.fresh.len(), 4);
+        assert_eq!(p.reused, 0);
+        assert_eq!(p.fresh, 4);
         assert_eq!(p.len(), 4);
         assert_eq!(m.free_descriptors(), 12);
     }
@@ -388,11 +407,16 @@ mod tests {
     fn released_chain_is_reused_in_full() {
         let mut m = ChainManager::new(16);
         let p1 = m.plan(4, 4096).unwrap();
+        let first = m.descriptors(p1.chain).to_vec();
         m.release(p1.chain);
         let p2 = m.plan(4, 4096).unwrap();
-        assert_eq!(p2.reused.len(), 4, "whole chain reused");
-        assert_eq!(p2.fresh.len(), 0);
-        assert_eq!(p2.reused, p1.fresh, "same descriptors, same order");
+        assert_eq!(p2.reused, 4, "whole chain reused");
+        assert_eq!(p2.fresh, 0);
+        assert_eq!(
+            m.descriptors(p2.chain),
+            first,
+            "same descriptors, same order"
+        );
     }
 
     #[test]
@@ -401,12 +425,12 @@ mod tests {
         let p1 = m.plan(3, 4096).unwrap();
         m.release(p1.chain);
         let p2 = m.plan(5, 4096).unwrap();
-        assert_eq!(p2.reused.len(), 3);
-        assert_eq!(p2.fresh.len(), 2);
+        assert_eq!(p2.reused, 3);
+        assert_eq!(p2.fresh, 2);
         m.release(p2.chain);
         // The extended chain now serves 5 in full.
         let p3 = m.plan(5, 4096).unwrap();
-        assert_eq!(p3.reused.len(), 5);
+        assert_eq!(p3.reused, 5);
     }
 
     #[test]
@@ -415,8 +439,8 @@ mod tests {
         let p1 = m.plan(8, 4096).unwrap();
         m.release(p1.chain);
         let p2 = m.plan(2, 4096).unwrap();
-        assert_eq!(p2.reused.len(), 2, "reuses part of the whole chain (§5.3)");
-        assert_eq!(p2.fresh.len(), 0);
+        assert_eq!(p2.reused, 2, "reuses part of the whole chain (§5.3)");
+        assert_eq!(p2.fresh, 0);
     }
 
     #[test]
@@ -425,8 +449,8 @@ mod tests {
         let p1 = m.plan(4, 4096).unwrap();
         m.release(p1.chain);
         let p2 = m.plan(4, 65_536).unwrap();
-        assert_eq!(p2.reused.len(), 0, "4 KiB chain useless for 64 KiB pages");
-        assert_eq!(p2.fresh.len(), 4);
+        assert_eq!(p2.reused, 0, "4 KiB chain useless for 64 KiB pages");
+        assert_eq!(p2.fresh, 4);
     }
 
     #[test]
@@ -435,8 +459,8 @@ mod tests {
         let p1 = m.plan(4, 4096).unwrap();
         // p1 not released: in flight.
         let p2 = m.plan(4, 4096).unwrap();
-        assert_eq!(p2.reused.len(), 0);
-        assert_ne!(p1.fresh, p2.fresh);
+        assert_eq!(p2.reused, 0);
+        assert_ne!(m.descriptors(p1.chain), m.descriptors(p2.chain));
     }
 
     #[test]
@@ -448,7 +472,7 @@ mod tests {
         m.release(b.chain);
         // Pool empty; a is LRU and idle: must be evicted for a 64 KiB plan.
         let c = m.plan(4, 65_536).unwrap();
-        assert_eq!(c.fresh.len(), 4);
+        assert_eq!(c.fresh, 4);
         assert_eq!(m.known_chains(), 2, "chain a evicted");
     }
 
@@ -477,8 +501,8 @@ mod tests {
         let p1 = m.plan(4, 4096).unwrap();
         m.release(p1.chain);
         let p2 = m.plan_segments(&[4096; 4]).unwrap();
-        assert_eq!(p2.reused.len(), 4, "uniform list reuses the uniform chain");
-        assert_eq!(p2.fresh.len(), 0);
+        assert_eq!(p2.reused, 4, "uniform list reuses the uniform chain");
+        assert_eq!(p2.fresh, 0);
     }
 
     #[test]
@@ -486,18 +510,19 @@ mod tests {
         let mut m = ChainManager::new(32);
         let sizes = [8192u64, 4096, 16384];
         let p1 = m.plan_segments(&sizes).unwrap();
-        assert_eq!(p1.fresh.len(), 3);
+        assert_eq!(p1.fresh, 3);
+        let first = m.descriptors(p1.chain).to_vec();
         m.release(p1.chain);
         // Exact geometry match: whole chain reused.
         let p2 = m.plan_segments(&sizes).unwrap();
-        assert_eq!(p2.reused.len(), 3);
-        assert_eq!(p2.fresh.len(), 0);
-        assert_eq!(p2.reused, p1.fresh);
+        assert_eq!(p2.reused, 3);
+        assert_eq!(p2.fresh, 0);
+        assert_eq!(m.descriptors(p2.chain), first);
         m.release(p2.chain);
         // Different geometry: all fresh, even with the old chain idle.
         let p3 = m.plan_segments(&[4096, 8192, 16384]).unwrap();
-        assert_eq!(p3.reused.len(), 0);
-        assert_eq!(p3.fresh.len(), 3);
+        assert_eq!(p3.reused, 0);
+        assert_eq!(p3.fresh, 3);
     }
 
     #[test]
@@ -506,9 +531,9 @@ mod tests {
         let p1 = m.plan_segments(&[4096, 8192]).unwrap();
         m.release(p1.chain);
         let p2 = m.plan(2, 4096).unwrap();
-        assert_eq!(p2.reused.len(), 0, "mixed geometry is useless for pages");
+        assert_eq!(p2.reused, 0, "mixed geometry is useless for pages");
         let p3 = m.plan_segments(&[4096; 2]).unwrap();
-        assert_eq!(p3.reused.len(), 0, "uniform request skips mixed records");
+        assert_eq!(p3.reused, 0, "uniform request skips mixed records");
     }
 
     #[test]
@@ -533,7 +558,7 @@ mod tests {
         m.release(p1.chain);
         assert_eq!(m.known_chains(), 0, "no knowledge kept");
         let p2 = m.plan(4, 4096).unwrap();
-        assert_eq!(p2.reused.len(), 0);
-        assert_eq!(p2.fresh.len(), 4);
+        assert_eq!(p2.reused, 0);
+        assert_eq!(p2.fresh, 4);
     }
 }

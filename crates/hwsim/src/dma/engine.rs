@@ -56,29 +56,24 @@ pub struct ConfiguredTransfer {
     /// per-descriptor processing. This serialization is what keeps small-
     /// page DMA throughput below pin bandwidth.
     pub engine_overhead: SimDuration,
-    /// The segments, in descriptor order (consumed at completion to
-    /// perform the actual byte copies).
-    pub segments: Vec<SgSegment>,
 }
 
-impl ConfiguredTransfer {
-    /// How many leading segments an errored transfer fully moved before
-    /// the engine stopped: descriptors are walked in chain order, so a
-    /// mid-chain error at `bytes_done` leaves exactly the segments whose
-    /// cumulative byte count fits inside `bytes_done` at their
-    /// destinations. Batched issue uses this to attribute a failure to
-    /// individual requests instead of the whole chain.
-    #[must_use]
-    pub fn segments_done(&self, bytes_done: u64) -> usize {
-        let mut moved = 0u64;
-        for (i, seg) in self.segments.iter().enumerate() {
-            moved += seg.bytes;
-            if moved > bytes_done {
-                return i;
-            }
+/// How many leading segments of `segments` an errored transfer fully
+/// moved before the engine stopped: descriptors are walked in chain
+/// order, so a mid-chain error at `bytes_done` leaves exactly the
+/// segments whose cumulative byte count fits inside `bytes_done` at
+/// their destinations. Batched issue uses this to attribute a failure
+/// to individual requests instead of the whole chain.
+#[must_use]
+pub fn segments_done(segments: &[SgSegment], bytes_done: u64) -> usize {
+    let mut moved = 0u64;
+    for (i, seg) in segments.iter().enumerate() {
+        moved += seg.bytes;
+        if moved > bytes_done {
+            return i;
         }
-        self.segments.len()
     }
+    segments.len()
 }
 
 /// Counters of engine activity.
@@ -169,6 +164,8 @@ pub struct AbortedTransfer {
 pub struct DmaEngine {
     params: Vec<ParamSet>,
     chains: ChainManager,
+    /// Per-descriptor byte sizes of the list being configured, reused.
+    sizes: Vec<u64>,
     stats: DmaStats,
     in_flight: IdMap<u64, InFlight>,
     next_transfer: u64,
@@ -220,6 +217,7 @@ impl DmaEngine {
         DmaEngine {
             params: vec![ParamSet::default(); pool],
             chains: ChainManager::new(pool),
+            sizes: Vec::new(),
             stats: DmaStats::default(),
             in_flight: IdMap::default(),
             next_transfer: 0,
@@ -289,8 +287,11 @@ impl DmaEngine {
     /// Programs a scatter-gather transfer into the PaRAM.
     ///
     /// All segments must be the same size (memif dedicates one descriptor
-    /// per page). Returns the configured transfer, whose `config_cost`
-    /// the caller charges to the executing CPU context.
+    /// per page). The engine reads the segment list (a `Vec` or a slice)
+    /// and keeps none of it: the caller performs the byte copies at
+    /// completion from its own copy. Returns the configured transfer,
+    /// whose `config_cost` the caller charges to the executing CPU
+    /// context.
     ///
     /// # Errors
     ///
@@ -303,9 +304,10 @@ impl DmaEngine {
     ///   transient PaRAM exhaustion by other tenants.
     pub fn configure(
         &mut self,
-        segments: Vec<SgSegment>,
+        segments: impl AsRef<[SgSegment]>,
         cost: &CostModel,
     ) -> Result<ConfiguredTransfer, ChainError> {
+        let segments = segments.as_ref();
         let Some(first) = segments.first() else {
             return Err(ChainError::Empty);
         };
@@ -319,18 +321,7 @@ impl DmaEngine {
             }
         }
         let plan = self.chains.plan(segments.len(), per)?;
-        let config_cost = self.apply(&plan, &segments, cost);
-        let head = plan.descriptors().next().ok_or(ChainError::Empty)?;
-        let bytes = per * segments.len() as u64;
-        Ok(ConfiguredTransfer {
-            chain: plan.chain,
-            head,
-            descriptors: segments.len(),
-            bytes,
-            config_cost,
-            engine_overhead: cost.dma_trigger + cost.dma_per_desc_engine * segments.len() as u64,
-            segments,
-        })
+        Ok(self.program(plan, segments, per * segments.len() as u64, cost))
     }
 
     /// Programs a scatter-gather transfer whose segments may differ in
@@ -348,9 +339,10 @@ impl DmaEngine {
     /// are the point).
     pub fn configure_segments(
         &mut self,
-        segments: Vec<SgSegment>,
+        segments: impl AsRef<[SgSegment]>,
         cost: &CostModel,
     ) -> Result<ConfiguredTransfer, ChainError> {
+        let segments = segments.as_ref();
         if segments.is_empty() {
             return Err(ChainError::Empty);
         }
@@ -359,48 +351,51 @@ impl DmaEngine {
                 return Err(ChainError::AllBusy);
             }
         }
-        let sizes: Vec<u64> = segments.iter().map(|s| s.bytes).collect();
-        let plan = self.chains.plan_segments(&sizes)?;
-        let config_cost = self.apply(&plan, &segments, cost);
-        let head = plan.descriptors().next().ok_or(ChainError::Empty)?;
-        Ok(ConfiguredTransfer {
-            chain: plan.chain,
-            head,
-            descriptors: segments.len(),
-            bytes: sizes.iter().sum(),
-            config_cost,
-            engine_overhead: cost.dma_trigger + cost.dma_per_desc_engine * segments.len() as u64,
-            segments,
-        })
+        self.sizes.clear();
+        self.sizes.extend(segments.iter().map(|s| s.bytes));
+        let plan = self.chains.plan_segments(&self.sizes)?;
+        let bytes = self.sizes.iter().sum();
+        Ok(self.program(plan, segments, bytes, cost))
     }
 
-    fn apply(&mut self, plan: &ChainPlan, segments: &[SgSegment], cost: &CostModel) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        let descs: Vec<u16> = plan.descriptors().collect();
+    /// Writes `segments` into `plan`'s descriptors and describes the
+    /// resulting transfer of `bytes`.
+    fn program(
+        &mut self,
+        plan: ChainPlan,
+        segments: &[SgSegment],
+        bytes: u64,
+        cost: &CostModel,
+    ) -> ConfiguredTransfer {
+        let descs = self.chains.descriptors(plan.chain);
+        let mut config_cost = SimDuration::ZERO;
         for (i, (&idx, seg)) in descs.iter().zip(segments).enumerate() {
-            let link = if i + 1 < descs.len() {
-                descs[i + 1]
-            } else {
-                NULL_LINK
-            };
+            let link = descs.get(i + 1).copied().unwrap_or(NULL_LINK);
             let slot = &mut self.params[idx as usize];
-            if i < plan.reused.len() && slot.total_bytes() == seg.bytes && slot.link == link {
+            if i < plan.reused && slot.total_bytes() == seg.bytes && slot.link == link {
                 // Reused descriptor: geometry and link already correct —
                 // "only needs to overwrite the source and destination
                 // fields" (§5.3).
                 slot.src = seg.src;
                 slot.dst = seg.dst;
-                total += cost.desc_config_reuse();
+                config_cost += cost.desc_config_reuse();
                 self.stats.reuse_configs += 1;
             } else {
                 let mut fresh = ParamSet::contiguous(seg.src, seg.dst, seg.bytes);
                 fresh.link = link;
                 *slot = fresh;
-                total += cost.desc_config_full();
+                config_cost += cost.desc_config_full();
                 self.stats.full_configs += 1;
             }
         }
-        total
+        ConfiguredTransfer {
+            chain: plan.chain,
+            head: descs[0],
+            descriptors: segments.len(),
+            bytes,
+            config_cost,
+            engine_overhead: cost.dma_trigger + cost.dma_per_desc_engine * segments.len() as u64,
+        }
     }
 
     /// Launches a configured transfer: rolls its fate against the
@@ -528,7 +523,7 @@ impl DmaEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::{FlowSystem, ResourceId};
+    use crate::flow::{FlowSystem, ResourceId, Route};
     use crate::phys::PhysMem;
     use crate::sim::{EventWorld, Sim};
     use crate::time::SimTime;
@@ -545,12 +540,16 @@ mod tests {
     fn configure_costs_match_reuse_state() {
         let cm = CostModel::keystone_ii();
         let mut e = DmaEngine::with_pool(32);
-        let t1 = e.configure((0..4).map(seg).collect(), &cm).unwrap();
+        let t1 = e
+            .configure((0..4).map(seg).collect::<Vec<_>>(), &cm)
+            .unwrap();
         assert_eq!(t1.config_cost, cm.desc_config_full() * 4);
         assert_eq!(t1.descriptors, 4);
         assert_eq!(t1.bytes, 4 * 4096);
         e.finish_for_test(t1.chain);
-        let t2 = e.configure((4..8).map(seg).collect(), &cm).unwrap();
+        let t2 = e
+            .configure((4..8).map(seg).collect::<Vec<_>>(), &cm)
+            .unwrap();
         assert_eq!(
             t2.config_cost,
             cm.desc_config_reuse() * 4,
@@ -564,7 +563,9 @@ mod tests {
     fn descriptors_are_linked_in_order() {
         let cm = CostModel::keystone_ii();
         let mut e = DmaEngine::with_pool(8);
-        let t = e.configure((0..3).map(seg).collect(), &cm).unwrap();
+        let t = e
+            .configure((0..3).map(seg).collect::<Vec<_>>(), &cm)
+            .unwrap();
         let descs: Vec<u16> = {
             // Walk the chain from head via link fields.
             let mut v = vec![t.head];
@@ -659,7 +660,7 @@ mod tests {
     fn launch(
         w: &mut World,
         sim: &mut Sim<World>,
-        route: &[ResourceId],
+        resource: ResourceId,
         t: &ConfiguredTransfer,
         demand: f64,
     ) -> TransferId {
@@ -671,9 +672,13 @@ mod tests {
             }
             CompletionDelivery::Dropped => Ev::IrqLost,
         };
-        let flow = w
-            .flows
-            .start_flow(sim, route, ticket.flow_bytes, demand, payload);
+        let flow = w.flows.start_flow(
+            sim,
+            Route::new(resource),
+            ticket.flow_bytes,
+            demand,
+            payload,
+        );
         w.dma.attach_flow(ticket.id, flow);
         ticket.id
     }
@@ -686,9 +691,9 @@ mod tests {
         let ddr = w.flows.add_resource("ddr", 6.2);
         w.phys.fill(seg(0).src, 4096, 0x77);
 
-        let t = w.dma.configure(vec![seg(0)], &cm).unwrap();
-        w.copies = t.segments.clone();
-        launch(&mut w, &mut sim, &[ddr], &t, 5.8);
+        w.copies = vec![seg(0)];
+        let t = w.dma.configure(&w.copies, &cm).unwrap();
+        launch(&mut w, &mut sim, ddr, &t, 5.8);
         sim.run(&mut w);
         assert!(w.done_at.is_some());
         assert_eq!(
@@ -709,10 +714,13 @@ mod tests {
         let mut sim: Sim<World> = Sim::new();
         let mut w = world(16);
         let ddr = w.flows.add_resource("ddr", 8.0);
-        let t = w.dma.configure((0..4).map(seg).collect(), &cm).unwrap();
+        let t = w
+            .dma
+            .configure((0..4).map(seg).collect::<Vec<_>>(), &cm)
+            .unwrap();
         let expected_overhead = cm.dma_trigger + cm.dma_per_desc_engine * 4;
         assert_eq!(t.engine_overhead, expected_overhead);
-        launch(&mut w, &mut sim, &[ddr], &t, 4.0);
+        launch(&mut w, &mut sim, ddr, &t, 4.0);
         sim.run(&mut w);
         // 16384 bytes at 4 GB/s = 4096 ns, plus overhead-equivalent bytes.
         let done = w.done_at.unwrap();
@@ -732,7 +740,7 @@ mod tests {
         let mut w = world(16);
         let ddr = w.flows.add_resource("ddr", 1.0);
         let t = w.dma.configure(vec![seg(0)], &cm).unwrap();
-        let id = launch(&mut w, &mut sim, &[ddr], &t, 1.0);
+        let id = launch(&mut w, &mut sim, ddr, &t, 1.0);
         sim.schedule_at(SimTime::from_ns(10), Ev::Abort(id));
         sim.run(&mut w);
         assert!(w.done_at.is_none(), "completion event never dispatched");
@@ -754,7 +762,7 @@ mod tests {
         let mut w = world(16);
         let ddr = w.flows.add_resource("ddr", 6.2);
         let t = w.dma.configure(vec![seg(0)], &cm).unwrap();
-        let id = launch(&mut w, &mut sim, &[ddr], &t, 4.0);
+        let id = launch(&mut w, &mut sim, ddr, &t, 4.0);
         // Reclaim while the flow is still running, but leave the flow (and
         // therefore the pending completion event) in place.
         sim.schedule_at(SimTime::from_ns(10), Ev::AbortKeepFlow(id));
@@ -773,13 +781,16 @@ mod tests {
     fn malformed_sg_lists_are_errors_not_panics() {
         let cm = CostModel::keystone_ii();
         let mut e = DmaEngine::with_pool(8);
-        assert_eq!(e.configure(Vec::new(), &cm), Err(ChainError::Empty));
+        assert_eq!(
+            e.configure(Vec::<SgSegment>::new(), &cm),
+            Err(ChainError::Empty)
+        );
         let mut segs: Vec<SgSegment> = (0..2).map(seg).collect();
         segs[1].bytes = 8192;
         assert_eq!(e.configure(segs, &cm), Err(ChainError::MixedSizes));
         // An oversized list propagates the pool error rather than
         // asserting.
-        let r = e.configure((0..9).map(seg).collect(), &cm);
+        let r = e.configure((0..9).map(seg).collect::<Vec<_>>(), &cm);
         assert!(matches!(
             r,
             Err(ChainError::TooLarge {
@@ -801,8 +812,11 @@ mod tests {
         let ddr = w.flows.add_resource("ddr", 6.2);
         w.dma
             .install_injector(FaultInjector::new(FaultPlan::dma_errors(9, 1.0)));
-        let t = w.dma.configure((0..4).map(seg).collect(), &cm).unwrap();
-        launch(&mut w, &mut sim, &[ddr], &t, 4.0);
+        let t = w
+            .dma
+            .configure((0..4).map(seg).collect::<Vec<_>>(), &cm)
+            .unwrap();
+        launch(&mut w, &mut sim, ddr, &t, 4.0);
         sim.run(&mut w);
         assert!(w.done_at.is_some(), "error interrupt was delivered");
         assert_eq!(w.dma.stats().errors, 1);
@@ -826,7 +840,7 @@ mod tests {
             ..FaultPlan::default()
         }));
         let t = w.dma.configure(vec![seg(0)], &cm).unwrap();
-        let id = launch(&mut w, &mut sim, &[ddr], &t, 4.0);
+        let id = launch(&mut w, &mut sim, ddr, &t, 4.0);
         sim.run(&mut w);
         assert!(w.done_at.is_none(), "completion interrupt was dropped");
         assert_eq!(w.dma.chains().busy_descriptors(), 1, "chain still held");
@@ -847,7 +861,7 @@ mod tests {
             let mut w = world(16);
             let ddr = w.flows.add_resource("ddr", 6.2);
             let t = w.dma.configure(vec![seg(0)], &cm).unwrap();
-            launch(&mut w, &mut sim, &[ddr], &t, 4.0);
+            launch(&mut w, &mut sim, ddr, &t, 4.0);
             sim.run(&mut w);
             w.done_at.unwrap()
         };
@@ -862,7 +876,7 @@ mod tests {
             ..FaultPlan::default()
         }));
         let t = w.dma.configure(vec![seg(0)], &cm).unwrap();
-        launch(&mut w, &mut sim, &[ddr], &t, 4.0);
+        launch(&mut w, &mut sim, ddr, &t, 4.0);
         sim.run(&mut w);
         let delayed = w.done_at.expect("delayed interrupt still arrives");
         assert!(
@@ -914,7 +928,7 @@ mod tests {
                 bytes: 2 * 4096,
             },
         ];
-        let t = e.configure_segments(segs.clone(), &cm).unwrap();
+        let t = e.configure_segments(&segs, &cm).unwrap();
         assert_eq!(t.descriptors, 3, "one descriptor per merged segment");
         assert_eq!(t.bytes, 7 * 4096);
         assert_eq!(t.config_cost, cm.desc_config_full() * 3);
@@ -933,13 +947,15 @@ mod tests {
         let cm = CostModel::keystone_ii();
         let mut a = DmaEngine::with_pool(32);
         let mut b = DmaEngine::with_pool(32);
-        let ta = a.configure((0..4).map(seg).collect(), &cm).unwrap();
+        let ta = a
+            .configure((0..4).map(seg).collect::<Vec<_>>(), &cm)
+            .unwrap();
         let tb = b
-            .configure_segments((0..4).map(seg).collect(), &cm)
+            .configure_segments((0..4).map(seg).collect::<Vec<_>>(), &cm)
             .unwrap();
         assert_eq!(ta, tb, "uniform lists take the identical path");
         assert_eq!(
-            b.configure_segments(Vec::new(), &cm),
+            b.configure_segments(Vec::<SgSegment>::new(), &cm),
             Err(ChainError::Empty)
         );
     }
@@ -948,13 +964,19 @@ mod tests {
     fn segments_done_attributes_partial_errors() {
         let cm = CostModel::keystone_ii();
         let mut e = DmaEngine::with_pool(32);
-        let t = e.configure((0..4).map(seg).collect(), &cm).unwrap();
-        assert_eq!(t.segments_done(0), 0);
-        assert_eq!(t.segments_done(4095), 0, "partial segment doesn't count");
-        assert_eq!(t.segments_done(4096), 1);
-        assert_eq!(t.segments_done(3 * 4096 + 1), 3);
-        assert_eq!(t.segments_done(4 * 4096), 4);
-        assert_eq!(t.segments_done(u64::MAX), 4);
+        let segs: Vec<SgSegment> = (0..4).map(seg).collect();
+        let t = e.configure(&segs, &cm).unwrap();
+        assert_eq!(t.descriptors, segs.len());
+        assert_eq!(segments_done(&segs, 0), 0);
+        assert_eq!(
+            segments_done(&segs, 4095),
+            0,
+            "partial segment doesn't count"
+        );
+        assert_eq!(segments_done(&segs, 4096), 1);
+        assert_eq!(segments_done(&segs, 3 * 4096 + 1), 3);
+        assert_eq!(segments_done(&segs, 4 * 4096), 4);
+        assert_eq!(segments_done(&segs, u64::MAX), 4);
     }
 
     impl DmaEngine {

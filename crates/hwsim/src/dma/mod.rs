@@ -7,8 +7,8 @@ mod tc;
 
 pub use chain::{ChainError, ChainId, ChainManager, ChainPlan};
 pub use engine::{
-    AbortedTransfer, CompletionDelivery, ConfiguredTransfer, DmaEngine, DmaOutcome, DmaStats,
-    LaunchTicket, SgSegment, TransferId,
+    segments_done, AbortedTransfer, CompletionDelivery, ConfiguredTransfer, DmaEngine, DmaOutcome,
+    DmaStats, LaunchTicket, SgSegment, TransferId,
 };
 pub use param::{ParamSet, NULL_LINK, NUM_PARAM_SETS, PARAM_FIELDS};
 pub use tc::TcScheduler;

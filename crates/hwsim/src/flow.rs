@@ -11,9 +11,9 @@
 //!
 //! [`FlowNet`] is the pure fluid model; [`FlowSystem`] couples it to the
 //! DES, rescheduling the single completion timer whenever the contention
-//! picture changes.
-
-use std::collections::BTreeMap;
+//! picture changes. A flow's resources are a [`Route`] held inline, and
+//! the network keeps its per-resource rate scratch, so starting,
+//! finishing and re-rating flows allocates nothing once warm.
 
 use crate::hash::IdMap;
 use crate::sim::{EventId, EventWorld, Sim};
@@ -36,6 +36,50 @@ impl ResourceId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowId(u64);
 
+/// Most resources one flow crosses. A DMA route is the longest: a
+/// transfer-controller pipe, the source bus, and the destination bus or
+/// its write pipe.
+pub const MAX_HOPS: usize = 3;
+
+/// The resources a flow crosses, held inline (at most [`MAX_HOPS`]).
+/// Dereferences to a slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Route {
+    hops: [ResourceId; MAX_HOPS],
+    len: u8,
+}
+
+impl Route {
+    /// A route of one resource.
+    #[must_use]
+    pub fn new(first: ResourceId) -> Self {
+        Route {
+            hops: [first; MAX_HOPS],
+            len: 1,
+        }
+    }
+
+    /// Appends a hop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the route already has [`MAX_HOPS`] hops.
+    pub fn push(&mut self, r: ResourceId) {
+        let at = usize::from(self.len);
+        assert!(at < MAX_HOPS, "a route has at most {MAX_HOPS} hops");
+        self.hops[at] = r;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Route {
+    type Target = [ResourceId];
+
+    fn deref(&self) -> &[ResourceId] {
+        &self.hops[..usize::from(self.len)]
+    }
+}
+
 /// Bytes below which a flow counts as finished (absorbs the ±1 ns
 /// rounding of completion times).
 const EPSILON_BYTES: f64 = 0.5;
@@ -48,7 +92,8 @@ struct Resource {
 
 #[derive(Debug)]
 struct Flow {
-    resources: Vec<ResourceId>,
+    id: u64,
+    resources: Route,
     remaining_bytes: f64,
     /// Current progress rate in bytes/ns (== GB/s numerically).
     rate: f64,
@@ -60,23 +105,27 @@ struct Flow {
 /// # Examples
 ///
 /// ```
-/// use memif_hwsim::{FlowNet, SimTime};
+/// use memif_hwsim::{FlowNet, Route, SimTime};
 ///
 /// let mut net = FlowNet::new();
 /// let bus = net.add_resource("ddr", 2.0); // 2 GB/s
-/// net.start(SimTime::ZERO, &[bus], 2_000, 100.0);
-/// net.start(SimTime::ZERO, &[bus], 2_000, 100.0);
+/// net.start(SimTime::ZERO, Route::new(bus), 2_000, 100.0);
+/// net.start(SimTime::ZERO, Route::new(bus), 2_000, 100.0);
 /// // Two equal flows share the bus: each finishes after 2000 ns.
 /// assert_eq!(net.next_completion(SimTime::ZERO), Some(SimTime::from_ns(2_000)));
 /// ```
 #[derive(Debug, Default)]
 pub struct FlowNet {
     resources: Vec<Resource>,
-    flows: BTreeMap<u64, Flow>,
+    /// Active flows in creation order (ascending id): every pass over
+    /// them — progress, re-rating, finishing — runs in that order.
+    flows: Vec<Flow>,
     next_flow: u64,
     last_advance: SimTime,
     /// Total bytes ever delivered, per resource (utilization accounting).
     delivered: Vec<f64>,
+    /// Active flows per resource, rebuilt by every re-rating.
+    sharing: Vec<usize>,
 }
 
 impl FlowNet {
@@ -133,32 +182,29 @@ impl FlowNet {
     ///
     /// # Panics
     ///
-    /// Panics on an empty resource list, a non-positive demand, or a
-    /// resource id from another network.
+    /// Panics on a non-positive demand or a resource id from another
+    /// network.
     pub fn start(
         &mut self,
         now: SimTime,
-        resources: &[ResourceId],
+        resources: Route,
         bytes: u64,
         demand_gbps: f64,
     ) -> FlowId {
-        assert!(!resources.is_empty(), "flow needs at least one resource");
         assert!(demand_gbps > 0.0, "flow demand must be positive");
-        for r in resources {
+        for r in resources.iter() {
             assert!(r.0 < self.resources.len(), "unknown resource");
         }
         self.advance(now);
         let id = self.next_flow;
         self.next_flow += 1;
-        self.flows.insert(
+        self.flows.push(Flow {
             id,
-            Flow {
-                resources: resources.to_vec(),
-                remaining_bytes: bytes as f64,
-                rate: 0.0,
-                demand_gbps,
-            },
-        );
+            resources,
+            remaining_bytes: bytes as f64,
+            rate: 0.0,
+            demand_gbps,
+        });
         self.recompute_rates();
         FlowId(id)
     }
@@ -168,7 +214,8 @@ impl FlowNet {
     /// flow no longer exists.
     pub fn cancel(&mut self, now: SimTime, id: FlowId) -> Option<u64> {
         self.advance(now);
-        let flow = self.flows.remove(&id.0)?;
+        let at = self.flows.binary_search_by_key(&id.0, |f| f.id).ok()?;
+        let flow = self.flows.remove(at);
         self.recompute_rates();
         Some(flow.remaining_bytes.max(0.0).round() as u64)
     }
@@ -203,13 +250,11 @@ impl FlowNet {
         finished.extend(
             self.flows
                 .iter()
-                .filter(|(_, f)| f.remaining_bytes <= EPSILON_BYTES)
-                .map(|(id, _)| FlowId(*id)),
+                .filter(|f| f.remaining_bytes <= EPSILON_BYTES)
+                .map(|f| FlowId(f.id)),
         );
-        for id in &finished[from..] {
-            self.flows.remove(&id.0);
-        }
         if finished.len() > from {
+            self.flows.retain(|f| f.remaining_bytes > EPSILON_BYTES);
             self.recompute_rates();
         }
     }
@@ -219,7 +264,7 @@ impl FlowNet {
     #[must_use]
     pub fn next_completion(&self, now: SimTime) -> Option<SimTime> {
         self.flows
-            .values()
+            .iter()
             .map(|f| {
                 if f.remaining_bytes <= EPSILON_BYTES {
                     0
@@ -245,27 +290,29 @@ impl FlowNet {
         if dt <= 0.0 {
             return;
         }
-        for flow in self.flows.values_mut() {
+        for flow in &mut self.flows {
             let moved = (flow.rate * dt).min(flow.remaining_bytes);
             flow.remaining_bytes -= moved;
-            for r in &flow.resources {
+            for r in flow.resources.iter() {
                 self.delivered[r.0] += moved;
             }
         }
     }
 
     fn recompute_rates(&mut self) {
-        let mut active_per_resource = vec![0usize; self.resources.len()];
-        for flow in self.flows.values() {
-            for r in &flow.resources {
-                active_per_resource[r.0] += 1;
+        let sharing = &mut self.sharing;
+        sharing.clear();
+        sharing.resize(self.resources.len(), 0);
+        for flow in &self.flows {
+            for r in flow.resources.iter() {
+                sharing[r.0] += 1;
             }
         }
-        for flow in self.flows.values_mut() {
+        for flow in &mut self.flows {
             let share = flow
                 .resources
                 .iter()
-                .map(|r| self.resources[r.0].capacity_gbps / active_per_resource[r.0] as f64)
+                .map(|r| self.resources[r.0].capacity_gbps / sharing[r.0] as f64)
                 .fold(f64::INFINITY, f64::min);
             flow.rate = share.min(flow.demand_gbps);
         }
@@ -339,7 +386,7 @@ impl<W: EventWorld> FlowSystem<W> {
     pub fn start_flow(
         &mut self,
         sim: &mut Sim<W>,
-        resources: &[ResourceId],
+        resources: Route,
         bytes: u64,
         demand_gbps: f64,
         on_complete: W::Event,
@@ -426,7 +473,7 @@ mod tests {
         let mut net = FlowNet::new();
         let ddr = net.add_resource("ddr", 2.0);
         let t0 = SimTime::ZERO;
-        net.start(t0, &[ddr], 2_000, 100.0); // capped by resource
+        net.start(t0, Route::new(ddr), 2_000, 100.0); // capped by resource
         let eta = net.next_completion(t0).unwrap();
         assert_eq!(eta.as_ns(), 1_000);
         let done = net.take_finished(eta);
@@ -438,7 +485,7 @@ mod tests {
     fn demand_caps_below_capacity() {
         let mut net = FlowNet::new();
         let ddr = net.add_resource("ddr", 6.2);
-        net.start(SimTime::ZERO, &[ddr], 1_000, 1.0); // 1 GB/s demand
+        net.start(SimTime::ZERO, Route::new(ddr), 1_000, 1.0); // 1 GB/s demand
         let eta = net.next_completion(SimTime::ZERO).unwrap();
         assert_eq!(eta.as_ns(), 1_000);
     }
@@ -447,8 +494,8 @@ mod tests {
     fn two_flows_share_equally() {
         let mut net = FlowNet::new();
         let ddr = net.add_resource("ddr", 4.0);
-        net.start(SimTime::ZERO, &[ddr], 4_000, 100.0);
-        net.start(SimTime::ZERO, &[ddr], 4_000, 100.0);
+        net.start(SimTime::ZERO, Route::new(ddr), 4_000, 100.0);
+        net.start(SimTime::ZERO, Route::new(ddr), 4_000, 100.0);
         // Each runs at 2 GB/s => 2000 ns.
         let eta = net.next_completion(SimTime::ZERO).unwrap();
         assert_eq!(eta.as_ns(), 2_000);
@@ -459,8 +506,8 @@ mod tests {
     fn departure_speeds_up_survivor() {
         let mut net = FlowNet::new();
         let ddr = net.add_resource("ddr", 4.0);
-        net.start(SimTime::ZERO, &[ddr], 2_000, 100.0); // finishes first
-        net.start(SimTime::ZERO, &[ddr], 4_000, 100.0);
+        net.start(SimTime::ZERO, Route::new(ddr), 2_000, 100.0); // finishes first
+        net.start(SimTime::ZERO, Route::new(ddr), 4_000, 100.0);
         let t1 = net.next_completion(SimTime::ZERO).unwrap();
         assert_eq!(t1.as_ns(), 1_000); // 2000 bytes at 2 GB/s
         assert_eq!(net.take_finished(t1).len(), 1);
@@ -475,7 +522,10 @@ mod tests {
         let slow = net.add_resource("ddr", 6.0);
         let fast = net.add_resource("sram", 24.0);
         let engine = net.add_resource("edma", 5.0);
-        net.start(SimTime::ZERO, &[slow, fast, engine], 5_000, 100.0);
+        let mut route = Route::new(slow);
+        route.push(fast);
+        route.push(engine);
+        net.start(SimTime::ZERO, route, 5_000, 100.0);
         let eta = net.next_completion(SimTime::ZERO).unwrap();
         assert_eq!(eta.as_ns(), 1_000, "bottlenecked by the 5 GB/s engine");
     }
@@ -484,7 +534,7 @@ mod tests {
     fn cancel_returns_unmoved_bytes() {
         let mut net = FlowNet::new();
         let ddr = net.add_resource("ddr", 1.0);
-        let id = net.start(SimTime::ZERO, &[ddr], 1_000, 100.0);
+        let id = net.start(SimTime::ZERO, Route::new(ddr), 1_000, 100.0);
         let left = net.cancel(SimTime::from_ns(400), id).unwrap();
         assert_eq!(left, 600);
         assert!(net.next_completion(SimTime::from_ns(400)).is_none());
@@ -496,7 +546,7 @@ mod tests {
         let mut net = FlowNet::new();
         let ddr = net.add_resource("ddr", 2.0);
         assert_eq!(net.capacity(ddr), 2.0);
-        net.start(SimTime::ZERO, &[ddr], 4_000, 100.0);
+        net.start(SimTime::ZERO, Route::new(ddr), 4_000, 100.0);
         // Halve the capacity after 1000 ns (2000 bytes done).
         net.set_capacity(SimTime::from_ns(1_000), ddr, 1.0);
         assert_eq!(net.capacity(ddr), 1.0);
@@ -531,7 +581,7 @@ mod tests {
                     self.completions.push((tag, sim.now().as_ns()));
                     let ddr = self.chain_resource.expect("chain resource set");
                     self.flows
-                        .start_flow(sim, &[ddr], 500, 100.0, Ev::Done(tag + 1));
+                        .start_flow(sim, Route::new(ddr), 500, 100.0, Ev::Done(tag + 1));
                 }
                 Ev::Cancel(id) => {
                     let left = self.flows.cancel_flow(sim, id);
@@ -556,9 +606,9 @@ mod tests {
         let mut w = world();
         let ddr = w.flows.add_resource("ddr", 2.0);
         w.flows
-            .start_flow(&mut sim, &[ddr], 2_000, 100.0, Ev::Done(1));
+            .start_flow(&mut sim, Route::new(ddr), 2_000, 100.0, Ev::Done(1));
         w.flows
-            .start_flow(&mut sim, &[ddr], 4_000, 100.0, Ev::Done(2));
+            .start_flow(&mut sim, Route::new(ddr), 4_000, 100.0, Ev::Done(2));
         sim.run(&mut w);
         // Flow 1: shares 1 GB/s until t=2000 (2000 bytes done).
         // Flow 2: 2000 bytes left at t=2000, then 2 GB/s => t=3000.
@@ -572,7 +622,7 @@ mod tests {
         let ddr = w.flows.add_resource("ddr", 1.0);
         let id = w
             .flows
-            .start_flow(&mut sim, &[ddr], 1_000, 100.0, Ev::Done(9));
+            .start_flow(&mut sim, Route::new(ddr), 1_000, 100.0, Ev::Done(9));
         sim.schedule_at(SimTime::from_ns(100), Ev::Cancel(id));
         sim.run(&mut w);
         assert!(w.completions.is_empty());
@@ -584,7 +634,7 @@ mod tests {
         let mut w = world();
         let ddr = w.flows.add_resource("ddr", 2.0);
         w.flows
-            .start_flow(&mut sim, &[ddr], 4_000, 100.0, Ev::Done(1));
+            .start_flow(&mut sim, Route::new(ddr), 4_000, 100.0, Ev::Done(1));
         // Brownout at t=1000 (half speed), recovery at t=2000.
         sim.schedule_at(SimTime::from_ns(1_000), Ev::SetCapacity(ddr, 1.0));
         sim.schedule_at(SimTime::from_ns(2_000), Ev::SetCapacity(ddr, 2.0));
@@ -600,7 +650,7 @@ mod tests {
         let ddr = w.flows.add_resource("ddr", 1.0);
         w.chain_resource = Some(ddr);
         w.flows
-            .start_flow(&mut sim, &[ddr], 500, 100.0, Ev::DoneThenStart(1));
+            .start_flow(&mut sim, Route::new(ddr), 500, 100.0, Ev::DoneThenStart(1));
         sim.run(&mut w);
         assert_eq!(w.completions, vec![(1, 500), (2, 1_000)]);
     }

@@ -44,7 +44,7 @@ pub use dma::{CompletionDelivery, DmaOutcome, LaunchTicket, TcScheduler, Transfe
 pub use fault::{
     Brownout, CrashPlan, CrashPoint, FaultInjector, FaultPlan, FaultStats, TransferFault,
 };
-pub use flow::{FlowId, FlowNet, FlowSystem, ResourceId};
+pub use flow::{FlowId, FlowNet, FlowSystem, ResourceId, Route};
 pub use meter::{Context, Measurement, Phase, PhaseBreakdown, UsageMeter};
 pub use phys::{PhysAddr, PhysMem};
 pub use sim::{EventId, EventWorld, Sim};

@@ -3,7 +3,7 @@
 //! descriptor accounting.
 
 use memif_hwsim::dma::ChainManager;
-use memif_hwsim::{EventWorld, FlowNet, Sim, SimTime};
+use memif_hwsim::{EventWorld, FlowNet, Route, Sim, SimTime};
 use proptest::prelude::*;
 
 proptest! {
@@ -85,7 +85,7 @@ proptest! {
         let mut expected_total = 0f64;
         // Stagger the starts.
         for (i, &(bytes, gap)) in flows.iter().enumerate() {
-            net.start(now, &[r], bytes, 100.0);
+            net.start(now, Route::new(r), bytes, 100.0);
             expected_total += bytes as f64;
             now += memif_hwsim::SimDuration::from_ns(u64::from(gap) * 100);
             let _ = i;
@@ -137,7 +137,8 @@ proptest! {
             }
             match m.plan(n, per) {
                 Ok(plan) => {
-                    let descs: Vec<u16> = plan.descriptors().collect();
+                    prop_assert_eq!(plan.len(), n);
+                    let descs = m.descriptors(plan.chain).to_vec();
                     prop_assert_eq!(descs.len(), n);
                     // No overlap with any concurrently busy chain.
                     for (_, other) in &busy {

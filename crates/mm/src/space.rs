@@ -20,7 +20,12 @@
 //! maps an address to its VMA's index in two loads. An entry names
 //! either the one VMA covering the whole chunk or, for a chunk shared by
 //! several VMAs or partly unmapped, one VMA index per 4 KiB granule.
-//! `munmap` is rare and rebuilds the directory.
+//! Each entry also carries its region's page size in its top bits, so
+//! "one region covers this range at page size P" is answered from the
+//! directory alone ([`AddressSpace::covering_page_size`]): a region is
+//! one contiguous interval, so it covers a range exactly when the
+//! range's first and last granules hold its entry. `munmap` is rare and
+//! rebuilds the directory.
 
 use memif_hwsim::{NodeId, PhysAddr, PhysMem};
 
@@ -194,8 +199,28 @@ const SPACE_BASE: u64 = 1 << 30;
 const CHUNK_SHIFT: u32 = 21;
 /// 4 KiB granules per directory chunk.
 const GRANULES: usize = 512;
-/// A directory slot no VMA covers: no `Vec` index reaches it.
+/// A directory slot no VMA covers: no entry [`dir_entry`] builds
+/// reaches it.
 const NO_VMA: u32 = u32::MAX;
+/// A directory entry holds its region's page size (the index into
+/// [`PageSize::ALL`], at most 2) above this bit and the region's index
+/// into `vmas` below it.
+const SIZE_SHIFT: u32 = 30;
+/// The region-index bits of a directory entry.
+const INDEX_MASK: u32 = (1 << SIZE_SHIFT) - 1;
+
+/// The directory entry of region `k` with pages of `size`.
+fn dir_entry(k: usize, size: PageSize) -> u32 {
+    let k = u32::try_from(k)
+        .ok()
+        .filter(|&k| k <= INDEX_MASK)
+        .expect("a space holds fewer than 2^30 regions");
+    let code = PageSize::ALL
+        .iter()
+        .position(|&p| p == size)
+        .expect("every size is listed") as u32;
+    code << SIZE_SHIFT | k
+}
 
 /// One 2 MiB chunk of the VMA directory.
 #[derive(Debug, Clone)]
@@ -368,20 +393,20 @@ impl AddressSpace {
     /// Points every directory slot `vmas[k]` covers at `k`.
     fn index_vma(&mut self, k: usize) {
         let vma = &self.vmas[k];
+        let entry = dir_entry(k, vma.page_size);
         let start = vma.start.as_u64() - SPACE_BASE;
         let end = vma.end().as_u64() - SPACE_BASE;
         let chunks = ((end - 1) >> CHUNK_SHIFT) as usize + 1;
         if self.dir.len() < chunks {
             self.dir.resize(chunks, Chunk::Whole(NO_VMA));
         }
-        let k = k as u32;
         let mut at = start;
         while at < end {
             let c = (at >> CHUNK_SHIFT) as usize;
             let chunk_end = (c as u64 + 1) << CHUNK_SHIFT;
             let stop = end.min(chunk_end);
             if stop - at == 1 << CHUNK_SHIFT {
-                self.dir[c] = Chunk::Whole(k);
+                self.dir[c] = Chunk::Whole(entry);
             } else {
                 if let Chunk::Whole(w) = self.dir[c] {
                     debug_assert_eq!(w, NO_VMA, "regions never overlap");
@@ -391,7 +416,7 @@ impl AddressSpace {
                     unreachable!("converted above")
                 };
                 let lo = (at >> 12) as usize % GRANULES;
-                granules[lo..lo + ((stop - at) >> 12) as usize].fill(k);
+                granules[lo..lo + ((stop - at) >> 12) as usize].fill(entry);
             }
             at = stop;
         }
@@ -531,18 +556,46 @@ impl AddressSpace {
 
     /// Index into `vmas` of the region containing `vaddr`.
     fn vma_index(&self, vaddr: VirtAddr) -> Option<usize> {
-        let off = vaddr.as_u64().checked_sub(SPACE_BASE)?;
-        let k = match self.dir.get((off >> CHUNK_SHIFT) as usize)? {
-            Chunk::Whole(k) => *k,
+        self.dir_entry_at(vaddr.as_u64())
+            .map(|e| (e & INDEX_MASK) as usize)
+    }
+
+    /// The directory entry of the granule holding `addr`, if a region
+    /// covers it.
+    fn dir_entry_at(&self, addr: u64) -> Option<u32> {
+        let off = addr.checked_sub(SPACE_BASE)?;
+        let e = match self.dir.get((off >> CHUNK_SHIFT) as usize)? {
+            Chunk::Whole(e) => *e,
             Chunk::Split(granules) => granules[(off >> 12) as usize % GRANULES],
         };
-        (k != NO_VMA).then_some(k as usize)
+        (e != NO_VMA).then_some(e)
+    }
+
+    /// The directory entry of the one region covering the whole byte
+    /// range `[start, start + len)`, if one does: the entry its first
+    /// and last granules share. An empty range is covered by the region
+    /// holding `start`.
+    fn covering_entry(&self, start: VirtAddr, len: u64) -> Option<u32> {
+        let first = self.dir_entry_at(start.as_u64())?;
+        let last = start.as_u64().checked_add(len.max(1) - 1)?;
+        (self.dir_entry_at(last)? == first).then_some(first)
     }
 
     /// The VMA covering the whole byte range, if one does.
     #[must_use]
     pub fn vma_covering(&self, start: VirtAddr, len: u64) -> Option<&Vma> {
-        self.vma_at(start).filter(|v| v.covers(start, len))
+        self.covering_entry(start, len)
+            .map(|e| &self.vmas[(e & INDEX_MASK) as usize])
+    }
+
+    /// The page size of the region covering the whole byte range
+    /// `[start, start + len)`, if one region does. Answered from the
+    /// directory alone, without reading the [`Vma`] record: the request
+    /// path validates every move with it.
+    #[must_use]
+    pub fn covering_page_size(&self, start: VirtAddr, len: u64) -> Option<PageSize> {
+        self.covering_entry(start, len)
+            .map(|e| PageSize::ALL[(e >> SIZE_SHIFT) as usize])
     }
 
     /// All regions, in address order.

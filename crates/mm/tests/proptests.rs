@@ -1170,10 +1170,13 @@ fn vma_op() -> impl Strategy<Value = VmaOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `vma_at` agrees with a linear scan over the live regions under
-    /// random 4 KiB / 64 KiB / 2 MiB mappings (eager and lazy, many
-    /// straddling 2 MiB chunks) and unmaps, probed at every region's
-    /// edges, below 1 GiB and past the last region.
+    /// `vma_at`, and the directory-only range queries `vma_covering`
+    /// and `covering_page_size`, agree with a linear scan over the live
+    /// regions under random 4 KiB / 64 KiB / 2 MiB mappings (eager and
+    /// lazy, many straddling 2 MiB chunks) and unmaps, probed at every
+    /// region's edges, below 1 GiB and past the last region. Ranges start
+    /// at every probe and run to, just past, or a chunk beyond the end
+    /// of a region.
     #[test]
     fn vma_lookup_matches_linear_scan(
         ops in proptest::collection::vec(vma_op(), 1..40),
@@ -1226,6 +1229,33 @@ proptest! {
                     .map(|r| (r.0, r.2));
                 let got = space.vma_at(VirtAddr::new(a)).map(|v| (v.start.as_u64(), v.page_size));
                 prop_assert_eq!(got, expect, "lookup of {:#x}", a);
+
+                // Region ends at or past `a`: the regions holding `a`
+                // (live or unmapped) and the nearest one beyond.
+                let holding = model.iter().filter(|r| r.0 <= a && a < r.1).map(|r| r.1);
+                let beyond = model.iter().map(|r| r.1).filter(|&end| end > a).min();
+                let mut lens = vec![0, 1, 4095, 4096, 4097, 1 << 16, 1 << 21, (1 << 21) + 4096];
+                for end in holding.chain(beyond) {
+                    lens.extend([end - a - 1, end - a, end - a + 1]);
+                }
+                for len in lens {
+                    let last = a + len.max(1) - 1;
+                    let expect = model
+                        .iter()
+                        .find(|r| r.3 && r.0 <= a && last < r.1)
+                        .map(|r| (r.0, r.2));
+                    let got = space
+                        .vma_covering(VirtAddr::new(a), len)
+                        .map(|v| (v.start.as_u64(), v.page_size));
+                    prop_assert_eq!(got, expect, "range {:#x}+{:#x}", a, len);
+                    prop_assert_eq!(
+                        space.covering_page_size(VirtAddr::new(a), len),
+                        expect.map(|e| e.1),
+                        "page size of range {:#x}+{:#x}",
+                        a,
+                        len
+                    );
+                }
             }
             let live: Vec<u64> = model.iter().filter(|r| r.3).map(|r| r.0).collect();
             let listed: Vec<u64> = space.vmas().map(|v| v.start.as_u64()).collect();

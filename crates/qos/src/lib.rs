@@ -275,31 +275,31 @@ impl DrrState {
         active: impl Iterator<Item = TenantId> + Clone,
         mut weight_of: impl FnMut(TenantId) -> u32,
     ) -> Option<TenantId> {
+        // `active` is walked (cloned) as often as needed instead of
+        // being collected, so a pick allocates nothing.
+        let ids = active.map(|t| t.0);
+        ids.clone().next()?;
         // Deficits of tenants that went idle are forgotten: classic DRR
         // resets an empty queue's deficit so credit cannot be banked.
-        let ids: Vec<u16> = active.clone().map(|t| t.0).collect();
-        if ids.is_empty() {
-            return None;
-        }
-        self.deficits.retain(|id, _| ids.contains(id));
+        self.deficits
+            .retain(|id, _| ids.clone().any(|active| active == *id));
         loop {
             // Round-robin scan: ascending ids strictly after the last
             // served tenant, then wrapping.
             let next = ids
-                .iter()
-                .copied()
+                .clone()
                 .filter(|id| *id > self.last_served)
-                .chain(ids.iter().copied())
+                .chain(ids.clone())
                 .find(|id| self.deficits.get(id).copied().unwrap_or(0) > 0);
             if let Some(id) = next {
                 self.last_served = id;
                 return Some(TenantId(id));
             }
-            for id in &ids {
+            for id in ids.clone() {
                 let add = self
                     .quantum
-                    .saturating_mul(u64::from(weight_of(TenantId(*id)).max(1)));
-                let d = self.deficits.entry(*id).or_insert(0);
+                    .saturating_mul(u64::from(weight_of(TenantId(id)).max(1)));
+                let d = self.deficits.entry(id).or_insert(0);
                 *d = d.saturating_add(add as i64);
             }
         }

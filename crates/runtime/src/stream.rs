@@ -17,7 +17,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use memif::{Memif, MoveSpec, Sim, SimDuration, SimEvent, SimTime, SpaceId, System};
-use memif_hwsim::{Context, MemoryKind, ResourceId};
+use memif_hwsim::{Context, MemoryKind, ResourceId, Route};
 use memif_mm::{PageSize, VirtAddr};
 
 use crate::kernel::KernelProfile;
@@ -548,7 +548,7 @@ impl StreamRuntime {
         let _ = inner_w;
         sys.flows.start_flow(
             sim,
-            &[read_res],
+            Route::new(read_res),
             read_bytes.max(1),
             read_demand,
             SimEvent::call(move |sys, sim| {
@@ -558,7 +558,7 @@ impl StreamRuntime {
                     sys.meter.charge(Context::App, charge_write);
                     sys.flows.start_flow(
                         sim,
-                        &[slow_res],
+                        Route::new(slow_res),
                         write_bytes,
                         write_demand,
                         SimEvent::call(after_write),
