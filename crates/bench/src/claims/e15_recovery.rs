@@ -31,7 +31,7 @@ use memif_mm::PageSize;
 use memif_workloads::ShapeKind;
 
 use super::Report;
-use crate::{crash_migrate_nvm, nvm_topology, stream, StreamSpec, Table};
+use crate::{crash_migrate_nvm, nvm_topology, stream, CrashRun, StreamSpec, Table};
 
 const PAGE: PageSize = PageSize::Small4K;
 const PAGES: u32 = 16;
@@ -92,7 +92,18 @@ pub(super) fn run() -> Report {
     // compare against the uncrashed reference run.
     let crash_count = 16;
     let config = journal_config(true);
-    let reference = crash_migrate_nvm(&cost, config.clone(), PAGE, PAGES, crash_count, None, false);
+    let run = |crash| {
+        crash_migrate_nvm(CrashRun {
+            cost: cost.clone(),
+            config: config.clone(),
+            page_size: PAGE,
+            pages: PAGES,
+            count: crash_count,
+            crash,
+            ..CrashRun::default()
+        })
+    };
+    let reference = run(None);
     let mut crashes = Table::new(
         "E15b: crash -> recover -> re-drive, per crash point (nth=2)",
         &[
@@ -106,16 +117,13 @@ pub(super) fn run() -> Report {
             "wall-us",
         ],
     );
-    for point in CrashPoint::ALL {
-        let run = crash_migrate_nvm(
-            &cost,
-            config.clone(),
-            PAGE,
-            PAGES,
-            crash_count,
-            Some(CrashPlan::at(point, 2)),
-            false,
-        );
+    // The driver's lifecycle points. Post-retrieve, on the application's
+    // side, is swept by the `recovery` tests.
+    let points = CrashPoint::ALL
+        .into_iter()
+        .filter(|&p| p != CrashPoint::PostRetrieve);
+    for point in points {
+        let run = run(Some(CrashPlan::at(point, 2)));
         run.assert_converged(&reference, point.as_str());
         let (records, rolled_back, redriven, sealed_pre) =
             run.recovery.as_ref().map_or((0, 0, 0, 0), |r| {

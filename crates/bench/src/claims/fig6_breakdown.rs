@@ -98,8 +98,10 @@ pub(super) fn run() -> Report {
     Report {
         tables,
         note: "Shape checks (paper §6.3): memif needs far less CPU; with 4KB pages \
-               management overheads dominate and memif loses only at 1 page/request; \
-               at 64KB/2MB byte copy dominates and DMA wins everywhere."
+               management overheads dominate, and the paper reports memif at parity or \
+               behind at 1 page/request, where this model still leaves it ahead (EXPERIMENTS \
+               \"Known deviations\" #2); at 64KB/2MB byte copy dominates and DMA wins \
+               everywhere."
             .to_owned(),
     }
 }

@@ -19,8 +19,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use memif::{
-    FaultPlan, Memif, MemifConfig, MoveSpec, MoveStatus, NodeId, PageSize, RecoveryReport, Sim,
-    SimDuration, SimTime, System,
+    FaultPlan, HookId, Memif, MemifConfig, MoveSpec, MoveStatus, NodeId, PageSize, RecoveryReport,
+    Sim, SimDuration, SimEvent, SimTime, System,
 };
 use memif_baseline::{mbind, RegionRequest};
 use memif_hwsim::{
@@ -657,17 +657,61 @@ impl CrashOutcome {
     }
 }
 
+/// One [`crash_migrate_nvm`] run: `count` journaled migrations of
+/// `pages` pages each, and an optional crash.
+#[derive(Debug, Clone)]
+pub struct CrashRun {
+    /// The cost profile.
+    pub cost: CostModel,
+    /// The device configuration (`journal` is forced on).
+    pub config: MemifConfig,
+    /// Page granularity of every request.
+    pub page_size: PageSize,
+    /// Pages per request.
+    pub pages: u32,
+    /// Requests, one region each.
+    pub count: usize,
+    /// Where and when the world halts; `None` runs the uncrashed
+    /// reference.
+    pub crash: Option<CrashPlan>,
+    /// The application retrieves completions as they are posted, so
+    /// some are retrieved, and some of those durably acknowledged,
+    /// before a crash. Otherwise it retrieves them once the run has
+    /// quiesced (and again after any recovery).
+    pub retrieve_early: bool,
+    /// Record the JSON-lines event log ([`CrashOutcome::events`]).
+    pub log_events: bool,
+}
+
+impl Default for CrashRun {
+    fn default() -> Self {
+        CrashRun {
+            cost: CostModel::keystone_ii(),
+            config: MemifConfig::default(),
+            page_size: PageSize::Small4K,
+            pages: 8,
+            count: 8,
+            crash: None,
+            retrieve_early: false,
+            log_events: false,
+        }
+    }
+}
+
 /// Runs `count` journaled migrations on [`nvm_topology`] — even cookies
 /// DDR→NVM, odd cookies NVM→DDR, one region each, alternating
 /// `submit`/`submit_background` — optionally crashing per `crash`, then
 /// recovering and driving every request to exactly one terminal status.
 ///
 /// The post-crash application protocol is the write-ahead-log contract:
-/// requests the recovery report shows as `Done` are **not** re-driven;
-/// everything else (rolled back, or vanished before journaling) has its
-/// source data restored — volatile payload is the application's
-/// durability problem, the journal only makes the *move* exactly-once —
-/// and is re-submitted. `journal` is forced on.
+/// the application merges the statuses it retrieved before the crash
+/// with the ones the recovery report re-delivers (a completion whose
+/// acknowledgement was not yet durable arrives twice, with the same
+/// status). Requests with a `Done` are **not** re-driven; everything
+/// else (rolled back, or vanished before journaling) has its source
+/// data restored — volatile payload is the application's durability
+/// problem, the journal only makes the *move* exactly-once — and is
+/// re-submitted.
 ///
 /// With `log_events` the outcome carries the JSON-lines event log
 /// spanning the crash, the recovery (one `"recover"` record), and the
@@ -677,19 +721,22 @@ impl CrashOutcome {
 ///
 /// # Panics
 ///
-/// Panics if any request fails or the run does not quiesce.
+/// Panics if any request fails, a status is delivered twice with two
+/// values, or the run does not quiesce.
 #[must_use]
-pub fn crash_migrate_nvm(
-    cost: &CostModel,
-    mut memif_config: MemifConfig,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    crash: Option<CrashPlan>,
-    log_events: bool,
-) -> CrashOutcome {
+pub fn crash_migrate_nvm(run: CrashRun) -> CrashOutcome {
+    let CrashRun {
+        cost,
+        config: mut memif_config,
+        page_size,
+        pages,
+        count,
+        crash,
+        retrieve_early,
+        log_events,
+    } = run;
     memif_config.journal = true;
-    let mut sys = System::with_profile(nvm_topology(), cost.clone());
+    let mut sys = System::with_profile(nvm_topology(), cost);
     if log_events {
         sys.enable_event_log();
     }
@@ -728,6 +775,45 @@ pub fn crash_migrate_nvm(
         fill(&mut sys, r);
     }
 
+    /// Retrieves every posted completion into `statuses`, by cookie:
+    /// nothing on a halted machine, and a post-retrieve crash may halt
+    /// it part-way.
+    fn drain(memif: Memif, sys: &mut System, statuses: &mut [Option<MoveStatus>]) {
+        while let Some(c) = memif.retrieve_completed(sys).unwrap() {
+            let slot = &mut statuses[c.user_data as usize];
+            assert!(
+                slot.is_none(),
+                "cookie {} completed twice: {:?} then {:?}",
+                c.user_data,
+                slot,
+                c.status.0
+            );
+            *slot = Some(c.status.0);
+        }
+    }
+
+    // Completions the application retrieved before any crash, by cookie.
+    let early: Rc<RefCell<Vec<Option<MoveStatus>>>> = Rc::new(RefCell::new(vec![None; count]));
+    if retrieve_early {
+        let retrieved = Rc::clone(&early);
+        let hook: Rc<RefCell<Option<HookId>>> = Rc::new(RefCell::new(None));
+        let me = Rc::clone(&hook);
+        let id = sys.register_hook(move |sys, sim, _| {
+            let mut retrieved = retrieved.borrow_mut();
+            drain(memif, sys, &mut retrieved);
+            if !sys.crashed() && retrieved.iter().any(Option::is_none) {
+                let hook = me.borrow().expect("registered");
+                memif
+                    .poll_event(sys, sim, SimEvent::Hook { hook, arg: 0 })
+                    .unwrap();
+            }
+        });
+        *hook.borrow_mut() = Some(id);
+        memif
+            .poll_event(&mut sys, &mut sim, SimEvent::Hook { hook: id, arg: 0 })
+            .unwrap();
+    }
+
     let spec_for = |cookie: usize| {
         MoveSpec::migrate(regions[cookie], pages, page_size, dst_node(cookie))
             .with_user_data(cookie as u64)
@@ -745,17 +831,26 @@ pub fn crash_migrate_nvm(
     }
     sim.run(&mut sys);
 
-    let mut statuses: Vec<Option<MoveStatus>> = vec![None; count];
+    let mut statuses = early.take();
+    drain(memif, &mut sys, &mut statuses);
     let mut resubmitted = 0usize;
     let crashed = sys.crashed();
     let mut recovery = None;
     if crashed {
         let report = sys.recover(&mut sim);
+        let mut reported = vec![false; count];
         for &(_, status, cookie) in &report.statuses {
-            let slot = &mut statuses[cookie as usize];
+            let cookie = cookie as usize;
             assert!(
-                slot.is_none(),
-                "journal reported cookie {cookie} twice: {slot:?} then {status:?}"
+                !std::mem::replace(&mut reported[cookie], true),
+                "journal reported cookie {cookie} twice"
+            );
+            // At-least-once delivery: a retrieval whose acknowledgement
+            // died with the crash is re-delivered, with the same status.
+            let slot = &mut statuses[cookie];
+            assert!(
+                slot.is_none_or(|s| s == status),
+                "cookie {cookie} retrieved as {slot:?} but recovered as {status:?}"
             );
             *slot = Some(status);
         }
@@ -782,17 +877,7 @@ pub fn crash_migrate_nvm(
             resubmitted += 1;
         }
         sim.run(&mut sys);
-    }
-    while let Some(c) = memif.retrieve_completed(&mut sys).unwrap() {
-        let slot = &mut statuses[c.user_data as usize];
-        assert!(
-            slot.is_none(),
-            "cookie {} completed twice: {:?} then {:?}",
-            c.user_data,
-            slot,
-            c.status.0
-        );
-        *slot = Some(c.status.0);
+        drain(memif, &mut sys, &mut statuses);
     }
     assert!(!sys.crashed(), "a crash plan fires at most once");
 

@@ -42,6 +42,7 @@ pub mod table;
 
 pub use harness::{
     bigfast_topology, crash_migrate_nvm, hugefast_topology, nvm_topology, probe_linux_once,
-    probe_memif_once, stream, stream_linux, CrashOutcome, ProbeResult, StreamResult, StreamSpec,
+    probe_memif_once, stream, stream_linux, CrashOutcome, CrashRun, ProbeResult, StreamResult,
+    StreamSpec,
 };
 pub use table::{mbs, results_dir, Table};

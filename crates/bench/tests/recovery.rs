@@ -8,8 +8,10 @@
 //! never crashed. The proptest sweeps crash point × firing index ×
 //! {batch, coalesce, shards} configurations; a second proptest drives
 //! the same crash points through the placement daemon's background
-//! traffic; deterministic tests pin a promoted-heir chain crash and the
-//! all-points matrix.
+//! traffic; deterministic tests pin a promoted-heir chain crash, the
+//! all-points matrix, and the acknowledgement contract: a completion is
+//! delivered at least once until its retrieval is durable, and not
+//! after.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -18,7 +20,7 @@ use memif::{
     CrashPlan, CrashPoint, FaultPlan, HookId, Memif, MemifConfig, MoveSpec, MoveStatus, NodeId,
     RaceMode, Sim, SimDuration, SimEvent, System, VirtAddr,
 };
-use memif_bench::{crash_migrate_nvm, nvm_topology};
+use memif_bench::{crash_migrate_nvm, nvm_topology, CrashOutcome, CrashRun};
 use memif_hwsim::CostModel;
 use memif_mm::{AccessKind, PageSize};
 use memif_policy::{PolicyConfig, PolicyDaemon};
@@ -37,33 +39,57 @@ fn config_for(batch_max: usize, coalesce: bool, issue_shards: usize) -> MemifCon
     }
 }
 
+/// `count` journaled migrations of `PAGES` pages under `config`.
+fn crash_run(
+    config: &MemifConfig,
+    count: usize,
+    crash: Option<CrashPlan>,
+    retrieve_early: bool,
+) -> CrashOutcome {
+    crash_migrate_nvm(CrashRun {
+        config: config.clone(),
+        page_size: PAGE,
+        pages: PAGES,
+        count,
+        crash,
+        retrieve_early,
+        ..CrashRun::default()
+    })
+}
+
 proptest! {
     // Each case runs a reference and a crashed+recovered stream from
     // scratch; keep the count small enough for a debug test run.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// For every crash point × firing index × issue-path configuration,
-    /// recovery terminates every journaled request exactly once and the
-    /// re-driven run converges to the uncrashed reference.
+    /// with the application retrieving completions before the crash or
+    /// only after it, recovery terminates every journaled request
+    /// exactly once and the re-driven run, merged with what the
+    /// application retrieved, converges to the uncrashed reference.
     #[test]
     fn exactly_once_recovery(
-        point_sel in 0usize..5,
+        point_sel in 0usize..6,
         nth in 1u64..8,
         cfg_sel in 0usize..4,
         count in 4usize..10,
+        early in 0usize..2,
     ) {
         let point = CrashPoint::ALL[point_sel];
+        // Post-retrieve is crossed only by an application that retrieves.
+        let early = early == 1 || point == CrashPoint::PostRetrieve;
         let (batch, coalesce, shards) =
             [(1, false, 1), (4, false, 1), (4, true, 1), (3, true, 2)][cfg_sel];
-        let cost = CostModel::keystone_ii();
         let config = config_for(batch, coalesce, shards);
-        let reference = crash_migrate_nvm(&cost, config.clone(), PAGE, PAGES, count, None, false);
+        let reference = crash_run(&config, count, None, false);
         prop_assert!(!reference.crashed);
-        let crashed = crash_migrate_nvm(
-            &cost, config, PAGE, PAGES, count, Some(CrashPlan::at(point, nth)), false);
+        let crashed = crash_run(&config, count, Some(CrashPlan::at(point, nth)), early);
         crashed.assert_converged(
             &reference,
-            &format!("{}#{nth} batch={batch} coalesce={coalesce} shards={shards}", point.as_str()),
+            &format!(
+                "{}#{nth} batch={batch} coalesce={coalesce} shards={shards} early={early}",
+                point.as_str()
+            ),
         );
     }
 
@@ -73,7 +99,7 @@ proptest! {
     /// persistent node.
     #[test]
     fn policy_traffic_crash_recovers_exactly_once(
-        point_sel in 0usize..5,
+        point_sel in 0usize..6,
         nth in 1u64..4,
     ) {
         let point = CrashPoint::ALL[point_sel];
@@ -82,31 +108,122 @@ proptest! {
 }
 
 /// Deterministic all-points matrix: every crash point at its first three
-/// crossings, under batching, coalescing and two issue shards.
+/// crossings, under batching, coalescing and two issue shards, with the
+/// application retrieving before the crash and without.
 #[test]
 fn every_crash_point_recovers_under_batching_and_sharding() {
-    let cost = CostModel::keystone_ii();
     let config = config_for(4, true, 2);
-    let reference = crash_migrate_nvm(&cost, config.clone(), PAGE, PAGES, 8, None, false);
+    let reference = crash_run(&config, 8, None, false);
     let mut fired = 0;
     for point in CrashPoint::ALL {
         for nth in 1..=3 {
-            let crashed = crash_migrate_nvm(
-                &cost,
-                config.clone(),
-                PAGE,
-                PAGES,
-                8,
-                Some(CrashPlan::at(point, nth)),
-                false,
-            );
-            fired += usize::from(crashed.crashed);
-            crashed.assert_converged(&reference, &format!("{}#{nth}", point.as_str()));
+            for early in [false, true] {
+                let crashed = crash_run(&config, 8, Some(CrashPlan::at(point, nth)), early);
+                fired += usize::from(crashed.crashed);
+                crashed.assert_converged(
+                    &reference,
+                    &format!("{}#{nth} early={early}", point.as_str()),
+                );
+            }
         }
     }
     assert!(
-        fired >= 10,
+        fired >= 20,
         "most plans in the matrix must actually fire: {fired}"
+    );
+}
+
+/// Opens a journaled device on [`nvm_topology`] and maps `count` 8-page
+/// regions on DDR.
+fn journaled_machine(count: usize) -> (System, Sim<System>, Memif, Vec<VirtAddr>) {
+    let mut sys = System::with_profile(nvm_topology(), CostModel::keystone_ii());
+    let sim = Sim::new();
+    let space = sys.new_space();
+    let memif = Memif::open(&mut sys, space, config_for(1, false, 1)).unwrap();
+    let regions = (0..count)
+        .map(|_| sys.mmap(space, PAGES, PAGE, NodeId(0)).unwrap())
+        .collect();
+    (sys, sim, memif, regions)
+}
+
+fn migrate(sys: &mut System, sim: &mut Sim<System>, memif: Memif, va: VirtAddr, cookie: u64) {
+    let spec = MoveSpec::migrate(va, PAGES, PAGE, NodeId(1)).with_user_data(cookie);
+    memif.submit(sys, sim, spec).unwrap();
+}
+
+fn reported_cookies(report: &memif::RecoveryReport) -> Vec<u64> {
+    let mut cookies: Vec<u64> = report.statuses.iter().map(|&(_, _, c)| c).collect();
+    cookies.sort_unstable();
+    cookies
+}
+
+/// A crash after the application retrieved completions but before any
+/// journal write carried the acknowledgements: recovery reports those
+/// requests again, each exactly once, with the status already seen.
+#[test]
+fn pending_acknowledgement_is_reported_again_exactly_once() {
+    let (mut sys, mut sim, memif, regions) = journaled_machine(4);
+    sys.install_faults(&mut sim, FaultPlan::crash_at(CrashPoint::PostRetrieve, 3));
+    for (cookie, va) in regions.iter().enumerate() {
+        migrate(&mut sys, &mut sim, memif, *va, cookie as u64);
+    }
+    sim.run(&mut sys);
+    assert_eq!(sys.journal().records().len(), 4, "sealed, not retrieved");
+    let mut seen = Vec::new();
+    while !sys.crashed() {
+        let c = memif.retrieve_completed(&mut sys).unwrap().expect("posted");
+        assert_eq!(c.status.0, MoveStatus::Done);
+        seen.push(c.user_data);
+    }
+    assert_eq!(seen.len(), 3, "the third retrieval crashed");
+    assert!(
+        memif.retrieve_completed(&mut sys).unwrap().is_none(),
+        "a halted machine delivers nothing"
+    );
+    let report = sys.recover(&mut sim);
+    assert_eq!(report.journal_records, 4);
+    assert_eq!(report.recovered_requests, 0, "every move had retired");
+    assert_eq!(
+        reported_cookies(&report),
+        [0, 1, 2, 3],
+        "no journal write followed the three retrievals"
+    );
+    assert!(report.statuses.iter().all(|s| s.1 == MoveStatus::Done));
+}
+
+/// A retrieval whose acknowledgement rode on a later journal write is
+/// durable: recovery does not report the request, and its record is
+/// gone from the journal.
+#[test]
+fn durably_acknowledged_request_is_not_reported_and_its_record_is_gone() {
+    let (mut sys, mut sim, memif, regions) = journaled_machine(3);
+    for (cookie, va) in regions[..2].iter().enumerate() {
+        migrate(&mut sys, &mut sim, memif, *va, cookie as u64);
+    }
+    sim.run(&mut sys);
+    for _ in 0..2 {
+        memif.retrieve_completed(&mut sys).unwrap().expect("posted");
+    }
+    let cookies = |sys: &System| -> Vec<u64> {
+        sys.journal()
+            .records()
+            .iter()
+            .map(|r| r.req.user_data)
+            .collect()
+    };
+    assert_eq!(cookies(&sys), [0, 1], "acknowledgements still pending");
+    // The next submission issues inline; its append carries both
+    // acknowledgements.
+    migrate(&mut sys, &mut sim, memif, regions[2], 2);
+    assert_eq!(cookies(&sys), [2]);
+    sys.force_crash(&mut sim, "test");
+    let report = sys.recover(&mut sim);
+    assert_eq!(report.journal_records, 3, "appends, dropped ones included");
+    assert_eq!(reported_cookies(&report), [2], "only the move in flight");
+    assert_eq!(report.rolled_back, 1);
+    assert!(
+        !cookies(&sys).iter().any(|&c| c < 2),
+        "acknowledged records are gone"
     );
 }
 
@@ -114,15 +231,11 @@ fn every_crash_point_recovers_under_batching_and_sharding() {
 /// the run byte-identical to no plan at all.
 #[test]
 fn unfired_crash_plan_is_invisible() {
-    let cost = CostModel::keystone_ii();
     // batch_max=1: no chains, so mid-chain is never crossed.
     let config = config_for(1, false, 1);
-    let reference = crash_migrate_nvm(&cost, config.clone(), PAGE, PAGES, 6, None, false);
-    let unfired = crash_migrate_nvm(
-        &cost,
-        config,
-        PAGE,
-        PAGES,
+    let reference = crash_run(&config, 6, None, false);
+    let unfired = crash_run(
+        &config,
         6,
         Some(CrashPlan::at(CrashPoint::MidChain, 1)),
         false,
@@ -356,12 +469,23 @@ fn policy_crash_run(crash: Option<CrashPlan>) {
     sim.run(&mut sys);
 
     if sys.crashed() {
+        // What the journal held at the crash: the records not durably
+        // acknowledged, and the retrievals whose acknowledgement was
+        // still waiting for a journal write.
+        let retained: Vec<u64> = sys
+            .journal()
+            .records()
+            .iter()
+            .filter(|r| !r.acknowledged)
+            .map(|r| r.req.id)
+            .collect();
+        let pending: Vec<u64> = sys.journal().pending_acks().map(|(_, id)| id).collect();
         let report = sys.recover(&mut sim);
         assert_eq!(
             report.recovered_requests,
             report.rolled_back + report.redriven
         );
-        // Exactly one terminal status per journaled policy move.
+        // At most one terminal status per journaled policy move.
         let mut seen = std::collections::HashSet::new();
         for (req_id, status, _) in &report.statuses {
             assert!(seen.insert(*req_id), "request {req_id} reported twice");
@@ -376,7 +500,25 @@ fn policy_crash_run(crash: Option<CrashPlan>) {
                 "non-terminal status {status:?}"
             );
         }
-        assert_eq!(report.statuses.len() as u64, report.journal_records);
+        // The daemon retrieved completions as it drained them. Merged
+        // with those retrievals, the report covers every journaled move
+        // exactly once: it names each record not durably acknowledged
+        // (a retrieval whose acknowledgement was pending is reported
+        // again), and the records dropped are exactly the retrievals
+        // made durable.
+        let reported: Vec<u64> = report.statuses.iter().map(|s| s.0).collect();
+        assert_eq!(reported, retained, "every retained record, in append order");
+        assert!(
+            pending.iter().all(|id| seen.contains(id)),
+            "pending acknowledgements {pending:?} not all reported again"
+        );
+        assert!(reported.iter().all(|&id| id < report.journal_records));
+        let durable = daemon.stats().retrieved - pending.len() as u64;
+        assert_eq!(
+            report.journal_records - reported.len() as u64,
+            durable,
+            "records dropped vs. retrievals made durable"
+        );
     } else {
         // The plan's point was crossed fewer than `nth` times: the run
         // simply completed; the journal must still be fully sealed.

@@ -17,8 +17,8 @@
 //!                   [--epoch-us 1000] [--max-inflight 4] [--seed 42]
 //!                   [--fault-seed N] [--dma-error-rate R] [--drop-rate R]
 //!                   [--trace-events PATH] [--json true]
-//! memifctl recover  [--crash-point none|submit|post-launch|mid-chain|pre-retire|post-retire]
-//!                   [--crash-nth N] [--pages 8] [--count 12] [--page-size 4k]
+//! memifctl recover  [--crash-point none|submit|post-launch|mid-chain|pre-retire|post-retire|
+//!                   post-retrieve] [--crash-nth N] [--pages 8] [--count 12] [--page-size 4k]
 //!                   [--batch-max 4] [--no-coalesce true] [--issue-shards S]
 //!                   [--trace-events PATH] [--json true]
 //! memifctl replay   --from PATH [--FLAG VALUE restating the trace header]
@@ -35,7 +35,7 @@ use memif::{
     Context, CrashPlan, CrashPoint, Memif, MemifConfig, MoveSpec, NodeId, PageSize, Sim, System,
 };
 use memif_baseline::{run_migspeed, MigspeedConfig};
-use memif_bench::{crash_migrate_nvm, stream, CrashOutcome, StreamSpec, Table};
+use memif_bench::{crash_migrate_nvm, stream, CrashOutcome, CrashRun, StreamSpec, Table};
 use memif_hwsim::{CostModel, Topology};
 use memif_policy::{run_scenario, Mode, PolicyConfig, ScenarioConfig};
 use memif_runtime::{KernelProfile, Placement, StreamConfig, StreamReport, StreamRuntime};
@@ -161,7 +161,14 @@ its --crash-nth crossing), then reboots via the write-ahead move
 journal and re-drives every request to exactly one terminal status:
   memifctl recover --crash-point mid-chain --crash-nth 2
 --crash-point none (the default) runs the uncrashed reference. The
-journal counters also appear in `memifctl stats --json` under the
+journal keeps a record only while its move is in flight or its
+completion is not yet acknowledged: a retrieval is acknowledged by the
+next journal write, and recovery re-reports every request whose
+acknowledgement was not durable. The app retrieves completions once
+the run quiesces, so post-retrieve strikes there:
+  memifctl recover --crash-point post-retrieve --crash-nth 3
+journal_records counts every record appended, dropped ones included.
+The journal counters also appear in `memifctl stats --json` under the
 stable keys journal_records, recovered_requests, rolled_back, and
 redriven.
 
@@ -778,16 +785,7 @@ fn policy(args: &Args) -> Result<(), String> {
 
 /// Everything a `recover` run (or its replay) needs: a journaled
 /// DDR<->NVM migration stream plus an optional deterministic crash.
-struct RecoverScenario {
-    cost: CostModel,
-    config: MemifConfig,
-    page_size: PageSize,
-    pages: u32,
-    count: usize,
-    crash: Option<CrashPlan>,
-}
-
-fn recover_scenario(args: &Args) -> Result<RecoverScenario, String> {
+fn recover_scenario(args: &Args) -> Result<CrashRun, String> {
     let cost = cost_profile(args)?;
     let config = MemifConfig {
         journal: true,
@@ -808,13 +806,14 @@ fn recover_scenario(args: &Args) -> Result<RecoverScenario, String> {
             Some(CrashPlan::at(point, nth))
         }
     };
-    let s = RecoverScenario {
+    let s = CrashRun {
         cost,
         config,
         page_size: args.page_size(PageSize::Small4K)?,
         pages: args.get_or("pages", 8u32)?,
         count: args.get_or("count", 12usize)?,
         crash,
+        ..CrashRun::default()
     };
     for (flag, value) in [
         ("pages", u64::from(s.pages)),
@@ -846,15 +845,10 @@ fn recover(args: &Args) -> Result<(), String> {
     let trace = args.get("trace-events");
     let json = args.get_or("json", false)?;
     args.reject_unknown()?;
-    let r = crash_migrate_nvm(
-        &s.cost,
-        s.config.clone(),
-        s.page_size,
-        s.pages,
-        s.count,
-        s.crash,
-        trace.is_some(),
-    );
+    let r = crash_migrate_nvm(CrashRun {
+        log_events: trace.is_some(),
+        ..s.clone()
+    });
     if let Some(path) = trace {
         write_trace(path, &header, &r.events, &recover_statuses(&r))?;
     }
@@ -892,9 +886,11 @@ fn recover(args: &Args) -> Result<(), String> {
     match (s.crash, rep) {
         (Some(plan), Some(rep)) if r.crashed => {
             println!(
-                "crash: {} fired on crossing {} — volatile state lost, {} journal record{} survived",
+                "crash: {} fired on crossing {} — volatile state lost, {} of {} journal record{} \
+                 not yet acknowledged",
                 plan.point.as_str(),
                 plan.nth,
+                rep.statuses.len(),
                 rep.journal_records,
                 if rep.journal_records == 1 { "" } else { "s" },
             );
@@ -918,8 +914,8 @@ fn recover(args: &Args) -> Result<(), String> {
         .filter(|(_, st)| *st == memif::MoveStatus::Done)
         .count();
     println!(
-        "converged: {done}/{} requests Done exactly once, {} journal records all sealed, \
-         {:.1} us simulated",
+        "converged: {done}/{} requests Done exactly once, {} journal records appended, \
+         all sealed, {:.1} us simulated",
         s.count,
         r.journal_records,
         r.wall.as_ns() as f64 / 1e3,
@@ -934,7 +930,7 @@ type Trace = (Vec<String>, Vec<(u64, String)>);
 enum Scenario {
     Move(StreamSpec),
     Policy(CostModel, ScenarioConfig),
-    Recover(RecoverScenario),
+    Recover(CrashRun),
     Stream(StreamScenario),
 }
 
@@ -974,15 +970,10 @@ impl Scenario {
                 (r.events, r.statuses)
             }
             Scenario::Recover(s) => {
-                let r = crash_migrate_nvm(
-                    &s.cost,
-                    s.config,
-                    s.page_size,
-                    s.pages,
-                    s.count,
-                    s.crash,
-                    true,
-                );
+                let r = crash_migrate_nvm(CrashRun {
+                    log_events: true,
+                    ..s
+                });
                 let statuses = recover_statuses(&r);
                 (r.events, statuses)
             }

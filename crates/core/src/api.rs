@@ -414,7 +414,10 @@ impl Memif {
 
     /// `RetrieveCompleted`: takes one completion notification, failure
     /// queue first, without blocking. The request slot returns to the
-    /// free list.
+    /// free list. On a journaling device this acknowledges the request:
+    /// the acknowledgement persists with the next journal write, and
+    /// its record is dropped there. A halted (crashed) machine delivers
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -422,6 +425,10 @@ impl Memif {
     /// region-validation failures (not expected in normal operation).
     pub fn retrieve_completed(&self, sys: &mut System) -> Result<Option<Completion>, MemifError> {
         let device = sys.device(self.device).ok_or(MemifError::NoSuchDevice)?;
+        if sys.crashed {
+            return Ok(None);
+        }
+        let journaled = device.config.journal;
         let deq = match device.region.dequeue(QueueId::CompletionErr)? {
             Some(d) => Some(d),
             None => device.region.dequeue(QueueId::CompletionOk)?,
@@ -430,6 +437,12 @@ impl Memif {
         match deq {
             Some(d) => {
                 dev(sys, self.device).region.free_slot(d.slot)?;
+                if journaled {
+                    sys.journal.retrieved(self.device, d.req.id);
+                    // Crash point: retrieved, acknowledgement not yet
+                    // durable — recovery must report the request again.
+                    sys.maybe_crash_at(sys.logged_at, CrashPoint::PostRetrieve);
+                }
                 Ok(Some(Completion {
                     req_id: ReqId(d.req.id),
                     status: CompletionStatus(d.req.status),

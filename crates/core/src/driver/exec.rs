@@ -438,6 +438,7 @@ fn register_inflight(
         segments,
         milestone: crate::journal::JournalMilestone::Issued,
         sealed: None,
+        acknowledged: false,
     };
     sys.journal.append(record);
     let cost = sys.cost.journal_write;

@@ -344,6 +344,7 @@ impl EventWorld for System {
             return;
         }
         if self.event_log.is_some() {
+            self.logged_at = sim.now();
             let line = event.to_record(sim.now());
             if let Some(log) = &mut self.event_log {
                 log.push(line);

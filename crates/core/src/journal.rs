@@ -22,11 +22,23 @@
 //! never journaled and simply vanish — the classic write-ahead-log
 //! contract that unacknowledged work is the client's to resubmit.
 //!
+//! A sealed record lives until the application has retrieved its
+//! completion *and* that retrieval is durable. [`crate::Memif::retrieve_completed`]
+//! marks the record retrieved; the acknowledgement rides on the next
+//! journal write (an append or a seal, which the model already charges)
+//! and the record is dropped there. The journal therefore holds the
+//! moves in flight plus the completions not yet durably acknowledged,
+//! not one record per request ever issued. The contract: every move
+//! happens exactly once, and every completion is delivered at least
+//! once until it is acknowledged — a crash between a retrieval and the
+//! next journal write reports that request again.
+//!
 //! The journal itself is modeled as living on persistent media: it
-//! survives [`crate::System::recover`] untouched. Appends are charged
-//! [`memif_hwsim::CostModel::journal_write`] and happen only for
-//! devices opened with [`crate::MemifConfig::journal`] set, so default
-//! runs pay nothing and stay byte-identical.
+//! survives [`crate::System::recover`] untouched, except for the
+//! acknowledgements still waiting for a write, which were volatile.
+//! Writes are charged [`memif_hwsim::CostModel::journal_write`] and
+//! happen only for devices opened with [`crate::MemifConfig::journal`]
+//! set, so default runs pay nothing and stay byte-identical.
 
 use memif_hwsim::dma::SgSegment;
 use memif_lockfree::{MovReq, MoveStatus};
@@ -81,8 +93,8 @@ impl JournalPage {
 /// One write-ahead record: a single issued move request.
 ///
 /// A sealed record keeps the request's identity and terminal status
-/// and drops its plan (`pages`, `segments`), so a long run's journal
-/// grows by a fixed size per retired move, not by its page count.
+/// and drops its plan (`pages`, `segments`); it is dropped itself once
+/// the application's retrieval of its completion is durable.
 #[derive(Debug, Clone)]
 pub struct JournalRecord {
     /// Device the request was issued on.
@@ -112,21 +124,47 @@ pub struct JournalRecord {
     pub milestone: JournalMilestone,
     /// Terminal status once the move retired; `None` while in flight.
     pub sealed: Option<MoveStatus>,
+    /// The application's retrieval of the completion is durable: the
+    /// record is dead and leaves the journal once every older record
+    /// has. Only a record retrieved out of append order is seen with
+    /// this set.
+    pub acknowledged: bool,
+}
+
+/// One device's window of the request-id index.
+#[derive(Debug, Default)]
+struct IdWindow {
+    /// Request id of `slots[0]`.
+    base: u64,
+    /// `slots[id - base]` is 1 + the position in `records` of request
+    /// `id`'s record, or 0 if it has none. Requests are keyed by id, not
+    /// token: a retried issue overwrites its own record. Ids are dense
+    /// per device and the window starts at the oldest retained one, so
+    /// its length follows the span of retained ids, not the run.
+    slots: Vec<u32>,
+    /// Records appended for this device (retries overwrite, and do not
+    /// count).
+    appended: u64,
 }
 
 /// The machine-wide journal: per-device open records (so recovery can
-/// rebuild devices) plus the append-ordered move records.
+/// rebuild devices) plus the append-ordered move records still needed.
 #[derive(Debug, Default)]
 pub struct MoveJournal {
     /// Journaling devices, in open order: recovery re-opens these.
     opens: Vec<(DeviceId, SpaceId, MemifConfig)>,
+    /// Records in append order. `records[..head]` are acknowledged and
+    /// wait to be compacted away; the rest are retained.
     records: Vec<JournalRecord>,
-    /// `index[device][req_id]` is 1 + the request's position in
-    /// `records`, or 0 if it has none. Requests are keyed by id, not
-    /// token: a retried issue overwrites its own record. Request ids are
-    /// dense per device, so each table grows by doubling, like
-    /// `records`.
-    index: Vec<Vec<u32>>,
+    head: usize,
+    /// Acknowledged records in `records`, in the prefix or behind an
+    /// older retained record.
+    dead: usize,
+    /// Per-device request-id index, by device id.
+    index: Vec<IdWindow>,
+    /// Positions in `records` of retrieved records whose acknowledgement
+    /// rides on the next journal write. Volatile: a crash loses them.
+    pending_acks: Vec<usize>,
     /// Plan lists released by sealed records, reused by the next
     /// appends.
     spare_pages: Vec<Vec<JournalPage>>,
@@ -145,22 +183,46 @@ impl MoveJournal {
         &self.opens
     }
 
-    /// All records, in append order.
+    /// The retained records, in append order: every record from the
+    /// oldest one not yet both sealed and durably acknowledged on.
     #[must_use]
     pub fn records(&self) -> &[JournalRecord] {
-        &self.records
+        &self.records[self.head..]
     }
 
-    /// Number of records appended so far.
+    /// Number of records appended so far, dropped ones included.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.index.iter().map(|w| w.appended as usize).sum()
     }
 
     /// True when no record has been appended.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
+    }
+
+    /// Slots in the request-id index, across devices: each device's
+    /// window spans its oldest retained request id to its newest.
+    #[must_use]
+    pub fn index_slots(&self) -> usize {
+        self.index.iter().map(|w| w.slots.len()).sum()
+    }
+
+    /// `(device, req_id)` of each retrieved request whose
+    /// acknowledgement waits for the next journal write, in retrieval
+    /// order. A crash before that write loses them, and recovery
+    /// reports these requests again.
+    pub fn pending_acks(&self) -> impl Iterator<Item = (DeviceId, u64)> + '_ {
+        self.pending_acks.iter().map(|&i| {
+            let r = &self.records[i];
+            (r.device, r.req.id)
+        })
+    }
+
+    /// Records appended for `device` so far.
+    pub(crate) fn appended_on(&self, device: DeviceId) -> u64 {
+        self.index.get(device.0).map_or(0, |w| w.appended)
     }
 
     /// Empty plan lists for the next record, recycled from sealed ones.
@@ -178,8 +240,10 @@ impl MoveJournal {
     }
 
     /// Appends (or, for a re-issued retry of the same request,
-    /// overwrites) the record for an issued move.
+    /// overwrites) the record for an issued move. The write also makes
+    /// every pending acknowledgement durable.
     pub(crate) fn append(&mut self, record: JournalRecord) {
+        self.persist_acks();
         match self.position(record.device, record.req.id) {
             Some(i) if self.records[i].sealed.is_none() => {
                 // A retry re-planned and re-issued the same request; the
@@ -188,15 +252,27 @@ impl MoveJournal {
                 self.recycle(stale.pages, stale.segments);
             }
             _ => {
-                let (device, id) = (record.device.0, record.req.id as usize);
+                let (device, id) = (record.device.0, record.req.id);
                 if self.index.len() <= device {
-                    self.index.resize_with(device + 1, Vec::new);
+                    self.index.resize_with(device + 1, IdWindow::default);
                 }
-                let table = &mut self.index[device];
-                if table.len() <= id {
-                    table.resize(id + 1, 0);
+                let slot = u32::try_from(self.records.len() + 1).expect("under 2^32 records");
+                let w = &mut self.index[device];
+                w.appended += 1;
+                if w.slots.is_empty() {
+                    w.base = id;
+                } else if id < w.base {
+                    // Issued after every older retained id was dropped:
+                    // a request parked at submit (QoS) issues late.
+                    let grow = usize::try_from(w.base - id).expect("id window fits memory");
+                    w.slots.splice(0..0, std::iter::repeat_n(0, grow));
+                    w.base = id;
                 }
-                table[id] = u32::try_from(self.records.len() + 1).expect("under 2^32 records");
+                let at = usize::try_from(id - w.base).expect("id window fits memory");
+                if w.slots.len() <= at {
+                    w.slots.resize(at + 1, 0);
+                }
+                w.slots[at] = slot;
                 self.records.push(record);
             }
         }
@@ -204,10 +280,9 @@ impl MoveJournal {
 
     /// Position in `records` of request `req_id`'s record, if any.
     fn position(&self, device: DeviceId, req_id: u64) -> Option<usize> {
-        let slot = *self
-            .index
-            .get(device.0)?
-            .get(usize::try_from(req_id).ok()?)?;
+        let w = self.index.get(device.0)?;
+        let at = usize::try_from(req_id.checked_sub(w.base)?).ok()?;
+        let slot = *w.slots.get(at)?;
         (slot > 0).then(|| slot as usize - 1)
     }
 
@@ -233,14 +308,16 @@ impl MoveJournal {
 
     /// Seals a record with its terminal status and releases its plan;
     /// returns whether a record was sealed (so the caller can charge the
-    /// persistent write). No-op for requests that were never journaled (e.g.
+    /// persistent write, which also makes every pending acknowledgement
+    /// durable). No-op for requests that were never journaled (e.g.
     /// validation rejects); a second seal of the same record is a
     /// driver bug caught by the debug_assert — the five retire sites
     /// must each fire at most once per request.
     pub(crate) fn seal(&mut self, device: DeviceId, req_id: u64, status: MoveStatus) -> bool {
-        let Some(rec) = self.get_mut(device, req_id) else {
+        let Some(i) = self.position(device, req_id) else {
             return false;
         };
+        let rec = &mut self.records[i];
         debug_assert!(
             rec.sealed.is_none(),
             "retire site re-sealed request {req_id} ({:?} -> {status:?})",
@@ -253,7 +330,97 @@ impl MoveJournal {
         let pages = std::mem::take(&mut rec.pages);
         let segments = std::mem::take(&mut rec.segments);
         self.recycle(pages, segments);
+        self.persist_acks();
         true
+    }
+
+    /// The application retrieved request `req_id`'s completion: its
+    /// acknowledgement becomes durable with the next journal write.
+    /// No-op for requests that were never journaled.
+    pub(crate) fn retrieved(&mut self, device: DeviceId, req_id: u64) {
+        if let Some(i) = self.position(device, req_id) {
+            debug_assert!(
+                self.records[i].sealed.is_some(),
+                "request {req_id} retrieved before its seal"
+            );
+            self.pending_acks.push(i);
+        }
+    }
+
+    /// Makes the pending acknowledgements durable: their records die
+    /// and leave the index, and once the dead records are at least as
+    /// many as the retained ones, the list is compacted in place. Each
+    /// compaction moves no more records than died since the last, and
+    /// the list never holds more than twice its retained records.
+    fn persist_acks(&mut self) {
+        if self.pending_acks.is_empty() {
+            return;
+        }
+        for k in 0..self.pending_acks.len() {
+            let i = self.pending_acks[k];
+            let rec = &mut self.records[i];
+            // After a reboot a never-journaled request can share an id
+            // with a record recovery already delivered: ack it once.
+            if std::mem::replace(&mut rec.acknowledged, true) {
+                continue;
+            }
+            self.dead += 1;
+            let (device, id) = (rec.device, rec.req.id);
+            if self.position(device, id) == Some(i) {
+                let w = &mut self.index[device.0];
+                w.slots[(id - w.base) as usize] = 0;
+            }
+        }
+        self.pending_acks.clear();
+        while self.records.get(self.head).is_some_and(|r| r.acknowledged) {
+            self.head += 1;
+        }
+        if self.dead >= self.records.len() - self.dead {
+            self.compact();
+        }
+    }
+
+    /// Removes every acknowledged record and re-windows the index at
+    /// each device's oldest retained request id. Allocation-free once
+    /// the tables have grown to the retained span.
+    fn compact(&mut self) {
+        debug_assert!(self.pending_acks.is_empty(), "positions would go stale");
+        self.records.retain(|r| !r.acknowledged);
+        self.head = 0;
+        self.dead = 0;
+        for (device, w) in self.index.iter_mut().enumerate() {
+            let ids = self
+                .records
+                .iter()
+                .filter(|r| r.device.0 == device)
+                .map(|r| r.req.id);
+            w.slots.clear();
+            if let Some(oldest) = ids.min() {
+                w.base = oldest;
+            }
+        }
+        for (i, r) in self.records.iter().enumerate() {
+            let w = &mut self.index[r.device.0];
+            let at = (r.req.id - w.base) as usize;
+            if w.slots.len() <= at {
+                w.slots.resize(at + 1, 0);
+            }
+            w.slots[at] = u32::try_from(i + 1).expect("under 2^32 records");
+        }
+    }
+
+    /// Crash: the acknowledgements still waiting for a journal write
+    /// were volatile and are lost; the acknowledged records go.
+    pub(crate) fn lose_pending_acks(&mut self) {
+        self.pending_acks.clear();
+        self.compact();
+    }
+
+    /// Recovery reported every retained record to the application: that
+    /// delivery is acknowledged with the next journal write, like a
+    /// retrieval.
+    pub(crate) fn delivered_all(&mut self) {
+        self.pending_acks.extend(self.head..self.records.len());
     }
 }
 
@@ -277,7 +444,116 @@ mod tests {
             segments: Vec::new(),
             milestone: JournalMilestone::Issued,
             sealed: None,
+            acknowledged: false,
         }
+    }
+
+    /// Appends, seals and retrieves request `id`.
+    fn retire(j: &mut MoveJournal, id: u64) {
+        j.append(record(id, id));
+        assert!(j.seal(DeviceId(0), id, MoveStatus::Done));
+        j.retrieved(DeviceId(0), id);
+    }
+
+    fn ids(j: &MoveJournal) -> Vec<u64> {
+        j.records().iter().map(|r| r.req.id).collect()
+    }
+
+    #[test]
+    fn an_acknowledgement_drops_its_record_at_the_next_write() {
+        let mut j = MoveJournal::default();
+        j.append(record(0, 0));
+        j.append(record(1, 1));
+        j.seal(DeviceId(0), 0, MoveStatus::Done);
+        j.retrieved(DeviceId(0), 0);
+        assert_eq!(ids(&j), [0, 1], "a retrieval alone is not durable");
+        j.seal(DeviceId(0), 1, MoveStatus::Done);
+        assert_eq!(ids(&j), [1], "the seal carried the acknowledgement");
+        assert_eq!(j.len(), 2, "len counts appends");
+        assert_eq!(j.position(DeviceId(0), 0), None, "left the index");
+        j.retrieved(DeviceId(0), 1);
+        j.append(record(2, 2));
+        assert_eq!(ids(&j), [2], "the append carried it");
+    }
+
+    #[test]
+    fn out_of_order_acknowledgements_stay_bounded() {
+        let mut j = MoveJournal::default();
+        // Request 0 is never retrieved; everything after it is.
+        j.append(record(0, 0));
+        j.seal(DeviceId(0), 0, MoveStatus::Done);
+        for id in 1..1_000 {
+            retire(&mut j, id);
+        }
+        j.append(record(1_000, 1_000));
+        assert!(j.records.len() <= 4, "{} records kept", j.records.len());
+        assert!(j.index[0].slots.len() <= 1_001);
+        assert_eq!(j.records()[0].req.id, 0, "the unretrieved one stays");
+        assert!(j
+            .records()
+            .iter()
+            .all(|r| r.req.id == 0 || r.req.id == 1_000 || r.acknowledged));
+        assert_eq!(j.len(), 1_001);
+    }
+
+    #[test]
+    fn a_second_acknowledgement_of_one_record_counts_once() {
+        let mut j = MoveJournal::default();
+        retire(&mut j, 0);
+        j.retrieved(DeviceId(0), 0);
+        j.append(record(1, 1));
+        assert_eq!((j.dead, ids(&j)), (0, vec![1]));
+    }
+
+    #[test]
+    fn in_order_retirement_keeps_a_small_window() {
+        let mut j = MoveJournal::default();
+        for id in 0..10_000 {
+            retire(&mut j, id);
+        }
+        j.append(record(10_000, 10_000));
+        assert!(j.records.len() <= 2, "{} records kept", j.records.len());
+        assert!(j.index[0].slots.len() <= 2, "the id index is windowed");
+        assert_eq!(ids(&j), [10_000]);
+    }
+
+    #[test]
+    fn a_late_issue_below_the_window_is_indexed() {
+        // Request 3 issues after 0..10 except itself retired, and after
+        // compaction moved the window's base past it.
+        let mut j = MoveJournal::default();
+        for id in (0..10).filter(|&id| id != 3) {
+            retire(&mut j, id);
+        }
+        j.append(record(10, 10));
+        assert_eq!(j.index[0].base, 10, "the window starts past request 3");
+        j.append(record(3, 3));
+        assert_eq!(j.index[0].base, 3);
+        assert_eq!(ids(&j), [10, 3]);
+        let indexed = |id| j.position(DeviceId(0), id).map(|i| j.records[i].req.id);
+        assert_eq!((indexed(3), indexed(10)), (Some(3), Some(10)));
+        assert!(j.seal(DeviceId(0), 3, MoveStatus::Done));
+        assert_eq!(j.records()[1].sealed, Some(MoveStatus::Done));
+        assert!(j.seal(DeviceId(0), 10, MoveStatus::Done));
+        assert_eq!(j.len(), 11);
+    }
+
+    #[test]
+    fn a_crash_loses_pending_acknowledgements() {
+        let mut j = MoveJournal::default();
+        retire(&mut j, 0);
+        j.lose_pending_acks();
+        assert_eq!(ids(&j), [0], "reported again after the crash");
+        j.delivered_all();
+        j.append(record(0, 7));
+        assert_eq!(
+            ids(&j),
+            [0],
+            "recovery's report was acknowledged by the next write, and \
+             the re-opened device's request 0 is a new record"
+        );
+        assert_eq!(j.records()[0].token, 7);
+        assert_eq!(j.len(), 2);
     }
 
     #[test]
@@ -384,7 +660,8 @@ mod tests {
 /// What [`crate::System::recover`] did, record by record.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
-    /// Journal records examined (all appends, sealed or not).
+    /// Journal records appended before the crash, dropped ones
+    /// included.
     pub journal_records: u64,
     /// Records that were unsealed at the crash and needed recovery.
     pub recovered_requests: u64,
@@ -392,7 +669,10 @@ pub struct RecoveryReport {
     pub rolled_back: u64,
     /// Unsealed `CopyDone` records rolled forward (sealed `Done`).
     pub redriven: u64,
-    /// Terminal status of every journaled request after recovery, in
-    /// journal append order: `(req_id, status, user_data)`.
+    /// Terminal status of every journaled request whose completion was
+    /// not durably acknowledged — the moves in flight at the crash and
+    /// the completions the application had not retrieved, or retrieved
+    /// too late for the acknowledgement to persist — in journal append
+    /// order: `(req_id, status, user_data)`.
     pub statuses: Vec<(u64, MoveStatus, u64)>,
 }

@@ -8,7 +8,10 @@
 //! [`System::recover`] is the reboot path. It terminates every journaled
 //! move in **exactly one** terminal status:
 //!
-//! * sealed before the crash → reported as-is (the seal is durable);
+//! * sealed and durably acknowledged before the crash → already gone
+//!   from the journal: the application has its status;
+//! * sealed but not durably acknowledged → reported as-is (the seal is
+//!   durable; the acknowledgement was not);
 //! * unsealed at milestone `Issued` → **rolled back**: original PTEs
 //!   restored, destination frames freed, sealed `Aborted`;
 //! * unsealed at milestone `CopyDone` with every destination byte on
@@ -36,14 +39,18 @@ use crate::system::System;
 impl System {
     /// Recovers the machine after a crash point fired. Safe (and a
     /// near-no-op) on an uncrashed system: the report then just lists
-    /// the sealed journal records.
+    /// the sealed records not yet durably acknowledged.
     ///
     /// Only devices opened with [`crate::MemifConfig::journal`] are
     /// rebuilt — a non-journaled device's entire state was volatile and
-    /// is unrecoverable by design. Completions delivered before the
-    /// crash sat in volatile queues; the returned
-    /// [`RecoveryReport::statuses`] is the post-crash acknowledgment
-    /// channel for **every** journaled request, sealed or recovered.
+    /// is unrecoverable by design. Completions posted before the crash
+    /// sat in volatile queues, and retrievals whose acknowledgement had
+    /// not reached the journal were lost with them; the returned
+    /// [`RecoveryReport::statuses`] re-delivers every journaled request
+    /// not durably acknowledged — the ones recovered here plus the
+    /// sealed ones. A durably acknowledged request is not reported
+    /// again: its record is gone. The report itself is acknowledged by
+    /// the next journal write, like a retrieval.
     pub fn recover(&mut self, sim: &mut Sim<System>) -> RecoveryReport {
         let mut report = RecoveryReport {
             journal_records: self.journal.len() as u64,
@@ -51,7 +58,7 @@ impl System {
         };
         if !self.crashed {
             for rec in self.journal.records() {
-                if let Some(status) = rec.sealed {
+                if let (Some(status), false) = (rec.sealed, rec.acknowledged) {
                     report
                         .statuses
                         .push((rec.req.id, status, rec.req.user_data));
@@ -59,6 +66,7 @@ impl System {
             }
             return report;
         }
+        self.journal.lose_pending_acks();
 
         // Drain the dead world: dispatch drops every pending event while
         // the crashed flag is up, so this only advances the clock to the
@@ -180,13 +188,10 @@ impl System {
             }
         }
 
-        // Mirror the journal's per-device record count into the rebuilt
+        // Mirror the journal's per-device append count into the rebuilt
         // stats so `memifctl stats` reports it after a reboot.
-        let record_devices: Vec<_> = self.journal.records().iter().map(|r| r.device).collect();
-        for device in record_devices {
-            if let Some(d) = self.device_mut(device) {
-                d.stats.journal_records += 1;
-            }
+        for device in self.devices.iter_mut().flatten() {
+            device.stats.journal_records = self.journal.appended_on(device.id);
         }
 
         for rec in self.journal.records() {
@@ -195,6 +200,7 @@ impl System {
                 .statuses
                 .push((rec.req.id, status, rec.req.user_data));
         }
+        self.journal.delivered_all();
 
         self.crashed = false;
         if let Some(log) = &mut self.event_log {

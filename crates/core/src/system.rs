@@ -145,6 +145,10 @@ pub struct System {
     /// Set by a crash point firing: the world has halted; every further
     /// event is dropped until [`System::recover`] runs.
     pub(crate) crashed: bool,
+    /// When the last logged event was dispatched (kept only while the
+    /// event log is on): the time of a crash on the application's
+    /// retrieve path, which has no simulator at hand.
+    pub(crate) logged_at: SimTime,
 }
 
 impl System {
@@ -228,6 +232,7 @@ impl System {
             event_log: None,
             journal: crate::journal::MoveJournal::default(),
             crashed: false,
+            logged_at: SimTime::ZERO,
         }
     }
 
@@ -307,6 +312,12 @@ impl System {
         sim: &mut Sim<System>,
         point: memif_hwsim::CrashPoint,
     ) -> bool {
+        self.maybe_crash_at(sim.now(), point)
+    }
+
+    /// [`maybe_crash`](Self::maybe_crash) at simulated time `now`, for
+    /// paths that run without the simulator at hand.
+    pub(crate) fn maybe_crash_at(&mut self, now: SimTime, point: memif_hwsim::CrashPoint) -> bool {
         if self.crashed {
             return true;
         }
@@ -315,7 +326,7 @@ impl System {
             .injector_mut()
             .is_some_and(|inj| inj.roll_crash(point));
         if fired {
-            self.force_crash(sim, point.as_str());
+            self.halt(now, point.as_str());
         }
         fired
     }
@@ -324,11 +335,15 @@ impl System {
     /// the crash points' common path). All volatile state is considered
     /// lost from this instant; pending events drain undelivered.
     pub fn force_crash(&mut self, sim: &mut Sim<System>, label: &str) {
+        self.halt(sim.now(), label);
+    }
+
+    fn halt(&mut self, now: SimTime, label: &str) {
         self.crashed = true;
         if let Some(log) = &mut self.event_log {
             log.push(format!(
                 "{{\"t\":{},\"type\":\"crash\",\"point\":\"{}\"}}",
-                sim.now().as_ns(),
+                now.as_ns(),
                 label
             ));
         }

@@ -90,6 +90,10 @@ pub enum CrashPoint {
     /// Right after a retire site sealed the journal record (recovery
     /// must treat the request as already terminal).
     PostRetire,
+    /// Right after the application retrieved a completion, before the
+    /// next journal write makes that acknowledgement durable (recovery
+    /// must report the request again).
+    PostRetrieve,
 }
 
 impl CrashPoint {
@@ -102,6 +106,7 @@ impl CrashPoint {
             CrashPoint::MidChain => "mid-chain",
             CrashPoint::PreRetire => "pre-retire",
             CrashPoint::PostRetire => "post-retire",
+            CrashPoint::PostRetrieve => "post-retrieve",
         }
     }
 
@@ -114,17 +119,19 @@ impl CrashPoint {
             "mid-chain" => Some(CrashPoint::MidChain),
             "pre-retire" => Some(CrashPoint::PreRetire),
             "post-retire" => Some(CrashPoint::PostRetire),
+            "post-retrieve" => Some(CrashPoint::PostRetrieve),
             _ => None,
         }
     }
 
     /// All crash points, in lifecycle order.
-    pub const ALL: [CrashPoint; 5] = [
+    pub const ALL: [CrashPoint; 6] = [
         CrashPoint::Submit,
         CrashPoint::PostLaunch,
         CrashPoint::MidChain,
         CrashPoint::PreRetire,
         CrashPoint::PostRetire,
+        CrashPoint::PostRetrieve,
     ];
 }
 

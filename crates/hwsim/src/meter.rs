@@ -6,7 +6,6 @@
 //! context, and [`PhaseBreakdown`] accumulates cost per driver phase
 //! (Table 1 rows), letting the harness print the same columns.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -30,6 +29,15 @@ pub enum Context {
 }
 
 impl Context {
+    /// All contexts, in declaration order (their meter index).
+    pub const ALL: [Context; 5] = [
+        Context::App,
+        Context::Syscall,
+        Context::Interrupt,
+        Context::KernelThread,
+        Context::DmaEngine,
+    ];
+
     /// Whether time in this context occupies a CPU core.
     #[must_use]
     pub fn is_cpu(self) -> bool {
@@ -75,7 +83,7 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// All phases in presentation order.
+    /// All phases in presentation order (their breakdown index).
     pub const ALL: [Phase; 8] = [
         Phase::Prep,
         Phase::Remap,
@@ -107,7 +115,8 @@ impl fmt::Display for Phase {
 /// Accumulated cost per phase.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseBreakdown {
-    costs: BTreeMap<Phase, SimDuration>,
+    /// Cost per phase, indexed by `Phase as usize`.
+    costs: [SimDuration; Phase::ALL.len()],
 }
 
 impl PhaseBreakdown {
@@ -119,19 +128,19 @@ impl PhaseBreakdown {
 
     /// Adds `cost` to `phase`.
     pub fn add(&mut self, phase: Phase, cost: SimDuration) {
-        *self.costs.entry(phase).or_default() += cost;
+        self.costs[phase as usize] += cost;
     }
 
     /// Cost accumulated for `phase`.
     #[must_use]
     pub fn get(&self, phase: Phase) -> SimDuration {
-        self.costs.get(&phase).copied().unwrap_or_default()
+        self.costs[phase as usize]
     }
 
     /// Sum over all phases.
     #[must_use]
     pub fn total(&self) -> SimDuration {
-        self.costs.values().copied().sum()
+        self.costs.iter().copied().sum()
     }
 
     /// Sum over all phases except the byte copy — the "management"
@@ -143,8 +152,8 @@ impl PhaseBreakdown {
 
     /// Merges another breakdown into this one.
     pub fn merge(&mut self, other: &PhaseBreakdown) {
-        for (phase, cost) in &other.costs {
-            self.add(*phase, *cost);
+        for (cost, more) in self.costs.iter_mut().zip(other.costs) {
+            *cost += more;
         }
     }
 
@@ -162,17 +171,19 @@ impl PhaseBreakdown {
 /// [`Context::KernelThread`] line.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UsageMeter {
-    busy: BTreeMap<Context, SimDuration>,
+    /// Busy time per context, indexed by `Context as usize`.
+    busy: [SimDuration; Context::ALL.len()],
     workers: Vec<SimDuration>,
     /// CPU time spent compressing bytes bound for a compressed bank
     /// (also charged to its context in `busy`; this is attribution).
     compress: SimDuration,
     /// CPU time spent decompressing bytes leaving a compressed bank.
     decompress: SimDuration,
-    /// Busy time attributed per tenant id (attribution-only, like
-    /// `workers`: the time was already charged to its context). Empty
-    /// unless a QoS-enabled driver records tenant attribution.
-    tenants: BTreeMap<u16, SimDuration>,
+    /// Busy time attributed per tenant id, sorted by id (attribution-
+    /// only, like `workers`: the time was already charged to its
+    /// context). Empty unless a QoS-enabled driver records tenant
+    /// attribution.
+    tenants: Vec<(u16, SimDuration)>,
 }
 
 impl UsageMeter {
@@ -184,7 +195,7 @@ impl UsageMeter {
 
     /// Charges `cost` of busy time to `ctx`.
     pub fn charge(&mut self, ctx: Context, cost: SimDuration) {
-        *self.busy.entry(ctx).or_default() += cost;
+        self.busy[ctx as usize] += cost;
     }
 
     /// Charges `cost` of [`Context::KernelThread`] busy time, attributing
@@ -209,19 +220,24 @@ impl UsageMeter {
     /// time was already charged on the execution path and only needs
     /// per-tenant bookkeeping for QoS accounting.
     pub fn attribute_tenant(&mut self, tenant: u16, cost: SimDuration) {
-        *self.tenants.entry(tenant).or_default() += cost;
+        match self.tenants.binary_search_by_key(&tenant, |t| t.0) {
+            Ok(i) => self.tenants[i].1 += cost,
+            Err(i) => self.tenants.insert(i, (tenant, cost)),
+        }
     }
 
     /// Busy time attributed to `tenant` (zero if it never ran).
     #[must_use]
     pub fn tenant_busy(&self, tenant: u16) -> SimDuration {
-        self.tenants.get(&tenant).copied().unwrap_or_default()
+        self.tenants
+            .binary_search_by_key(&tenant, |t| t.0)
+            .map_or(SimDuration::ZERO, |i| self.tenants[i].1)
     }
 
     /// Per-tenant attributed busy times, ascending by tenant id. Empty
     /// unless tenant attribution was recorded.
     pub fn tenants(&self) -> impl Iterator<Item = (u16, SimDuration)> + '_ {
-        self.tenants.iter().map(|(t, d)| (*t, *d))
+        self.tenants.iter().copied()
     }
 
     /// Busy time accumulated by kernel worker `worker` (zero if it never
@@ -269,16 +285,16 @@ impl UsageMeter {
     /// Busy time accumulated by `ctx`.
     #[must_use]
     pub fn busy(&self, ctx: Context) -> SimDuration {
-        self.busy.get(&ctx).copied().unwrap_or_default()
+        self.busy[ctx as usize]
     }
 
     /// Total CPU busy time (all contexts with [`Context::is_cpu`]).
     #[must_use]
     pub fn cpu_busy(&self) -> SimDuration {
-        self.busy
-            .iter()
-            .filter(|(c, _)| c.is_cpu())
-            .map(|(_, d)| *d)
+        Context::ALL
+            .into_iter()
+            .filter(|c| c.is_cpu())
+            .map(|c| self.busy(c))
             .sum()
     }
 
@@ -294,7 +310,7 @@ impl UsageMeter {
 
     /// Resets all counters.
     pub fn reset(&mut self) {
-        self.busy.clear();
+        self.busy = Default::default();
         self.workers.clear();
         self.compress = SimDuration::ZERO;
         self.decompress = SimDuration::ZERO;
@@ -438,6 +454,16 @@ mod tests {
         m.reset();
         assert_eq!(m.tenant_busy(7), SimDuration::ZERO);
         assert_eq!(m.tenants().count(), 0);
+    }
+
+    #[test]
+    fn dense_indices_follow_declaration_order() {
+        for (i, c) in Context::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i);
+        }
+        for (i, p) in Phase::ALL.into_iter().enumerate() {
+            assert_eq!(p as usize, i);
+        }
     }
 
     #[test]

@@ -140,6 +140,9 @@ pub struct PolicyStats {
     /// intermediate tiers plus parked moves re-issued the moment a
     /// completion freed their target tier.
     pub cascades: u64,
+    /// Completions the daemon retrieved from its device, every chain
+    /// hop and untracked request included.
+    pub retrieved: u64,
 }
 
 struct Inner {
@@ -508,6 +511,7 @@ impl Inner {
         i.poll_armed = false;
         let memif = i.memif;
         while let Ok(Some(c)) = memif.retrieve_completed(sys) {
+            i.stats.retrieved += 1;
             let Some(base) = i.inflight.remove(&c.req_id.0) else {
                 continue;
             };
