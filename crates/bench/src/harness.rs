@@ -180,7 +180,7 @@ pub fn probe_memif_once(
     let cpu_before = sys.meter.cpu_busy();
     let t0 = sim.now();
     run_one(&mut sys, &mut sim);
-    let record = *sys.device(memif.device()).unwrap().log.last().unwrap();
+    let record = sys.device(memif.device()).unwrap().log.last().unwrap();
     let wall = record.completed_at.since(t0);
     // CPU usage is measured over the request's full footprint, including
     // the trailing kernel-thread work after the notification.

@@ -227,6 +227,37 @@ fn durably_acknowledged_request_is_not_reported_and_its_record_is_gone() {
     );
 }
 
+/// A re-opened device's request ids continue past every id the journal
+/// recorded for it: no request submitted after the reboot shares an id
+/// with a request the recovery report names.
+#[test]
+fn requests_after_a_reboot_get_ids_the_report_does_not_name() {
+    let (mut sys, mut sim, memif, regions) = journaled_machine(4);
+    for (cookie, va) in regions.iter().enumerate() {
+        migrate(&mut sys, &mut sim, memif, *va, cookie as u64);
+    }
+    sim.run(&mut sys);
+    sys.force_crash(&mut sim, "test");
+    let report = sys.recover(&mut sim);
+    assert_eq!(reported_cookies(&report), [0, 1, 2, 3], "none retrieved");
+    let mut fresh = Vec::new();
+    for (cookie, va) in regions.iter().enumerate() {
+        let spec = MoveSpec::migrate(*va, PAGES, PAGE, NodeId(0)).with_user_data(cookie as u64);
+        fresh.push(memif.submit(&mut sys, &mut sim, spec).unwrap().0 .0);
+    }
+    sim.run(&mut sys);
+    while let Some(c) = memif.retrieve_completed(&mut sys).unwrap() {
+        assert_eq!(c.status.0, MoveStatus::Done);
+    }
+    for id in &fresh {
+        assert!(
+            !report.statuses.iter().any(|s| s.0 == *id),
+            "request {id}, submitted after the reboot, reuses a reported id: {:?}",
+            report.statuses
+        );
+    }
+}
+
 /// A crash plan that never fires (its point is never crossed) leaves
 /// the run byte-identical to no plan at all.
 #[test]

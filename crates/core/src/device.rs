@@ -10,45 +10,18 @@ use std::collections::{BTreeMap, VecDeque};
 use memif_hwsim::dma::{SgSegment, TransferId};
 use memif_hwsim::hash::IdMap;
 use memif_hwsim::{PhaseBreakdown, PhysAddr, SimTime};
-use memif_lockfree::{MovReq, MoveKind, MoveStatus, Region};
+use memif_lockfree::{MovReq, Region};
 use memif_mm::{PageSize, Pte, VirtAddr};
 
 use crate::config::MemifConfig;
 use crate::error::MemifError;
 use crate::event::SimEvent;
+use crate::log::CompletionLog;
 use crate::system::{SpaceId, System};
 
 /// Handle to an open memif device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DeviceId(pub usize);
-
-/// One entry of the driver's completion log (the raw material for the
-/// latency and throughput figures).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompletionRecord {
-    /// Request id.
-    pub req_id: u64,
-    /// Replication or migration.
-    pub kind: MoveKind,
-    /// Bytes the request covered.
-    pub bytes: u64,
-    /// When the application submitted it.
-    pub submitted_at: SimTime,
-    /// When its DMA transfer started (`None` if rejected before launch).
-    pub dma_started_at: Option<SimTime>,
-    /// When the completion notification was enqueued.
-    pub completed_at: SimTime,
-    /// Terminal status.
-    pub status: MoveStatus,
-}
-
-impl CompletionRecord {
-    /// Submission-to-notification latency.
-    #[must_use]
-    pub fn latency(&self) -> memif_hwsim::SimDuration {
-        self.completed_at.since(self.submitted_at)
-    }
-}
 
 /// Driver activity counters for one device.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -345,8 +318,9 @@ pub struct MemifDevice {
     pub region: Region,
     /// Driver counters.
     pub stats: DriverStats,
-    /// Completion log.
-    pub log: Vec<CompletionRecord>,
+    /// Completion log: one record per retired request, kept for the
+    /// device's lifetime at about 11–16 bytes each.
+    pub log: CompletionLog,
     pub(crate) inflight: Vec<Inflight>,
     /// Per-shard worker state; length = `config.issue_shards` (min 1).
     pub(crate) shards: Vec<IssueShard>,
@@ -408,7 +382,7 @@ impl MemifDevice {
             config,
             region,
             stats: DriverStats::default(),
-            log: Vec::new(),
+            log: CompletionLog::default(),
             inflight: Vec::new(),
             shards: (0..shard_count).map(|_| IssueShard::default()).collect(),
             spans: memif_lockfree::InflightIndex::new(),

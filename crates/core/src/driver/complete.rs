@@ -7,9 +7,10 @@ use memif_lockfree::{FailReason, MovReq, MoveStatus, QueueId, SlotIndex};
 use memif_mm::{Pte, VirtAddr};
 
 use crate::config::RaceMode;
-use crate::device::{CompletionRecord, DeviceId, Inflight};
+use crate::device::{DeviceId, Inflight};
 use crate::driver::{dev, dev_mut};
 use crate::event::SimEvent;
+use crate::log::CompletionRecord;
 use crate::system::System;
 
 /// Runs when the DMA engine finishes (or errors out) a device's
@@ -582,7 +583,7 @@ mod tests {
             )
             .unwrap();
         sim.run(&mut sys);
-        let rec = *dev(&sys, memif.device())
+        let rec = dev(&sys, memif.device())
             .log
             .last()
             .expect("request retired");

@@ -131,20 +131,49 @@ pub struct JournalRecord {
     pub acknowledged: bool,
 }
 
-/// One device's window of the request-id index.
+/// One device's part of the request-id index.
 #[derive(Debug, Default)]
-struct IdWindow {
-    /// Request id of `slots[0]`.
-    base: u64,
-    /// `slots[id - base]` is 1 + the position in `records` of request
-    /// `id`'s record, or 0 if it has none. Requests are keyed by id, not
-    /// token: a retried issue overwrites its own record. Ids are dense
-    /// per device and the window starts at the oldest retained one, so
-    /// its length follows the span of retained ids, not the run.
-    slots: Vec<u32>,
+struct IdIndex {
+    /// `(request id, position in records)` of each record not yet
+    /// acknowledged, sorted by id and searched by bisection, so its
+    /// length is bounded by the retained records whatever ids they
+    /// hold. Requests are keyed by id, not token: a retried issue
+    /// overwrites its own record.
+    ids: Vec<(u64, usize)>,
     /// Records appended for this device (retries overwrite, and do not
     /// count).
     appended: u64,
+    /// One past the highest request id appended for this device.
+    next_id: u64,
+}
+
+impl IdIndex {
+    /// Where request `id` is, or would be inserted, in `ids`. Ids are
+    /// issued in order and retained ones are mostly consecutive, so a
+    /// new id goes at the end and a retained one is tried `id - first
+    /// id` places from the front before bisecting.
+    fn find(&self, id: u64) -> Result<usize, usize> {
+        let (Some(&(first, _)), Some(&(last, _))) = (self.ids.first(), self.ids.last()) else {
+            return Err(0);
+        };
+        if id > last {
+            return Err(self.ids.len());
+        }
+        let k = id.wrapping_sub(first) as usize;
+        if self.ids.get(k).is_some_and(|e| e.0 == id) {
+            return Ok(k);
+        }
+        self.ids.binary_search_by_key(&id, |&(id, _)| id)
+    }
+
+    /// Points request `id` at position `at`, shadowing any older
+    /// record with that id.
+    fn set(&mut self, id: u64, at: usize) {
+        match self.find(id) {
+            Ok(k) => self.ids[k].1 = at,
+            Err(k) => self.ids.insert(k, (id, at)),
+        }
+    }
 }
 
 /// The machine-wide journal: per-device open records (so recovery can
@@ -161,7 +190,7 @@ pub struct MoveJournal {
     /// older retained record.
     dead: usize,
     /// Per-device request-id index, by device id.
-    index: Vec<IdWindow>,
+    index: Vec<IdIndex>,
     /// Positions in `records` of retrieved records whose acknowledgement
     /// rides on the next journal write. Volatile: a crash loses them.
     pending_acks: Vec<usize>,
@@ -202,11 +231,11 @@ impl MoveJournal {
         self.len() == 0
     }
 
-    /// Slots in the request-id index, across devices: each device's
-    /// window spans its oldest retained request id to its newest.
+    /// Entries in the request-id index, across devices: one per
+    /// retained record not yet acknowledged.
     #[must_use]
     pub fn index_slots(&self) -> usize {
-        self.index.iter().map(|w| w.slots.len()).sum()
+        self.index.iter().map(|d| d.ids.len()).sum()
     }
 
     /// `(device, req_id)` of each retrieved request whose
@@ -222,7 +251,13 @@ impl MoveJournal {
 
     /// Records appended for `device` so far.
     pub(crate) fn appended_on(&self, device: DeviceId) -> u64 {
-        self.index.get(device.0).map_or(0, |w| w.appended)
+        self.index.get(device.0).map_or(0, |d| d.appended)
+    }
+
+    /// One past the highest request id appended for `device`: where a
+    /// re-opened device's ids continue.
+    pub(crate) fn next_id_on(&self, device: DeviceId) -> u64 {
+        self.index.get(device.0).map_or(0, |d| d.next_id)
     }
 
     /// Empty plan lists for the next record, recycled from sealed ones.
@@ -254,25 +289,12 @@ impl MoveJournal {
             _ => {
                 let (device, id) = (record.device.0, record.req.id);
                 if self.index.len() <= device {
-                    self.index.resize_with(device + 1, IdWindow::default);
+                    self.index.resize_with(device + 1, IdIndex::default);
                 }
-                let slot = u32::try_from(self.records.len() + 1).expect("under 2^32 records");
-                let w = &mut self.index[device];
-                w.appended += 1;
-                if w.slots.is_empty() {
-                    w.base = id;
-                } else if id < w.base {
-                    // Issued after every older retained id was dropped:
-                    // a request parked at submit (QoS) issues late.
-                    let grow = usize::try_from(w.base - id).expect("id window fits memory");
-                    w.slots.splice(0..0, std::iter::repeat_n(0, grow));
-                    w.base = id;
-                }
-                let at = usize::try_from(id - w.base).expect("id window fits memory");
-                if w.slots.len() <= at {
-                    w.slots.resize(at + 1, 0);
-                }
-                w.slots[at] = slot;
+                let d = &mut self.index[device];
+                d.appended += 1;
+                d.next_id = d.next_id.max(id.saturating_add(1));
+                d.set(id, self.records.len());
                 self.records.push(record);
             }
         }
@@ -280,10 +302,8 @@ impl MoveJournal {
 
     /// Position in `records` of request `req_id`'s record, if any.
     fn position(&self, device: DeviceId, req_id: u64) -> Option<usize> {
-        let w = self.index.get(device.0)?;
-        let at = usize::try_from(req_id.checked_sub(w.base)?).ok()?;
-        let slot = *w.slots.get(at)?;
-        (slot > 0).then(|| slot as usize - 1)
+        let d = self.index.get(device.0)?;
+        Some(d.ids[d.find(req_id).ok()?].1)
     }
 
     fn get_mut(&mut self, device: DeviceId, req_id: u64) -> Option<&mut JournalRecord> {
@@ -359,16 +379,16 @@ impl MoveJournal {
         for k in 0..self.pending_acks.len() {
             let i = self.pending_acks[k];
             let rec = &mut self.records[i];
-            // After a reboot a never-journaled request can share an id
-            // with a record recovery already delivered: ack it once.
+            // A record queued twice is acknowledged once.
             if std::mem::replace(&mut rec.acknowledged, true) {
                 continue;
             }
             self.dead += 1;
-            let (device, id) = (rec.device, rec.req.id);
-            if self.position(device, id) == Some(i) {
-                let w = &mut self.index[device.0];
-                w.slots[(id - w.base) as usize] = 0;
+            let d = &mut self.index[rec.device.0];
+            if let Ok(k) = d.find(rec.req.id) {
+                if d.ids[k].1 == i {
+                    d.ids.remove(k);
+                }
             }
         }
         self.pending_acks.clear();
@@ -380,32 +400,19 @@ impl MoveJournal {
         }
     }
 
-    /// Removes every acknowledged record and re-windows the index at
-    /// each device's oldest retained request id. Allocation-free once
-    /// the tables have grown to the retained span.
+    /// Removes every acknowledged record and re-points the index at
+    /// the records' new positions. Allocation-free once the tables have
+    /// grown to the retained records.
     fn compact(&mut self) {
         debug_assert!(self.pending_acks.is_empty(), "positions would go stale");
         self.records.retain(|r| !r.acknowledged);
         self.head = 0;
         self.dead = 0;
-        for (device, w) in self.index.iter_mut().enumerate() {
-            let ids = self
-                .records
-                .iter()
-                .filter(|r| r.device.0 == device)
-                .map(|r| r.req.id);
-            w.slots.clear();
-            if let Some(oldest) = ids.min() {
-                w.base = oldest;
-            }
+        for d in &mut self.index {
+            d.ids.clear();
         }
         for (i, r) in self.records.iter().enumerate() {
-            let w = &mut self.index[r.device.0];
-            let at = (r.req.id - w.base) as usize;
-            if w.slots.len() <= at {
-                w.slots.resize(at + 1, 0);
-            }
-            w.slots[at] = u32::try_from(i + 1).expect("under 2^32 records");
+            self.index[r.device.0].set(r.req.id, i);
         }
     }
 
@@ -487,7 +494,12 @@ mod tests {
         }
         j.append(record(1_000, 1_000));
         assert!(j.records.len() <= 4, "{} records kept", j.records.len());
-        assert!(j.index[0].slots.len() <= 1_001);
+        assert!(
+            j.index_slots() <= j.records().len(),
+            "{} index entries for {} retained records",
+            j.index_slots(),
+            j.records().len()
+        );
         assert_eq!(j.records()[0].req.id, 0, "the unretrieved one stays");
         assert!(j
             .records()
@@ -506,29 +518,29 @@ mod tests {
     }
 
     #[test]
-    fn in_order_retirement_keeps_a_small_window() {
+    fn in_order_retirement_keeps_a_small_index() {
         let mut j = MoveJournal::default();
         for id in 0..10_000 {
             retire(&mut j, id);
         }
         j.append(record(10_000, 10_000));
         assert!(j.records.len() <= 2, "{} records kept", j.records.len());
-        assert!(j.index[0].slots.len() <= 2, "the id index is windowed");
+        assert_eq!(j.index_slots(), 1, "only request 10,000 is indexed");
         assert_eq!(ids(&j), [10_000]);
     }
 
     #[test]
-    fn a_late_issue_below_the_window_is_indexed() {
+    fn a_late_issue_below_the_retained_ids_is_indexed() {
         // Request 3 issues after 0..10 except itself retired, and after
-        // compaction moved the window's base past it.
+        // compaction dropped every id below 10.
         let mut j = MoveJournal::default();
         for id in (0..10).filter(|&id| id != 3) {
             retire(&mut j, id);
         }
         j.append(record(10, 10));
-        assert_eq!(j.index[0].base, 10, "the window starts past request 3");
+        assert_eq!(j.index[0].ids, [(10, 0)]);
         j.append(record(3, 3));
-        assert_eq!(j.index[0].base, 3);
+        assert_eq!(j.index[0].ids, [(3, 1), (10, 0)], "sorted by id");
         assert_eq!(ids(&j), [10, 3]);
         let indexed = |id| j.position(DeviceId(0), id).map(|i| j.records[i].req.id);
         assert_eq!((indexed(3), indexed(10)), (Some(3), Some(10)));
@@ -545,14 +557,17 @@ mod tests {
         j.lose_pending_acks();
         assert_eq!(ids(&j), [0], "reported again after the crash");
         j.delivered_all();
-        j.append(record(0, 7));
+        assert_eq!(
+            j.next_id_on(DeviceId(0)),
+            1,
+            "the re-opened device's ids go on"
+        );
+        j.append(record(1, 7));
         assert_eq!(
             ids(&j),
-            [0],
-            "recovery's report was acknowledged by the next write, and \
-             the re-opened device's request 0 is a new record"
+            [1],
+            "recovery's report was acknowledged by the next write"
         );
-        assert_eq!(j.records()[0].token, 7);
         assert_eq!(j.len(), 2);
     }
 

@@ -41,17 +41,19 @@ mod driver;
 mod error;
 mod event;
 mod journal;
+mod log;
 mod recover;
 mod system;
 
 pub use api::{poll_any, Completion, CompletionStatus, Memif, MoveSpec, ReqId};
 pub use chain::{ChainStep, MoveChain};
 pub use config::{MemifConfig, RaceMode};
-pub use device::{CompletionRecord, DeviceId, DriverStats, MemifDevice};
+pub use device::{DeviceId, DriverStats, MemifDevice};
 pub use driver::fault::handle_write_fault;
 pub use error::MemifError;
 pub use event::{HookId, SimEvent};
 pub use journal::{JournalMilestone, JournalPage, JournalRecord, MoveJournal, RecoveryReport};
+pub use log::{CompletionLog, CompletionRecord};
 pub use system::{Resources, SpaceId, System, TierUsage, TraceEntry};
 
 // Re-export the building blocks user code needs at the API boundary.

@@ -32,8 +32,9 @@
 use memif_hwsim::Sim;
 use memif_lockfree::MoveStatus;
 
-use crate::device::{CompletionRecord, MemifDevice};
+use crate::device::MemifDevice;
 use crate::journal::{JournalMilestone, JournalRecord, RecoveryReport};
+use crate::log::CompletionRecord;
 use crate::system::System;
 
 impl System {
@@ -127,15 +128,19 @@ impl System {
 
         // Device state (queues, in-flight records, logs) was volatile.
         // Re-open journaling devices at their recorded ids so journal
-        // records resolve; everything else stays closed.
+        // records resolve; everything else stays closed. Request ids
+        // continue past every id the journal recorded, so a request
+        // submitted after the reboot never shares an id with one the
+        // report below names.
         self.devices.clear();
         let opens: Vec<_> = self.journal.opens().to_vec();
         for (id, owner, config) in opens {
             while self.devices.len() <= id.0 {
                 self.devices.push(None);
             }
-            let device = MemifDevice::new(id, owner, config)
+            let mut device = MemifDevice::new(id, owner, config)
                 .expect("region geometry was valid at first open");
+            device.next_req_id = self.journal.next_id_on(id);
             self.devices[id.0] = Some(device);
         }
 

@@ -17,8 +17,9 @@
 //!
 //! The only growth allowed is the amortized doubling (`realloc`) of the
 //! append-only ledgers that keep one entry per request by design: the
-//! completion log [`memif::MemifDevice::log`] and each QoS tenant's
-//! latency samples (QoS stream only). The write-ahead journal is not
+//! completion log [`memif::MemifDevice::log`], a byte buffer of encoded
+//! records whose capacity doubles from 8, and each QoS tenant's latency
+//! samples (QoS stream only). The write-ahead journal is not
 //! one of them: it drops each record once its completion is retrieved
 //! and acknowledged, so the journaled stream must hold it in the space
 //! it warmed up to. Every reallocation is recorded by its old and new
@@ -38,8 +39,8 @@ use std::rc::Rc;
 use std::thread::LocalKey;
 
 use memif::{
-    DeviceId, HookId, Memif, MemifConfig, MoveSpec, NodeId, PageSize, Sim, SimEvent, System,
-    TenantConfig, TenantId, VirtAddr,
+    HookId, Memif, MemifConfig, MoveSpec, NodeId, PageSize, Sim, SimEvent, System, TenantConfig,
+    TenantId, VirtAddr,
 };
 use memif_hwsim::{CostModel, Topology};
 
@@ -111,6 +112,11 @@ const WARM: u64 = 3_000;
 /// Requests retired while counting.
 const WINDOW: u64 = 2_000;
 
+/// Most encoded completion-log bytes per retired request any stream
+/// may take. The six streams take 11.0 (solo) to 14.0 (QoS,
+/// replication).
+const LOG_BYTES_PER_REQUEST: f64 = 16.0;
+
 /// What each window slot moves.
 #[derive(Clone, Copy)]
 enum Shape {
@@ -158,14 +164,15 @@ struct Loop {
 /// Sizes of the ledgers that grow by one entry per request.
 #[derive(Clone, Copy)]
 struct Ledgers {
-    /// Capacity of the device's completion log.
+    /// Capacity of the device's completion log, in bytes.
     log: usize,
     /// Capacities of the first two tenants' latency samples.
     samples: [usize; 2],
 }
 
-/// A ledger's name, its element size, and its sizes at arm and disarm.
-type Growth = (&'static str, usize, usize, usize);
+/// A ledger's name, its element size, its first capacity, and its
+/// capacities at arm and disarm.
+type Growth = (&'static str, usize, usize, usize, usize);
 
 impl Ledgers {
     fn of(sys: &System, l: &Loop) -> Self {
@@ -185,19 +192,19 @@ impl Ledgers {
 
     /// The reallocations each ledger made growing from `self` to `to`,
     /// as `(ledger, old bytes, new bytes)`.
-    fn doublings_until(&self, to: &Ledgers, sys: &System, device: DeviceId) -> Vec<Grown> {
-        let log = elem_size(&sys.device(device).expect("device open").log);
-        let sample = size_of::<u64>();
+    fn doublings_until(&self, to: &Ledgers) -> Vec<Grown> {
+        let s = size_of::<u64>();
+        // `Vec` capacities start at 8 for bytes and 4 for `u64`s.
         let ledgers: [Growth; 3] = [
-            ("completion log", log, self.log, to.log),
-            ("tenant 0 samples", sample, self.samples[0], to.samples[0]),
-            ("tenant 1 samples", sample, self.samples[1], to.samples[1]),
+            ("completion log", 1, 8, self.log, to.log),
+            ("tenant 0 samples", s, 4, self.samples[0], to.samples[0]),
+            ("tenant 1 samples", s, 4, self.samples[1], to.samples[1]),
         ];
         let mut grown = Vec::new();
-        for (name, size, from, until) in ledgers {
-            // Capacities run 4, 8, 16, ...: a ledger doubles at every
-            // power of two in `[from, until)`.
-            let mut cap = from.next_power_of_two().max(4);
+        for (name, size, first, from, until) in ledgers {
+            // Capacities run `first`, twice that, ...: a ledger doubles
+            // at every power of two in `[from, until)`.
+            let mut cap = from.next_power_of_two().max(first);
             while cap < until {
                 grown.push((name, cap * size, 2 * cap * size));
                 cap *= 2;
@@ -209,10 +216,6 @@ impl Ledgers {
 
 /// One expected doubling: `(ledger, old bytes, new bytes)`.
 type Grown = (&'static str, usize, usize);
-
-fn elem_size<T>(_: &[T]) -> usize {
-    size_of::<T>()
-}
 
 impl Loop {
     /// Submits slot `slot`'s next request, if the budget allows.
@@ -289,6 +292,8 @@ struct Measured {
     journal_appends: usize,
     /// Most journal records and index slots held at any retirement.
     journal_peak: (usize, usize),
+    /// Encoded completion-log bytes per retired request.
+    log_bytes_per_request: f64,
 }
 
 /// Runs `stream` through `WARM` requests, counts the allocations of the
@@ -355,7 +360,7 @@ fn measure(stream: Stream) -> Measured {
     let mut unexplained: Vec<(usize, usize)> =
         GROWN.with(|g| g.borrow()[..(grows as usize).min(MAX_GROWS)].to_vec());
     let mut missing = Vec::new();
-    for grown in before.doublings_until(&after, &sys, l.memif.device()) {
+    for grown in before.doublings_until(&after) {
         match unexplained.iter().position(|&g| g == (grown.1, grown.2)) {
             Some(at) => {
                 unexplained.swap_remove(at);
@@ -372,6 +377,7 @@ fn measure(stream: Stream) -> Measured {
         submitted: device.stats.submitted,
         journal_appends: sys.journal().len(),
         journal_peak: l.journal_peak,
+        log_bytes_per_request: device.log.encoded_bytes() as f64 / device.log.len() as f64,
     }
 }
 
@@ -390,6 +396,11 @@ fn assert_allocation_free(name: &str, stream: Stream) -> Measured {
         m.grows,
         m.unexplained,
         m.missing,
+    );
+    assert!(
+        m.log_bytes_per_request <= LOG_BYTES_PER_REQUEST,
+        "{name}: the completion log took {:.2} bytes per request",
+        m.log_bytes_per_request
     );
     m
 }

@@ -716,7 +716,7 @@ fn latency_log_is_consistent() {
         .unwrap();
     s.sim.run(&mut s.sys);
     let dev = s.sys.device(s.memif.device()).unwrap();
-    let rec = dev.log[0];
+    let rec = dev.log.iter().next().expect("request retired");
     assert_eq!(rec.bytes, 16 * PAGE);
     let started = rec.dma_started_at.expect("launched");
     assert!(rec.submitted_at <= started);
@@ -868,12 +868,12 @@ fn pipeline_depth_one_is_strictly_serial() {
     assert_eq!(dev.stats.completed, 4);
     // Strict serialization: request k+1's DMA starts only after request
     // k's completion notification.
-    for w in dev.log.windows(2) {
+    for (a, b) in dev.log.iter().zip(dev.log.iter().skip(1)) {
         assert!(
-            w[1].dma_started_at.unwrap() >= w[0].completed_at,
+            b.dma_started_at.unwrap() >= a.completed_at,
             "serial service: {:?} vs {:?}",
-            w[1].dma_started_at,
-            w[0].completed_at
+            b.dma_started_at,
+            a.completed_at
         );
     }
 }

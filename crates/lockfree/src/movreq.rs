@@ -79,7 +79,12 @@ pub enum MoveStatus {
 }
 
 impl MoveStatus {
-    fn code(self) -> u64 {
+    /// The status's slot code, 0 ([`MoveStatus::Pending`]) to 8: one
+    /// value for each status and each [`FailReason`]. Requests carry it
+    /// in their queue slot, and the driver's completion log in its tag
+    /// byte.
+    #[must_use]
+    pub fn code(self) -> u64 {
         match self {
             MoveStatus::Pending => 0,
             MoveStatus::Done => 1,
@@ -93,7 +98,10 @@ impl MoveStatus {
         }
     }
 
-    fn from_code(code: u64) -> Self {
+    /// Inverse of [`MoveStatus::code`]; a code it never returns reads
+    /// as [`MoveStatus::Pending`].
+    #[must_use]
+    pub fn from_code(code: u64) -> Self {
         match code {
             1 => MoveStatus::Done,
             2 => MoveStatus::Raced,
