@@ -159,16 +159,16 @@ pub(super) fn poll_threshold() -> Report {
         // only the zero threshold takes completions by interrupt.
         let interrupt_mode = thr == Some(0);
         assert_eq!(
-            run.interrupts > run.polled,
+            run.stats.interrupts > run.stats.polled,
             interrupt_mode,
             "{name}: {} interrupts vs {} polled",
-            run.interrupts,
-            run.polled
+            run.stats.interrupts,
+            run.stats.polled
         );
         table.row(&[
             name.to_owned(),
-            run.interrupts.to_string(),
-            run.polled.to_string(),
+            run.stats.interrupts.to_string(),
+            run.stats.polled.to_string(),
             format!("{:.1}", run.mean_latency_us()),
             format!("{:.2}", run.throughput_gbps),
         ]);

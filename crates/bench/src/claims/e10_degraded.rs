@@ -61,15 +61,16 @@ pub(super) fn run() -> Report {
                 faults: (rate > 0.0).then(|| FaultPlan::dma_errors(SEED, rate)),
                 ..spec(kind)
             });
-            assert_eq!(run.failed, 0, "CPU fallback must keep requests succeeding");
+            let st = &run.stats;
+            assert_eq!(st.failed, 0, "CPU fallback must keep requests succeeding");
             table.row(&[
                 shape.clone(),
                 format!("{rate:.0e}"),
                 format!("{:.2}", run.throughput_gbps),
                 format!("{:.1}%", 100.0 * run.throughput_gbps / base.throughput_gbps),
-                run.retries.to_string(),
-                run.fallbacks.to_string(),
-                run.failed.to_string(),
+                st.retries.to_string(),
+                st.fallbacks.to_string(),
+                st.failed.to_string(),
             ]);
         }
     }
@@ -122,16 +123,17 @@ pub(super) fn run() -> Report {
             faults: Some(plan),
             ..spec(ShapeKind::Replicate)
         });
-        assert_eq!(run.failed, 0, "CPU fallback must keep requests succeeding");
+        let st = &run.stats;
+        assert_eq!(st.failed, 0, "CPU fallback must keep requests succeeding");
         modes.row(&[
             name.to_owned(),
             format!("{:.2}", run.throughput_gbps),
             format!("{:.1}%", 100.0 * run.throughput_gbps / base.throughput_gbps),
-            run.retries.to_string(),
-            run.timeouts.to_string(),
-            run.dma_errors.to_string(),
-            run.fallbacks.to_string(),
-            run.failed.to_string(),
+            st.retries.to_string(),
+            st.timeouts.to_string(),
+            st.dma_errors.to_string(),
+            st.fallbacks.to_string(),
+            st.failed.to_string(),
         ]);
     }
 

@@ -108,7 +108,7 @@ pub(super) fn run() -> Report {
                 run.stats.descriptors_written.to_string(),
                 run.stats.segments_coalesced.to_string(),
                 run.stats.requests_batched.to_string(),
-                (run.interrupts + run.polled).to_string(),
+                (run.stats.interrupts + run.stats.polled).to_string(),
             ]);
         }
         // The acceptance bar: batching + coalescing must at least halve
@@ -140,14 +140,15 @@ pub(super) fn run() -> Report {
             faults: Some(FaultPlan::dma_errors(SEED, rate)),
             ..spec(ShapeKind::Replicate, 16, true)
         });
-        assert_eq!(run.failed, 0, "CPU fallback must keep requests succeeding");
+        let st = &run.stats;
+        assert_eq!(st.failed, 0, "CPU fallback must keep requests succeeding");
         chaos.row(&[
             format!("{rate:.0e}"),
             format!("{:.2}", run.throughput_gbps),
-            run.retries.to_string(),
-            run.fallbacks.to_string(),
-            run.stats.requests_batched.to_string(),
-            run.failed.to_string(),
+            st.retries.to_string(),
+            st.fallbacks.to_string(),
+            st.requests_batched.to_string(),
+            st.failed.to_string(),
         ]);
     }
 

@@ -131,7 +131,7 @@ pub(super) fn run() -> Report {
                     r.journal_records,
                     r.rolled_back,
                     r.redriven,
-                    r.journal_records - r.recovered_requests,
+                    r.journal_records - r.recovered_requests(),
                 )
             });
         crashes.row(&[

@@ -69,7 +69,7 @@ pub(super) fn run() -> Report {
     for (name, run) in std::iter::once(("memif".to_owned(), &memif_run)).chain(systems) {
         summary.row(&[
             name,
-            run.ioctls.to_string(),
+            run.stats.ioctls.to_string(),
             us(run.completion_times[count - 1]),
             format!("{:.1}", run.mean_latency_us()),
         ]);
@@ -77,7 +77,7 @@ pub(super) fn run() -> Report {
 
     // memif: one kick-start for the whole burst, and pipelined
     // completions evenly spaced.
-    assert_eq!(memif_run.ioctls, 1, "one kick-start for the whole burst");
+    assert_eq!(memif_run.stats.ioctls, 1, "one kick-start per burst");
     let gaps: Vec<u64> = memif_run
         .completion_times
         .windows(2)
@@ -110,7 +110,7 @@ pub(super) fn run() -> Report {
             memif_mean,
             best_linux_mean,
             (1.0 - memif_mean / best_linux_mean) * 100.0,
-            memif_run.ioctls
+            memif_run.stats.ioctls
         ),
     }
 }

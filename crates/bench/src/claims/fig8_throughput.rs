@@ -134,7 +134,7 @@ pub(super) fn huge() -> Report {
         r.events_executed.to_string(),
         r.peak_pending.to_string(),
     ]);
-    assert_eq!(r.failed, 0, "million-region sweep must be clean");
+    assert_eq!(r.stats.failed, 0, "million-region sweep must be clean");
     Report {
         tables: vec![("fig8_throughput_huge", table)],
         note: format!(

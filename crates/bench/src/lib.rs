@@ -43,6 +43,6 @@ pub mod table;
 pub use harness::{
     bigfast_topology, crash_migrate_nvm, hugefast_topology, nvm_topology, probe_linux_once,
     probe_memif_once, stream, stream_linux, CrashOutcome, CrashRun, ProbeResult, StreamResult,
-    StreamSpec,
+    StreamSpec, TenantReport,
 };
 pub use table::{mbs, results_dir, Table};

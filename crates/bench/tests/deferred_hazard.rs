@@ -45,7 +45,7 @@ fn lost_batch_completion_does_not_race_region_reuse() {
     // `stream` itself panics unless every request reaches a terminal
     // state.
     assert_eq!(
-        run.failed, 0,
+        run.stats.failed, 0,
         "a lost completion must never fail requests that only raced \
          with the driver's own recovery"
     );
@@ -82,7 +82,7 @@ fn fault_free_streams_never_defer() {
             window: 32,
             ..StreamSpec::default()
         });
-        assert_eq!(run.failed, 0);
+        assert_eq!(run.stats.failed, 0);
         assert_eq!(
             run.stats.requests_deferred, 0,
             "in-order completions never create an overlap hazard"

@@ -162,7 +162,7 @@ fn golden_single_tc_figures() {
         ..StreamSpec::default()
     });
     assert_eq!(run.bytes, u64::from(PAGES) * PAGE.bytes() * COUNT as u64);
-    assert_eq!(run.failed, 0);
+    assert_eq!(run.stats.failed, 0);
     assert_eq!(run.wall.as_ns(), GOLDEN_WALL_NS, "wall clock drifted");
 }
 

@@ -182,7 +182,7 @@ fn pending_acknowledgement_is_reported_again_exactly_once() {
     );
     let report = sys.recover(&mut sim);
     assert_eq!(report.journal_records, 4);
-    assert_eq!(report.recovered_requests, 0, "every move had retired");
+    assert_eq!(report.recovered_requests(), 0, "every move had retired");
     assert_eq!(
         reported_cookies(&report),
         [0, 1, 2, 3],
@@ -374,7 +374,7 @@ fn midchain_crash_with_promoted_heir_recovers_exactly_once() {
 
     let report = sys.recover(&mut sim);
     assert_eq!(report.journal_records, COUNT as u64);
-    assert_eq!(report.recovered_requests, 3, "heir + two members");
+    assert_eq!(report.recovered_requests(), 3, "heir + two members");
     assert_eq!(report.redriven, 1, "heir was CopyDone onto NVM");
     assert_eq!(report.rolled_back, 2, "members had no bytes in place");
     let status_of = |cookie: u64| {
@@ -511,10 +511,17 @@ fn policy_crash_run(crash: Option<CrashPlan>) {
             .map(|r| r.req.id)
             .collect();
         let pending: Vec<u64> = sys.journal().pending_acks().map(|(_, id)| id).collect();
+        let unsealed = sys
+            .journal()
+            .records()
+            .iter()
+            .filter(|r| r.sealed.is_none())
+            .count() as u64;
         let report = sys.recover(&mut sim);
         assert_eq!(
-            report.recovered_requests,
-            report.rolled_back + report.redriven
+            report.recovered_requests(),
+            unsealed,
+            "each move in flight at the crash is recovered once"
         );
         // At most one terminal status per journaled policy move.
         let mut seen = std::collections::HashSet::new();

@@ -32,10 +32,13 @@ mod args;
 
 use args::Args;
 use memif::{
-    Context, CrashPlan, CrashPoint, Memif, MemifConfig, MoveSpec, NodeId, PageSize, Sim, System,
+    Context, CrashPlan, CrashPoint, Memif, MemifConfig, MoveSpec, NodeId, PageSize, RecoveryReport,
+    Sim, System,
 };
 use memif_baseline::{run_migspeed, MigspeedConfig};
-use memif_bench::{crash_migrate_nvm, stream, CrashOutcome, CrashRun, StreamSpec, Table};
+use memif_bench::{
+    crash_migrate_nvm, stream, CrashOutcome, CrashRun, StreamSpec, Table, TenantReport,
+};
 use memif_hwsim::{CostModel, Topology};
 use memif_policy::{run_scenario, Mode, PolicyConfig, ScenarioConfig};
 use memif_runtime::{KernelProfile, Placement, StreamConfig, StreamReport, StreamRuntime};
@@ -444,52 +447,53 @@ fn do_move(args: &Args) -> Result<(), String> {
     if let Some(path) = trace {
         write_trace(path, &header, &r.events, &r.statuses)?;
     }
-    let mean_us = r
-        .completion_times
-        .iter()
-        .map(|t| t.as_ns() as f64)
-        .sum::<f64>()
-        / r.completion_times.len() as f64
-        / 1e3;
     println!(
         "{count} x {pages} {page_size} pages ({:?}): {:.3} GB/s, mean completion {:.1} us",
-        kind, r.throughput_gbps, mean_us
+        kind,
+        r.throughput_gbps,
+        r.mean_latency_us()
     );
+    let st = &r.stats;
     println!(
         "syscalls: {}   interrupts: {}   polled: {}   cpu: {:.2} cores",
-        r.ioctls, r.interrupts, r.polled, r.cpu_usage
+        st.ioctls, st.interrupts, st.polled, r.cpu_usage
     );
     if chaos {
         println!(
             "chaos: retries: {}   timeouts: {}   dma-errors: {}   fallbacks: {}   failed: {}",
-            r.retries, r.timeouts, r.dma_errors, r.fallbacks, r.failed
+            st.retries, st.timeouts, st.dma_errors, st.fallbacks, st.failed
         );
     }
     if batch_max > 1 {
         println!(
             "batching: batched: {}   coalesced: {}   descriptors: {}   writes saved: {}",
-            r.stats.requests_batched,
-            r.stats.segments_coalesced,
-            r.stats.descriptors_written,
-            r.stats.descriptor_writes_saved
+            st.requests_batched,
+            st.segments_coalesced,
+            st.descriptors_written,
+            st.descriptor_writes_saved
         );
     }
     Ok(())
 }
 
-/// Renders `(key, value)` counter pairs as one stable-order JSON
+/// Renders `(key, value)` counter pairs, then `(key, elements)` named
+/// arrays of already-rendered JSON values, as one stable-order JSON
 /// object — the `--json true` output contract for scripts and CI.
-fn json_object(rows: &[(&str, u64)]) -> String {
-    let fields: Vec<String> = rows.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+fn json_object(rows: &[(&str, u64)], arrays: &[(&str, Vec<String>)]) -> String {
+    let mut fields: Vec<String> = rows.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+    fields.extend(
+        arrays
+            .iter()
+            .map(|(k, a)| format!("\"{k}\":[{}]", a.join(","))),
+    );
     format!("{{{}}}", fields.join(","))
 }
 
-/// [`json_object`] plus the stable-key per-tier occupancy array:
-/// `"tiers":[{rank, kind, used_bytes, capacity_bytes, moves_in,
-/// moves_out}, ...]`, rank 0 fastest.
-fn json_object_with_tiers(rows: &[(&str, u64)], tiers: &[memif::TierUsage]) -> String {
-    let flat = json_object(rows);
-    let entries: Vec<String> = tiers
+/// The stable-key per-tier occupancy objects of `stats` and `policy`
+/// JSON output: `{rank, kind, used_bytes, capacity_bytes, moves_in,
+/// moves_out}`, rank 0 fastest.
+fn json_tiers(tiers: &[memif::TierUsage]) -> Vec<String> {
+    tiers
         .iter()
         .map(|t| {
             format!(
@@ -498,53 +502,47 @@ fn json_object_with_tiers(rows: &[(&str, u64)], tiers: &[memif::TierUsage]) -> S
                 t.rank, t.kind, t.used_bytes, t.capacity_bytes, t.moves_in, t.moves_out
             )
         })
-        .collect();
-    format!(
-        "{},\"tiers\":[{}]}}",
-        &flat[..flat.len() - 1],
-        entries.join(",")
-    )
+        .collect()
 }
 
-/// The stable-key per-tenant accounting array appended to
-/// `stats --json` output when a run had a tenant roster:
-/// `"tenants":[{id, weight, inflight, descriptors_held, parked,
-/// total_parked, retired, bytes_moved, p50_ns, p99_ns}, ...]`,
-/// ascending by tenant id. Empty rosters render `"tenants":[]`.
-fn json_tenants(tenants: &[(u16, u32, memif::TenantStats)]) -> String {
-    let entries: Vec<String> = tenants
+/// The stable-key per-tenant accounting objects of `stats --json`:
+/// `{id, weight, inflight, parked, total_parked, retired, bytes_moved,
+/// p50_ns, p99_ns}`, ascending by tenant id.
+fn json_tenants(tenants: &[TenantReport]) -> Vec<String> {
+    tenants
         .iter()
-        .map(|(id, weight, t)| {
+        .map(|t| {
             format!(
-                "{{\"id\":{id},\"weight\":{weight},\"inflight\":{},\"descriptors_held\":{},\
-                 \"parked\":{},\"total_parked\":{},\"retired\":{},\"bytes_moved\":{},\
-                 \"p50_ns\":{},\"p99_ns\":{}}}",
-                t.inflight,
-                t.descriptors_held,
-                t.parked,
-                t.total_parked,
-                t.retired,
-                t.bytes_moved,
-                t.p50_ns().unwrap_or(0),
-                t.p99_ns().unwrap_or(0),
+                "{{\"id\":{},\"weight\":{},\"inflight\":{},\"parked\":{},\"total_parked\":{},\
+                 \"retired\":{},\"bytes_moved\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
+                t.id,
+                t.weight,
+                t.stats.inflight,
+                t.stats.parked,
+                t.stats.total_parked,
+                t.stats.retired,
+                t.stats.bytes_moved,
+                t.p50_ns,
+                t.p99_ns,
             )
         })
-        .collect();
-    format!("\"tenants\":[{}]", entries.join(","))
+        .collect()
 }
 
 /// The human-readable per-tenant accounting lines for `stats` table
 /// output (skipped for single-tenant runs).
-fn print_tenants(tenants: &[(u16, u32, memif::TenantStats)]) {
-    for (id, weight, t) in tenants {
+fn print_tenants(tenants: &[TenantReport]) {
+    for t in tenants {
         println!(
-            "tenant {id} (weight {weight}): {} retired, {:.2} MiB moved, \
+            "tenant {} (weight {}): {} retired, {:.2} MiB moved, \
              {} parked, p50 {} ns, p99 {} ns",
-            t.retired,
-            t.bytes_moved as f64 / (1 << 20) as f64,
-            t.total_parked,
-            t.p50_ns().unwrap_or(0),
-            t.p99_ns().unwrap_or(0),
+            t.id,
+            t.weight,
+            t.stats.retired,
+            t.stats.bytes_moved as f64 / (1 << 20) as f64,
+            t.stats.total_parked,
+            t.p50_ns,
+            t.p99_ns,
         );
     }
 }
@@ -612,7 +610,7 @@ fn stats(args: &Args) -> Result<(), String> {
         ("requests_parked", st.requests_parked),
         ("requests_readmitted", st.requests_readmitted),
         ("journal_records", st.journal_records),
-        ("recovered_requests", st.recovered_requests),
+        ("recovered_requests", st.recovered_requests()),
         ("rolled_back", st.rolled_back),
         ("redriven", st.redriven),
         ("events_executed", r.events_executed),
@@ -621,12 +619,11 @@ fn stats(args: &Args) -> Result<(), String> {
         ("issue_cpu_ns", issue_cpu.as_ns()),
     ];
     if json {
-        let with_tiers = json_object_with_tiers(rows, &r.tiers);
-        println!(
-            "{},{}}}",
-            &with_tiers[..with_tiers.len() - 1],
-            json_tenants(&r.tenant_stats)
-        );
+        let arrays = [
+            ("tiers", json_tiers(&r.tiers)),
+            ("tenants", json_tenants(&r.tenant_stats)),
+        ];
+        println!("{}", json_object(rows, &arrays));
         return Ok(());
     }
     let mut table = Table::new(title, &["counter", "value"]);
@@ -715,7 +712,7 @@ fn policy(args: &Args) -> Result<(), String> {
     if json {
         println!(
             "{}",
-            json_object_with_tiers(
+            json_object(
                 &[
                     ("wall_ns", r.wall.as_ns()),
                     ("ticks", r.ticks),
@@ -738,7 +735,7 @@ fn policy(args: &Args) -> Result<(), String> {
                     ("driver_failed", r.driver.failed),
                     ("driver_bytes_moved", r.driver.bytes_moved),
                 ],
-                &r.tiers,
+                &[("tiers", json_tiers(&r.tiers))],
             )
         );
         return Ok(());
@@ -857,18 +854,21 @@ fn recover(args: &Args) -> Result<(), String> {
     if json {
         println!(
             "{}",
-            json_object(&[
-                ("crashed", u64::from(r.crashed)),
-                ("journal_records", r.journal_records),
-                (
-                    "recovered_requests",
-                    rep.map_or(0, |rep| rep.recovered_requests)
-                ),
-                ("rolled_back", rep.map_or(0, |rep| rep.rolled_back)),
-                ("redriven", rep.map_or(0, |rep| rep.redriven)),
-                ("resubmitted", r.resubmitted as u64),
-                ("wall_ns", r.wall.as_ns()),
-            ])
+            json_object(
+                &[
+                    ("crashed", u64::from(r.crashed)),
+                    ("journal_records", r.journal_records),
+                    (
+                        "recovered_requests",
+                        rep.map_or(0, RecoveryReport::recovered_requests)
+                    ),
+                    ("rolled_back", rep.map_or(0, |rep| rep.rolled_back)),
+                    ("redriven", rep.map_or(0, |rep| rep.redriven)),
+                    ("resubmitted", r.resubmitted as u64),
+                    ("wall_ns", r.wall.as_ns()),
+                ],
+                &[],
+            )
         );
         return Ok(());
     }
@@ -897,7 +897,10 @@ fn recover(args: &Args) -> Result<(), String> {
             println!(
                 "recovery: {} in-flight at the crash ({} rolled back, {} rolled forward); \
                  app re-submitted {}",
-                rep.recovered_requests, rep.rolled_back, rep.redriven, r.resubmitted,
+                rep.recovered_requests(),
+                rep.rolled_back,
+                rep.redriven,
+                r.resubmitted,
             );
         }
         (Some(plan), _) => println!(

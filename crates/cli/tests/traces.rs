@@ -323,6 +323,41 @@ fn committed_replicate_chaos_trace_replays_bit_identically() {
     assert_fixture_replays("replicate_chaos.jsonl", 422, 64);
 }
 
+/// The per-tenant report of a two-tenant QoS run, pinned. Retired
+/// requests and moved bytes are the QoS registry's counters; the
+/// nearest-rank p50 and p99 come from the device's completion log.
+#[test]
+fn stats_json_pins_the_tenant_report() {
+    let dir = tempdir("stats-tenants");
+    let out = memifctl(
+        &dir,
+        &[
+            "stats",
+            "--tenants",
+            "2",
+            "--tenant-weights",
+            "3,1",
+            "--qos",
+            "true",
+            "--count",
+            "64",
+            "--json",
+            "true",
+        ],
+    );
+    assert!(out.status.success(), "stats failed: {out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let at = stdout.find("\"tenants\":").expect("tenants array");
+    assert_eq!(
+        stdout[at..].trim_end(),
+        "\"tenants\":[\
+         {\"id\":1,\"weight\":3,\"inflight\":0,\"parked\":0,\"total_parked\":0,\
+         \"retired\":32,\"bytes_moved\":2097152,\"p50_ns\":217350,\"p99_ns\":619950},\
+         {\"id\":2,\"weight\":1,\"inflight\":0,\"parked\":0,\"total_parked\":0,\
+         \"retired\":32,\"bytes_moved\":2097152,\"p50_ns\":941850,\"p99_ns\":1127100}]}"
+    );
+}
+
 #[test]
 fn stats_json_carries_the_recovery_counters() {
     let dir = tempdir("stats-json");

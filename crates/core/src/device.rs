@@ -78,9 +78,6 @@ pub struct DriverStats {
     /// Write-ahead journal records appended for this device's requests
     /// (0 unless the device was opened with `journal = true`).
     pub journal_records: u64,
-    /// Journaled requests that were in flight at a crash and terminated
-    /// by [`crate::System::recover`] (`rolled_back + redriven`).
-    pub recovered_requests: u64,
     /// Recovered requests rolled back to their original mapping (sealed
     /// `Aborted`: the payload had not reached the destination).
     pub rolled_back: u64,
@@ -90,18 +87,12 @@ pub struct DriverStats {
     /// Duplicate same-instant worker-wake timer inserts skipped on the
     /// retire fan-out (see `driver::schedule_worker_wake`).
     pub timer_rearm_saved: u64,
-    /// Requests parked at submit by QoS admission control (tenant over
-    /// its inflight cap or descriptor quota). 0 unless `qos` is on.
+    /// Requests parked at submit by QoS admission control (tenant at
+    /// its inflight cap). 0 unless `qos` is on.
     pub requests_parked: u64,
     /// Parked requests re-admitted onto the issue path after a retire
     /// freed their tenant's budget. 0 unless `qos` is on.
     pub requests_readmitted: u64,
-    /// Per-tenant terminal counters, keyed by tenant id: requests
-    /// retired and bytes successfully moved. Populated only when `qos`
-    /// is on (the root-tenant-only default leaves it empty).
-    pub tenant_retired: BTreeMap<u16, u64>,
-    /// Per-tenant bytes successfully moved (see `tenant_retired`).
-    pub tenant_bytes_moved: BTreeMap<u16, u64>,
     /// Driver cost per phase (Figure 6 columns).
     pub phases: PhaseBreakdown,
     /// Successful migrations whose pages landed *on* each node, keyed by
@@ -109,6 +100,15 @@ pub struct DriverStats {
     pub node_moves_in: BTreeMap<u16, u64>,
     /// Successful migrations whose pages left each node.
     pub node_moves_out: BTreeMap<u16, u64>,
+}
+
+impl DriverStats {
+    /// Journaled requests that were in flight at a crash and terminated
+    /// by [`crate::System::recover`].
+    #[must_use]
+    pub fn recovered_requests(&self) -> u64 {
+        self.rolled_back + self.redriven
+    }
 }
 
 /// Per-page migration bookkeeping carried across the DMA window.
@@ -332,11 +332,6 @@ pub struct MemifDevice {
     pub(crate) next_req_id: u64,
     pub(crate) next_token: u64,
     pub(crate) submit_times: IdMap<u64, SimTime>,
-    /// Source/destination node of each planned migration, keyed by
-    /// request id; consumed at retirement to credit the per-node move
-    /// counters (the plan knows the source node, the retire site no
-    /// longer does).
-    pub(crate) routes: IdMap<u64, (u16, u16)>,
     pub(crate) pollers: Vec<SimEvent>,
     /// The pollers a notification is waking; swapped with `pollers` so
     /// both buffers are reused.
@@ -389,7 +384,6 @@ impl MemifDevice {
             next_req_id: 0,
             next_token: 0,
             submit_times: IdMap::default(),
-            routes: IdMap::default(),
             pollers: Vec::new(),
             waking: Vec::new(),
             parked: BTreeMap::new(),

@@ -3,7 +3,7 @@
 
 use memif_hwsim::dma::{DmaOutcome, TransferId};
 use memif_hwsim::{Context, CrashPoint, Phase, Sim, SimDuration, SimTime};
-use memif_lockfree::{FailReason, MovReq, MoveStatus, QueueId, SlotIndex};
+use memif_lockfree::{FailReason, MovReq, MoveKind, MoveStatus, QueueId, SlotIndex};
 use memif_mm::{Pte, VirtAddr};
 
 use crate::config::RaceMode;
@@ -423,15 +423,6 @@ pub(crate) fn release_and_notify(
     {
         sys.phys.discard(run[0], run.len() as u64 * bytes);
     }
-    let device = dev_mut(sys, id);
-    device.release_scratch = scratch;
-    if !pages.is_empty() {
-        device.stats.phases.add(Phase::Release, cost);
-        device.stats.races_detected += races;
-    }
-    device.spare.put(segments, pages);
-    sys.meter.charge(ctx, cost);
-
     // Races are program errors under proceed-and-fail: the application
     // receives the equivalent of a SEGFAULT through the failure queue.
     let status = if races > 0 {
@@ -439,6 +430,26 @@ pub(crate) fn release_and_notify(
     } else {
         MoveStatus::Done
     };
+    // A landed migration moved its pages off the old frames' node and
+    // onto the destination (replications copy and are not counted).
+    let src = match pages.first() {
+        Some(page) if status == MoveStatus::Done && req.kind == MoveKind::Migrate => {
+            sys.node_of(page.old_frame)
+        }
+        _ => None,
+    };
+    let device = dev_mut(sys, id);
+    device.release_scratch = scratch;
+    if !pages.is_empty() {
+        device.stats.phases.add(Phase::Release, cost);
+        device.stats.races_detected += races;
+    }
+    if let Some(src) = src {
+        *device.stats.node_moves_out.entry(src.0).or_default() += 1;
+        *device.stats.node_moves_in.entry(req.dst_node).or_default() += 1;
+    }
+    device.spare.put(segments, pages);
+    sys.meter.charge(ctx, cost);
     cost += notify(sys, sim, id, slot, req, status, dma_started_at, ctx);
     cost
 }
@@ -504,16 +515,11 @@ pub(crate) fn notify(
         completed_at: now,
         status,
     });
-    let route = device.routes.remove(&req.id);
     if status.is_failure() {
         device.stats.failed += 1;
     } else {
         device.stats.completed += 1;
         device.stats.bytes_moved += req.len_bytes();
-        if let Some((src, dst)) = route {
-            *device.stats.node_moves_out.entry(src).or_default() += 1;
-            *device.stats.node_moves_in.entry(dst).or_default() += 1;
-        }
     }
 
     // QoS retire accounting: credit the tenant, return its admission
@@ -521,19 +527,12 @@ pub(crate) fn notify(
     // retire site funnels through this notify, so park/re-admit needs no
     // other hook — exactly like the deferred-hazard wake protocol.
     if device.config.qos {
-        let tenant = req.tenant;
         let moved = if status.is_failure() {
             0
         } else {
             req.len_bytes()
         };
-        *device.stats.tenant_retired.entry(tenant).or_default() += 1;
-        if moved > 0 {
-            *device.stats.tenant_bytes_moved.entry(tenant).or_default() += moved;
-        }
-        let latency = now.since(submitted_at);
-        sys.qos
-            .release(memif_qos::TenantId(tenant), moved, latency.as_ns());
+        sys.qos.release(memif_qos::TenantId(req.tenant), moved);
         crate::driver::readmit_parked(sys, sim, id);
     }
 

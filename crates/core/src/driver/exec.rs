@@ -59,22 +59,6 @@ fn record_coalescing(sys: &mut System, id: DeviceId, plan: &Plan) {
     }
 }
 
-/// Remembers which nodes a planned migration moves between, so the
-/// retire site can credit the per-node move counters after the remap has
-/// erased the source. Replications copy rather than move and are not
-/// counted.
-fn record_route(sys: &mut System, id: DeviceId, req: &MovReq, plan: &Plan) {
-    if req.kind != MoveKind::Migrate {
-        return;
-    }
-    let src = plan.pages.first().and_then(|p| sys.node_of(p.old_frame));
-    if let Some(src) = src {
-        dev_mut(sys, id)
-            .routes
-            .insert(req.id, (src.0, req.dst_node));
-    }
-}
-
 /// CPU codec work a segment list implies on topologies with a
 /// compressed bank: bytes landing in such a bank charge compression,
 /// bytes leaving one charge decompression — costed kernel work like the
@@ -246,7 +230,6 @@ fn issue_planned(
         Vec::new()
     };
     for (deq, plan) in planned.drain(..) {
-        record_route(sys, id, &deq.req, &plan);
         // Compressed-tier moves pay their codec before the engine starts.
         elapsed += codec_charge(sys, &plan.segments, ctx);
         total_pages += deq.req.nr_pages;

@@ -678,8 +678,6 @@ pub struct RecoveryReport {
     /// Journal records appended before the crash, dropped ones
     /// included.
     pub journal_records: u64,
-    /// Records that were unsealed at the crash and needed recovery.
-    pub recovered_requests: u64,
     /// Unsealed `Issued` records rolled back (sealed `Aborted`).
     pub rolled_back: u64,
     /// Unsealed `CopyDone` records rolled forward (sealed `Done`).
@@ -690,4 +688,12 @@ pub struct RecoveryReport {
     /// too late for the acknowledgement to persist — in journal append
     /// order: `(req_id, status, user_data)`.
     pub statuses: Vec<(u64, MoveStatus, u64)>,
+}
+
+impl RecoveryReport {
+    /// Records that were unsealed at the crash and needed recovery.
+    #[must_use]
+    pub fn recovered_requests(&self) -> u64 {
+        self.rolled_back + self.redriven
+    }
 }

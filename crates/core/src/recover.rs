@@ -165,14 +165,12 @@ impl System {
                 MoveStatus::Aborted
             };
             self.journal.seal(rec.device, rec.req.id, status);
-            report.recovered_requests += 1;
             if forward {
                 report.redriven += 1;
             } else {
                 report.rolled_back += 1;
             }
             if let Some(device) = self.device_mut(rec.device) {
-                device.stats.recovered_requests += 1;
                 if forward {
                     device.stats.redriven += 1;
                     device.stats.completed += 1;

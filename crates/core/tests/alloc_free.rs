@@ -16,17 +16,16 @@
 //! between.
 //!
 //! The only growth allowed is the amortized doubling (`realloc`) of the
-//! append-only ledgers that keep one entry per request by design: the
-//! completion log [`memif::MemifDevice::log`], a byte buffer of encoded
-//! records whose capacity doubles from 8, and each QoS tenant's latency
-//! samples (QoS stream only). The write-ahead journal is not
-//! one of them: it drops each record once its completion is retrieved
-//! and acknowledged, so the journaled stream must hold it in the space
-//! it warmed up to. Every reallocation is recorded by its old and new
-//! byte size, and each ledger's doublings are derived from its own
-//! capacity before and after the window. The recorded reallocations
-//! must be exactly those doublings: one more anywhere, or one ledger
-//! growing by other than doubling, fails the gate.
+//! one append-only ledger that keeps an entry per request by design:
+//! the completion log [`memif::MemifDevice::log`], a byte buffer of
+//! encoded records whose capacity doubles from 8. QoS keeps counters
+//! only, and the write-ahead journal drops each record once its
+//! completion is retrieved and acknowledged, so the journaled stream
+//! must hold it in the space it warmed up to. Every reallocation is
+//! recorded by its old and new byte size, and the log's doublings are
+//! derived from its capacity before and after the window. The recorded
+//! reallocations must be exactly those doublings: one more anywhere, or
+//! the log growing by other than doubling, fails the gate.
 //!
 //! Pages are never written: simulated memory contents are themselves
 //! heap-backed (`PhysMem` materializes a frame on first write), and the
@@ -34,7 +33,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System as Heap};
 use std::cell::{Cell, RefCell};
-use std::mem::size_of;
 use std::rc::Rc;
 use std::thread::LocalKey;
 
@@ -154,68 +152,38 @@ struct Loop {
     budget: u64,
     outstanding: u64,
     completed: u64,
-    /// Ledger lengths when the counter was armed and disarmed.
-    marks: Vec<Ledgers>,
+    /// Completion-log capacities, in bytes, when the counter was armed
+    /// and disarmed.
+    marks: Vec<usize>,
     /// Most journal records and request-id index slots held at any
     /// retirement.
     journal_peak: (usize, usize),
 }
 
-/// Sizes of the ledgers that grow by one entry per request.
-#[derive(Clone, Copy)]
-struct Ledgers {
-    /// Capacity of the device's completion log, in bytes.
-    log: usize,
-    /// Capacities of the first two tenants' latency samples.
-    samples: [usize; 2],
+/// The capacity of `memif`'s completion log, in bytes.
+fn log_capacity(sys: &System, memif: Memif) -> usize {
+    sys.device(memif.device())
+        .expect("device open")
+        .log
+        .capacity()
 }
 
-/// A ledger's name, its element size, its first capacity, and its
-/// capacities at arm and disarm.
-type Growth = (&'static str, usize, usize, usize, usize);
-
-impl Ledgers {
-    fn of(sys: &System, l: &Loop) -> Self {
-        let id = l.memif.device();
-        let device = sys.device(id).expect("device open");
-        let samples = |i: usize| {
-            l.tenants
-                .get(i)
-                .and_then(|&t| sys.qos.stats(t))
-                .map_or(0, |s| s.latency_samples_ns.capacity())
-        };
-        Ledgers {
-            log: device.log.capacity(),
-            samples: [samples(0), samples(1)],
-        }
+/// The reallocations the completion log made growing from `from` to
+/// `until` bytes of capacity, as `(old bytes, new bytes)`. Capacities
+/// run 8 bytes, twice that, ...: the log doubles at every power of two
+/// in `[from, until)`.
+fn log_doublings(from: usize, until: usize) -> Vec<Grown> {
+    let mut cap = from.next_power_of_two().max(8);
+    let mut grown = Vec::new();
+    while cap < until {
+        grown.push((cap, 2 * cap));
+        cap *= 2;
     }
-
-    /// The reallocations each ledger made growing from `self` to `to`,
-    /// as `(ledger, old bytes, new bytes)`.
-    fn doublings_until(&self, to: &Ledgers) -> Vec<Grown> {
-        let s = size_of::<u64>();
-        // `Vec` capacities start at 8 for bytes and 4 for `u64`s.
-        let ledgers: [Growth; 3] = [
-            ("completion log", 1, 8, self.log, to.log),
-            ("tenant 0 samples", s, 4, self.samples[0], to.samples[0]),
-            ("tenant 1 samples", s, 4, self.samples[1], to.samples[1]),
-        ];
-        let mut grown = Vec::new();
-        for (name, size, first, from, until) in ledgers {
-            // Capacities run `first`, twice that, ...: a ledger doubles
-            // at every power of two in `[from, until)`.
-            let mut cap = from.next_power_of_two().max(first);
-            while cap < until {
-                grown.push((name, cap * size, 2 * cap * size));
-                cap *= 2;
-            }
-        }
-        grown
-    }
+    grown
 }
 
-/// One expected doubling: `(ledger, old bytes, new bytes)`.
-type Grown = (&'static str, usize, usize);
+/// One expected doubling of the log: `(old bytes, new bytes)`.
+type Grown = (usize, usize);
 
 impl Loop {
     /// Submits slot `slot`'s next request, if the budget allows.
@@ -256,12 +224,12 @@ impl Loop {
             self.journal_peak.0 = self.journal_peak.0.max(journal.records().len());
             self.journal_peak.1 = self.journal_peak.1.max(journal.index_slots());
             if self.completed == WARM {
-                self.marks.push(Ledgers::of(sys, self));
+                self.marks.push(log_capacity(sys, self.memif));
                 ARMED.with(|a| a.set(true));
             }
             if self.completed == WARM + WINDOW {
                 ARMED.with(|a| a.set(false));
-                self.marks.push(Ledgers::of(sys, self));
+                self.marks.push(log_capacity(sys, self.memif));
             }
             self.submit(sys, sim, c.user_data as usize);
         }
@@ -277,12 +245,12 @@ impl Loop {
 /// What one stream did over the counted window.
 struct Measured {
     allocs: u64,
-    /// Reallocations that are no ledger's doubling, as `(old bytes,
-    /// new bytes)`.
+    /// Reallocations that are no log doubling, as `(old bytes, new
+    /// bytes)`.
     unexplained: Vec<(usize, usize)>,
     /// Reallocations made in all.
     grows: u64,
-    /// Ledger doublings that did not happen as one reallocation each.
+    /// Log doublings that did not happen as one reallocation each.
     missing: Vec<Grown>,
     /// Parked requests re-admitted over the whole run.
     readmitted: u64,
@@ -360,8 +328,8 @@ fn measure(stream: Stream) -> Measured {
     let mut unexplained: Vec<(usize, usize)> =
         GROWN.with(|g| g.borrow()[..(grows as usize).min(MAX_GROWS)].to_vec());
     let mut missing = Vec::new();
-    for grown in before.doublings_until(&after) {
-        match unexplained.iter().position(|&g| g == (grown.1, grown.2)) {
+    for grown in log_doublings(before, after) {
+        match unexplained.iter().position(|&g| g == grown) {
             Some(at) => {
                 unexplained.swap_remove(at);
             }
@@ -391,7 +359,7 @@ fn assert_allocation_free(name: &str, stream: Stream) -> Measured {
     assert!(
         m.allocs == 0 && m.unexplained.is_empty() && m.missing.is_empty(),
         "{name}, over {WINDOW} steady-state requests: {} allocations; {} reallocations, of which \
-         these (old, new bytes) are no ledger's doubling: {:?}; ledger doublings not seen: {:?}",
+         these (old, new bytes) are no log doubling: {:?}; log doublings not seen: {:?}",
         m.allocs,
         m.grows,
         m.unexplained,

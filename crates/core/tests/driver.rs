@@ -3,9 +3,11 @@
 //! modes, the interrupt/poll mode switch, validation failures, and
 //! multi-device isolation.
 
+use std::collections::BTreeMap;
+
 use memif::{
-    Memif, MemifConfig, MemifError, MoveSpec, NodeId, PageSize, RaceMode, Sim, SimEvent, SimTime,
-    System,
+    FaultPlan, Memif, MemifConfig, MemifError, MoveSpec, NodeId, PageSize, RaceMode, Sim, SimEvent,
+    SimTime, System,
 };
 use memif_mm::{AccessKind, Fault};
 
@@ -204,6 +206,77 @@ fn race_detection_fails_the_request() {
     let dev = s.sys.device(s.memif.device()).unwrap();
     assert_eq!(dev.stats.races_detected, 1, "only the touched page raced");
     assert_eq!(dev.stats.failed, 1);
+}
+
+/// The per-node move counters credit a migration once it lands: source
+/// node out, destination node in. One that loses a proceed-and-fail
+/// race left its pages where they were and credits neither; one the CPU
+/// copy served after the descriptor pool stayed exhausted landed and is
+/// credited like any other.
+#[test]
+fn node_moves_credit_each_landed_migration_once() {
+    let moves = |s: &Setup| {
+        let stats = &s.sys.device(s.memif.device()).unwrap().stats;
+        (stats.node_moves_out.clone(), stats.node_moves_in.clone())
+    };
+    let migrate = |s: &mut Setup| {
+        let va = s
+            .sys
+            .mmap(s.space, 4, PageSize::Small4K, NodeId(0))
+            .unwrap();
+        s.memif
+            .submit(
+                &mut s.sys,
+                &mut s.sim,
+                MoveSpec::migrate(va, 4, PageSize::Small4K, NodeId(1)),
+            )
+            .unwrap();
+        va
+    };
+    let once = (BTreeMap::from([(0, 1)]), BTreeMap::from([(1, 1)]));
+
+    let mut s = setup();
+    migrate(&mut s);
+    s.sim.run(&mut s.sys);
+    assert_eq!(moves(&s), once, "a landed migration credits 0 -> 1 once");
+
+    let mut s = setup();
+    let va = migrate(&mut s);
+    s.sim.schedule_at(
+        SimTime::from_ns(1),
+        SimEvent::call(move |sys: &mut System, _| {
+            sys.space_mut(memif::SpaceId(0))
+                .access(va, AccessKind::Read)
+                .unwrap();
+        }),
+    );
+    s.sim.run(&mut s.sys);
+    let done = s.memif.retrieve_completed(&mut s.sys).unwrap().unwrap();
+    assert!(done.status.is_race());
+    assert_eq!(
+        moves(&s),
+        Default::default(),
+        "a raced migration moved nothing"
+    );
+
+    let mut s = setup_with(MemifConfig {
+        max_dma_retries: 0,
+        ..MemifConfig::default()
+    });
+    s.sys.install_faults(
+        &mut s.sim,
+        FaultPlan {
+            seed: 1,
+            desc_exhaust_rate: 1.0,
+            ..FaultPlan::default()
+        },
+    );
+    migrate(&mut s);
+    s.sim.run(&mut s.sys);
+    let done = s.memif.retrieve_completed(&mut s.sys).unwrap().unwrap();
+    assert!(done.status.is_ok(), "{:?}", done.status);
+    assert_eq!(s.sys.device(s.memif.device()).unwrap().stats.fallbacks, 1);
+    assert_eq!(moves(&s), once, "the CPU copy landed it 0 -> 1");
 }
 
 #[test]

@@ -6,9 +6,9 @@
 //! Three pins:
 //!
 //! * **Quotas are hard**: at every simulation step, no tenant's
-//!   admitted-in-flight count exceeds its `inflight_cap` and no
-//!   tenant's descriptor slots exceed its `descriptor_quota` — for any
-//!   random roster of caps, weights, and submission interleavings.
+//!   admitted-in-flight count (one descriptor slot each) exceeds its
+//!   `inflight_cap` or its `descriptor_quota` — for any random roster
+//!   of caps, weights, and submission interleavings.
 //! * **Parking is not dropping**: a request refused admission parks,
 //!   is re-admitted when headroom frees, and still reaches a terminal
 //!   status; `requests_parked` and `requests_readmitted` reconcile.
@@ -105,9 +105,9 @@ fn run_quota_workload(envelopes: &[Envelope], shards: usize) -> (u64, u64) {
             }
             if let Some(quota) = env.descriptor_quota {
                 assert!(
-                    stats.descriptors_held <= u64::from(quota),
+                    stats.inflight <= u64::from(quota),
                     "tenant {i}: descriptors {} exceed quota {quota}",
-                    stats.descriptors_held
+                    stats.inflight
                 );
             }
         }

@@ -10,9 +10,9 @@
 //! * [`TenantId`] — the QoS principal a request is accounted to. Tenant
 //!   0 is the **root** tenant every untagged request belongs to, so a
 //!   single-tenant system behaves exactly as before.
-//! * [`QosRegistry`] — per-tenant weights, descriptor (request-slot)
-//!   quotas, in-flight caps, and live accounting (inflight, pages held,
-//!   parked, completion-latency samples).
+//! * [`QosRegistry`] — per-tenant weights, one admission cap, and live
+//!   accounting (inflight, parked, retired, bytes moved). Per-request
+//!   latencies live in the device's completion log, not here.
 //! * [`DrrState`] — deficit-round-robin scheduling state for one issue
 //!   shard. The driver consults it to pick which tenant's request to
 //!   dequeue next when more than one tenant has queued work; byte-level
@@ -21,7 +21,7 @@
 //! The crate is deliberately free of driver types: the driver calls
 //! [`QosRegistry::admit`] at submit time (parking over-quota requests),
 //! [`DrrState::pick`]/[`DrrState::charge`] at each worker dequeue, and
-//! [`QosRegistry::release`] (charges and latency) at the retire sites.
+//! [`QosRegistry::release`] (charges) at the retire sites.
 
 use std::collections::BTreeMap;
 
@@ -55,8 +55,10 @@ pub struct TenantConfig {
     /// Scheduling weight: long-run issued-byte share is proportional to
     /// weight among backlogged tenants. Clamped to at least 1.
     pub weight: u32,
-    /// Maximum request slots (descriptors) the tenant may hold across
-    /// the queues and in flight, `None` = unlimited.
+    /// Maximum request slots (descriptors) the tenant may hold, `None`
+    /// = unlimited. An admitted request holds exactly one slot until it
+    /// retires, so this bounds the same count as `inflight_cap` and
+    /// admission applies the tighter of the two.
     pub descriptor_quota: Option<u32>,
     /// Maximum requests the tenant may have admitted but not yet
     /// retired, `None` = unlimited.
@@ -78,8 +80,6 @@ impl Default for TenantConfig {
 pub struct TenantStats {
     /// Requests admitted and not yet retired.
     pub inflight: u64,
-    /// Request slots (descriptors) currently held.
-    pub descriptors_held: u64,
     /// Requests currently parked on the admission wait queue.
     pub parked: u64,
     /// Requests that were parked at least once before admission.
@@ -88,37 +88,6 @@ pub struct TenantStats {
     pub retired: u64,
     /// Bytes successfully moved.
     pub bytes_moved: u64,
-    /// Submission-to-notification latency samples, nanoseconds, in
-    /// retirement order.
-    pub latency_samples_ns: Vec<u64>,
-}
-
-impl TenantStats {
-    /// The `q`-quantile (0.0..=1.0) of the recorded latency samples,
-    /// nearest-rank on a sorted copy. `None` without samples.
-    #[must_use]
-    pub fn latency_quantile_ns(&self, q: f64) -> Option<u64> {
-        if self.latency_samples_ns.is_empty() {
-            return None;
-        }
-        let mut sorted = self.latency_samples_ns.clone();
-        sorted.sort_unstable();
-        let rank =
-            ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        Some(sorted[rank - 1])
-    }
-
-    /// Median completion latency, nanoseconds.
-    #[must_use]
-    pub fn p50_ns(&self) -> Option<u64> {
-        self.latency_quantile_ns(0.50)
-    }
-
-    /// 99th-percentile completion latency, nanoseconds.
-    #[must_use]
-    pub fn p99_ns(&self) -> Option<u64> {
-        self.latency_quantile_ns(0.99)
-    }
 }
 
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -130,7 +99,7 @@ struct TenantState {
 /// The per-system tenant registry: configuration plus live accounting.
 ///
 /// Unregistered tenants get [`TenantConfig::default`] (weight 1, no
-/// quotas), so a system that never touches the registry admits
+/// cap), so a system that never touches the registry admits
 /// everything — QoS is strictly opt-in.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QosRegistry {
@@ -180,42 +149,35 @@ impl QosRegistry {
             .map(|(id, t)| (TenantId(*id), &t.config, &t.stats))
     }
 
-    /// Admission control: charges one request (and one descriptor slot)
-    /// to `tenant` if its caps allow, returning whether the request may
-    /// proceed. A tenant with **no** admitted work is always admitted —
-    /// the work-conserving minimum that keeps every tenant live even
-    /// under a cap smaller than one request.
+    /// Admission control: charges one request to `tenant` if its cap
+    /// (the tighter of `inflight_cap` and `descriptor_quota`) allows,
+    /// returning whether the request may proceed. A tenant with **no**
+    /// admitted work is always admitted — the work-conserving minimum
+    /// that keeps every tenant live even under a cap of zero.
     pub fn admit(&mut self, tenant: TenantId) -> bool {
         let state = self.tenants.entry(tenant.0).or_default();
-        let idle = state.stats.inflight == 0 && state.stats.descriptors_held == 0;
-        if !idle {
-            if let Some(cap) = state.config.inflight_cap {
-                if state.stats.inflight >= u64::from(cap) {
-                    return false;
-                }
-            }
-            if let Some(quota) = state.config.descriptor_quota {
-                if state.stats.descriptors_held >= u64::from(quota) {
-                    return false;
-                }
-            }
+        let config = state.config;
+        let cap = config
+            .inflight_cap
+            .into_iter()
+            .chain(config.descriptor_quota)
+            .min();
+        let full = cap.is_some_and(|cap| state.stats.inflight >= u64::from(cap));
+        if state.stats.inflight > 0 && full {
+            return false;
         }
         state.stats.inflight += 1;
-        state.stats.descriptors_held += 1;
         true
     }
 
-    /// Releases one admitted request's charges at its retire site and
+    /// Releases one admitted request's charge at its retire site and
     /// records its terminal accounting. `bytes` is the payload credited
-    /// on success (0 for failures); `latency_ns` the
-    /// submission-to-notification latency.
-    pub fn release(&mut self, tenant: TenantId, bytes: u64, latency_ns: u64) {
+    /// on success (0 for failures).
+    pub fn release(&mut self, tenant: TenantId, bytes: u64) {
         let state = self.tenants.entry(tenant.0).or_default();
         state.stats.inflight = state.stats.inflight.saturating_sub(1);
-        state.stats.descriptors_held = state.stats.descriptors_held.saturating_sub(1);
         state.stats.retired += 1;
         state.stats.bytes_moved += bytes;
-        state.stats.latency_samples_ns.push(latency_ns);
     }
 
     /// Records that one of `tenant`'s requests parked on the admission
@@ -345,7 +307,7 @@ mod tests {
         assert!(reg.admit(TenantId(1)));
         assert!(reg.admit(TenantId(1)));
         assert!(!reg.admit(TenantId(1)));
-        reg.release(TenantId(1), 4096, 10);
+        reg.release(TenantId(1), 4096);
         assert!(reg.admit(TenantId(1)));
         let s = reg.stats(TenantId(1)).unwrap();
         assert_eq!(s.inflight, 2);
@@ -355,11 +317,14 @@ mod tests {
 
     #[test]
     fn descriptor_quota_blocks() {
+        // The quota caps the same count as the in-flight cap; the
+        // tighter of the two holds.
         let mut reg = QosRegistry::new();
         reg.register(
             TenantId(2),
             TenantConfig {
                 descriptor_quota: Some(3),
+                inflight_cap: Some(5),
                 ..TenantConfig::default()
             },
         );
@@ -383,7 +348,7 @@ mod tests {
         );
         assert!(reg.admit(TenantId(3)));
         assert!(!reg.admit(TenantId(3)));
-        reg.release(TenantId(3), 0, 1);
+        reg.release(TenantId(3), 0);
         assert!(reg.admit(TenantId(3)));
     }
 
@@ -396,17 +361,6 @@ mod tests {
         let s = reg.stats(TenantId(4)).unwrap();
         assert_eq!(s.parked, 1);
         assert_eq!(s.total_parked, 2);
-    }
-
-    #[test]
-    fn latency_percentiles() {
-        let mut s = TenantStats::default();
-        assert_eq!(s.p50_ns(), None);
-        s.latency_samples_ns = (1..=100).rev().collect();
-        assert_eq!(s.p50_ns(), Some(50));
-        assert_eq!(s.p99_ns(), Some(99));
-        assert_eq!(s.latency_quantile_ns(0.0), Some(1));
-        assert_eq!(s.latency_quantile_ns(1.0), Some(100));
     }
 
     /// Byte service under DRR converges to the weight proportions.
