@@ -29,7 +29,7 @@ use memif::{
 use memif_hwsim::CostModel;
 
 use super::Report;
-use crate::{bigfast_topology, Table};
+use crate::{bigfast_topology, nearest_rank, Table};
 
 /// One tenant's load shape.
 #[derive(Clone)]
@@ -58,12 +58,9 @@ struct TenantOutcome {
 
 impl TenantOutcome {
     fn p99_ns(&self) -> u64 {
-        if self.latencies_ns.is_empty() {
-            return 0;
-        }
         let mut sorted = self.latencies_ns.clone();
         sorted.sort_unstable();
-        sorted[(sorted.len() - 1) * 99 / 100]
+        nearest_rank(&sorted, 0.99)
     }
 }
 

@@ -301,7 +301,8 @@ pub struct TenantReport {
 
 /// The nearest-rank `q`-quantile of ascending `sorted`: the
 /// `ceil(q·n)`-th sample, clamped to the first and last. 0 when empty.
-fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+#[must_use]
+pub fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }

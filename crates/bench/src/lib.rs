@@ -41,8 +41,8 @@ pub mod harness;
 pub mod table;
 
 pub use harness::{
-    bigfast_topology, crash_migrate_nvm, hugefast_topology, nvm_topology, probe_linux_once,
-    probe_memif_once, stream, stream_linux, CrashOutcome, CrashRun, ProbeResult, StreamResult,
-    StreamSpec, TenantReport,
+    bigfast_topology, crash_migrate_nvm, hugefast_topology, nearest_rank, nvm_topology,
+    probe_linux_once, probe_memif_once, stream, stream_linux, CrashOutcome, CrashRun, ProbeResult,
+    StreamResult, StreamSpec, TenantReport,
 };
 pub use table::{mbs, results_dir, Table};

@@ -512,11 +512,10 @@ impl System {
     ) -> Result<memif_mm::VirtAddr, memif_mm::MmError> {
         let (frames, page_size, node) = {
             let space = &self.spaces[from.0];
-            let vma = space
+            let vma = *space
                 .vma_at(vaddr)
                 .filter(|v| v.start == vaddr)
-                .ok_or(memif_mm::MmError::NoSuchRegion(vaddr))?
-                .clone();
+                .ok_or(memif_mm::MmError::NoSuchRegion(vaddr))?;
             let mut frames = Vec::with_capacity(vma.pages as usize);
             for i in 0..vma.pages {
                 let va = vaddr.offset(u64::from(i) * vma.page_size.bytes());
@@ -525,7 +524,7 @@ impl System {
                     .ok_or(memif_mm::MmError::NoSuchRegion(va))?;
                 frames.push(pa);
             }
-            (frames, vma.page_size, vma.node)
+            (frames, vma.page_size, space.policy(&vma).home())
         };
         self.spaces[to.0].map_shared(&mut self.alloc, &frames, page_size, node)
     }

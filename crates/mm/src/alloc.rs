@@ -9,10 +9,11 @@
 //! Both are flat arrays, so every operation is O(1) in the number of
 //! live blocks. Each order's free list is a hierarchical bitmap
 //! (`BitTree`): allocation takes its lowest set bit, and coalescing
-//! test-and-clears the buddy's bit. The frame table is one `u64` per
+//! test-and-clears the buddy's bit. The frame table is one `u32` per
 //! 4 KiB granule of the bank, `refcount << 8 | order` at a live block
-//! base and 0 elsewhere; the owning bank is found by a range check. Both
-//! grow with the highest block handed out, never with the bank's size.
+//! base and 0 elsewhere, so a block holds at most 2^24 − 1 references;
+//! the owning bank is found by a range check. Both grow with the
+//! highest block handed out, never with the bank's size.
 //! Allocation returns the lowest offset at the lowest order that has
 //! room, splitting larger blocks and keeping their upper halves free.
 //!
@@ -34,6 +35,8 @@ const GRANULE: u64 = 4096;
 const MAX_ORDER: u8 = 10; // up to 4 MiB blocks
 /// Frame-table slots hold `refcount << ORDER_BITS | order`.
 const ORDER_BITS: u32 = 8;
+/// The most references a block can hold: the count's 24 bits, all set.
+pub const MAX_REFS: u32 = u32::MAX >> ORDER_BITS;
 
 /// Errors from frame allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,6 +47,8 @@ pub enum AllocError {
     NoSuchNode(NodeId),
     /// Freeing an address that is not an allocated block base.
     BadFree(PhysAddr),
+    /// The block already holds [`MAX_REFS`] references.
+    TooManyRefs(PhysAddr),
 }
 
 impl std::fmt::Display for AllocError {
@@ -52,6 +57,7 @@ impl std::fmt::Display for AllocError {
             AllocError::OutOfMemory(n) => write!(f, "{n} out of free pages"),
             AllocError::NoSuchNode(n) => write!(f, "unknown memory {n}"),
             AllocError::BadFree(a) => write!(f, "free of unallocated block {a}"),
+            AllocError::TooManyRefs(a) => write!(f, "block {a} holds too many references"),
         }
     }
 }
@@ -174,7 +180,7 @@ struct Bank {
     nonempty: u16,
     /// One slot per granule from `base`: `refcount << ORDER_BITS | order`
     /// at a live block base, 0 elsewhere.
-    frames: Vec<u64>,
+    frames: Vec<u32>,
     free_bytes: u64,
     total_bytes: u64,
 }
@@ -243,7 +249,7 @@ impl Bank {
             if self.frames.len() <= slot {
                 self.frames.resize(slot + 1, 0);
             }
-            self.frames[slot] = 1 << ORDER_BITS | u64::from(order);
+            self.frames[slot] = 1 << ORDER_BITS | u32::from(order);
         }
         // Sub-blocks `got..span` go back as aligned blocks: at position
         // `pos` the largest one whose alignment `pos` has.
@@ -543,10 +549,16 @@ impl FrameAllocator {
     ///
     /// # Errors
     ///
-    /// [`AllocError::BadFree`] if `addr` is not a live block base.
+    /// [`AllocError::BadFree`] if `addr` is not a live block base, or
+    /// [`AllocError::TooManyRefs`] if it already holds [`MAX_REFS`]
+    /// references; either way the block is left as it was.
     pub fn get_ref(&mut self, addr: PhysAddr) -> Result<(), AllocError> {
         let (b, slot) = self.live_slot(addr).ok_or(AllocError::BadFree(addr))?;
-        self.banks[b].frames[slot] += 1 << ORDER_BITS;
+        let entry = &mut self.banks[b].frames[slot];
+        if *entry >> ORDER_BITS == MAX_REFS {
+            return Err(AllocError::TooManyRefs(addr));
+        }
+        *entry += 1 << ORDER_BITS;
         Ok(())
     }
 
@@ -558,7 +570,7 @@ impl FrameAllocator {
         Some(FrameInfo {
             node: self.banks[b].node,
             order: entry as u8,
-            refcount: (entry >> ORDER_BITS) as u32,
+            refcount: entry >> ORDER_BITS,
         })
     }
 
@@ -709,6 +721,24 @@ mod tests {
         assert!(a.frame_info(p).is_some(), "still referenced");
         a.free(p).unwrap();
         assert!(a.frame_info(p).is_none());
+    }
+
+    #[test]
+    fn references_stop_at_the_cap() {
+        let topo = booted_keystone();
+        let mut a = FrameAllocator::new(&topo);
+        let p = a.alloc(NodeId(0), PageSize::Medium64K).unwrap();
+        for _ in 1..MAX_REFS {
+            a.get_ref(p).unwrap();
+        }
+        let capped = a.frame_info(p).unwrap();
+        assert_eq!(capped.refcount, MAX_REFS);
+        assert_eq!(a.get_ref(p), Err(AllocError::TooManyRefs(p)));
+        assert_eq!(a.frame_info(p), Some(capped), "the slot is unchanged");
+        a.free(p).unwrap();
+        assert_eq!(a.frame_info(p).unwrap().refcount, MAX_REFS - 1);
+        a.get_ref(p).unwrap();
+        assert_eq!(a.frame_info(p), Some(capped));
     }
 
     #[test]

@@ -26,6 +26,13 @@
 //! one contiguous interval, so it covers a range exactly when the
 //! range's first and last granules hold its entry. `munmap` is rare and
 //! rebuilds the directory.
+//!
+//! A [`Vma`] is 16 bytes: its start, page count, page size, and a `u16`
+//! index into the space's policy table, which holds each distinct
+//! [`AllocPolicy`] of the live regions once. Regions mapped under equal
+//! policies share one entry, and an entry goes when its last region is
+//! unmapped. A region's home node is its policy's
+//! [`home`](AllocPolicy::home), stored nowhere else.
 
 use memif_hwsim::{NodeId, PhysAddr, PhysMem};
 
@@ -84,8 +91,11 @@ pub enum Populate {
     Lazy,
 }
 
-/// One virtual memory area of uniform page size.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One virtual memory area of uniform page size: 16 bytes. Its
+/// allocation policy lives once in its space's policy table, read with
+/// [`AddressSpace::policy`]; the region's home node is that policy's
+/// [`AllocPolicy::home`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Vma {
     /// First address.
     pub start: VirtAddr,
@@ -93,10 +103,8 @@ pub struct Vma {
     pub pages: u32,
     /// Page granularity.
     pub page_size: PageSize,
-    /// Home node (the allocation policy's primary node).
-    pub node: NodeId,
-    /// The allocation policy backing this region.
-    pub policy: AllocPolicy,
+    /// Index of the region's policy in its space's policy table.
+    policy: u16,
 }
 
 impl Vma {
@@ -173,6 +181,9 @@ pub enum MmError {
     NoSuchRegion(VirtAddr),
     /// Zero pages requested.
     EmptyRegion,
+    /// The space's live regions already use 65,536 distinct allocation
+    /// policies, as many as a [`Vma`] can name.
+    TooManyPolicies,
 }
 
 impl From<AllocError> for MmError {
@@ -187,6 +198,7 @@ impl std::fmt::Display for MmError {
             MmError::Alloc(e) => write!(f, "allocation failed: {e}"),
             MmError::NoSuchRegion(va) => write!(f, "no region starts at {va}"),
             MmError::EmptyRegion => f.write_str("empty region"),
+            MmError::TooManyPolicies => f.write_str("too many distinct allocation policies"),
         }
     }
 }
@@ -256,6 +268,9 @@ pub struct AddressSpace {
     table: PageTable,
     /// Regions in address order.
     vmas: Vec<Vma>,
+    /// The distinct allocation policies of the live regions, each once;
+    /// a [`Vma`] names its own by index.
+    policies: Vec<AllocPolicy>,
     /// Chunk `c` covers `[SPACE_BASE + c * 2 MiB, ...)` (see the module
     /// docs).
     dir: Vec<Chunk>,
@@ -295,6 +310,7 @@ impl AddressSpace {
         AddressSpace {
             table: PageTable::new(),
             vmas: Vec::new(),
+            policies: Vec::new(),
             dir: Vec::new(),
             tlb: Tlb::new(),
             next_addr: SPACE_BASE,
@@ -310,8 +326,8 @@ impl AddressSpace {
     ///
     /// # Errors
     ///
-    /// [`MmError::EmptyRegion`] or an allocation failure (in which case
-    /// nothing remains mapped).
+    /// [`MmError::EmptyRegion`], [`MmError::TooManyPolicies`], or an
+    /// allocation failure (in which case nothing remains mapped).
     pub fn mmap_anonymous(
         &mut self,
         alloc: &mut FrameAllocator,
@@ -333,8 +349,8 @@ impl AddressSpace {
     ///
     /// # Errors
     ///
-    /// [`MmError::EmptyRegion`] or an eager allocation failure (in which
-    /// case nothing remains mapped).
+    /// [`MmError::EmptyRegion`], [`MmError::TooManyPolicies`], or an
+    /// eager allocation failure (in which case nothing remains mapped).
     pub fn mmap_with(
         &mut self,
         alloc: &mut FrameAllocator,
@@ -346,6 +362,7 @@ impl AddressSpace {
         if pages == 0 {
             return Err(MmError::EmptyRegion);
         }
+        let index = self.policy_index(&policy)?;
         // Align the bump pointer; regions of any size stay naturally
         // aligned for their pages.
         let align = page_size.bytes();
@@ -373,18 +390,39 @@ impl AddressSpace {
                 }
             }
         }
-        self.push_vma(Vma {
-            start,
-            pages,
-            page_size,
-            node: policy.home(),
+        self.push_vma(
+            Vma {
+                start,
+                pages,
+                page_size,
+                policy: index,
+            },
             policy,
-        });
+        );
         Ok(start)
     }
 
-    /// Appends a region past every existing one and indexes it.
-    fn push_vma(&mut self, vma: Vma) {
+    /// The index `policy` has in the policy table, or takes when
+    /// [`push_vma`](Self::push_vma) appends it. A linear scan: a space
+    /// holds a handful of distinct policies.
+    fn policy_index(&self, policy: &AllocPolicy) -> Result<u16, MmError> {
+        let k = self
+            .policies
+            .iter()
+            .position(|p| p == policy)
+            .unwrap_or(self.policies.len());
+        u16::try_from(k).map_err(|_| MmError::TooManyPolicies)
+    }
+
+    /// Appends a region past every existing one and indexes it. `vma`
+    /// names `policy` by the index [`policy_index`](Self::policy_index)
+    /// gave it.
+    fn push_vma(&mut self, vma: Vma, policy: AllocPolicy) {
+        if usize::from(vma.policy) == self.policies.len() {
+            self.policies.push(policy);
+        } else {
+            debug_assert_eq!(self.policies[usize::from(vma.policy)], policy);
+        }
         self.next_addr = vma.end().as_u64();
         self.vmas.push(vma);
         self.index_vma(self.vmas.len() - 1);
@@ -459,15 +497,12 @@ impl AddressSpace {
         alloc: &mut FrameAllocator,
         vaddr: VirtAddr,
     ) -> Result<(), MmError> {
-        let (page, page_size, policy, index) = {
-            let vma = self.vma_at(vaddr).ok_or(MmError::NoSuchRegion(vaddr))?;
-            let page = vaddr.align_down(vma.page_size);
-            let index = ((page.as_u64() - vma.start.as_u64()) / vma.page_size.bytes()) as u32;
-            (page, vma.page_size, vma.policy.clone(), index)
-        };
-        let frame = Self::alloc_by_policy(alloc, &policy, index, page_size)?;
+        let vma = *self.vma_at(vaddr).ok_or(MmError::NoSuchRegion(vaddr))?;
+        let page = vaddr.align_down(vma.page_size);
+        let index = ((page.as_u64() - vma.start.as_u64()) / vma.page_size.bytes()) as u32;
+        let frame = Self::alloc_by_policy(alloc, self.policy(&vma), index, vma.page_size)?;
         self.table
-            .map(page, Pte::mapping(frame, page_size))
+            .map(page, Pte::mapping(frame, vma.page_size))
             .expect("demand page was unmapped");
         Ok(())
     }
@@ -479,9 +514,10 @@ impl AddressSpace {
     ///
     /// # Errors
     ///
-    /// [`MmError::EmptyRegion`] for no frames, or a frame-table failure
-    /// if any address is not a live block base (earlier references are
-    /// rolled back).
+    /// [`MmError::EmptyRegion`] for no frames,
+    /// [`MmError::TooManyPolicies`], or a frame-table failure if any
+    /// address is not a live block base or is referenced as often as it
+    /// can be (earlier references are rolled back).
     ///
     /// # Panics
     ///
@@ -496,6 +532,8 @@ impl AddressSpace {
         if frames.is_empty() {
             return Err(MmError::EmptyRegion);
         }
+        let policy = AllocPolicy::Bind(node);
+        let index = self.policy_index(&policy)?;
         let align = page_size.bytes();
         let start = VirtAddr::new((self.next_addr + align - 1) & !(align - 1));
         for (i, frame) in frames.iter().enumerate() {
@@ -511,13 +549,15 @@ impl AddressSpace {
                 .map(vaddr, Pte::mapping(*frame, page_size))
                 .expect("bump allocator never overlaps");
         }
-        self.push_vma(Vma {
-            start,
-            pages: frames.len() as u32,
-            page_size,
-            node,
-            policy: AllocPolicy::Bind(node),
-        });
+        self.push_vma(
+            Vma {
+                start,
+                pages: frames.len() as u32,
+                page_size,
+                policy: index,
+            },
+            policy,
+        );
         Ok(start)
     }
 
@@ -532,6 +572,7 @@ impl AddressSpace {
             .filter(|&k| self.vmas[k].start == start)
             .ok_or(MmError::NoSuchRegion(start))?;
         let vma = self.vmas.remove(k);
+        self.release_policy(vma.policy);
         self.dir.clear();
         for k in 0..self.vmas.len() {
             self.index_vma(k);
@@ -546,6 +587,25 @@ impl AddressSpace {
             self.tlb.flush_page(vaddr, vma.page_size);
         }
         Ok(())
+    }
+
+    /// Drops policy `k` from the table once no region names it; the
+    /// table's last policy moves into its index.
+    fn release_policy(&mut self, k: u16) {
+        if self.vmas.iter().any(|v| v.policy == k) {
+            return;
+        }
+        self.policies.swap_remove(usize::from(k));
+        let moved = self.policies.len() as u16;
+        for vma in self.vmas.iter_mut().filter(|v| v.policy == moved) {
+            vma.policy = k;
+        }
+    }
+
+    /// The allocation policy backing `vma`, a region of this space.
+    #[must_use]
+    pub fn policy(&self, vma: &Vma) -> &AllocPolicy {
+        &self.policies[usize::from(vma.policy)]
     }
 
     /// The VMA containing `vaddr`.
@@ -857,7 +917,66 @@ mod tests {
         }
         let vma = space.vma_at(va).unwrap();
         assert_eq!(vma.pages, 8);
-        assert_eq!(vma.node, NodeId(0));
+        assert_eq!(space.policy(vma), &AllocPolicy::Bind(NodeId(0)));
+        assert_eq!(space.policy(vma).home(), NodeId(0));
+    }
+
+    #[test]
+    fn vma_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Vma>(), 16);
+    }
+
+    #[test]
+    fn policies_are_shared_and_dropped_with_their_last_region() {
+        let (mut space, mut alloc, _) = setup();
+        let lazy = |space: &mut AddressSpace, alloc: &mut FrameAllocator, policy| {
+            space
+                .mmap_with(alloc, 1, PageSize::Small4K, policy, Populate::Lazy)
+                .unwrap()
+        };
+        let spread = AllocPolicy::Interleave(vec![NodeId(1), NodeId(0)]);
+        let a = lazy(&mut space, &mut alloc, AllocPolicy::Bind(NodeId(0)));
+        let b = lazy(&mut space, &mut alloc, spread.clone());
+        let c = lazy(&mut space, &mut alloc, AllocPolicy::Bind(NodeId(0)));
+        assert_eq!(space.policies.len(), 2, "equal policies are stored once");
+        space.munmap(&mut alloc, a).unwrap();
+        assert_eq!(space.policies.len(), 2, "c still uses Bind(0)");
+        space.munmap(&mut alloc, c).unwrap();
+        assert_eq!(space.policies, std::slice::from_ref(&spread));
+        assert_eq!(space.policy(space.vma_at(b).unwrap()), &spread);
+        space.handle_demand_fault(&mut alloc, b).unwrap();
+        let pa = space.translate(b).unwrap();
+        assert_eq!(alloc.frame_info(pa).unwrap().node, NodeId(1));
+    }
+
+    #[test]
+    fn policy_table_overflow_is_an_error() {
+        let (mut space, mut alloc, _) = setup();
+        // Fill the table as 65,536 distinct policies would.
+        space.policies = vec![AllocPolicy::Bind(NodeId(0)); 1 << 16];
+        let taken = AllocPolicy::Bind(NodeId(0));
+        let fresh = AllocPolicy::Preferred(NodeId(0));
+        assert_eq!(
+            space.mmap_with(&mut alloc, 1, PageSize::Small4K, fresh, Populate::Eager),
+            Err(MmError::TooManyPolicies)
+        );
+        let frame = alloc.alloc(NodeId(1), PageSize::Small4K).unwrap();
+        assert_eq!(
+            space.map_shared(&mut alloc, &[frame], PageSize::Small4K, NodeId(1)),
+            Err(MmError::TooManyPolicies)
+        );
+        assert_eq!(
+            alloc.live_frames(),
+            1,
+            "nothing was allocated or referenced"
+        );
+        assert_eq!(alloc.frame_info(frame).unwrap().refcount, 1);
+        assert_eq!(space.vmas().count(), 0);
+        // A policy already in the table still maps.
+        let va = space
+            .mmap_with(&mut alloc, 1, PageSize::Small4K, taken, Populate::Eager)
+            .unwrap();
+        assert_eq!(space.vma_at(va).unwrap().policy, 0);
     }
 
     #[test]

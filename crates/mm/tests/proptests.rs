@@ -1263,3 +1263,68 @@ proptest! {
         }
     }
 }
+
+#[derive(Debug, Clone)]
+enum PolicyOp {
+    Map(AllocPolicy, u32, bool),
+    Unmap(usize),
+}
+
+fn policy_op() -> impl Strategy<Value = PolicyOp> {
+    let node = (0u16..2).prop_map(NodeId);
+    let policy = prop_oneof![
+        node.clone().prop_map(AllocPolicy::Bind),
+        node.clone().prop_map(AllocPolicy::Preferred),
+        proptest::collection::vec(node, 1..4).prop_map(AllocPolicy::Interleave),
+    ];
+    prop_oneof![
+        (policy, 1u32..8, any::<bool>()).prop_map(|(p, n, lazy)| PolicyOp::Map(p, n, lazy)),
+        (0usize..64).prop_map(PolicyOp::Unmap),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Regions keep their policies in the space's shared table: under
+    /// random eager and lazy mappings with `Bind`, `Preferred` and
+    /// `Interleave` policies over both nodes, and unmaps, every live
+    /// region's policy reads back equal to the one it was mapped with
+    /// after every step, and its first page lands on that policy's home
+    /// node (faulted in for lazy regions).
+    #[test]
+    fn region_policies_read_back(ops in proptest::collection::vec(policy_op(), 1..60)) {
+        let topo = booted();
+        let mut alloc = FrameAllocator::new(&topo);
+        let mut space = AddressSpace::new();
+        let mut live: Vec<(VirtAddr, AllocPolicy)> = Vec::new();
+
+        for op in ops {
+            match op {
+                PolicyOp::Map(policy, pages, lazy) => {
+                    let populate = if lazy { Populate::Lazy } else { Populate::Eager };
+                    let va = space
+                        .mmap_with(&mut alloc, pages, PageSize::Small4K, policy.clone(), populate)
+                        .unwrap();
+                    if lazy {
+                        space.handle_demand_fault(&mut alloc, va).unwrap();
+                    }
+                    let frame = space.translate(va).unwrap();
+                    prop_assert_eq!(alloc.frame_info(frame).unwrap().node, policy.home());
+                    live.push((va, policy));
+                }
+                PolicyOp::Unmap(i) if !live.is_empty() => {
+                    let (va, _) = live.remove(i % live.len());
+                    space.munmap(&mut alloc, va).unwrap();
+                }
+                PolicyOp::Unmap(_) => {}
+            }
+            prop_assert_eq!(space.vmas().count(), live.len());
+            for (va, policy) in &live {
+                let vma = space.vma_at(*va).unwrap();
+                prop_assert_eq!(space.policy(vma), policy, "policy of {}", va);
+                prop_assert_eq!(space.policy(vma).home(), policy.home());
+            }
+        }
+    }
+}
