@@ -270,6 +270,10 @@ pub struct StreamResult {
     pub events_cancelled: u64,
     /// High-water mark of concurrently pending scheduler events.
     pub peak_pending: usize,
+    /// Bytes the device's completion log takes at the end of the run
+    /// ([`memif::CompletionLog::encoded_bytes`]). Zero for the Linux
+    /// baseline, which keeps no log.
+    pub log_bytes: usize,
     /// Per-tenant snapshot of the QoS registry at the end of the run,
     /// ascending by id. Empty for single-tenant runs (nothing was ever
     /// registered).
@@ -584,6 +588,7 @@ pub fn stream(spec: StreamSpec) -> StreamResult {
         events_executed: sim.executed(),
         events_cancelled: sim.cancelled(),
         peak_pending: sim.peak_pending(),
+        log_bytes: dev.log.encoded_bytes(),
         tenant_stats: sys
             .qos
             .tenants()

@@ -616,6 +616,7 @@ fn stats(args: &Args) -> Result<(), String> {
         ("events_executed", r.events_executed),
         ("events_cancelled", r.events_cancelled),
         ("peak_pending", r.peak_pending as u64),
+        ("log_bytes", r.log_bytes as u64),
         ("issue_cpu_ns", issue_cpu.as_ns()),
     ];
     if json {

@@ -226,6 +226,7 @@ fn stats_json_carries_the_scheduler_counters() {
         "\"events_executed\":",
         "\"events_cancelled\":",
         "\"peak_pending\":",
+        "\"log_bytes\":",
     ] {
         assert!(stdout.contains(key), "missing {key} in {stdout}");
     }
@@ -242,6 +243,7 @@ fn stats_json_carries_the_scheduler_counters() {
     };
     assert!(field("\"events_executed\":") > 0, "no events executed?");
     assert!(field("\"peak_pending\":") > 0, "nothing ever pending?");
+    assert!(field("\"log_bytes\":") > 0, "four requests, an empty log?");
 }
 
 /// Replays the committed trace `tests/data/<name>` (plus `extra`

@@ -2,10 +2,41 @@
 //!
 //! Every retired request leaves one [`CompletionRecord`], the raw
 //! material for the latency and throughput figures, and the log keeps
-//! them all for the device's lifetime. It stores them as a byte stream
-//! of LEB128 varints, each field a delta against the previous record or
-//! against the record's own completion time, which takes about 11–16
-//! bytes a record where the struct takes 56.
+//! them all for the device's lifetime. It stores each record as a
+//! residual against a prediction built from the previous record, the
+//! delta-of-delta idea of Gorilla (Pelkonen et al., VLDB 2015): a
+//! simulated stream is regular, so a steady record takes one byte where
+//! the struct takes 56.
+//!
+//! # Format
+//!
+//! The log keeps five predicted fields, taken from the previous record
+//! (or, before the first, from an all-zero one):
+//!
+//! | field | predicted value |
+//! |---|---|
+//! | `req_id` | the previous id + 1 |
+//! | `completed_at` | the previous completion time + the previous gap between completion times |
+//! | latency, `completed_at` − `submitted_at` | the previous record's |
+//! | DMA span, `completed_at` − `dma_started_at` | that of the last record with a DMA start |
+//! | `bytes` | the previous record's |
+//!
+//! Each record begins with one tag byte:
+//!
+//! | bit | meaning |
+//! |---|---|
+//! | 0 | the request was a [`MoveKind::Migrate`] |
+//! | 1 | the record has a DMA start |
+//! | 2–5 | [`MoveStatus::code`] (0–8) |
+//! | 6 | PREDICTED: every field equals its prediction |
+//!
+//! A PREDICTED record is its tag byte alone. Any other record follows
+//! its tag with one zigzag-LEB128 varint per field, the field's
+//! difference from its prediction, in the table's order: five varints,
+//! or four when the record has no DMA start (the span is then skipped
+//! and the prediction keeps the last one). A varint takes at most 10
+//! bytes, so a record takes at most 51. Every difference wraps, so any
+//! `u64` round-trips, out-of-order and decreasing values included.
 
 use memif_hwsim::{SimDuration, SimTime};
 use memif_lockfree::{MoveKind, MoveStatus};
@@ -41,59 +72,115 @@ impl CompletionRecord {
 
 /// Tag bit: the request was a migration.
 const MIGRATE: u8 = 1;
-/// Tag bit: a DMA start time follows.
+/// Tag bit: the record has a DMA start.
 const DMA: u8 = 2;
-/// The tag's bits above these two hold the status's slot code.
+/// The tag's bits 2–5 hold the status's code.
 const STATUS_SHIFT: u8 = 2;
+/// The status code's bits, once shifted down.
+const STATUS_MASK: u8 = 0xf;
+/// Tag bit: every field equals its prediction, and no varint follows.
+const PREDICTED: u8 = 64;
+
+/// Field positions in a [`Fields`] array, which is also their order in
+/// the encoded stream.
+const ID: usize = 0;
+const DONE: usize = 1;
+const LATENCY: usize = 2;
+const SPAN: usize = 3;
+const BYTES: usize = 4;
+
+/// A record's predicted fields, in nanoseconds where they are times:
+/// `req_id`, `completed_at`, latency, DMA span and `bytes`.
+type Fields = [u64; 5];
+
+/// What the next record is expected to hold, learned from the previous
+/// one. The encoder and the decoder each keep one and feed it the same
+/// records, so they agree on every prediction.
+#[derive(Debug, Clone, Copy, Default)]
+struct Predictor {
+    /// The previous record's fields (the span of the last record with
+    /// a DMA start).
+    last: Fields,
+    /// The previous record's `completed_at` minus the one before it.
+    gap: u64,
+}
+
+impl Predictor {
+    /// The next record's expected fields.
+    fn expect(&self) -> Fields {
+        let mut next = self.last;
+        next[ID] = next[ID].wrapping_add(1);
+        next[DONE] = next[DONE].wrapping_add(self.gap);
+        next
+    }
+
+    /// Takes in a record's fields, as [`fields`] gives them.
+    fn learn(&mut self, fields: Fields) {
+        self.gap = fields[DONE].wrapping_sub(self.last[DONE]);
+        self.last = fields;
+    }
+}
+
+/// `record`'s fields; a record without a DMA start takes the expected
+/// span, so that it neither breaks a prediction nor changes the next.
+fn fields(record: &CompletionRecord, expected: &Fields) -> Fields {
+    let done = record.completed_at.as_ns();
+    let span = record
+        .dma_started_at
+        .map_or(expected[SPAN], |start| done.wrapping_sub(start.as_ns()));
+    [
+        record.req_id,
+        done,
+        done.wrapping_sub(record.submitted_at.as_ns()),
+        span,
+        record.bytes,
+    ]
+}
 
 /// An append-only log of [`CompletionRecord`]s, in retirement order.
 ///
-/// A record is encoded as one tag byte (the [`MoveKind`] bit, whether
-/// a DMA start follows, and [`MoveStatus::code`]) and then these
-/// LEB128 varints:
-///
-/// 1. zigzag(`req_id` − the previous record's `req_id`);
-/// 2. zigzag(`completed_at` − the previous record's `completed_at`);
-/// 3. zigzag(`completed_at` − `submitted_at`);
-/// 4. zigzag(`completed_at` − `dma_started_at`), only if the tag says
-///    a DMA start follows;
-/// 5. `bytes`.
-///
-/// The first record's deltas are taken against 0. Every difference
-/// wraps, so any `u64` round-trips, out-of-order values included. The
-/// last record is also kept decoded: it is the next push's delta base
-/// and [`CompletionLog::last`]'s answer.
+/// A record that matches what the previous one predicts (id + 1,
+/// completion time + the previous gap, and the previous latency, DMA
+/// span and size) takes one byte; any other takes a tag byte and one
+/// varint per field, at most 51 bytes. The byte format is laid out at
+/// the top of `crates/core/src/log.rs`. The last record is also kept
+/// decoded, for [`CompletionLog::last`].
 #[derive(Debug, Clone, Default)]
 pub struct CompletionLog {
     bytes: Vec<u8>,
     len: usize,
     last: Option<CompletionRecord>,
+    predictor: Predictor,
 }
 
 impl CompletionLog {
     /// Appends one record.
     pub fn push(&mut self, record: CompletionRecord) {
-        let (id, at) = base(self.last.as_ref());
-        let done = record.completed_at.as_ns();
+        let expected = self.predictor.expect();
+        let actual = fields(&record, &expected);
         let status = u8::try_from(record.status.code()).expect("status codes fit the tag");
         let mut tag = status << STATUS_SHIFT;
         if record.kind == MoveKind::Migrate {
             tag |= MIGRATE;
         }
-        if record.dma_started_at.is_some() {
+        let dma = record.dma_started_at.is_some();
+        if dma {
             tag |= DMA;
         }
         // Byte-wise pushes keep the buffer's capacity a power of two:
         // it grows by exact doublings from 8.
         let out = &mut self.bytes;
-        out.push(tag);
-        put(out, zigzag(record.req_id.wrapping_sub(id)));
-        put(out, zigzag(done.wrapping_sub(at)));
-        put(out, zigzag(done.wrapping_sub(record.submitted_at.as_ns())));
-        if let Some(start) = record.dma_started_at {
-            put(out, zigzag(done.wrapping_sub(start.as_ns())));
+        if actual == expected {
+            out.push(tag | PREDICTED);
+        } else {
+            out.push(tag);
+            for (i, (a, e)) in actual.into_iter().zip(expected).enumerate() {
+                if i != SPAN || dma {
+                    put(out, zigzag(a.wrapping_sub(e)));
+                }
+            }
         }
-        put(out, record.bytes);
+        self.predictor.learn(actual);
         self.len += 1;
         self.last = Some(record);
     }
@@ -122,7 +209,7 @@ impl CompletionLog {
         Iter {
             bytes: &self.bytes,
             left: self.len,
-            prev: None,
+            predictor: Predictor::default(),
         }
     }
 
@@ -144,7 +231,7 @@ impl CompletionLog {
 pub struct Iter<'a> {
     bytes: &'a [u8],
     left: usize,
-    prev: Option<CompletionRecord>,
+    predictor: Predictor,
 }
 
 impl Iterator for Iter<'_> {
@@ -155,29 +242,32 @@ impl Iterator for Iter<'_> {
             return None;
         }
         self.left -= 1;
-        let (id, at) = base(self.prev.as_ref());
         let (&tag, rest) = self.bytes.split_first().expect("a record per count");
         self.bytes = rest;
-        let req_id = id.wrapping_add(unzigzag(self.get()));
-        let done = at.wrapping_add(unzigzag(self.get()));
-        let submitted = done.wrapping_sub(unzigzag(self.get()));
-        let dma_started_at =
-            (tag & DMA != 0).then(|| SimTime::from_ns(done.wrapping_sub(unzigzag(self.get()))));
-        let record = CompletionRecord {
-            req_id,
+        let dma = tag & DMA != 0;
+        let mut f = self.predictor.expect();
+        if tag & PREDICTED == 0 {
+            for (i, field) in f.iter_mut().enumerate() {
+                if i != SPAN || dma {
+                    *field = field.wrapping_add(unzigzag(self.get()));
+                }
+            }
+        }
+        self.predictor.learn(f);
+        let done = f[DONE];
+        Some(CompletionRecord {
+            req_id: f[ID],
             kind: if tag & MIGRATE != 0 {
                 MoveKind::Migrate
             } else {
                 MoveKind::Replicate
             },
-            bytes: self.get(),
-            submitted_at: SimTime::from_ns(submitted),
-            dma_started_at,
+            bytes: f[BYTES],
+            submitted_at: SimTime::from_ns(done.wrapping_sub(f[LATENCY])),
+            dma_started_at: dma.then(|| SimTime::from_ns(done.wrapping_sub(f[SPAN]))),
             completed_at: SimTime::from_ns(done),
-            status: MoveStatus::from_code(u64::from(tag >> STATUS_SHIFT)),
-        };
-        self.prev = Some(record);
-        Some(record)
+            status: MoveStatus::from_code(u64::from((tag >> STATUS_SHIFT) & STATUS_MASK)),
+        })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -200,12 +290,6 @@ impl Iter<'_> {
         }
         unreachable!("a varint runs past the log's end");
     }
-}
-
-/// The delta base a record is encoded against: the previous record's
-/// id and completion time, or zeros for the first.
-fn base(prev: Option<&CompletionRecord>) -> (u64, u64) {
-    prev.map_or((0, 0), |r| (r.req_id, r.completed_at.as_ns()))
 }
 
 /// Appends `value` as a LEB128 varint.
@@ -256,20 +340,46 @@ mod tests {
     }
 
     #[test]
-    fn a_steady_stream_takes_a_dozen_bytes_a_record() {
+    fn a_steady_stream_takes_a_byte_a_record() {
         let mut log = CompletionLog::default();
         for i in 0..1_000 {
             log.push(record(i, 1_000_000 + 2_500 * i));
         }
-        // Tag 1, id 1, spacing 2, latency 2, DMA 2, bytes 2; the first
-        // record's spacing from 0 takes 3.
-        assert_eq!(log.encoded_bytes(), 10 * 1_000 + 1);
+        // The first record is predicted from zeros: tag 1, id 1,
+        // completion 3, latency 2, DMA span 2, bytes 2. The second
+        // misses only its completion time (the first gap was 1 ms):
+        // tag 1, 3 for it and 1 for each other field. From the third on
+        // every record is its tag alone.
+        assert_eq!(log.encoded_bytes(), 11 + 8 + 998);
         assert_eq!(log.len(), 1_000);
         assert_eq!(log.last(), Some(record(999, 1_000_000 + 2_500 * 999)));
         assert!(log
             .iter()
             .eq((0..1_000).map(|i| record(i, 1_000_000 + 2_500 * i))));
         assert!(log.capacity().is_power_of_two());
+    }
+
+    #[test]
+    fn a_broken_prediction_costs_every_field_once() {
+        let mut log = CompletionLog::default();
+        (0..4).for_each(|i| log.push(record(i, 10_000 + 2_500 * i)));
+        let before = log.encoded_bytes();
+        // Five residuals follow the tag; +64 bytes zigzags to 128,
+        // which takes two varint bytes.
+        log.push(CompletionRecord {
+            bytes: 4_096 + 64,
+            ..record(4, 20_000)
+        });
+        assert_eq!(log.encoded_bytes(), before + 1 + 5 + 1);
+        // Without a DMA start, four residuals follow the tag: the id's
+        // and the bytes' (−64 zigzags to 127) break the prediction.
+        log.push(CompletionRecord {
+            req_id: 9,
+            dma_started_at: None,
+            ..record(5, 22_500)
+        });
+        assert_eq!(log.encoded_bytes(), before + 7 + 1 + 4);
+        assert_eq!(log.iter().last(), log.last());
     }
 
     #[test]

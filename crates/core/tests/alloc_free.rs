@@ -111,9 +111,10 @@ const WARM: u64 = 3_000;
 const WINDOW: u64 = 2_000;
 
 /// Most encoded completion-log bytes per retired request any stream
-/// may take. The six streams take 11.0 (solo) to 14.0 (QoS,
-/// replication).
-const LOG_BYTES_PER_REQUEST: f64 = 16.0;
+/// may take. The six streams take 1.01 (solo), 3.63 (journaled), 5.22
+/// (batched), 5.67 (QoS), 6.01 (sharded) and 8.00 (replication); the
+/// bound is the largest rounded up to a whole byte.
+const LOG_BYTES_PER_REQUEST: f64 = 9.0;
 
 /// What each window slot moves.
 #[derive(Clone, Copy)]

@@ -51,7 +51,8 @@ pub enum AllocPolicy {
     /// Try one node first, fall back to the others.
     Preferred(NodeId),
     /// Round-robin pages across a node set (page *i* starts at
-    /// `nodes[i % len]`), falling back within the set.
+    /// `nodes[i % len]`), falling back within the set. An empty set maps
+    /// nothing: [`AddressSpace::mmap_with`] rejects it.
     Interleave(Vec<NodeId>),
 }
 
@@ -72,6 +73,11 @@ impl AllocPolicy {
     }
 
     /// The policy's primary node (the VMA's "home").
+    ///
+    /// # Panics
+    ///
+    /// Panics on an [`Interleave`](AllocPolicy::Interleave) over no
+    /// nodes, a policy no region of an [`AddressSpace`] holds.
     #[must_use]
     pub fn home(&self) -> NodeId {
         match self {
@@ -184,6 +190,8 @@ pub enum MmError {
     /// The space's live regions already use 65,536 distinct allocation
     /// policies, as many as a [`Vma`] can name.
     TooManyPolicies,
+    /// An [`AllocPolicy::Interleave`] over no nodes.
+    EmptyNodeSet,
 }
 
 impl From<AllocError> for MmError {
@@ -199,6 +207,7 @@ impl std::fmt::Display for MmError {
             MmError::NoSuchRegion(va) => write!(f, "no region starts at {va}"),
             MmError::EmptyRegion => f.write_str("empty region"),
             MmError::TooManyPolicies => f.write_str("too many distinct allocation policies"),
+            MmError::EmptyNodeSet => f.write_str("interleave over no nodes"),
         }
     }
 }
@@ -349,8 +358,10 @@ impl AddressSpace {
     ///
     /// # Errors
     ///
-    /// [`MmError::EmptyRegion`], [`MmError::TooManyPolicies`], or an
-    /// eager allocation failure (in which case nothing remains mapped).
+    /// [`MmError::EmptyRegion`], [`MmError::EmptyNodeSet`],
+    /// [`MmError::TooManyPolicies`], or an eager allocation failure (in
+    /// which case nothing remains mapped). Nothing is allocated or
+    /// indexed before the first two are checked.
     pub fn mmap_with(
         &mut self,
         alloc: &mut FrameAllocator,
@@ -361,6 +372,9 @@ impl AddressSpace {
     ) -> Result<VirtAddr, MmError> {
         if pages == 0 {
             return Err(MmError::EmptyRegion);
+        }
+        if matches!(&policy, AllocPolicy::Interleave(nodes) if nodes.is_empty()) {
+            return Err(MmError::EmptyNodeSet);
         }
         let index = self.policy_index(&policy)?;
         // Align the bump pointer; regions of any size stay naturally

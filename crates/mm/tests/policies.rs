@@ -2,7 +2,8 @@
 
 use memif_hwsim::{NodeId, PhysMem, Topology};
 use memif_mm::{
-    AccessKind, AddressSpace, AllocPolicy, Fault, FrameAllocator, PageSize, Populate, VirtAddr,
+    AccessKind, AddressSpace, AllocPolicy, Fault, FrameAllocator, MmError, PageSize, Populate,
+    VirtAddr,
 };
 
 fn setup() -> (AddressSpace, FrameAllocator, Topology) {
@@ -52,6 +53,60 @@ fn interleave_falls_back_within_the_set() {
             "fallback to DDR"
         );
     }
+}
+
+/// Maps one region under `Interleave(vec![])` with `populate` after a
+/// one-page region, and checks that the mapping is refused and leaves
+/// the regions and the allocator as they were. Returns the space, the
+/// allocator and the address the refused region would have started at.
+fn refuse_empty_interleave(populate: Populate) -> (AddressSpace, FrameAllocator, VirtAddr) {
+    let (mut space, mut alloc, _) = setup();
+    let first = space
+        .mmap_anonymous(&mut alloc, 1, PageSize::Small4K, NodeId(0))
+        .unwrap();
+    let vmas: Vec<_> = space.vmas().copied().collect();
+    let free = |alloc: &FrameAllocator| -> Vec<u64> {
+        alloc
+            .nodes()
+            .into_iter()
+            .map(|n| alloc.free_bytes(n))
+            .collect()
+    };
+    let (live, free_before) = (alloc.live_frames(), free(&alloc));
+    let empty = AllocPolicy::Interleave(Vec::new());
+    assert_eq!(
+        space.mmap_with(&mut alloc, 4, PageSize::Small4K, empty, populate),
+        Err(MmError::EmptyNodeSet)
+    );
+    assert!(space.vmas().copied().eq(vmas));
+    assert_eq!(alloc.live_frames(), live);
+    assert_eq!(free(&alloc), free_before);
+    (space, alloc, first.offset(4096))
+}
+
+#[test]
+fn an_eager_interleave_over_no_nodes_is_refused() {
+    refuse_empty_interleave(Populate::Eager);
+}
+
+#[test]
+fn a_lazy_interleave_over_no_nodes_is_refused() {
+    refuse_empty_interleave(Populate::Lazy);
+}
+
+#[test]
+fn a_refused_lazy_interleave_leaves_nothing_to_fault_in() {
+    let (mut space, mut alloc, next) = refuse_empty_interleave(Populate::Lazy);
+    assert_eq!(
+        space.access(next, AccessKind::Write),
+        Err(Fault::Unmapped(next))
+    );
+    assert_eq!(
+        space.handle_demand_fault(&mut alloc, next),
+        Err(MmError::NoSuchRegion(next))
+    );
+    assert_eq!(space.vmas().count(), 1);
+    assert_eq!(alloc.live_frames(), 1);
 }
 
 #[test]
