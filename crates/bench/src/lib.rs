@@ -26,9 +26,9 @@
 //! `tests/paper_claims.rs` runs every entry that does not read the host
 //! clock under `cargo test`.
 //!
-//! Criterion micro-benches (`cargo bench`) cover the real data
-//! structures: the red–blue queue, gang lookup, DMA configuration, and
-//! an end-to-end simulated move.
+//! The `perf` benchmark (`src/bin/perf`, a package of its own) times
+//! the real data structures on the host clock: the red–blue queue, gang
+//! lookup, DMA configuration and the scheduler, next to whole workloads.
 //!
 //! Both binaries print aligned tables and drop CSVs into `./results`
 //! (override with `MEMIF_RESULTS_DIR`).

@@ -162,16 +162,6 @@ impl CompletionStatus {
     pub fn is_failed(self) -> bool {
         matches!(self.0, MoveStatus::Failed(_))
     }
-
-    /// Why the request failed, for [`is_failed`](Self::is_failed)
-    /// completions.
-    #[must_use]
-    pub fn fail_reason(self) -> Option<memif_lockfree::FailReason> {
-        match self.0 {
-            MoveStatus::Failed(reason) => Some(reason),
-            _ => None,
-        }
-    }
 }
 
 /// A handle to an open memif instance (the `memfd` of Figure 2).
@@ -505,69 +495,6 @@ impl Memif {
         }
         Ok(())
     }
-}
-
-/// Waits on several memif instances at once — the `poll(fdset)` of
-/// Figure 2 with more than one descriptor in the set. `waker` runs as
-/// soon as *any* instance has (or produces) a completion; it receives
-/// the ready instance. Like the syscall, this is one-shot: re-arm after
-/// handling.
-///
-/// # Examples
-///
-/// ```
-/// use memif::{poll_any, Memif, MemifConfig, MoveSpec, NodeId, PageSize, Sim, System};
-///
-/// let mut sys = System::keystone_ii();
-/// let mut sim = Sim::new();
-/// let space = sys.new_space();
-/// let a = Memif::open(&mut sys, space, MemifConfig::default()).unwrap();
-/// let b = Memif::open(&mut sys, space, MemifConfig::default()).unwrap();
-/// let va = sys.mmap(space, 4, PageSize::Small4K, NodeId(0)).unwrap();
-/// b.submit(&mut sys, &mut sim, MoveSpec::migrate(va, 4, PageSize::Small4K, NodeId(1))).unwrap();
-/// poll_any(&mut sys, &mut sim, &[a, b], move |sys, _sim, ready| {
-///     assert_eq!(ready.device(), b.device());
-///     assert!(ready.retrieve_completed(sys).unwrap().unwrap().status.is_ok());
-/// }).unwrap();
-/// sim.run(&mut sys);
-/// ```
-///
-/// # Errors
-///
-/// [`MemifError::NoSuchDevice`] if any handle's instance has been
-/// closed.
-pub fn poll_any(
-    sys: &mut System,
-    sim: &mut Sim<System>,
-    handles: &[Memif],
-    waker: impl FnOnce(&mut System, &mut Sim<System>, Memif) + 'static,
-) -> Result<(), MemifError> {
-    use memif_lockfree::QueueId as Q;
-    // Fast path: something is already queued.
-    for h in handles {
-        let device = sys.device(h.device()).ok_or(MemifError::NoSuchDevice)?;
-        if !device.region.is_empty(Q::CompletionErr) || !device.region.is_empty(Q::CompletionOk) {
-            let h = *h;
-            let cost = sys.cost.queue_op;
-            sim.schedule_after(cost, SimEvent::call(move |sys, sim| waker(sys, sim, h)));
-            return Ok(());
-        }
-    }
-    // Register a shared one-shot waker with every instance; whichever
-    // notifies first consumes it, the rest become no-ops.
-    type Waker = Box<dyn FnOnce(&mut System, &mut Sim<System>, Memif)>;
-    let cell: std::rc::Rc<std::cell::RefCell<Option<Waker>>> =
-        std::rc::Rc::new(std::cell::RefCell::new(Some(Box::new(waker))));
-    for h in handles {
-        let h = *h;
-        let cell = std::rc::Rc::clone(&cell);
-        h.poll(sys, sim, move |sys, sim| {
-            if let Some(w) = cell.borrow_mut().take() {
-                w(sys, sim, h);
-            }
-        })?;
-    }
-    Ok(())
 }
 
 impl System {

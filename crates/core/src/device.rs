@@ -421,12 +421,6 @@ impl MemifDevice {
         }
     }
 
-    /// Requests currently parked by admission control, across tenants.
-    #[must_use]
-    pub fn parked_count(&self) -> usize {
-        self.parked.values().map(VecDeque::len).sum()
-    }
-
     /// Removes the in-flight record at `index`, dropping its byte spans
     /// from the cross-shard overlap index in the same motion. Every
     /// terminal path (release, abort, failure teardown) retires records

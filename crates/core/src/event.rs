@@ -185,7 +185,7 @@ pub enum SimEvent {
         gbps: f64,
     },
     /// Invoke the registered hook `hook` with `arg` (runtime-layer
-    /// continuations: stream chunk stages, swap daemon ticks).
+    /// continuations: stream chunk stages, placement-daemon epochs).
     Hook {
         /// The registered callback.
         hook: HookId,
@@ -447,7 +447,7 @@ impl System {
     /// with [`SimEvent::Hook`]. Unlike a [`SimEvent::call`] thunk a hook
     /// is `FnMut` and survives any number of invocations, so the runtime
     /// layer can drive multi-stage state machines (streaming chunks,
-    /// swap-daemon scans) through a fixed, loggable event shape.
+    /// placement-daemon epochs) through a fixed, loggable event shape.
     pub fn register_hook(
         &mut self,
         f: impl FnMut(&mut System, &mut Sim<System>, u64) + 'static,

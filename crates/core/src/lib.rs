@@ -45,7 +45,7 @@ mod log;
 mod recover;
 mod system;
 
-pub use api::{poll_any, Completion, CompletionStatus, Memif, MoveSpec, ReqId};
+pub use api::{Completion, CompletionStatus, Memif, MoveSpec, ReqId};
 pub use chain::{ChainStep, MoveChain};
 pub use config::{MemifConfig, RaceMode};
 pub use device::{DeviceId, DriverStats, MemifDevice};

@@ -175,7 +175,7 @@ impl System {
         let nodes = topo
             .all_nodes()
             .iter()
-            .map(|n| flows.add_resource(n.name.clone(), n.bandwidth_gbps))
+            .map(|n| flows.add_resource(n.bandwidth_gbps))
             .collect();
         // NVM and CXL nodes get a second, slower write-side pipe; DMA
         // routes targeting them are constrained by it (asymmetric
@@ -186,27 +186,22 @@ impl System {
             .iter()
             .map(|n| {
                 if n.kind.is_persistent() {
-                    Some(flows.add_resource(format!("{}-wr", n.name), cost.nvm_write_bw_gbps))
+                    Some(flows.add_resource(cost.nvm_write_bw_gbps))
                 } else if n.kind == memif_hwsim::MemoryKind::Cxl {
-                    Some(flows.add_resource(format!("{}-wr", n.name), cost.cxl_write_bw_gbps))
+                    Some(flows.add_resource(cost.cxl_write_bw_gbps))
                 } else {
                     None
                 }
             })
             .collect();
         // Transfer-controller channels. Channel 0 keeps the historical
-        // "dma-engine" name (and resource id), so a one-channel machine
-        // is resource-for-resource identical to the pre-TC layout.
+        // DMA-engine resource id, so a one-channel machine is
+        // resource-for-resource identical to the pre-TC layout.
         let tc_count = cost.dma_tc_count.max(1) as usize;
         let mut tc = TcScheduler::new(cost.dma_transfer_controllers as usize);
         let mut tcs = Vec::with_capacity(tc_count);
-        for i in 0..tc_count {
-            let name = if i == 0 {
-                "dma-engine".to_owned()
-            } else {
-                format!("dma-tc{i}")
-            };
-            let r = flows.add_resource(name, cost.dma_engine_bw_gbps);
+        for _ in 0..tc_count {
+            let r = flows.add_resource(cost.dma_engine_bw_gbps);
             tc.add_channel(r);
             tcs.push(r);
         }

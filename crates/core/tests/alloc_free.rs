@@ -30,9 +30,16 @@
 //! Pages are never written: simulated memory contents are themselves
 //! heap-backed (`PhysMem` materializes a frame on first write), and the
 //! gate is about the driver's bookkeeping, not the simulated bytes.
+//!
+//! The same six streams also pin the event core's work per request: run
+//! again with the event log on (its records are allocations, so that
+//! run's allocation counts go unchecked), each must dispatch exactly
+//! the pinned number of events of each record `type` over the same
+//! window.
 
 use std::alloc::{GlobalAlloc, Layout, System as Heap};
 use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::thread::LocalKey;
 
@@ -153,9 +160,9 @@ struct Loop {
     budget: u64,
     outstanding: u64,
     completed: u64,
-    /// Completion-log capacities, in bytes, when the counter was armed
-    /// and disarmed.
-    marks: Vec<usize>,
+    /// Completion-log capacities, in bytes, and event-log lengths when
+    /// the counter was armed and disarmed.
+    marks: Vec<(usize, usize)>,
     /// Most journal records and request-id index slots held at any
     /// retirement.
     journal_peak: (usize, usize),
@@ -225,12 +232,14 @@ impl Loop {
             self.journal_peak.0 = self.journal_peak.0.max(journal.records().len());
             self.journal_peak.1 = self.journal_peak.1.max(journal.index_slots());
             if self.completed == WARM {
-                self.marks.push(log_capacity(sys, self.memif));
+                self.marks
+                    .push((log_capacity(sys, self.memif), sys.event_log().len()));
                 ARMED.with(|a| a.set(true));
             }
             if self.completed == WARM + WINDOW {
                 ARMED.with(|a| a.set(false));
-                self.marks.push(log_capacity(sys, self.memif));
+                self.marks
+                    .push((log_capacity(sys, self.memif), sys.event_log().len()));
             }
             self.submit(sys, sim, c.user_data as usize);
         }
@@ -263,14 +272,22 @@ struct Measured {
     journal_peak: (usize, usize),
     /// Encoded completion-log bytes per retired request.
     log_bytes_per_request: f64,
+    /// Events dispatched over the counted window, by record `type`
+    /// (empty unless the event log was on).
+    events: BTreeMap<String, u64>,
 }
 
 /// Runs `stream` through `WARM` requests, counts the allocations of the
 /// next `WINDOW` (the window stays full throughout), then drains it
-/// once `stream.requests` have been submitted.
-fn measure(stream: Stream) -> Measured {
+/// once `stream.requests` have been submitted. With `log_events`, the
+/// event log is on and the window's events are counted instead (the
+/// log's records are themselves allocations).
+fn measure(stream: Stream, log_events: bool) -> Measured {
     let mut sys = System::with_profile(stream.topo, CostModel::keystone_ii());
     let mut sim = Sim::new();
+    if log_events {
+        sys.enable_event_log();
+    }
     for &(t, cfg) in &stream.tenants {
         sys.qos.register(t, cfg);
     }
@@ -321,9 +338,18 @@ fn measure(stream: Stream) -> Measured {
     sim.run(&mut sys);
     let l = state.borrow();
     assert_eq!((l.budget, l.outstanding), (0, 0), "the loop drained");
-    let [before, after] = l.marks[..] else {
+    let [(before, from), (after, until)] = l.marks[..] else {
         panic!("the counter was armed and disarmed once");
     };
+    let mut events = BTreeMap::new();
+    for record in &sys.event_log()[from..until] {
+        let kind = record
+            .split("\"type\":\"")
+            .nth(1)
+            .and_then(|rest| rest.split('"').next())
+            .expect("every record has a type");
+        *events.entry(kind.to_owned()).or_insert(0) += 1;
+    }
     let device = sys.device(l.memif.device()).expect("device open");
     let grows = GROWS.with(Cell::get);
     let mut unexplained: Vec<(usize, usize)> =
@@ -347,11 +373,12 @@ fn measure(stream: Stream) -> Measured {
         journal_appends: sys.journal().len(),
         journal_peak: l.journal_peak,
         log_bytes_per_request: device.log.encoded_bytes() as f64 / device.log.len() as f64,
+        events,
     }
 }
 
 fn assert_allocation_free(name: &str, stream: Stream) -> Measured {
-    let m = measure(stream);
+    let m = measure(stream, false);
     assert!(
         m.grows <= MAX_GROWS as u64,
         "{name}: {} reallocations",
@@ -387,36 +414,35 @@ fn migrate4k(config: MemifConfig, pages: u32, window: usize) -> Stream {
     }
 }
 
-#[test]
-fn solo_4k_migration_allocates_nothing() {
-    assert_allocation_free("solo", migrate4k(MemifConfig::default(), 1, 8));
+/// Requests the journaled stream submits in all.
+const JOURNALED_REQUESTS: u64 = 50_000;
+
+fn solo() -> Stream {
+    migrate4k(MemifConfig::default(), 1, 8)
 }
 
-#[test]
-fn batched_coalesced_migration_allocates_nothing() {
+fn batched() -> Stream {
     let config = MemifConfig {
         batch_max: 8,
         coalesce: true,
         ..MemifConfig::default()
     };
-    assert_allocation_free("batched", migrate4k(config, 16, 8));
+    migrate4k(config, 16, 8)
 }
 
-#[test]
-fn sharded_issue_allocates_nothing() {
+fn sharded() -> Stream {
     let config = MemifConfig {
         issue_shards: 4,
         ..MemifConfig::default()
     };
-    assert_allocation_free("4 shards", migrate4k(config, 1, 16));
+    migrate4k(config, 1, 16)
 }
 
-#[test]
-fn qos_roster_allocates_nothing() {
-    // Two tenants share the device, two slots each; the second is capped
-    // at one request in flight, so its second request parks at submit,
-    // is re-admitted when the first retires, and its parked queue
-    // empties and refills every round.
+/// Two tenants share the device, two slots each; the second is capped
+/// at one request in flight, so its second request parks at submit, is
+/// re-admitted when the first retires, and its parked queue empties and
+/// refills every round.
+fn qos() -> Stream {
     let config = MemifConfig {
         qos: true,
         ..MemifConfig::default()
@@ -439,17 +465,12 @@ fn qos_roster_allocates_nothing() {
             },
         ),
     ];
-    let m = assert_allocation_free("qos", stream);
-    assert!(m.readmitted > WINDOW / 4, "the capped tenant parks");
+    stream
 }
 
-/// The journal holds what is in flight or not yet acknowledged, not
-/// one record per request ever issued: over 50,000 journaled requests
-/// at window 16, its records and its request-id index stay within a
-/// small constant, while `len()` still counts every append.
-#[test]
-fn journaled_nvm_migration_allocates_nothing() {
-    const REQUESTS: u64 = 50_000;
+/// Batched, coalesced 64 KiB migrations between DRAM and NVM with the
+/// write-ahead journal on.
+fn journaled() -> Stream {
     let config = MemifConfig {
         journal: true,
         batch_max: 16,
@@ -459,10 +480,56 @@ fn journaled_nvm_migration_allocates_nothing() {
     let mut stream = migrate4k(config, 16, 16);
     stream.topo = Topology::ranked(3);
     stream.shape = Shape::Migrate(NodeId(0), NodeId(2));
-    stream.requests = REQUESTS;
-    let m = assert_allocation_free("journaled", stream);
-    assert_eq!(m.submitted, REQUESTS);
-    assert_eq!(m.journal_appends as u64, REQUESTS, "len() counts appends");
+    stream.requests = JOURNALED_REQUESTS;
+    stream
+}
+
+fn replication() -> Stream {
+    Stream {
+        topo: Topology::keystone_ii(),
+        config: MemifConfig::default(),
+        shape: Shape::Replicate,
+        pages: 4,
+        page_size: PageSize::Medium64K,
+        window: 4,
+        tenants: vec![(TenantId::ROOT, TenantConfig::default())],
+        requests: WARM + WINDOW + 4,
+    }
+}
+
+#[test]
+fn solo_4k_migration_allocates_nothing() {
+    assert_allocation_free("solo", solo());
+}
+
+#[test]
+fn batched_coalesced_migration_allocates_nothing() {
+    assert_allocation_free("batched", batched());
+}
+
+#[test]
+fn sharded_issue_allocates_nothing() {
+    assert_allocation_free("4 shards", sharded());
+}
+
+#[test]
+fn qos_roster_allocates_nothing() {
+    let m = assert_allocation_free("qos", qos());
+    assert!(m.readmitted > WINDOW / 4, "the capped tenant parks");
+}
+
+/// The journal holds what is in flight or not yet acknowledged, not
+/// one record per request ever issued: over 50,000 journaled requests
+/// at window 16, its records and its request-id index stay within a
+/// small constant, while `len()` still counts every append.
+#[test]
+fn journaled_nvm_migration_allocates_nothing() {
+    let m = assert_allocation_free("journaled", journaled());
+    assert_eq!(m.submitted, JOURNALED_REQUESTS);
+    assert_eq!(
+        m.journal_appends as u64, JOURNALED_REQUESTS,
+        "len() counts appends"
+    );
     let (records, slots) = m.journal_peak;
     assert!(
         records <= 64 && slots <= 64,
@@ -472,17 +539,125 @@ fn journaled_nvm_migration_allocates_nothing() {
 
 #[test]
 fn replication_64k_allocates_nothing() {
-    let stream = Stream {
-        topo: Topology::keystone_ii(),
-        config: MemifConfig::default(),
-        shape: Shape::Replicate,
-        pages: 4,
-        page_size: PageSize::Medium64K,
-        window: 4,
-        tenants: vec![(TenantId::ROOT, TenantConfig::default())],
-        requests: WARM + WINDOW + 4,
-    };
-    assert_allocation_free("replication", stream);
+    assert_allocation_free("replication", replication());
+}
+
+/// Events of each record `type` over a stream's counted window.
+type Pins = &'static [(&'static str, u64)];
+
+/// Events each stream dispatches over its `WINDOW` counted retirements,
+/// by record `type`, pinned exactly: a change to the event core's work
+/// per request fails here as a named diff. In all, a request takes 7.0
+/// events (solo), 2.664 (batched), 5.75 (4 shards), 7.333 (QoS), 2.583
+/// (journaled) and 7.0 (replication).
+#[test]
+fn events_per_request_are_pinned() {
+    let pinned: [(&str, Stream, Pins); 6] = [
+        (
+            "solo",
+            solo(),
+            &[
+                ("dma_done", 2000),
+                ("flow_tick", 2000),
+                ("hook", 2000),
+                ("kthread_continue", 2000),
+                ("kthread_run", 2000),
+                ("launch", 2000),
+                ("poll_release", 2000),
+            ],
+        ),
+        (
+            "batched",
+            batched(),
+            &[
+                ("dma_done", 555),
+                ("flow_tick", 555),
+                ("hook", 555),
+                ("irq_release", 888),
+                ("kthread_continue", 333),
+                ("kthread_run", 777),
+                ("launch", 555),
+                ("poll_release", 1110),
+            ],
+        ),
+        (
+            "4 shards",
+            sharded(),
+            &[
+                ("dma_done", 2000),
+                ("flow_tick", 750),
+                ("hook", 750),
+                ("kthread_continue", 2000),
+                ("kthread_run", 2000),
+                ("launch", 2000),
+                ("poll_release", 2000),
+            ],
+        ),
+        (
+            "qos",
+            qos(),
+            &[
+                ("dma_done", 2000),
+                ("flow_tick", 2000),
+                ("hook", 2000),
+                ("kthread_continue", 2000),
+                ("kthread_run", 2666),
+                ("launch", 2000),
+                ("poll_release", 2000),
+            ],
+        ),
+        (
+            "journaled",
+            journaled(),
+            &[
+                ("dma_done", 528),
+                ("flow_tick", 528),
+                ("hook", 528),
+                ("irq_release", 1575),
+                ("kthread_continue", 422),
+                ("kthread_run", 634),
+                ("launch", 528),
+                ("poll_release", 423),
+            ],
+        ),
+        (
+            "replication",
+            replication(),
+            &[
+                ("dma_done", 2000),
+                ("flow_tick", 2000),
+                ("hook", 2000),
+                ("kthread_continue", 2000),
+                ("kthread_run", 2000),
+                ("launch", 2000),
+                ("poll_release", 2000),
+            ],
+        ),
+    ];
+    let mut diffs = Vec::new();
+    for (name, stream, want) in pinned {
+        let got = measure(stream, true).events;
+        let mut kinds: Vec<&str> = got.keys().map(String::as_str).collect();
+        kinds.extend(want.iter().map(|&(kind, _)| kind));
+        kinds.sort_unstable();
+        kinds.dedup();
+        for kind in kinds {
+            let have = got.get(kind).copied().unwrap_or(0);
+            let pin = want.iter().find(|w| w.0 == kind).map_or(0, |w| w.1);
+            if have != pin {
+                diffs.push(format!(
+                    "{name}: {have} `{kind}` events, pinned {pin} ({:.3} vs {:.3} a request)",
+                    have as f64 / WINDOW as f64,
+                    pin as f64 / WINDOW as f64
+                ));
+            }
+        }
+    }
+    assert!(
+        diffs.is_empty(),
+        "events over {WINDOW} retired requests changed:\n{}",
+        diffs.join("\n")
+    );
 }
 
 #[test]

@@ -299,12 +299,6 @@ impl ChainManager {
         self.chains.len()
     }
 
-    /// Chains currently marked busy (serving in-flight transfers).
-    #[must_use]
-    pub fn busy_chains(&self) -> usize {
-        self.chains.values().filter(|c| c.busy).count()
-    }
-
     /// Descriptors currently held by busy chains — the pool's in-flight
     /// occupancy. Zero once every transfer has completed or aborted.
     #[must_use]

@@ -688,7 +688,7 @@ mod tests {
         let cm = CostModel::keystone_ii();
         let mut sim: Sim<World> = Sim::new();
         let mut w = world(16);
-        let ddr = w.flows.add_resource("ddr", 6.2);
+        let ddr = w.flows.add_resource(6.2);
         w.phys.fill(seg(0).src, 4096, 0x77);
 
         w.copies = vec![seg(0)];
@@ -713,7 +713,7 @@ mod tests {
         let cm = CostModel::keystone_ii();
         let mut sim: Sim<World> = Sim::new();
         let mut w = world(16);
-        let ddr = w.flows.add_resource("ddr", 8.0);
+        let ddr = w.flows.add_resource(8.0);
         let t = w
             .dma
             .configure((0..4).map(seg).collect::<Vec<_>>(), &cm)
@@ -738,7 +738,7 @@ mod tests {
         let cm = CostModel::keystone_ii();
         let mut sim: Sim<World> = Sim::new();
         let mut w = world(16);
-        let ddr = w.flows.add_resource("ddr", 1.0);
+        let ddr = w.flows.add_resource(1.0);
         let t = w.dma.configure(vec![seg(0)], &cm).unwrap();
         let id = launch(&mut w, &mut sim, ddr, &t, 1.0);
         sim.schedule_at(SimTime::from_ns(10), Ev::Abort(id));
@@ -760,7 +760,7 @@ mod tests {
         let cm = CostModel::keystone_ii();
         let mut sim: Sim<World> = Sim::new();
         let mut w = world(16);
-        let ddr = w.flows.add_resource("ddr", 6.2);
+        let ddr = w.flows.add_resource(6.2);
         let t = w.dma.configure(vec![seg(0)], &cm).unwrap();
         let id = launch(&mut w, &mut sim, ddr, &t, 4.0);
         // Reclaim while the flow is still running, but leave the flow (and
@@ -809,7 +809,7 @@ mod tests {
         let mut sim: Sim<World> = Sim::new();
         let mut w = world(16);
         w.expect_error = true;
-        let ddr = w.flows.add_resource("ddr", 6.2);
+        let ddr = w.flows.add_resource(6.2);
         w.dma
             .install_injector(FaultInjector::new(FaultPlan::dma_errors(9, 1.0)));
         let t = w
@@ -833,7 +833,7 @@ mod tests {
         let cm = CostModel::keystone_ii();
         let mut sim: Sim<World> = Sim::new();
         let mut w = world(16);
-        let ddr = w.flows.add_resource("ddr", 6.2);
+        let ddr = w.flows.add_resource(6.2);
         w.dma.install_injector(FaultInjector::new(FaultPlan {
             seed: 1,
             drop_rate: 1.0,
@@ -859,7 +859,7 @@ mod tests {
         let baseline = {
             let mut sim: Sim<World> = Sim::new();
             let mut w = world(16);
-            let ddr = w.flows.add_resource("ddr", 6.2);
+            let ddr = w.flows.add_resource(6.2);
             let t = w.dma.configure(vec![seg(0)], &cm).unwrap();
             launch(&mut w, &mut sim, ddr, &t, 4.0);
             sim.run(&mut w);
@@ -868,7 +868,7 @@ mod tests {
 
         let mut sim: Sim<World> = Sim::new();
         let mut w = world(16);
-        let ddr = w.flows.add_resource("ddr", 6.2);
+        let ddr = w.flows.add_resource(6.2);
         w.dma.install_injector(FaultInjector::new(FaultPlan {
             seed: 2,
             delay_rate: 1.0,

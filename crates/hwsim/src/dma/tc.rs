@@ -197,9 +197,7 @@ mod tests {
 
     fn resources(n: usize) -> Vec<ResourceId> {
         let mut net = FlowNet::new();
-        (0..n)
-            .map(|i| net.add_resource(format!("tc{i}"), 3.0))
-            .collect()
+        (0..n).map(|_| net.add_resource(3.0)).collect()
     }
 
     #[test]

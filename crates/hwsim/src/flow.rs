@@ -85,12 +85,6 @@ impl std::ops::Deref for Route {
 const EPSILON_BYTES: f64 = 0.5;
 
 #[derive(Debug)]
-struct Resource {
-    name: String,
-    capacity_gbps: f64,
-}
-
-#[derive(Debug)]
 struct Flow {
     id: u64,
     resources: Route,
@@ -108,7 +102,7 @@ struct Flow {
 /// use memif_hwsim::{FlowNet, Route, SimTime};
 ///
 /// let mut net = FlowNet::new();
-/// let bus = net.add_resource("ddr", 2.0); // 2 GB/s
+/// let bus = net.add_resource(2.0); // 2 GB/s
 /// net.start(SimTime::ZERO, Route::new(bus), 2_000, 100.0);
 /// net.start(SimTime::ZERO, Route::new(bus), 2_000, 100.0);
 /// // Two equal flows share the bus: each finishes after 2000 ns.
@@ -116,7 +110,8 @@ struct Flow {
 /// ```
 #[derive(Debug, Default)]
 pub struct FlowNet {
-    resources: Vec<Resource>,
+    /// Capacity of each resource in GB/s, indexed by [`ResourceId`].
+    capacity_gbps: Vec<f64>,
     /// Active flows in creation order (ascending id): every pass over
     /// them — progress, re-rating, finishing — runs in that order.
     flows: Vec<Flow>,
@@ -140,26 +135,17 @@ impl FlowNet {
     /// # Panics
     ///
     /// Panics if the capacity is not strictly positive.
-    pub fn add_resource(&mut self, name: impl Into<String>, capacity_gbps: f64) -> ResourceId {
+    pub fn add_resource(&mut self, capacity_gbps: f64) -> ResourceId {
         assert!(capacity_gbps > 0.0, "resource capacity must be positive");
-        self.resources.push(Resource {
-            name: name.into(),
-            capacity_gbps,
-        });
+        self.capacity_gbps.push(capacity_gbps);
         self.delivered.push(0.0);
-        ResourceId(self.resources.len() - 1)
-    }
-
-    /// Resource name (diagnostics).
-    #[must_use]
-    pub fn resource_name(&self, r: ResourceId) -> &str {
-        &self.resources[r.0].name
+        ResourceId(self.capacity_gbps.len() - 1)
     }
 
     /// Current capacity of resource `r` in GB/s.
     #[must_use]
     pub fn capacity(&self, r: ResourceId) -> f64 {
-        self.resources[r.0].capacity_gbps
+        self.capacity_gbps[r.0]
     }
 
     /// Changes the capacity of resource `r` at instant `now` (a bandwidth
@@ -173,7 +159,7 @@ impl FlowNet {
     pub fn set_capacity(&mut self, now: SimTime, r: ResourceId, capacity_gbps: f64) {
         assert!(capacity_gbps > 0.0, "resource capacity must be positive");
         self.advance(now);
-        self.resources[r.0].capacity_gbps = capacity_gbps;
+        self.capacity_gbps[r.0] = capacity_gbps;
         self.recompute_rates();
     }
 
@@ -193,7 +179,7 @@ impl FlowNet {
     ) -> FlowId {
         assert!(demand_gbps > 0.0, "flow demand must be positive");
         for r in resources.iter() {
-            assert!(r.0 < self.resources.len(), "unknown resource");
+            assert!(r.0 < self.capacity_gbps.len(), "unknown resource");
         }
         self.advance(now);
         let id = self.next_flow;
@@ -302,7 +288,7 @@ impl FlowNet {
     fn recompute_rates(&mut self) {
         let sharing = &mut self.sharing;
         sharing.clear();
-        sharing.resize(self.resources.len(), 0);
+        sharing.resize(self.capacity_gbps.len(), 0);
         for flow in &self.flows {
             for r in flow.resources.iter() {
                 sharing[r.0] += 1;
@@ -312,7 +298,7 @@ impl FlowNet {
             let share = flow
                 .resources
                 .iter()
-                .map(|r| self.resources[r.0].capacity_gbps / sharing[r.0] as f64)
+                .map(|r| self.capacity_gbps[r.0] / sharing[r.0] as f64)
                 .fold(f64::INFINITY, f64::min);
             flow.rate = share.min(flow.demand_gbps);
         }
@@ -368,8 +354,8 @@ impl<W: EventWorld> FlowSystem<W> {
     /// # Panics
     ///
     /// Panics if the capacity is not strictly positive.
-    pub fn add_resource(&mut self, name: impl Into<String>, capacity_gbps: f64) -> ResourceId {
-        self.net.add_resource(name, capacity_gbps)
+    pub fn add_resource(&mut self, capacity_gbps: f64) -> ResourceId {
+        self.net.add_resource(capacity_gbps)
     }
 
     /// Read access to the underlying fluid model.
@@ -471,7 +457,7 @@ mod tests {
     #[test]
     fn uncontended_flow_runs_at_demand() {
         let mut net = FlowNet::new();
-        let ddr = net.add_resource("ddr", 2.0);
+        let ddr = net.add_resource(2.0);
         let t0 = SimTime::ZERO;
         net.start(t0, Route::new(ddr), 2_000, 100.0); // capped by resource
         let eta = net.next_completion(t0).unwrap();
@@ -484,7 +470,7 @@ mod tests {
     #[test]
     fn demand_caps_below_capacity() {
         let mut net = FlowNet::new();
-        let ddr = net.add_resource("ddr", 6.2);
+        let ddr = net.add_resource(6.2);
         net.start(SimTime::ZERO, Route::new(ddr), 1_000, 1.0); // 1 GB/s demand
         let eta = net.next_completion(SimTime::ZERO).unwrap();
         assert_eq!(eta.as_ns(), 1_000);
@@ -493,7 +479,7 @@ mod tests {
     #[test]
     fn two_flows_share_equally() {
         let mut net = FlowNet::new();
-        let ddr = net.add_resource("ddr", 4.0);
+        let ddr = net.add_resource(4.0);
         net.start(SimTime::ZERO, Route::new(ddr), 4_000, 100.0);
         net.start(SimTime::ZERO, Route::new(ddr), 4_000, 100.0);
         // Each runs at 2 GB/s => 2000 ns.
@@ -505,7 +491,7 @@ mod tests {
     #[test]
     fn departure_speeds_up_survivor() {
         let mut net = FlowNet::new();
-        let ddr = net.add_resource("ddr", 4.0);
+        let ddr = net.add_resource(4.0);
         net.start(SimTime::ZERO, Route::new(ddr), 2_000, 100.0); // finishes first
         net.start(SimTime::ZERO, Route::new(ddr), 4_000, 100.0);
         let t1 = net.next_completion(SimTime::ZERO).unwrap();
@@ -519,9 +505,9 @@ mod tests {
     #[test]
     fn multi_resource_flow_is_bottlenecked() {
         let mut net = FlowNet::new();
-        let slow = net.add_resource("ddr", 6.0);
-        let fast = net.add_resource("sram", 24.0);
-        let engine = net.add_resource("edma", 5.0);
+        let slow = net.add_resource(6.0);
+        let fast = net.add_resource(24.0);
+        let engine = net.add_resource(5.0);
         let mut route = Route::new(slow);
         route.push(fast);
         route.push(engine);
@@ -533,7 +519,7 @@ mod tests {
     #[test]
     fn cancel_returns_unmoved_bytes() {
         let mut net = FlowNet::new();
-        let ddr = net.add_resource("ddr", 1.0);
+        let ddr = net.add_resource(1.0);
         let id = net.start(SimTime::ZERO, Route::new(ddr), 1_000, 100.0);
         let left = net.cancel(SimTime::from_ns(400), id).unwrap();
         assert_eq!(left, 600);
@@ -544,7 +530,7 @@ mod tests {
     #[test]
     fn capacity_change_rescales_progress() {
         let mut net = FlowNet::new();
-        let ddr = net.add_resource("ddr", 2.0);
+        let ddr = net.add_resource(2.0);
         assert_eq!(net.capacity(ddr), 2.0);
         net.start(SimTime::ZERO, Route::new(ddr), 4_000, 100.0);
         // Halve the capacity after 1000 ns (2000 bytes done).
@@ -604,7 +590,7 @@ mod tests {
     fn system_fires_completions_through_des() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = world();
-        let ddr = w.flows.add_resource("ddr", 2.0);
+        let ddr = w.flows.add_resource(2.0);
         w.flows
             .start_flow(&mut sim, Route::new(ddr), 2_000, 100.0, Ev::Done(1));
         w.flows
@@ -619,7 +605,7 @@ mod tests {
     fn system_cancel_drops_payload() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = world();
-        let ddr = w.flows.add_resource("ddr", 1.0);
+        let ddr = w.flows.add_resource(1.0);
         let id = w
             .flows
             .start_flow(&mut sim, Route::new(ddr), 1_000, 100.0, Ev::Done(9));
@@ -632,7 +618,7 @@ mod tests {
     fn system_capacity_change_reschedules_timer() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = world();
-        let ddr = w.flows.add_resource("ddr", 2.0);
+        let ddr = w.flows.add_resource(2.0);
         w.flows
             .start_flow(&mut sim, Route::new(ddr), 4_000, 100.0, Ev::Done(1));
         // Brownout at t=1000 (half speed), recovery at t=2000.
@@ -647,7 +633,7 @@ mod tests {
     fn completion_payload_can_start_flows() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = world();
-        let ddr = w.flows.add_resource("ddr", 1.0);
+        let ddr = w.flows.add_resource(1.0);
         w.chain_resource = Some(ddr);
         w.flows
             .start_flow(&mut sim, Route::new(ddr), 500, 100.0, Ev::DoneThenStart(1));

@@ -80,7 +80,7 @@ proptest! {
         flows in proptest::collection::vec((1u64..1_000_000, 1u32..50), 1..20),
     ) {
         let mut net = FlowNet::new();
-        let r = net.add_resource("bus", 4.0);
+        let r = net.add_resource(4.0);
         let mut now = SimTime::ZERO;
         let mut expected_total = 0f64;
         // Stagger the starts.

@@ -158,16 +158,6 @@ impl Pte {
         }
     }
 
-    /// Copy with writability set/cleared.
-    #[must_use]
-    pub fn with_writable(self, writable: bool) -> Self {
-        if writable {
-            Pte(self.0 | FLAG_WRITABLE)
-        } else {
-            Pte(self.0 & !FLAG_WRITABLE)
-        }
-    }
-
     /// Copy pointing at a different frame, all flags preserved.
     ///
     /// # Panics

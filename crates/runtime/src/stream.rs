@@ -80,12 +80,6 @@ impl StreamConfig {
     pub fn unit_bytes(&self) -> u64 {
         self.chunk_bytes() / self.overlap_depth.max(1) as u64
     }
-
-    /// Pages per fill unit.
-    #[must_use]
-    pub fn unit_pages(&self) -> u32 {
-        self.buffer_pages / self.overlap_depth.max(1) as u32
-    }
 }
 
 /// Result of a streaming run.
