@@ -12,20 +12,23 @@
 //!   amortize the least.
 //!
 //! * **E15b — does recovery terminate every move exactly once?** For
-//!   each crash point a journaled run is crashed mid-stream, recovered
-//!   (`System::recover`), and re-driven per the WAL contract; the run
-//!   must converge to the uncrashed reference: every request `Done`
-//!   exactly once, identical final placement, byte-identical region
-//!   contents, balanced allocator. These are the same invariants the
-//!   `recovery` proptest sweeps, through the same
-//!   [`CrashOutcome::assert_converged`](crate::CrashOutcome::assert_converged).
+//!   each issue path (batching, coalescing, sharding) a journaled run is
+//!   crashed at every one of its crash opportunities in turn
+//!   ([`memif::System::arm_crash`]: every event boundary, plus the two
+//!   instants inside a chained completion and a journaled retrieval),
+//!   recovered (`System::recover`), and re-driven per the WAL contract;
+//!   each run must converge to the uncrashed reference: every request
+//!   `Done` exactly once, identical final placement, byte-identical
+//!   region contents, balanced allocator, no transient PTE left. These
+//!   are the same invariants the `recovery` tests sweep, through the
+//!   same [`CrashOutcome::assert_converged`](crate::CrashOutcome::assert_converged).
 //!
-//! Expected shape: journaling costs low-single-digit percent;
-//! submit/post-launch crashes roll everything back (nothing reached the
-//! destination), pre-retire crashes roll forward (bytes already on
-//! NVM), post-retire crashes only re-report sealed statuses.
+//! Expected shape: journaling costs low-single-digit percent; across a
+//! sweep most crashes roll moves back (nothing reached the
+//! destination), a few roll forward (bytes already on NVM), and every
+//! request without a durable `Done` is resubmitted once.
 
-use memif::{CrashPlan, CrashPoint, MemifConfig};
+use memif::MemifConfig;
 use memif_hwsim::CostModel;
 use memif_mm::PageSize;
 use memif_workloads::ShapeKind;
@@ -36,6 +39,11 @@ use crate::{crash_migrate_nvm, nvm_topology, stream, CrashRun, StreamSpec, Table
 const PAGE: PageSize = PageSize::Small4K;
 const PAGES: u32 = 16;
 const WINDOW: usize = 8;
+/// Requests in each E15b stream.
+const CRASH_COUNT: usize = 8;
+/// `(batch_max, coalesce, issue_shards)` of each E15b row.
+const ISSUE_PATHS: [(usize, bool, usize); 4] =
+    [(1, false, 1), (4, false, 1), (4, true, 1), (3, true, 2)];
 
 fn journal_config(journal: bool) -> MemifConfig {
     MemifConfig {
@@ -88,61 +96,71 @@ pub(super) fn run() -> Report {
         );
     }
 
-    // E15b: crash at every lifecycle point, recover, re-drive, and
-    // compare against the uncrashed reference run.
-    let crash_count = 16;
-    let config = journal_config(true);
-    let run = |crash| {
-        crash_migrate_nvm(CrashRun {
-            cost: cost.clone(),
-            config: config.clone(),
-            page_size: PAGE,
-            pages: PAGES,
-            count: crash_count,
-            crash,
-            ..CrashRun::default()
-        })
-    };
-    let reference = run(None);
+    // E15b: crash at every crash opportunity of each issue path,
+    // recover, re-drive, and compare against the uncrashed reference.
     let mut crashes = Table::new(
-        "E15b: crash -> recover -> re-drive, per crash point (nth=2)",
+        "E15b: crash -> recover -> re-drive at every crash opportunity, per issue path",
         &[
-            "crash-point",
+            "batch-max",
+            "coalesce",
+            "shards",
+            "opportunities",
             "fired",
-            "records",
-            "sealed-pre",
             "rolled-back",
-            "redriven",
+            "rolled-forward",
             "resubmitted",
-            "wall-us",
         ],
     );
-    // The driver's lifecycle points. Post-retrieve, on the application's
-    // side, is swept by the `recovery` tests.
-    let points = CrashPoint::ALL
-        .into_iter()
-        .filter(|&p| p != CrashPoint::PostRetrieve);
-    for point in points {
-        let run = run(Some(CrashPlan::at(point, 2)));
-        run.assert_converged(&reference, point.as_str());
-        let (records, rolled_back, redriven, sealed_pre) =
-            run.recovery.as_ref().map_or((0, 0, 0, 0), |r| {
-                (
-                    r.journal_records,
-                    r.rolled_back,
-                    r.redriven,
-                    r.journal_records - r.recovered_requests(),
-                )
-            });
+    for (batch_max, coalesce, issue_shards) in ISSUE_PATHS {
+        let config = MemifConfig {
+            journal: true,
+            batch_max,
+            coalesce,
+            issue_shards,
+            ..MemifConfig::default()
+        };
+        let run = |crash_at| {
+            crash_migrate_nvm(CrashRun {
+                cost: cost.clone(),
+                config: config.clone(),
+                page_size: PAGE,
+                pages: PAGES,
+                count: CRASH_COUNT,
+                crash_at,
+                ..CrashRun::default()
+            })
+        };
+        let reference = run(None);
+        let opportunities = run(Some(0)).opportunities;
+        let (mut fired, mut rolled_back, mut rolled_forward, mut resubmitted) = (0, 0, 0, 0);
+        for k in 1..=opportunities {
+            let run = run(Some(k));
+            run.assert_converged(
+                &reference,
+                &format!(
+                    "batch-max={batch_max} coalesce={coalesce} shards={issue_shards} crash-at={k}"
+                ),
+            );
+            fired += u64::from(run.crashed);
+            if let Some(r) = &run.recovery {
+                rolled_back += r.rolled_back;
+                rolled_forward += r.redriven;
+            }
+            resubmitted += run.resubmitted;
+        }
+        assert_eq!(
+            fired, opportunities,
+            "every opportunity of an unfired run fires"
+        );
         crashes.row(&[
-            point.as_str().to_owned(),
-            run.crashed.to_string(),
-            records.to_string(),
-            sealed_pre.to_string(),
+            batch_max.to_string(),
+            coalesce.to_string(),
+            issue_shards.to_string(),
+            opportunities.to_string(),
+            fired.to_string(),
             rolled_back.to_string(),
-            redriven.to_string(),
-            run.resubmitted.to_string(),
-            format!("{:.1}", run.wall.as_ns() as f64 / 1e3),
+            rolled_forward.to_string(),
+            resubmitted.to_string(),
         ]);
     }
 
@@ -151,8 +169,8 @@ pub(super) fn run() -> Report {
             ("e15_recovery_overhead", overhead),
             ("e15_recovery_crash", crashes),
         ],
-        note: "Shape checks: journaling stays under the 15% overhead bar while every \
-               crash point recovers to the uncrashed reference — each journaled move \
+        note: "Shape checks: journaling stays under the 15% overhead bar while a crash \
+               at every opportunity recovers to the uncrashed reference — each journaled move \
                reaches exactly one terminal status, rolled-back work is re-driven \
                once, roll-forward completes copies that already reached the NVM tier, \
                and final placement, contents, and allocator balance are identical."

@@ -25,7 +25,7 @@ use memif::{
 };
 use memif_baseline::{mbind, RegionRequest};
 use memif_hwsim::{
-    CostModel, CrashPlan, MemoryKind, MemoryNode, PhaseBreakdown, PhysAddr, TierRank, Topology,
+    CostModel, MemoryKind, MemoryNode, PhaseBreakdown, PhysAddr, TierRank, Topology,
 };
 use memif_workloads::ShapeKind;
 
@@ -611,12 +611,17 @@ pub fn stream(spec: StreamSpec) -> StreamResult {
 
 /// Outcome of a [`crash_migrate_nvm`] run: every request's terminal
 /// status (exactly one each), the final placement and byte contents of
-/// every region, and the allocator balance — everything the
-/// exactly-once proptest compares against an uncrashed reference run.
+/// every region, the allocator balance and any transient PTE left —
+/// everything the recovery sweeps compare against an uncrashed
+/// reference run.
 #[derive(Debug, Clone)]
 pub struct CrashOutcome {
     /// Whether the crash plan actually fired.
     pub crashed: bool,
+    /// Crash opportunities counted over the whole run, re-drive
+    /// included (0 when no plan was armed). Arming `Some(0)`, which
+    /// never fires, counts the `N` that a sweep of `1..=N` covers.
+    pub opportunities: u64,
     /// The recovery report, when a crash fired.
     pub recovery: Option<RecoveryReport>,
     /// Requests the post-crash application re-submitted (journal showed
@@ -632,6 +637,9 @@ pub struct CrashOutcome {
     /// Free bytes per memory node, node-id order (a doubled or leaked
     /// move unbalances the allocator).
     pub free_bytes: Vec<u64>,
+    /// Migration entries and write-watches left in the page table once
+    /// the run quiesced: each is a page a move never finished with.
+    pub transient_ptes: Vec<(memif::VirtAddr, memif_mm::Pte)>,
     /// Journal records appended over the whole run, including
     /// re-submissions.
     pub journal_records: u64,
@@ -646,8 +654,8 @@ impl CrashOutcome {
     /// The exactly-once acceptance: after recovery plus the WAL re-drive
     /// protocol, this (crashed) run is indistinguishable from
     /// `reference`, one that never crashed. Every request ends `Done`,
-    /// and request count, placement, contents and allocator balance
-    /// match.
+    /// request count, placement, contents and allocator balance match,
+    /// and no transient PTE survives the re-drive.
     ///
     /// # Panics
     ///
@@ -675,6 +683,11 @@ impl CrashOutcome {
             self.free_bytes, reference.free_bytes,
             "{label}: allocator balance diverged (lost or doubled frames)"
         );
+        assert!(
+            self.transient_ptes.is_empty(),
+            "{label}: transient PTEs survived the re-drive: {:?}",
+            self.transient_ptes
+        );
     }
 }
 
@@ -692,9 +705,10 @@ pub struct CrashRun {
     pub pages: u32,
     /// Requests, one region each.
     pub count: usize,
-    /// Where and when the world halts; `None` runs the uncrashed
-    /// reference.
-    pub crash: Option<CrashPlan>,
+    /// The crash opportunity the world halts at
+    /// ([`System::arm_crash`]); `None` arms no plan and runs the
+    /// uncrashed reference.
+    pub crash_at: Option<u64>,
     /// The application retrieves completions as they are posted, so
     /// some are retrieved, and some of those durably acknowledged,
     /// before a crash. Otherwise it retrieves them once the run has
@@ -712,7 +726,7 @@ impl Default for CrashRun {
             page_size: PageSize::Small4K,
             pages: 8,
             count: 8,
-            crash: None,
+            crash_at: None,
             retrieve_early: false,
             log_events: false,
         }
@@ -721,7 +735,7 @@ impl Default for CrashRun {
 
 /// Runs `count` journaled migrations on [`nvm_topology`] — even cookies
 /// DDR→NVM, odd cookies NVM→DDR, one region each, alternating
-/// `submit`/`submit_background` — optionally crashing per `crash`, then
+/// `submit`/`submit_background` — optionally crashing per `crash_at`, then
 /// recovering and driving every request to exactly one terminal status.
 ///
 /// The post-crash application protocol is the write-ahead-log contract:
@@ -752,7 +766,7 @@ pub fn crash_migrate_nvm(run: CrashRun) -> CrashOutcome {
         page_size,
         pages,
         count,
-        crash,
+        crash_at,
         retrieve_early,
         log_events,
     } = run;
@@ -764,14 +778,8 @@ pub fn crash_migrate_nvm(run: CrashRun) -> CrashOutcome {
     let mut sim = Sim::new();
     let space = sys.new_space();
     let memif = Memif::open(&mut sys, space, memif_config).unwrap();
-    if let Some(plan) = crash {
-        sys.install_faults(
-            &mut sim,
-            FaultPlan {
-                crash: Some(plan),
-                ..FaultPlan::default()
-            },
-        );
+    if let Some(k) = crash_at {
+        sys.arm_crash(k);
     }
 
     // One region per request; even cookies start on DDR and migrate to
@@ -797,7 +805,7 @@ pub fn crash_migrate_nvm(run: CrashRun) -> CrashOutcome {
     }
 
     /// Retrieves every posted completion into `statuses`, by cookie:
-    /// nothing on a halted machine, and a post-retrieve crash may halt
+    /// nothing on a halted machine, and a crash at a retrieval may halt
     /// it part-way.
     fn drain(memif: Memif, sys: &mut System, statuses: &mut [Option<MoveStatus>]) {
         while let Some(c) = memif.retrieve_completed(sys).unwrap() {
@@ -840,8 +848,8 @@ pub fn crash_migrate_nvm(run: CrashRun) -> CrashOutcome {
             .with_user_data(cookie as u64)
     };
     for cookie in 0..count {
-        // Alternate the two submission entry points so the `submit`
-        // crash hook is exercised on both.
+        // Alternate the two submission entry points so a crash can
+        // strike either one's requests.
         if cookie % 2 == 0 {
             memif.submit(&mut sys, &mut sim, spec_for(cookie)).unwrap();
         } else {
@@ -939,12 +947,14 @@ pub fn crash_migrate_nvm(run: CrashRun) -> CrashOutcome {
     }
     CrashOutcome {
         crashed,
+        opportunities: sys.crash_opportunities(),
         recovery,
         resubmitted,
         statuses,
         placement,
         fingerprint,
         free_bytes,
+        transient_ptes: sys.space(space).scan_transient(),
         journal_records,
         wall: sim.now().since(SimTime::ZERO),
         events: sys.take_event_log(),

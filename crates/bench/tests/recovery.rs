@@ -1,30 +1,34 @@
 //! Exactly-once crash recovery over the persistent NVM tier.
 //!
-//! A crash point halts the world mid-move and drops all volatile state;
+//! A crash halts the world mid-move and drops all volatile state;
 //! `System::recover` must then terminate every journaled request in
 //! exactly one terminal status — no lost moves, no doubled moves — and
 //! the post-crash application protocol (re-drive everything without a
 //! durable `Done`) must land the machine byte-identical to a run that
-//! never crashed. The proptest sweeps crash point × firing index ×
-//! {batch, coalesce, shards} configurations; a second proptest drives
-//! the same crash points through the placement daemon's background
-//! traffic; deterministic tests pin a promoted-heir chain crash, the
-//! all-points matrix, and the acknowledgement contract: a completion is
-//! delivered at least once until its retrieval is durable, and not
-//! after.
+//! never crashed.
+//!
+//! The tests do not sample crash points: each arms
+//! `System::arm_crash(0)` once to count a scenario's `N` crash
+//! opportunities, then crashes it at every `K` in `1..=N` — each
+//! {batch, coalesce, shards} issue path, with the application
+//! retrieving before the crash or only after, the placement daemon's
+//! background traffic, and a chain whose leader a racing write aborted.
+//! Every failure names its `K`. More tests pin the acknowledgement
+//! contract (a completion is delivered at least once until its
+//! retrieval is durable, and not after) and that a halted machine
+//! journals and issues no submission.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use memif::{
-    CrashPlan, CrashPoint, FaultPlan, HookId, Memif, MemifConfig, MoveSpec, MoveStatus, NodeId,
-    RaceMode, Sim, SimDuration, SimEvent, System, VirtAddr,
+    HookId, Memif, MemifConfig, MoveSpec, MoveStatus, NodeId, RaceMode, Sim, SimDuration, SimEvent,
+    SpaceId, System, VirtAddr,
 };
 use memif_bench::{crash_migrate_nvm, nvm_topology, CrashOutcome, CrashRun};
 use memif_hwsim::CostModel;
 use memif_mm::{AccessKind, PageSize};
 use memif_policy::{PolicyConfig, PolicyDaemon};
-use proptest::prelude::*;
 
 const PAGE: PageSize = PageSize::Small4K;
 const PAGES: u32 = 8;
@@ -43,7 +47,7 @@ fn config_for(batch_max: usize, coalesce: bool, issue_shards: usize) -> MemifCon
 fn crash_run(
     config: &MemifConfig,
     count: usize,
-    crash: Option<CrashPlan>,
+    crash_at: Option<u64>,
     retrieve_early: bool,
 ) -> CrashOutcome {
     crash_migrate_nvm(CrashRun {
@@ -51,86 +55,43 @@ fn crash_run(
         page_size: PAGE,
         pages: PAGES,
         count,
-        crash,
+        crash_at,
         retrieve_early,
         ..CrashRun::default()
     })
 }
 
-proptest! {
-    // Each case runs a reference and a crashed+recovered stream from
-    // scratch; keep the count small enough for a debug test run.
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// For every crash point × firing index × issue-path configuration,
-    /// with the application retrieving completions before the crash or
-    /// only after it, recovery terminates every journaled request
-    /// exactly once and the re-driven run, merged with what the
-    /// application retrieved, converges to the uncrashed reference.
-    #[test]
-    fn exactly_once_recovery(
-        point_sel in 0usize..6,
-        nth in 1u64..8,
-        cfg_sel in 0usize..4,
-        count in 4usize..10,
-        early in 0usize..2,
-    ) {
-        let point = CrashPoint::ALL[point_sel];
-        // Post-retrieve is crossed only by an application that retrieves.
-        let early = early == 1 || point == CrashPoint::PostRetrieve;
-        let (batch, coalesce, shards) =
-            [(1, false, 1), (4, false, 1), (4, true, 1), (3, true, 2)][cfg_sel];
-        let config = config_for(batch, coalesce, shards);
-        let reference = crash_run(&config, count, None, false);
-        prop_assert!(!reference.crashed);
-        let crashed = crash_run(&config, count, Some(CrashPlan::at(point, nth)), early);
-        crashed.assert_converged(
-            &reference,
-            &format!(
-                "{}#{nth} batch={batch} coalesce={coalesce} shards={shards} early={early}",
-                point.as_str()
-            ),
-        );
-    }
-
-    /// The same crash points landing inside the placement daemon's
-    /// background traffic: every journaled policy move seals exactly
-    /// once, and data the journal durably calls `Done` is intact on the
-    /// persistent node.
-    #[test]
-    fn policy_traffic_crash_recovers_exactly_once(
-        point_sel in 0usize..6,
-        nth in 1u64..4,
-    ) {
-        let point = CrashPoint::ALL[point_sel];
-        policy_crash_run(Some(CrashPlan::at(point, nth)));
-    }
-}
-
-/// Deterministic all-points matrix: every crash point at its first three
-/// crossings, under batching, coalescing and two issue shards, with the
-/// application retrieving before the crash and without.
+/// For every issue-path configuration, with the application retrieving
+/// completions before the crash or only after, and for two stream
+/// lengths, a crash at every opportunity `K` of the run fires, and
+/// recovery plus the re-drive, merged with what the application
+/// retrieved, converges to the uncrashed reference.
 #[test]
-fn every_crash_point_recovers_under_batching_and_sharding() {
-    let config = config_for(4, true, 2);
-    let reference = crash_run(&config, 8, None, false);
-    let mut fired = 0;
-    for point in CrashPoint::ALL {
-        for nth in 1..=3 {
+fn every_crash_opportunity_recovers_exactly_once() {
+    for (batch, coalesce, shards) in [(1, false, 1), (4, false, 1), (4, true, 1), (3, true, 2)] {
+        let config = config_for(batch, coalesce, shards);
+        for count in [4, 9] {
+            let reference = crash_run(&config, count, None, false);
+            assert!(!reference.crashed);
             for early in [false, true] {
-                let crashed = crash_run(&config, 8, Some(CrashPlan::at(point, nth)), early);
-                fired += usize::from(crashed.crashed);
-                crashed.assert_converged(
-                    &reference,
-                    &format!("{}#{nth} early={early}", point.as_str()),
-                );
+                let n = crash_run(&config, count, Some(0), early).opportunities;
+                assert!(n > 0, "a run passes crash opportunities");
+                let mut fired = 0;
+                for k in 1..=n {
+                    let crashed = crash_run(&config, count, Some(k), early);
+                    fired += u64::from(crashed.crashed);
+                    crashed.assert_converged(
+                        &reference,
+                        &format!(
+                            "crash-at={k} of {n}: batch={batch} coalesce={coalesce} \
+                             shards={shards} count={count} early={early}"
+                        ),
+                    );
+                }
+                assert_eq!(fired, n, "every opportunity of the unfired run fires");
             }
         }
     }
-    assert!(
-        fired >= 20,
-        "most plans in the matrix must actually fire: {fired}"
-    );
 }
 
 /// Opens a journaled device on [`nvm_topology`] and maps `count` 8-page
@@ -163,12 +124,14 @@ fn reported_cookies(report: &memif::RecoveryReport) -> Vec<u64> {
 #[test]
 fn pending_acknowledgement_is_reported_again_exactly_once() {
     let (mut sys, mut sim, memif, regions) = journaled_machine(4);
-    sys.install_faults(&mut sim, FaultPlan::crash_at(CrashPoint::PostRetrieve, 3));
     for (cookie, va) in regions.iter().enumerate() {
         migrate(&mut sys, &mut sim, memif, *va, cookie as u64);
     }
     sim.run(&mut sys);
     assert_eq!(sys.journal().records().len(), 4, "sealed, not retrieved");
+    // No event runs between the retrievals: each is the next crash
+    // opportunity.
+    sys.arm_crash(3);
     let mut seen = Vec::new();
     while !sys.crashed() {
         let c = memif.retrieve_completed(&mut sys).unwrap().expect("posted");
@@ -227,6 +190,31 @@ fn durably_acknowledged_request_is_not_reported_and_its_record_is_gone() {
     );
 }
 
+/// A halted machine stages a submission into queues the crash already
+/// lost: neither entry point journals or issues it, and recovery does
+/// not name it — the request is the application's to resubmit.
+#[test]
+fn submissions_on_a_halted_machine_journal_and_issue_nothing() {
+    let (mut sys, mut sim, memif, regions) = journaled_machine(2);
+    sys.force_crash(&mut sim, "test");
+    migrate(&mut sys, &mut sim, memif, regions[0], 0);
+    let spec = MoveSpec::migrate(regions[1], PAGES, PAGE, NodeId(1)).with_user_data(1);
+    memif.submit_background(&mut sys, &mut sim, spec).unwrap();
+    sim.run(&mut sys);
+    assert!(sys.journal().records().is_empty(), "nothing journaled");
+    assert_eq!(
+        sys.device(memif.device())
+            .unwrap()
+            .stats
+            .descriptors_written,
+        0,
+        "nothing issued"
+    );
+    let report = sys.recover(&mut sim);
+    assert_eq!(report.journal_records, 0);
+    assert!(report.statuses.is_empty(), "{:?}", report.statuses);
+}
+
 /// A re-opened device's request ids continue past every id the journal
 /// recorded for it: no request submitted after the reboot shares an id
 /// with a request the recovery report names.
@@ -258,62 +246,69 @@ fn requests_after_a_reboot_get_ids_the_report_does_not_name() {
     }
 }
 
-/// A crash plan that never fires (its point is never crossed) leaves
-/// the run byte-identical to no plan at all.
+/// A crash plan that never fires (`K = N + 1`) leaves the run byte-
+/// identical to no plan at all: the same event log, record for record.
 #[test]
 fn unfired_crash_plan_is_invisible() {
-    // batch_max=1: no chains, so mid-chain is never crossed.
-    let config = config_for(1, false, 1);
-    let reference = crash_run(&config, 6, None, false);
-    let unfired = crash_run(
-        &config,
-        6,
-        Some(CrashPlan::at(CrashPoint::MidChain, 1)),
-        false,
-    );
+    let run = |crash_at| {
+        crash_migrate_nvm(CrashRun {
+            config: config_for(4, true, 2),
+            page_size: PAGE,
+            pages: PAGES,
+            count: 6,
+            crash_at,
+            retrieve_early: true,
+            log_events: true,
+            ..CrashRun::default()
+        })
+    };
+    let reference = run(None);
+    let n = run(Some(0)).opportunities;
+    let unfired = run(Some(n + 1));
     assert!(!unfired.crashed);
     assert!(unfired.recovery.is_none());
     assert_eq!(unfired.resubmitted, 0);
+    assert_eq!(unfired.opportunities, n);
+    assert!(!reference.events.is_empty());
     assert_eq!(
-        unfired.wall, reference.wall,
-        "unfired plan perturbed timing"
+        unfired.events, reference.events,
+        "an unfired plan changed the event log"
     );
-    unfired.assert_converged(&reference, "unfired mid-chain");
+    assert_eq!(unfired.wall, reference.wall);
+    unfired.assert_converged(&reference, "unfired plan");
 }
 
-/// Crash points inside a batched chain whose leader was aborted by a
-/// racing write: the journal's leader/member linkage must survive heir
-/// promotion, and recovery must classify the heir (`CopyDone`, NVM
-/// destination → roll forward) differently from the members (`Issued`
-/// → roll back) — the satellite-c scenario.
-#[test]
-fn midchain_crash_with_promoted_heir_recovers_exactly_once() {
-    const COUNT: usize = 4;
+const HEIR_COUNT: usize = 4;
+
+fn heir_fill(sys: &mut System, space: SpaceId, regions: &[VirtAddr], r: usize) {
+    for p in 0..PAGES {
+        let page = regions[r].offset(u64::from(p) * PAGE.bytes());
+        let pa = sys.space(space).translate(page).unwrap();
+        sys.phys
+            .fill(pa, PAGE.bytes(), 1 + (r as u8) * 31 + (p as u8) * 7);
+    }
+}
+
+/// Four background migrations in one chained launch, and a racing
+/// write that aborts the chain's leader mid-flight and promotes the
+/// next member to heir. Checks the journal's linkage after the
+/// promotion and returns the machine an instant after the write.
+fn promoted_heir_machine() -> (System, Sim<System>, Memif, SpaceId, Vec<VirtAddr>) {
     let mut sys = System::with_profile(nvm_topology(), CostModel::keystone_ii());
     let mut sim = Sim::new();
     let space = sys.new_space();
     let config = MemifConfig {
         journal: true,
-        batch_max: COUNT,
+        batch_max: HEIR_COUNT,
         race_mode: RaceMode::DetectRecover,
         ..MemifConfig::default()
     };
     let memif = Memif::open(&mut sys, space, config).unwrap();
-    sys.install_faults(&mut sim, FaultPlan::crash_at(CrashPoint::MidChain, 1));
-
-    let regions: Vec<VirtAddr> = (0..COUNT)
+    let regions: Vec<VirtAddr> = (0..HEIR_COUNT)
         .map(|_| sys.mmap(space, PAGES, PAGE, NodeId(0)).unwrap())
         .collect();
-    let fill = |sys: &mut System, r: usize| {
-        for p in 0..PAGES {
-            let page = regions[r].offset(u64::from(p) * PAGE.bytes());
-            let pa = sys.space(space).translate(page).unwrap();
-            sys.phys
-                .fill(pa, PAGE.bytes(), 1 + (r as u8) * 31 + (p as u8) * 7);
-        }
-    };
-    for r in 0..COUNT {
-        fill(&mut sys, r);
+    for r in 0..HEIR_COUNT {
+        heir_fill(&mut sys, space, &regions, r);
     }
     // Background submission: all four stage on the blue queue and the
     // kernel worker drains them into a single chained launch (a
@@ -351,7 +346,7 @@ fn midchain_crash_with_promoted_heir_recovers_exactly_once() {
     // Promotion happened synchronously in the fault path: check the
     // journal linkage before the chain completes.
     let recs = sys.journal().records().to_vec();
-    assert_eq!(recs.len(), COUNT);
+    assert_eq!(recs.len(), HEIR_COUNT);
     let by_cookie = |cookie: u64| recs.iter().find(|r| r.req.user_data == cookie).unwrap();
     let old_leader = by_cookie(0);
     let heir = by_cookie(1);
@@ -361,71 +356,139 @@ fn midchain_crash_with_promoted_heir_recovers_exactly_once() {
         "racing write aborts the leader"
     );
     assert_eq!(heir.batch_leader, None, "heir took over the chain");
-    for cookie in 2..COUNT as u64 {
+    for cookie in 2..HEIR_COUNT as u64 {
         assert_eq!(
             by_cookie(cookie).batch_leader,
             Some(heir.token),
             "member {cookie} must follow the promoted heir"
         );
     }
+    (sys, sim, memif, space, regions)
+}
 
+/// A crash at every opportunity after a racing write promoted a batch
+/// heir: the journal's leader/member linkage must survive the
+/// promotion, and recovery must classify the heir and the members by
+/// their own milestones. One `K` lands inside the heir's chain
+/// completion, between the heir's copy and the members': the heir
+/// (`CopyDone`, NVM destination) rolls forward while the two members
+/// (`Issued`) roll back.
+#[test]
+fn crash_after_a_promoted_heir_recovers_exactly_once() {
+    let (mut sys, mut sim, ..) = promoted_heir_machine();
+    sys.arm_crash(0);
     sim.run(&mut sys);
-    assert!(sys.crashed(), "mid-chain crash fired on the heir's chain");
+    let n = sys.crash_opportunities();
+    let mut inside_chain = 0;
+    for k in 1..=n {
+        let (mut sys, mut sim, memif, space, regions) = promoted_heir_machine();
+        sys.arm_crash(k);
+        sim.run(&mut sys);
+        assert!(sys.crashed(), "crash-at={k} of {n} did not fire");
 
-    let report = sys.recover(&mut sim);
-    assert_eq!(report.journal_records, COUNT as u64);
-    assert_eq!(report.recovered_requests(), 3, "heir + two members");
-    assert_eq!(report.redriven, 1, "heir was CopyDone onto NVM");
-    assert_eq!(report.rolled_back, 2, "members had no bytes in place");
-    let status_of = |cookie: u64| {
-        let matches: Vec<MoveStatus> = report
-            .statuses
-            .iter()
-            .filter(|(_, _, ud)| *ud == cookie)
-            .map(|(_, s, _)| *s)
-            .collect();
-        assert_eq!(matches.len(), 1, "cookie {cookie} must seal exactly once");
-        matches[0]
-    };
-    assert_eq!(status_of(0), MoveStatus::Aborted);
-    assert_eq!(status_of(1), MoveStatus::Done);
-    assert_eq!(status_of(2), MoveStatus::Aborted);
-    assert_eq!(status_of(3), MoveStatus::Aborted);
-
-    // WAL re-drive: restore source data for the three non-Done requests
-    // and resubmit; everything must converge onto NVM with the original
-    // pattern (the heir's pages untouched by the second pass).
-    for cookie in [0usize, 2, 3] {
-        fill(&mut sys, cookie);
-        memif
-            .submit(
-                &mut sys,
-                &mut sim,
-                MoveSpec::migrate(regions[cookie], PAGES, PAGE, NodeId(1))
-                    .with_user_data(cookie as u64),
-            )
-            .unwrap();
-    }
-    sim.run(&mut sys);
-    let mut redriven = 0;
-    while let Some(c) = memif.retrieve_completed(&mut sys).unwrap() {
-        assert!(c.status.is_ok(), "re-drive failed: {:?}", c.status);
-        redriven += 1;
-    }
-    assert_eq!(redriven, 3);
-    for (r, va) in regions.iter().enumerate() {
-        for p in 0..PAGES {
-            let page = va.offset(u64::from(p) * PAGE.bytes());
-            let pa = sys.space(space).translate(page).expect("page mapped");
-            assert_eq!(sys.node_of(pa), Some(NodeId(1)), "region {r} on NVM");
-            let expect = 1 + (r as u8) * 31 + (p as u8) * 7;
-            let mut byte = [0u8];
-            sys.phys.read(pa, &mut byte);
-            assert_eq!(byte[0], expect, "region {r} page {p} content");
+        let report = sys.recover(&mut sim);
+        assert_eq!(report.journal_records, HEIR_COUNT as u64, "crash-at={k}");
+        let status_of = |cookie: u64| {
+            let matches: Vec<MoveStatus> = report
+                .statuses
+                .iter()
+                .filter(|(_, _, ud)| *ud == cookie)
+                .map(|(_, s, _)| *s)
+                .collect();
+            assert_eq!(
+                matches.len(),
+                1,
+                "crash-at={k}: cookie {cookie} must seal exactly once"
+            );
+            matches[0]
+        };
+        assert_eq!(status_of(0), MoveStatus::Aborted, "crash-at={k}");
+        if (
+            report.recovered_requests(),
+            report.redriven,
+            report.rolled_back,
+        ) == (3, 1, 2)
+        {
+            inside_chain += 1;
+            assert_eq!(status_of(1), MoveStatus::Done, "crash-at={k}: heir");
+            assert_eq!(status_of(2), MoveStatus::Aborted, "crash-at={k}");
+            assert_eq!(status_of(3), MoveStatus::Aborted, "crash-at={k}");
         }
+
+        // WAL re-drive: restore source data for the requests without a
+        // `Done` and resubmit; everything must converge onto NVM with
+        // the original pattern (a `Done` move's pages stay untouched).
+        let mut resubmitted = 0;
+        for cookie in 0..HEIR_COUNT {
+            if status_of(cookie as u64) == MoveStatus::Done {
+                continue;
+            }
+            heir_fill(&mut sys, space, &regions, cookie);
+            memif
+                .submit(
+                    &mut sys,
+                    &mut sim,
+                    MoveSpec::migrate(regions[cookie], PAGES, PAGE, NodeId(1))
+                        .with_user_data(cookie as u64),
+                )
+                .unwrap();
+            resubmitted += 1;
+        }
+        sim.run(&mut sys);
+        let mut redriven = 0;
+        while let Some(c) = memif.retrieve_completed(&mut sys).unwrap() {
+            assert!(
+                c.status.is_ok(),
+                "crash-at={k}: re-drive failed: {:?}",
+                c.status
+            );
+            redriven += 1;
+        }
+        assert_eq!(redriven, resubmitted, "crash-at={k}");
+        for (r, va) in regions.iter().enumerate() {
+            for p in 0..PAGES {
+                let page = va.offset(u64::from(p) * PAGE.bytes());
+                let pa = sys.space(space).translate(page).expect("page mapped");
+                assert_eq!(
+                    sys.node_of(pa),
+                    Some(NodeId(1)),
+                    "crash-at={k}: region {r} on NVM"
+                );
+                let expect = 1 + (r as u8) * 31 + (p as u8) * 7;
+                let mut byte = [0u8];
+                sys.phys.read(pa, &mut byte);
+                assert_eq!(byte[0], expect, "crash-at={k}: region {r} page {p} content");
+            }
+        }
+        for rec in sys.journal().records() {
+            assert!(
+                rec.sealed.is_some(),
+                "crash-at={k}: record left unsealed after re-drive"
+            );
+        }
+        assert_eq!(
+            sys.space(space).scan_transient(),
+            [],
+            "crash-at={k}: transient PTEs survived the re-drive"
+        );
     }
-    for rec in sys.journal().records() {
-        assert!(rec.sealed.is_some(), "record left unsealed after re-drive");
+    assert_eq!(
+        inside_chain, 1,
+        "exactly one crash opportunity lies inside the heir's chain completion"
+    );
+}
+
+/// A crash at every opportunity inside the placement daemon's
+/// background traffic: every journaled policy move seals exactly once,
+/// and data the journal durably calls `Done` is intact on the
+/// persistent node.
+#[test]
+fn policy_traffic_crash_recovers_exactly_once() {
+    let (_, n) = policy_crash_run(Some(0), "count");
+    assert!(n > 0, "the daemon's run passes crash opportunities");
+    for k in 1..=n {
+        let (crashed, _) = policy_crash_run(Some(k), &format!("crash-at={k} of {n}"));
+        assert!(crashed, "crash-at={k} of {n} did not fire");
     }
 }
 
@@ -433,8 +496,9 @@ fn midchain_crash_with_promoted_heir_recovers_exactly_once() {
 /// crash plan: hot regions promote into the persistent node, the crash
 /// lands inside that background traffic, and recovery must seal every
 /// journaled policy move exactly once with persistent-resident data
-/// intact.
-fn policy_crash_run(crash: Option<CrashPlan>) {
+/// intact. Failures name `label`. Returns whether the plan fired and
+/// the crash opportunities the run passed.
+fn policy_crash_run(crash_at: Option<u64>, label: &str) -> (bool, u64) {
     const REGIONS: usize = 4;
     const POLICY_PAGES: u32 = 32;
     let mut sys = System::with_profile(nvm_topology(), CostModel::keystone_ii());
@@ -446,14 +510,8 @@ fn policy_crash_run(crash: Option<CrashPlan>) {
         ..MemifConfig::default()
     };
     let memif = Memif::open(&mut sys, space, config).unwrap();
-    if let Some(plan) = crash {
-        sys.install_faults(
-            &mut sim,
-            FaultPlan {
-                crash: Some(plan),
-                ..FaultPlan::default()
-            },
-        );
+    if let Some(k) = crash_at {
+        sys.arm_crash(k);
     }
     let daemon = PolicyDaemon::launch(&mut sys, &mut sim, memif, space, PolicyConfig::default());
     let regions: Vec<VirtAddr> = (0..REGIONS)
@@ -499,7 +557,8 @@ fn policy_crash_run(crash: Option<CrashPlan>) {
     sim.schedule_after(SimDuration::from_ns(0), SimEvent::Hook { hook: id, arg: 1 });
     sim.run(&mut sys);
 
-    if sys.crashed() {
+    let crashed = sys.crashed();
+    if crashed {
         // What the journal held at the crash: the records not durably
         // acknowledged, and the retrievals whose acknowledgement was
         // still waiting for a journal write.
@@ -521,12 +580,15 @@ fn policy_crash_run(crash: Option<CrashPlan>) {
         assert_eq!(
             report.recovered_requests(),
             unsealed,
-            "each move in flight at the crash is recovered once"
+            "{label}: each move in flight at the crash is recovered once"
         );
         // At most one terminal status per journaled policy move.
         let mut seen = std::collections::HashSet::new();
         for (req_id, status, _) in &report.statuses {
-            assert!(seen.insert(*req_id), "request {req_id} reported twice");
+            assert!(
+                seen.insert(*req_id),
+                "{label}: request {req_id} reported twice"
+            );
             assert!(
                 matches!(
                     status,
@@ -535,7 +597,7 @@ fn policy_crash_run(crash: Option<CrashPlan>) {
                         | MoveStatus::Failed(_)
                         | MoveStatus::Raced
                 ),
-                "non-terminal status {status:?}"
+                "{label}: non-terminal status {status:?}"
             );
         }
         // The daemon retrieved completions as it drained them. Merged
@@ -545,27 +607,36 @@ fn policy_crash_run(crash: Option<CrashPlan>) {
         // again), and the records dropped are exactly the retrievals
         // made durable.
         let reported: Vec<u64> = report.statuses.iter().map(|s| s.0).collect();
-        assert_eq!(reported, retained, "every retained record, in append order");
+        assert_eq!(
+            reported, retained,
+            "{label}: every retained record, in append order"
+        );
         assert!(
             pending.iter().all(|id| seen.contains(id)),
-            "pending acknowledgements {pending:?} not all reported again"
+            "{label}: pending acknowledgements {pending:?} not all reported again"
         );
-        assert!(reported.iter().all(|&id| id < report.journal_records));
+        assert!(
+            reported.iter().all(|&id| id < report.journal_records),
+            "{label}: a reported id was never journaled"
+        );
         let durable = daemon.stats().retrieved - pending.len() as u64;
         assert_eq!(
             report.journal_records - reported.len() as u64,
             durable,
-            "records dropped vs. retrievals made durable"
+            "{label}: records dropped vs. retrievals made durable"
         );
     } else {
-        // The plan's point was crossed fewer than `nth` times: the run
-        // simply completed; the journal must still be fully sealed.
-        assert!(daemon.stats().epochs > 0, "daemon ran even without a crash");
+        // No plan, or one that never fired: the run simply completed;
+        // the journal must still be fully sealed.
+        assert!(
+            daemon.stats().epochs > 0,
+            "{label}: daemon ran even without a crash"
+        );
     }
     for rec in sys.journal().records() {
         assert!(
             rec.sealed.is_some(),
-            "policy move {} left unsealed",
+            "{label}: policy move {} left unsealed",
             rec.req.id
         );
     }
@@ -581,16 +652,17 @@ fn policy_crash_run(crash: Option<CrashPlan>) {
                 assert_eq!(
                     byte[0],
                     1 + (r as u8) * 29 + (p as u8) * 5,
-                    "NVM-resident region {r} page {p} lost its bytes"
+                    "{label}: NVM-resident region {r} page {p} lost its bytes"
                 );
             }
         }
     }
+    (crashed, sys.crash_opportunities())
 }
 
-/// The policy run must also hold up with no crash at all (reference
-/// behaviour for the proptest above).
+/// The policy run must also hold up with no crash plan at all, and
+/// then counts no opportunity.
 #[test]
 fn policy_traffic_reference_run_is_clean() {
-    policy_crash_run(None);
+    assert_eq!(policy_crash_run(None, "reference"), (false, 0));
 }

@@ -17,8 +17,7 @@
 //!                   [--epoch-us 1000] [--max-inflight 4] [--seed 42]
 //!                   [--fault-seed N] [--dma-error-rate R] [--drop-rate R]
 //!                   [--trace-events PATH] [--json true]
-//! memifctl recover  [--crash-point none|submit|post-launch|mid-chain|pre-retire|post-retire|
-//!                   post-retrieve] [--crash-nth N] [--pages 8] [--count 12] [--page-size 4k]
+//! memifctl recover  [--crash-at K] [--pages 8] [--count 12] [--page-size 4k]
 //!                   [--batch-max 4] [--no-coalesce true] [--issue-shards S]
 //!                   [--trace-events PATH] [--json true]
 //! memifctl replay   --from PATH [--FLAG VALUE restating the trace header]
@@ -31,10 +30,7 @@
 mod args;
 
 use args::Args;
-use memif::{
-    Context, CrashPlan, CrashPoint, Memif, MemifConfig, MoveSpec, NodeId, PageSize, RecoveryReport,
-    Sim, System,
-};
+use memif::{Context, Memif, MemifConfig, MoveSpec, NodeId, PageSize, RecoveryReport, Sim, System};
 use memif_baseline::{run_migspeed, MigspeedConfig};
 use memif_bench::{
     crash_migrate_nvm, stream, CrashOutcome, CrashRun, StreamSpec, Table, TenantReport,
@@ -159,18 +155,24 @@ regimes.
 
 crash recovery (recover): runs a journaled migration stream that
 ping-pongs between DDR and the persistent NVM node, optionally halting
-the world at a deterministic lifecycle point (--crash-point, fired on
-its --crash-nth crossing), then reboots via the write-ahead move
-journal and re-drives every request to exactly one terminal status:
-  memifctl recover --crash-point mid-chain --crash-nth 2
---crash-point none (the default) runs the uncrashed reference. The
-journal keeps a record only while its move is in flight or its
+the world at its K-th crash opportunity (--crash-at K), then reboots
+via the write-ahead move journal and re-drives every request to
+exactly one terminal status. An opportunity is the end of any
+dispatched event, a chained batch's completion between its leader's
+copy and its members', or a retrieval before its acknowledgement is
+durable. --crash-at 0 (the default) runs the uncrashed reference and
+prints its opportunity count N; every K in 1..=N crashes it. The
+default run's 25th opportunity lies inside a chain's completion:
+  memifctl recover
+  memifctl recover --crash-at 25
+The journal keeps a record only while its move is in flight or its
 completion is not yet acknowledged: a retrieval is acknowledged by the
 next journal write, and recovery re-reports every request whose
 acknowledgement was not durable. The app retrieves completions once
-the run quiesces, so post-retrieve strikes there:
-  memifctl recover --crash-point post-retrieve --crash-nth 3
-journal_records counts every record appended, dropped ones included.
+the run quiesces, so the run's last opportunities are its retrievals:
+  memifctl recover --crash-at 45
+journal_records counts every record appended, dropped ones included;
+opportunities counts the whole run, crash and re-drive included.
 The journal counters also appear in `memifctl stats --json` under the
 stable keys journal_records, recovered_requests, rolled_back, and
 redriven.
@@ -789,28 +791,16 @@ fn recover_scenario(args: &Args) -> Result<CrashRun, String> {
         journal: true,
         ..issue_config(args, 4)?
     };
-    let point = args.get_or("crash-point", "none".to_owned())?;
-    let nth = args.get_or("crash-nth", 1u64)?;
-    let crash = match point.as_str() {
-        "none" => None,
-        name => {
-            let point = CrashPoint::parse(name).ok_or_else(|| {
-                let known: Vec<&str> = CrashPoint::ALL.iter().map(|p| p.as_str()).collect();
-                format!(
-                    "--crash-point: unknown point '{name}' (none|{})",
-                    known.join("|")
-                )
-            })?;
-            Some(CrashPlan::at(point, nth))
-        }
-    };
+    // Always armed, so the reference run (K = 0 never fires) counts its
+    // opportunities too.
+    let crash_at = Some(args.get_or("crash-at", 0u64)?);
     let s = CrashRun {
         cost,
         config,
         page_size: args.page_size(PageSize::Small4K)?,
         pages: args.get_or("pages", 8u32)?,
         count: args.get_or("count", 12usize)?,
-        crash,
+        crash_at,
         ..CrashRun::default()
     };
     for (flag, value) in [
@@ -833,8 +823,8 @@ fn recover_statuses(r: &CrashOutcome) -> Vec<(u64, String)> {
         .collect()
 }
 
-/// Crashes a journaled DDR<->NVM migration stream at a deterministic
-/// lifecycle point, reboots through the write-ahead move journal, and
+/// Crashes a journaled DDR<->NVM migration stream at a chosen crash
+/// opportunity, reboots through the write-ahead move journal, and
 /// re-drives the survivors — then reports how every request reached
 /// exactly one terminal status.
 fn recover(args: &Args) -> Result<(), String> {
@@ -858,6 +848,7 @@ fn recover(args: &Args) -> Result<(), String> {
             json_object(
                 &[
                     ("crashed", u64::from(r.crashed)),
+                    ("opportunities", r.opportunities),
                     ("journal_records", r.journal_records),
                     (
                         "recovered_requests",
@@ -884,13 +875,16 @@ fn recover(args: &Args) -> Result<(), String> {
         s.config.issue_shards,
         if s.config.issue_shards == 1 { "" } else { "s" },
     );
-    match (s.crash, rep) {
-        (Some(plan), Some(rep)) if r.crashed => {
+    match (s.crash_at.unwrap_or(0), rep) {
+        (0, _) => println!(
+            "no crash requested: uncrashed reference run; --crash-at K crashes it at \
+             opportunity K (1..={})",
+            r.opportunities
+        ),
+        (k, Some(rep)) if r.crashed => {
             println!(
-                "crash: {} fired on crossing {} — volatile state lost, {} of {} journal record{} \
+                "crash: fired at opportunity {k} — volatile state lost, {} of {} journal record{} \
                  not yet acknowledged",
-                plan.point.as_str(),
-                plan.nth,
                 rep.statuses.len(),
                 rep.journal_records,
                 if rep.journal_records == 1 { "" } else { "s" },
@@ -904,13 +898,10 @@ fn recover(args: &Args) -> Result<(), String> {
                 r.resubmitted,
             );
         }
-        (Some(plan), _) => println!(
-            "crash: {} never crossed {} time{} — plan did not fire",
-            plan.point.as_str(),
-            plan.nth,
-            if plan.nth == 1 { "" } else { "s" },
+        (k, _) => println!(
+            "crash: the run has {} opportunities, fewer than {k} — plan did not fire",
+            r.opportunities
         ),
-        _ => println!("no crash requested: uncrashed reference run"),
     }
     let done = r
         .statuses
@@ -924,6 +915,7 @@ fn recover(args: &Args) -> Result<(), String> {
         r.journal_records,
         r.wall.as_ns() as f64 / 1e3,
     );
+    println!("opportunities: {}", r.opportunities);
     Ok(())
 }
 

@@ -88,10 +88,7 @@ const ROUND_TRIPS: &[(&str, &[&str])] = &[
         "move --tenants 2 --tenant-weights 2,1 --count 32",
         &["--tenant-weights 9,9", "--count 999"],
     ),
-    (
-        "recover --crash-point mid-chain --crash-nth 2 --count 12",
-        &["--crash-nth 3"],
-    ),
+    ("recover --crash-at 20 --count 12", &["--crash-at 21"]),
     ("policy --phases 2 --ticks 8", &["--seed 7"]),
     (
         "policy --phases 3 --ticks 16 \
@@ -193,8 +190,8 @@ fn recover_json_reports_the_stable_counter_keys() {
         &dir,
         &[
             "recover",
-            "--crash-point",
-            "post-launch",
+            "--crash-at",
+            "5",
             "--count",
             "6",
             "--json",
@@ -205,6 +202,7 @@ fn recover_json_reports_the_stable_counter_keys() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     for key in [
         "\"crashed\":",
+        "\"opportunities\":",
         "\"journal_records\":",
         "\"recovered_requests\":",
         "\"rolled_back\":",

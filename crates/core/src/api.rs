@@ -27,7 +27,7 @@
 //! assert!(done.status.is_ok());
 //! ```
 
-use memif_hwsim::{Context, CrashPoint, Sim, SimDuration};
+use memif_hwsim::{Context, Sim, SimDuration};
 use memif_lockfree::{Color, MovReq, MoveKind, MoveStatus, QueueId};
 use memif_mm::{AccessKind, Fault, PageSize, VirtAddr};
 
@@ -237,10 +237,10 @@ impl Memif {
         let (id, shard, color) = self.stage(sys, sim, spec)?;
         let mut cpu = sys.cost.queue_op;
 
-        // Crash point: staged but never flushed or kicked — the request
-        // was not journaled and vanishes with the volatile queues; the
-        // write-ahead contract makes it the application's to resubmit.
-        if sys.maybe_crash(sim, CrashPoint::Submit) {
+        // A halted machine stages into queues the crash already lost:
+        // nothing is flushed, kicked or journaled, and the write-ahead
+        // contract makes the request the application's to resubmit.
+        if sys.crashed {
             return Ok((ReqId(id), cpu));
         }
 
@@ -302,8 +302,8 @@ impl Memif {
     ) -> Result<(ReqId, SimDuration), MemifError> {
         let (id, shard, color) = self.stage(sys, sim, spec)?;
         let cpu = sys.cost.queue_op;
-        // Crash point: staged but the worker never kicked (see submit).
-        if sys.maybe_crash(sim, CrashPoint::Submit) {
+        // A halted machine kicks no worker (see submit).
+        if sys.crashed {
             return Ok((ReqId(id), cpu));
         }
         sys.meter.charge(Context::KernelThread, cpu);
@@ -429,9 +429,9 @@ impl Memif {
                 dev(sys, self.device).region.free_slot(d.slot)?;
                 if journaled {
                     sys.journal.retrieved(self.device, d.req.id);
-                    // Crash point: retrieved, acknowledgement not yet
-                    // durable — recovery must report the request again.
-                    sys.maybe_crash_at(sys.logged_at, CrashPoint::PostRetrieve);
+                    // Crash opportunity: retrieved, acknowledgement not
+                    // yet durable — recovery must report the request again.
+                    sys.crash_opportunity(sys.logged_at, "retrieve");
                 }
                 Ok(Some(Completion {
                     req_id: ReqId(d.req.id),

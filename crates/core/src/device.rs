@@ -319,7 +319,7 @@ pub struct MemifDevice {
     /// Driver counters.
     pub stats: DriverStats,
     /// Completion log: one record per retired request, kept for the
-    /// device's lifetime at about 11–16 bytes each.
+    /// device's lifetime: one byte for a steady request, at most 51.
     pub log: CompletionLog,
     pub(crate) inflight: Vec<Inflight>,
     /// Per-shard worker state; length = `config.issue_shards` (min 1).

@@ -2,7 +2,7 @@
 //! on the interrupt path or the kernel thread's polling path (§5.4).
 
 use memif_hwsim::dma::{DmaOutcome, TransferId};
-use memif_hwsim::{Context, CrashPoint, Phase, Sim, SimDuration, SimTime};
+use memif_hwsim::{Context, Phase, Sim, SimDuration, SimTime};
 use memif_lockfree::{FailReason, MovReq, MoveKind, MoveStatus, QueueId, SlotIndex};
 use memif_mm::{Pte, VirtAddr};
 
@@ -116,10 +116,10 @@ pub(crate) fn on_dma_complete(
         sys.phys.copy(seg.src, seg.dst, seg.bytes);
     }
     sys.journal.copy_done(id, leader.req.id);
-    // Crash point: the leader's bytes are applied and journaled
+    // Crash opportunity: the leader's bytes are applied and journaled
     // CopyDone, the members' are not — the asymmetric mid-chain state
     // recovery must untangle (leader rolls forward, members roll back).
-    if !member_tokens.is_empty() && sys.maybe_crash(sim, CrashPoint::MidChain) {
+    if !member_tokens.is_empty() && sys.crash_opportunity(sim.now(), "mid-chain") {
         dev_mut(sys, id).spare.put_members(member_tokens);
         return;
     }
@@ -263,10 +263,6 @@ pub(crate) fn retire(
     let Some(index) = dev(sys, id).inflight.iter().position(|i| i.token == token) else {
         return; // aborted in the completion (or copy) window
     };
-    // Crash point: copy applied, release not yet run.
-    if sys.maybe_crash(sim, CrashPoint::PreRetire) {
-        return;
-    }
     let inflight = dev_mut(sys, id).take_inflight(index);
     let req_id = inflight.req.id;
     let shard = inflight.shard;
@@ -298,8 +294,6 @@ pub(crate) fn retire(
     sys.trace_emit(sim.now(), release_cost, ctx, label, Some(req_id));
     crate::driver::schedule_worker_wake(sys, sim, id, shard, wake_delay);
     crate::driver::wake_deferred_peers(sys, sim, id, shard, wake_delay);
-    // Crash point: the request retired (journal sealed) an instant ago.
-    sys.maybe_crash(sim, CrashPoint::PostRetire);
 }
 
 /// Op 4 + Op 5 for one completed request. Returns the CPU cost.

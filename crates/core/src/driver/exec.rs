@@ -525,10 +525,6 @@ pub(crate) fn launch(
         let wd = sim.schedule_after(deadline, SimEvent::WatchdogFire { device: id, token });
         dev_mut(sys, id).inflight[at].watchdog = Some(wd);
     }
-
-    // Crash point: the transfer is on the engine and the journal record
-    // (if any) is durable — power fails right after the DMA starts.
-    sys.maybe_crash(sim, memif_hwsim::CrashPoint::PostLaunch);
 }
 
 /// The per-request watchdog: declares the transfer lost if it is still

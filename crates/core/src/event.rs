@@ -424,25 +424,31 @@ impl EventWorld for System {
             SimEvent::SetCapacity { resource, gbps } => {
                 self.flows.set_capacity(sim, resource, gbps);
             }
-            SimEvent::Hook { hook, arg } => {
-                let Some(slot) = self.hooks.0.get_mut(hook.0) else {
-                    return;
-                };
-                let Some(mut f) = slot.take() else {
-                    return; // the hook re-entered itself; drop the nested call
-                };
-                f(self, sim, arg);
-                if let Some(slot) = self.hooks.0.get_mut(hook.0) {
-                    if slot.is_none() {
-                        *slot = Some(f);
-                    }
-                }
-            }
+            SimEvent::Hook { hook, arg } => self.run_hook(sim, hook, arg),
         }
+        // Every event boundary is a crash opportunity.
+        self.crash_opportunity(sim.now(), "event");
     }
 }
 
 impl System {
+    /// Runs hook `hook` with `arg`. A hook that re-enters itself drops
+    /// the nested call.
+    fn run_hook(&mut self, sim: &mut Sim<System>, hook: HookId, arg: u64) {
+        let Some(slot) = self.hooks.0.get_mut(hook.0) else {
+            return;
+        };
+        let Some(mut f) = slot.take() else {
+            return;
+        };
+        f(self, sim, arg);
+        if let Some(slot) = self.hooks.0.get_mut(hook.0) {
+            if slot.is_none() {
+                *slot = Some(f);
+            }
+        }
+    }
+
     /// Registers a reusable callback and returns its handle; schedule it
     /// with [`SimEvent::Hook`]. Unlike a [`SimEvent::call`] thunk a hook
     /// is `FnMut` and survives any number of invocations, so the runtime

@@ -58,8 +58,7 @@ pub use system::{Resources, SpaceId, System, TierUsage, TraceEntry};
 
 // Re-export the building blocks user code needs at the API boundary.
 pub use memif_hwsim::{
-    Brownout, Context, CrashPlan, CrashPoint, FaultPlan, FaultStats, NodeId, Phase, Sim,
-    SimDuration, SimTime, TierRank,
+    Brownout, Context, FaultPlan, FaultStats, NodeId, Phase, Sim, SimDuration, SimTime, TierRank,
 };
 pub use memif_lockfree::{FailReason, MoveKind, MoveStatus};
 pub use memif_mm::{PageSize, VirtAddr};

@@ -1,10 +1,14 @@
 //! Crash recovery: rebuilding a consistent machine from the persistent
 //! move journal ([`crate::MoveJournal`]) and the surviving page tables.
 //!
-//! A fired crash point ([`memif_hwsim::CrashPoint`]) halts the world:
-//! every pending event dies undelivered and all volatile state — DMA
-//! engine chains, transfer controllers, bandwidth flows, device queues,
-//! and the contents of every non-persistent memory node — is lost.
+//! A crash halts the world: every pending event dies undelivered and
+//! all volatile state — DMA engine chains, transfer controllers,
+//! bandwidth flows, device queues, and the contents of every
+//! non-persistent memory node — is lost. [`System::arm_crash`] halts at
+//! a chosen crash opportunity: the end of any dispatched event, a
+//! chained batch's completion between its leader's copy and its
+//! members', or a journaled retrieval before its acknowledgement is
+//! durable. [`System::force_crash`] halts at once.
 //! [`System::recover`] is the reboot path. It terminates every journaled
 //! move in **exactly one** terminal status:
 //!
@@ -38,7 +42,7 @@ use crate::log::CompletionRecord;
 use crate::system::System;
 
 impl System {
-    /// Recovers the machine after a crash point fired. Safe (and a
+    /// Recovers the machine after a crash. Safe (and a
     /// near-no-op) on an uncrashed system: the report then just lists
     /// the sealed records not yet durably acknowledged.
     ///

@@ -142,9 +142,14 @@ pub struct System {
     pub(crate) event_log: Option<Vec<String>>,
     /// The persistent write-ahead move journal (crash recovery).
     pub(crate) journal: crate::journal::MoveJournal,
-    /// Set by a crash point firing: the world has halted; every further
-    /// event is dropped until [`System::recover`] runs.
+    /// Set by a crash: the world has halted; every further event is
+    /// dropped until [`System::recover`] runs.
     pub(crate) crashed: bool,
+    /// The armed crash plan: halt at this crash opportunity (1-based),
+    /// counted in `opportunities`. `None` counts nothing.
+    crash_at: Option<u64>,
+    /// Crash opportunities passed since the plan was armed.
+    opportunities: u64,
     /// When the last logged event was dispatched (kept only while the
     /// event log is on): the time of a crash on the application's
     /// retrieve path, which has no simulator at hand.
@@ -227,6 +232,8 @@ impl System {
             event_log: None,
             journal: crate::journal::MoveJournal::default(),
             crashed: false,
+            crash_at: None,
+            opportunities: 0,
             logged_at: SimTime::ZERO,
         }
     }
@@ -285,7 +292,7 @@ impl System {
         self.dma.injector().is_some()
     }
 
-    /// True after a crash point fired: the world is halted and only
+    /// True after a crash: the world is halted and only
     /// [`System::recover`] makes it usable again.
     #[must_use]
     pub fn crashed(&self) -> bool {
@@ -298,36 +305,56 @@ impl System {
         &self.journal
     }
 
-    /// Rolls the installed fault plan's crash point at `point` and, if
-    /// it fires, halts the world. Returns `true` exactly when the crash
-    /// fired *now*; call sites must stop their work immediately. Free
-    /// when no fault plan is installed.
-    pub(crate) fn maybe_crash(
-        &mut self,
-        sim: &mut Sim<System>,
-        point: memif_hwsim::CrashPoint,
-    ) -> bool {
-        self.maybe_crash_at(sim.now(), point)
+    /// Arms a crash plan: the world halts at the `k`-th crash
+    /// opportunity from now (1-based; `0` never fires, and only counts).
+    ///
+    /// An opportunity is the end of every dispatched event, plus two
+    /// instants inside one: a chained batch's completion between the
+    /// leader's copy and its members' copies, and a retrieval on a
+    /// journaling device before its acknowledgement is durable. Sweeping
+    /// `k` over `1..=N`, where `N` is [`crash_opportunities`] after an
+    /// unfired run, crashes a run at every point where its durable
+    /// state can differ. Counting draws no randomness and schedules
+    /// nothing, so a plan that never fires leaves the run byte-identical.
+    /// A plan fires at most once.
+    ///
+    /// [`crash_opportunities`]: Self::crash_opportunities
+    pub fn arm_crash(&mut self, k: u64) {
+        self.crash_at = Some(k);
+        self.opportunities = 0;
     }
 
-    /// [`maybe_crash`](Self::maybe_crash) at simulated time `now`, for
-    /// paths that run without the simulator at hand.
-    pub(crate) fn maybe_crash_at(&mut self, now: SimTime, point: memif_hwsim::CrashPoint) -> bool {
+    /// Crash opportunities passed since [`arm_crash`](Self::arm_crash)
+    /// (0 when no plan is armed).
+    #[must_use]
+    pub fn crash_opportunities(&self) -> u64 {
+        self.opportunities
+    }
+
+    /// Counts one crash opportunity at simulated time `now` and halts
+    /// the world if the armed plan names it. Returns `true` exactly
+    /// when the crash fired *now*; the caller must stop its work. Free
+    /// when no plan is armed.
+    #[inline]
+    pub(crate) fn crash_opportunity(&mut self, now: SimTime, site: &str) -> bool {
+        self.crash_at.is_some() && self.count_opportunity(now, site)
+    }
+
+    #[cold]
+    fn count_opportunity(&mut self, now: SimTime, site: &str) -> bool {
         if self.crashed {
-            return true;
+            return false;
         }
-        let fired = self
-            .dma
-            .injector_mut()
-            .is_some_and(|inj| inj.roll_crash(point));
+        self.opportunities += 1;
+        let fired = self.crash_at == Some(self.opportunities);
         if fired {
-            self.halt(now, point.as_str());
+            self.halt(now, site);
         }
         fired
     }
 
     /// Halts the world as a crash would, unconditionally (test hook and
-    /// the crash points' common path). All volatile state is considered
+    /// the crash plan's common path). All volatile state is considered
     /// lost from this instant; pending events drain undelivered.
     pub fn force_crash(&mut self, sim: &mut Sim<System>, label: &str) {
         self.halt(sim.now(), label);

@@ -243,12 +243,6 @@ impl DmaEngine {
         self.injector.as_ref()
     }
 
-    /// Mutable access to the installed injector (crash-point rolls).
-    #[must_use]
-    pub fn injector_mut(&mut self) -> Option<&mut FaultInjector> {
-        self.injector.as_mut()
-    }
-
     /// Drops all volatile engine state after a simulated crash: every
     /// in-flight transfer vanishes and its descriptor chain is released.
     /// Counters, the descriptor pool, the reuse cache, and the installed

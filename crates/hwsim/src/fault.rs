@@ -13,6 +13,11 @@
 //! Injection is strictly opt-in. No [`FaultInjector`] installed means no
 //! extra events, no RNG draws, and byte-identical simulation output —
 //! the zero-cost default the figure replications rely on.
+//!
+//! A simulated crash is not one of these faults: it halts the whole
+//! machine, not one transfer, so it has no place in a [`FaultPlan`].
+//! The machine schedules it itself, as a count of crash opportunities
+//! (`memif::System::arm_crash`).
 
 use crate::time::{SimDuration, SimTime};
 use crate::topology::NodeId;
@@ -67,98 +72,6 @@ pub struct Brownout {
     pub factor: f64,
 }
 
-/// A point in a move's lifecycle where a simulated crash may strike.
-///
-/// Crash points pin the spots where the move pipeline transitions
-/// between journal milestones, so each one exercises a distinct
-/// recovery classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CrashPoint {
-    /// Right after a request is enqueued, before the kernel thread
-    /// issues it (the request is *not yet journaled*).
-    Submit,
-    /// Right after the DMA transfer is launched (journaled, no bytes
-    /// copied yet — recovery must roll back).
-    PostLaunch,
-    /// Mid-way through applying a batched chain's completion: the
-    /// leader's bytes are in place, the members' are not.
-    MidChain,
-    /// On entry to a retire site, before the request is released
-    /// (bytes copied, journal milestone `CopyDone` — recovery must
-    /// roll forward).
-    PreRetire,
-    /// Right after a retire site sealed the journal record (recovery
-    /// must treat the request as already terminal).
-    PostRetire,
-    /// Right after the application retrieved a completion, before the
-    /// next journal write makes that acknowledgement durable (recovery
-    /// must report the request again).
-    PostRetrieve,
-}
-
-impl CrashPoint {
-    /// Stable lowercase name (trace headers, CLI flags).
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CrashPoint::Submit => "submit",
-            CrashPoint::PostLaunch => "post-launch",
-            CrashPoint::MidChain => "mid-chain",
-            CrashPoint::PreRetire => "pre-retire",
-            CrashPoint::PostRetire => "post-retire",
-            CrashPoint::PostRetrieve => "post-retrieve",
-        }
-    }
-
-    /// Parses the stable name produced by [`CrashPoint::as_str`].
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "submit" => Some(CrashPoint::Submit),
-            "post-launch" => Some(CrashPoint::PostLaunch),
-            "mid-chain" => Some(CrashPoint::MidChain),
-            "pre-retire" => Some(CrashPoint::PreRetire),
-            "post-retire" => Some(CrashPoint::PostRetire),
-            "post-retrieve" => Some(CrashPoint::PostRetrieve),
-            _ => None,
-        }
-    }
-
-    /// All crash points, in lifecycle order.
-    pub const ALL: [CrashPoint; 6] = [
-        CrashPoint::Submit,
-        CrashPoint::PostLaunch,
-        CrashPoint::MidChain,
-        CrashPoint::PreRetire,
-        CrashPoint::PostRetire,
-        CrashPoint::PostRetrieve,
-    ];
-}
-
-/// A deterministic crash schedule: the world halts the `nth` time
-/// (1-based) execution passes `point`. Counting is per-point and purely
-/// sequential — no RNG draws — so adding a crash plan never perturbs
-/// the existing fault stream of a chaos run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashPlan {
-    /// Which lifecycle point to crash at.
-    pub point: CrashPoint,
-    /// Crash on the nth crossing of that point (1-based; 0 is clamped
-    /// to 1).
-    pub nth: u64,
-}
-
-impl CrashPlan {
-    /// Crash the `nth` time execution reaches `point`.
-    #[must_use]
-    pub fn at(point: CrashPoint, nth: u64) -> Self {
-        CrashPlan {
-            point,
-            nth: nth.max(1),
-        }
-    }
-}
-
 /// The complete fault configuration for one chaos run.
 ///
 /// All rates are per-event probabilities in `[0, 1]`. The default plan
@@ -187,9 +100,6 @@ pub struct FaultPlan {
     pub desc_exhaust_burst: u32,
     /// Scheduled bandwidth brownouts.
     pub brownouts: Vec<Brownout>,
-    /// Optional deterministic crash point: halt the world at the nth
-    /// crossing of a move-lifecycle point.
-    pub crash: Option<CrashPlan>,
 }
 
 impl Default for FaultPlan {
@@ -203,7 +113,6 @@ impl Default for FaultPlan {
             desc_exhaust_rate: 0.0,
             desc_exhaust_burst: 4,
             brownouts: Vec::new(),
-            crash: None,
         }
     }
 }
@@ -237,17 +146,6 @@ impl FaultPlan {
             && self.delay_rate <= 0.0
             && self.desc_exhaust_rate <= 0.0
             && self.brownouts.is_empty()
-            && self.crash.is_none()
-    }
-
-    /// A plan whose only effect is a deterministic crash at `point`'s
-    /// `nth` crossing.
-    #[must_use]
-    pub fn crash_at(point: CrashPoint, nth: u64) -> Self {
-        FaultPlan {
-            crash: Some(CrashPlan::at(point, nth)),
-            ..FaultPlan::default()
-        }
     }
 }
 
@@ -289,8 +187,6 @@ pub struct FaultInjector {
     rng: SplitMix64,
     exhaust_left: u32,
     stats: FaultStats,
-    crash_crossings: u64,
-    crash_fired: bool,
 }
 
 impl FaultInjector {
@@ -303,8 +199,6 @@ impl FaultInjector {
             rng,
             exhaust_left: 0,
             stats: FaultStats::default(),
-            crash_crossings: 0,
-            crash_fired: false,
         }
     }
 
@@ -344,26 +238,6 @@ impl FaultInjector {
             return TransferFault::DelayCompletion(SimDuration::from_ns(ns));
         }
         TransferFault::None
-    }
-
-    /// Rolls whether the world crashes at this crossing of `point`.
-    ///
-    /// Purely counter-based — no RNG draws — so installing a crash plan
-    /// leaves every other fault decision of the run byte-identical.
-    /// Fires at most once per injector.
-    pub fn roll_crash(&mut self, point: CrashPoint) -> bool {
-        let Some(crash) = self.plan.crash else {
-            return false;
-        };
-        if self.crash_fired || crash.point != point {
-            return false;
-        }
-        self.crash_crossings += 1;
-        if self.crash_crossings >= crash.nth {
-            self.crash_fired = true;
-            return true;
-        }
-        false
     }
 
     /// Rolls whether a descriptor-pool allocation transiently fails.
@@ -461,54 +335,6 @@ mod tests {
             }
         }
         assert!(saw_burst, "rate 0.05 over 2000 rolls should burst");
-    }
-
-    #[test]
-    fn crash_plan_is_counter_based_and_fires_once() {
-        let mut inj = FaultInjector::new(FaultPlan::crash_at(CrashPoint::PostLaunch, 3));
-        assert!(!inj.plan().is_noop());
-        // Other points never trigger and never advance the counter.
-        for _ in 0..10 {
-            assert!(!inj.roll_crash(CrashPoint::Submit));
-            assert!(!inj.roll_crash(CrashPoint::PreRetire));
-        }
-        assert!(!inj.roll_crash(CrashPoint::PostLaunch));
-        assert!(!inj.roll_crash(CrashPoint::PostLaunch));
-        assert!(inj.roll_crash(CrashPoint::PostLaunch), "3rd crossing fires");
-        // At most one crash per injector.
-        assert!(!inj.roll_crash(CrashPoint::PostLaunch));
-    }
-
-    #[test]
-    fn crash_roll_draws_no_rng() {
-        // The fault stream with and without a crash plan must be
-        // identical: roll_crash is purely counter-based.
-        let base = FaultPlan {
-            seed: 42,
-            dma_error_rate: 0.3,
-            drop_rate: 0.2,
-            ..FaultPlan::default()
-        };
-        let mut plain = FaultInjector::new(base.clone());
-        let mut crashy = FaultInjector::new(FaultPlan {
-            crash: Some(CrashPlan::at(CrashPoint::PreRetire, 2)),
-            ..base
-        });
-        for i in 0..128 {
-            let _ = crashy.roll_crash(CrashPoint::PreRetire);
-            assert_eq!(
-                plain.roll_transfer(4096 + i),
-                crashy.roll_transfer(4096 + i)
-            );
-        }
-    }
-
-    #[test]
-    fn crash_point_names_roundtrip() {
-        for point in CrashPoint::ALL {
-            assert_eq!(CrashPoint::parse(point.as_str()), Some(point));
-        }
-        assert_eq!(CrashPoint::parse("bogus"), None);
     }
 
     #[test]

@@ -41,9 +41,7 @@ pub mod topology;
 
 pub use cost::CostModel;
 pub use dma::{CompletionDelivery, DmaOutcome, LaunchTicket, TcScheduler, TransferId};
-pub use fault::{
-    Brownout, CrashPlan, CrashPoint, FaultInjector, FaultPlan, FaultStats, TransferFault,
-};
+pub use fault::{Brownout, FaultInjector, FaultPlan, FaultStats, TransferFault};
 pub use flow::{FlowId, FlowNet, FlowSystem, ResourceId, Route};
 pub use meter::{Context, Measurement, Phase, PhaseBreakdown, UsageMeter};
 pub use phys::{PhysAddr, PhysMem};
