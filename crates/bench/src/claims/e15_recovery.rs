@@ -130,11 +130,11 @@ pub(super) fn run() -> Report {
                 ..CrashRun::default()
             })
         };
-        let reference = run(None);
-        let opportunities = run(Some(0)).opportunities;
+        let reference = run(0);
+        let opportunities = reference.opportunities;
         let (mut fired, mut rolled_back, mut rolled_forward, mut resubmitted) = (0, 0, 0, 0);
         for k in 1..=opportunities {
-            let run = run(Some(k));
+            let run = run(k);
             run.assert_converged(
                 &reference,
                 &format!(

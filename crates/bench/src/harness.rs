@@ -619,8 +619,8 @@ pub struct CrashOutcome {
     /// Whether the crash plan actually fired.
     pub crashed: bool,
     /// Crash opportunities counted over the whole run, re-drive
-    /// included (0 when no plan was armed). Arming `Some(0)`, which
-    /// never fires, counts the `N` that a sweep of `1..=N` covers.
+    /// included. An uncrashed run's count is the `N` that a sweep of
+    /// `1..=N` covers.
     pub opportunities: u64,
     /// The recovery report, when a crash fired.
     pub recovery: Option<RecoveryReport>,
@@ -706,9 +706,9 @@ pub struct CrashRun {
     /// Requests, one region each.
     pub count: usize,
     /// The crash opportunity the world halts at
-    /// ([`System::arm_crash`]); `None` arms no plan and runs the
-    /// uncrashed reference.
-    pub crash_at: Option<u64>,
+    /// ([`System::arm_crash`]); 0 never fires and runs the uncrashed
+    /// reference, which still counts its opportunities.
+    pub crash_at: u64,
     /// The application retrieves completions as they are posted, so
     /// some are retrieved, and some of those durably acknowledged,
     /// before a crash. Otherwise it retrieves them once the run has
@@ -726,7 +726,7 @@ impl Default for CrashRun {
             page_size: PageSize::Small4K,
             pages: 8,
             count: 8,
-            crash_at: None,
+            crash_at: 0,
             retrieve_early: false,
             log_events: false,
         }
@@ -778,9 +778,7 @@ pub fn crash_migrate_nvm(run: CrashRun) -> CrashOutcome {
     let mut sim = Sim::new();
     let space = sys.new_space();
     let memif = Memif::open(&mut sys, space, memif_config).unwrap();
-    if let Some(k) = crash_at {
-        sys.arm_crash(k);
-    }
+    sys.arm_crash(crash_at);
 
     // One region per request; even cookies start on DDR and migrate to
     // NVM, odd cookies the other way.

@@ -7,9 +7,9 @@
 //! durable `Done`) must land the machine byte-identical to a run that
 //! never crashed.
 //!
-//! The tests do not sample crash points: each arms
-//! `System::arm_crash(0)` once to count a scenario's `N` crash
-//! opportunities, then crashes it at every `K` in `1..=N` — each
+//! The tests do not sample crash points: each runs a scenario once
+//! under `System::arm_crash(0)`, which never fires, to count its `N`
+//! crash opportunities, then crashes it at every `K` in `1..=N` — each
 //! {batch, coalesce, shards} issue path, with the application
 //! retrieving before the crash or only after, the placement daemon's
 //! background traffic, and a chain whose leader a racing write aborted.
@@ -47,7 +47,7 @@ fn config_for(batch_max: usize, coalesce: bool, issue_shards: usize) -> MemifCon
 fn crash_run(
     config: &MemifConfig,
     count: usize,
-    crash_at: Option<u64>,
+    crash_at: u64,
     retrieve_early: bool,
 ) -> CrashOutcome {
     crash_migrate_nvm(CrashRun {
@@ -62,23 +62,31 @@ fn crash_run(
 }
 
 /// For every issue-path configuration, with the application retrieving
-/// completions before the crash or only after, and for two stream
+/// completions before the crash or only after, and for three stream
 /// lengths, a crash at every opportunity `K` of the run fires, and
 /// recovery plus the re-drive, merged with what the application
-/// retrieved, converges to the uncrashed reference.
+/// retrieved, converges to the uncrashed reference. With 8 requests,
+/// batch-max 4, coalescing and 2 shards, each shard runs a full
+/// 4-member chain.
 #[test]
 fn every_crash_opportunity_recovers_exactly_once() {
-    for (batch, coalesce, shards) in [(1, false, 1), (4, false, 1), (4, true, 1), (3, true, 2)] {
+    for (batch, coalesce, shards) in [
+        (1, false, 1),
+        (4, false, 1),
+        (4, true, 1),
+        (4, true, 2),
+        (3, true, 2),
+    ] {
         let config = config_for(batch, coalesce, shards);
-        for count in [4, 9] {
-            let reference = crash_run(&config, count, None, false);
-            assert!(!reference.crashed);
+        for count in [4, 8, 9] {
             for early in [false, true] {
-                let n = crash_run(&config, count, Some(0), early).opportunities;
+                let reference = crash_run(&config, count, 0, early);
+                assert!(!reference.crashed);
+                let n = reference.opportunities;
                 assert!(n > 0, "a run passes crash opportunities");
                 let mut fired = 0;
                 for k in 1..=n {
-                    let crashed = crash_run(&config, count, Some(k), early);
+                    let crashed = crash_run(&config, count, k, early);
                     fired += u64::from(crashed.crashed);
                     crashed.assert_converged(
                         &reference,
@@ -246,8 +254,10 @@ fn requests_after_a_reboot_get_ids_the_report_does_not_name() {
     }
 }
 
-/// A crash plan that never fires (`K = N + 1`) leaves the run byte-
-/// identical to no plan at all: the same event log, record for record.
+/// A crash plan that never fires (`K = N + 1`) leaves a run byte-
+/// identical to one that only counts (`K = 0`) and to one with no plan
+/// armed at all: the same event log, record for record, for the
+/// journaled stream and for the placement daemon's traffic.
 #[test]
 fn unfired_crash_plan_is_invisible() {
     let run = |crash_at| {
@@ -262,9 +272,9 @@ fn unfired_crash_plan_is_invisible() {
             ..CrashRun::default()
         })
     };
-    let reference = run(None);
-    let n = run(Some(0)).opportunities;
-    let unfired = run(Some(n + 1));
+    let reference = run(0);
+    let n = reference.opportunities;
+    let unfired = run(n + 1);
     assert!(!unfired.crashed);
     assert!(unfired.recovery.is_none());
     assert_eq!(unfired.resubmitted, 0);
@@ -276,6 +286,14 @@ fn unfired_crash_plan_is_invisible() {
     );
     assert_eq!(unfired.wall, reference.wall);
     unfired.assert_converged(&reference, "unfired plan");
+
+    let (_, _, unarmed) = policy_crash_run(None, "no plan");
+    let (_, n, counted) = policy_crash_run(Some(0), "K = 0");
+    let (crashed, _, unfired) = policy_crash_run(Some(n + 1), "K = N + 1");
+    assert!(!crashed);
+    assert!(!unarmed.is_empty());
+    assert_eq!(counted, unarmed, "counting changed the event log");
+    assert_eq!(unfired, unarmed, "an unfired plan changed the event log");
 }
 
 const HEIR_COUNT: usize = 4;
@@ -484,10 +502,10 @@ fn crash_after_a_promoted_heir_recovers_exactly_once() {
 /// persistent node.
 #[test]
 fn policy_traffic_crash_recovers_exactly_once() {
-    let (_, n) = policy_crash_run(Some(0), "count");
+    let (_, n, _) = policy_crash_run(Some(0), "count");
     assert!(n > 0, "the daemon's run passes crash opportunities");
     for k in 1..=n {
-        let (crashed, _) = policy_crash_run(Some(k), &format!("crash-at={k} of {n}"));
+        let (crashed, ..) = policy_crash_run(Some(k), &format!("crash-at={k} of {n}"));
         assert!(crashed, "crash-at={k} of {n} did not fire");
     }
 }
@@ -496,9 +514,9 @@ fn policy_traffic_crash_recovers_exactly_once() {
 /// crash plan: hot regions promote into the persistent node, the crash
 /// lands inside that background traffic, and recovery must seal every
 /// journaled policy move exactly once with persistent-resident data
-/// intact. Failures name `label`. Returns whether the plan fired and
-/// the crash opportunities the run passed.
-fn policy_crash_run(crash_at: Option<u64>, label: &str) -> (bool, u64) {
+/// intact. Failures name `label`. Returns whether the plan fired, the
+/// crash opportunities the run passed and its event log.
+fn policy_crash_run(crash_at: Option<u64>, label: &str) -> (bool, u64, Vec<String>) {
     const REGIONS: usize = 4;
     const POLICY_PAGES: u32 = 32;
     let mut sys = System::with_profile(nvm_topology(), CostModel::keystone_ii());
@@ -509,6 +527,7 @@ fn policy_crash_run(crash_at: Option<u64>, label: &str) -> (bool, u64) {
         race_mode: RaceMode::DetectRecover,
         ..MemifConfig::default()
     };
+    sys.enable_event_log();
     let memif = Memif::open(&mut sys, space, config).unwrap();
     if let Some(k) = crash_at {
         sys.arm_crash(k);
@@ -657,12 +676,13 @@ fn policy_crash_run(crash_at: Option<u64>, label: &str) -> (bool, u64) {
             }
         }
     }
-    (crashed, sys.crash_opportunities())
+    (crashed, sys.crash_opportunities(), sys.take_event_log())
 }
 
 /// The policy run must also hold up with no crash plan at all, and
 /// then counts no opportunity.
 #[test]
 fn policy_traffic_reference_run_is_clean() {
-    assert_eq!(policy_crash_run(None, "reference"), (false, 0));
+    let (crashed, opportunities, _) = policy_crash_run(None, "reference");
+    assert_eq!((crashed, opportunities), (false, 0));
 }

@@ -791,9 +791,7 @@ fn recover_scenario(args: &Args) -> Result<CrashRun, String> {
         journal: true,
         ..issue_config(args, 4)?
     };
-    // Always armed, so the reference run (K = 0 never fires) counts its
-    // opportunities too.
-    let crash_at = Some(args.get_or("crash-at", 0u64)?);
+    let crash_at = args.get_or("crash-at", 0u64)?;
     let s = CrashRun {
         cost,
         config,
@@ -875,7 +873,7 @@ fn recover(args: &Args) -> Result<(), String> {
         s.config.issue_shards,
         if s.config.issue_shards == 1 { "" } else { "s" },
     );
-    match (s.crash_at.unwrap_or(0), rep) {
+    match (s.crash_at, rep) {
         (0, _) => println!(
             "no crash requested: uncrashed reference run; --crash-at K crashes it at \
              opportunity K (1..={})",
